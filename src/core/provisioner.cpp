@@ -1,10 +1,17 @@
 #include "core/provisioner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "adversary/strategy.h"
 #include "common/check.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "sim/scenario.h"
 
 namespace scp {
@@ -121,10 +128,39 @@ void CacheProvisioner::validate_plan(ProvisionPlan& plan) const {
   config.partitioner = options_.partitioner;
   config.selector = options_.selector;
 
+  // The serial search is measure_adversarial_gain(config, x, trials,
+  // seed ^ x) per candidate x. Its (x, trial) gain trials are independent,
+  // so they run as one pool of tasks, heaviest (largest x) first; each keeps
+  // its serial seed and writes its own slot, and the reduction below runs in
+  // candidate order, so the plan is bit-identical to the serial loop. A
+  // candidate's distribution (16 bytes per key) is built by its first task
+  // and freed by its last, so only the candidates in flight hold one.
+  const std::vector<std::uint64_t> xs = candidate_queried_keys(
+      config.params, options_.validation_grid_points);
+  const std::uint32_t trials = options_.validation_trials;
+  std::vector<std::optional<QueryDistribution>> distributions(xs.size());
+  std::vector<std::once_flag> built(xs.size());
+  std::vector<std::atomic<std::uint32_t>> unfinished(xs.size());
+  for (std::atomic<std::uint32_t>& count : unfinished) count = trials;
+  std::vector<std::vector<double>> gains(xs.size(),
+                                         std::vector<double>(trials));
+  const auto trial = [&](std::size_t task, std::size_t) {
+    const std::size_t i = xs.size() - 1 - task / trials;
+    const std::size_t t = task % trials;
+    std::call_once(built[i], [&] {
+      distributions[i].emplace(
+          QueryDistribution::uniform_over(xs[i], config.params.items));
+    });
+    gains[i][t] = gain_trial(config, *distributions[i],
+                             derive_seed(options_.seed ^ xs[i], 1000 + t));
+    if (unfinished[i].fetch_sub(1) == 1) distributions[i].reset();
+  };
+  parallel_for(xs.size() * trials, std::thread::hardware_concurrency(), trial);
+
   const auto evaluate = [&](std::uint64_t x) {
-    const GainStatistics stats = measure_adversarial_gain(
-        config, x, options_.validation_trials, options_.seed ^ x);
-    return stats.max_gain;
+    const std::size_t i =
+        std::lower_bound(xs.begin(), xs.end(), x) - xs.begin();
+    return summarize(gains[i]).max;
   };
   const BestResponse best = best_response_search(
       config.params, evaluate, options_.validation_grid_points);

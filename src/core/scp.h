@@ -26,7 +26,6 @@
 #include "core/serialize.h"   // JSON output
 #include "kvstore/kv_cluster.h"    // functional replicated KV substrate
 #include "sim/event_sim.h"         // discrete-event simulator
-#include "sim/failure.h"           // node-failure injection
 #include "sim/fault.h"             // deterministic fault schedules
 #include "sim/rate_sim.h"          // rate simulator
 #include "sim/runner.h"

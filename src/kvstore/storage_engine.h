@@ -50,6 +50,9 @@ class StorageEngine {
   void for_each_entry(
       const std::function<void(KeyId, const Entry&)>& visit) const;
 
+  /// Pre-sizes the map for `entries` keys (a bulk load's expected count).
+  void reserve(std::size_t entries) { entries_.reserve(entries); }
+
   /// Drops everything (simulates a node wiped by a crash).
   void clear();
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/parallel.h"
 #include "replication/rebalance.h"
 
 namespace scp::net {
@@ -61,15 +62,34 @@ BackendServer::BackendServer(BackendConfig config)
 BackendServer::~BackendServer() { stop(0.0); }
 
 void BackendServer::preload() {
-  std::vector<NodeId> group(config_.replication);
-  for (std::uint64_t key = 0; key < config_.items; ++key) {
-    partitioner_->replica_group(key, group);
-    if (std::find(group.begin(), group.end(), config_.node_id) != group.end()) {
+  // The ownership scan (a replica_group hash per key) and the owned values
+  // are built in chunks across the cores; each chunk lists its keys in
+  // ascending order, so the inserts below see the same keys in the same
+  // order at any thread count. A key space of one chunk runs inline.
+  constexpr std::uint64_t kChunkKeys = 8192;
+  const std::uint64_t chunks = (config_.items + kChunkKeys - 1) / kChunkKeys;
+  std::vector<std::vector<std::pair<KeyId, std::string>>> owned(chunks);
+  const auto scan = [&](std::size_t chunk, std::size_t) {
+    std::vector<NodeId> group(config_.replication);
+    const std::uint64_t end =
+        std::min(config_.items, (chunk + 1) * kChunkKeys);
+    for (std::uint64_t key = chunk * kChunkKeys; key < end; ++key) {
+      partitioner_->replica_group(key, group);
+      if (in_group(group)) {
+        owned[chunk].emplace_back(key, make_value(key, config_.value_bytes));
+      }
+    }
+  };
+  parallel_for(chunks, std::thread::hardware_concurrency(), scan);
+  std::size_t total = 0;
+  for (const auto& entries : owned) total += entries.size();
+  storage_.reserve(total);
+  for (auto& entries : owned) {
+    for (auto& [key, value] : entries) {
       // Version 1 loses last-writer-wins to any minted version (the clock's
       // first is (1 << kNodeBits) | node), so every real write supersedes
       // the preload on every replica.
-      storage_.apply_put(key, make_value(key, config_.value_bytes),
-                         /*version=*/1);
+      storage_.apply_put(key, std::move(value), /*version=*/1);
     }
   }
 }

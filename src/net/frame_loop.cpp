@@ -187,8 +187,9 @@ void FrameLoop::do_connect(ConnId id, const std::string& address,
   conn.reader.adopt_storage(acquire_buffer());
   conn.outbound = true;
   conn.connecting = in_progress;
+  conn.want_read = !in_progress;
   conn.want_write = in_progress;
-  events_.add(fd, /*want_read=*/!in_progress, /*want_write=*/in_progress);
+  events_.add(fd, conn.want_read, conn.want_write);
   by_fd_[fd] = id;
   conns_.emplace(id, std::move(conn));
   if (!in_progress) {
@@ -240,7 +241,8 @@ void FrameLoop::adopt_on_loop(int fd) {
   conn.id = id;
   conn.sock.reset(fd);
   conn.reader.adopt_storage(acquire_buffer());
-  events_.add(fd, /*want_read=*/true, /*want_write=*/false);
+  conn.want_read = true;
+  events_.add(fd, conn.want_read, conn.want_write);
   by_fd_[fd] = id;
   conns_.emplace(id, std::move(conn));
   counters_.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -387,7 +389,9 @@ void FrameLoop::flush_writes(Connection& conn) {
 void FrameLoop::update_interest(Connection& conn) {
   const bool want_read = !draining_ && !conn.connecting;
   const bool want_write = conn.connecting || conn.out_bytes > 0;
+  if (want_read == conn.want_read && want_write == conn.want_write) return;
   events_.modify(conn.sock.fd(), want_read, want_write);
+  conn.want_read = want_read;
   conn.want_write = want_write;
 }
 

@@ -64,6 +64,9 @@ class FrameLoop final : public Reactor {
     bool flush_pending = false;  ///< queued in flush_pending_ this wakeup
     bool outbound = false;
     bool connecting = false;
+    /// Interest bits currently registered with the event loop; a modify
+    /// that would not change them is skipped (it would be a wasted syscall).
+    bool want_read = false;
     bool want_write = false;
     /// Outbound only: on_connect has been delivered. A conn that dies first
     /// reports on_connect(false) (via the deferred notifier), never

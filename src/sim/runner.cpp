@@ -1,10 +1,10 @@
 #include "sim/runner.h"
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 
 #include "common/check.h"
 #include "common/log.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace scp {
@@ -28,34 +28,19 @@ std::uint64_t ExperimentRunner::trial_seed(std::uint32_t index) const {
 
 std::vector<double> ExperimentRunner::run_parallel(
     const std::function<double(std::uint32_t, std::uint64_t)>& trial) const {
-  // Work stealing by atomic index: each worker claims the next trial and
-  // writes to its own slot, so ordering (and therefore aggregation) is
-  // independent of scheduling.
+  // Each trial writes its own slot, so ordering (and therefore aggregation)
+  // is independent of scheduling.
   std::vector<double> values(trials_);
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::uint32_t index = next.fetch_add(1);
-      if (index >= trials_) {
-        return;
-      }
-      values[index] = trial(index, trial_seed(index));
-    }
-  };
-  std::vector<std::thread> pool;
-  const std::uint32_t workers = std::min(threads_, trials_);
-  pool.reserve(workers);
-  for (std::uint32_t t = 0; t < workers; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
+  parallel_for(trials_, threads_, [&](std::size_t index, std::size_t) {
+    const auto t = static_cast<std::uint32_t>(index);
+    values[t] = trial(t, trial_seed(t));
+  });
   // Per-trial progress from inside the workers would interleave; emit one
   // final summary line instead so parallel sweeps are not silent.
   if (!progress_label_.empty()) {
     SCP_LOG_INFO << progress_label_ << ": " << trials_ << "/" << trials_
-                 << " trials (parallel, " << workers << " threads)";
+                 << " trials (parallel, "
+                 << parallel_workers(trials_, threads_) << " threads)";
   }
   return values;
 }

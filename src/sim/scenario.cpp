@@ -1,16 +1,16 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
+#include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "adversary/knowledge.h"
 #include "cache/perfect_cache.h"
 #include "cluster/cluster.h"
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "sim/rate_sim.h"
 
@@ -113,48 +113,33 @@ std::vector<GainStatistics> GainSweep::run(
   // the result) is independent of thread scheduling.
   std::vector<std::vector<double>> values(
       points.size(), std::vector<double>(trials_, 0.0));
-  std::atomic<std::uint32_t> next{0};
-  const auto worker = [&] {
-    auto selector = make_selector(config_.selector);
-    RateSimScratch scratch;
-    while (true) {
-      const std::uint32_t t = next.fetch_add(1);
-      if (t >= trials_) {
-        return;
-      }
-      const std::uint64_t trial_seed = derive_seed(base_seed_, 1000 + t);
-      Cluster cluster(make_partitioner(
-          config_.partitioner, config_.params.nodes,
-          config_.params.replication, derive_seed(trial_seed, 1)));
-      const PlacementIndex index(cluster.partitioner(), config_.params.items,
-                                 options_.index_memory_budget);
-      RateSimConfig sim_config;
-      sim_config.query_rate = config_.params.query_rate;
-      sim_config.seed = derive_seed(trial_seed, 2);
-      sim_config.faults = config_.faults;
-      sim_config.retry = config_.retry;
-      for (const std::size_t p : eval_order) {
-        values[p][t] =
-            simulate_rates(cluster, caches[p], *points[p].distribution,
-                           *selector, sim_config, &index, &scratch)
-                .normalized_max_load;
-      }
-    }
-  };
-
-  const std::uint32_t workers = std::min(options_.threads, trials_);
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t t = 0; t < workers; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
+  const std::size_t workers = parallel_workers(trials_, options_.threads);
+  std::vector<std::unique_ptr<ReplicaSelector>> selectors;
+  for (std::size_t w = 0; w < workers; ++w) {
+    selectors.push_back(make_selector(config_.selector));
   }
+  std::vector<RateSimScratch> scratch(workers);
+  parallel_for(trials_, options_.threads, [&](std::size_t t,
+                                              std::size_t worker) {
+    const std::uint64_t trial_seed = derive_seed(base_seed_, 1000 + t);
+    Cluster cluster(make_partitioner(
+        config_.partitioner, config_.params.nodes, config_.params.replication,
+        derive_seed(trial_seed, 1)));
+    const PlacementIndex index(cluster.partitioner(), config_.params.items,
+                               options_.index_memory_budget);
+    RateSimConfig sim_config;
+    sim_config.query_rate = config_.params.query_rate;
+    sim_config.seed = derive_seed(trial_seed, 2);
+    sim_config.faults = config_.faults;
+    sim_config.retry = config_.retry;
+    for (const std::size_t p : eval_order) {
+      values[p][t] =
+          simulate_rates(cluster, caches[p], *points[p].distribution,
+                         *selectors[worker], sim_config, &index,
+                         &scratch[worker])
+              .normalized_max_load;
+    }
+  });
 
   std::vector<GainStatistics> stats(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {

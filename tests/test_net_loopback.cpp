@@ -163,6 +163,43 @@ TEST_P(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
   EXPECT_FALSE(server.running());
 }
 
+// The preload holds exactly the node's replica-group keys, each at the
+// deterministic value and version 1 — for a key space scanned inline (one
+// chunk) and one whose ownership scan is split across workers.
+TEST(BackendPreload, StoresExactlyTheOwnedKeys) {
+  constexpr std::uint32_t kNodes = 8;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint32_t kValueBytes = 48;
+  auto partitioner =
+      make_partitioner("hash", kNodes, kReplication, kPartitionSeed);
+  std::vector<NodeId> group(kReplication);
+  for (const std::uint64_t items :
+       {std::uint64_t{5'000}, std::uint64_t{100'000}}) {
+    for (const NodeId node : {NodeId{0}, NodeId{5}}) {
+      BackendConfig config = backend_config(node, kNodes, kReplication, items);
+      config.value_bytes = kValueBytes;
+      BackendServer server(config);
+      ASSERT_TRUE(server.start());
+      std::uint64_t owned = 0;
+      for (std::uint64_t key = 0; key < items; ++key) {
+        partitioner->replica_group(key, group);
+        const bool owner =
+            std::find(group.begin(), group.end(), node) != group.end();
+        const auto entry = server.storage_entry(key);
+        ASSERT_EQ(entry.has_value(), owner) << "m " << items << " key " << key;
+        if (!owner) continue;
+        ++owned;
+        EXPECT_EQ(entry->value, make_value(key, kValueBytes));
+        EXPECT_EQ(entry->version, 1u);
+        EXPECT_FALSE(entry->tombstone);
+      }
+      EXPECT_GT(owned, 0u);
+      EXPECT_FALSE(server.storage_entry(items).has_value());
+      server.stop();
+    }
+  }
+}
+
 TEST_P(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;

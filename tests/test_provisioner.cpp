@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "adversary/bounds.h"
+#include "adversary/strategy.h"
+#include "core/serialize.h"
+#include "sim/scenario.h"
 
 namespace scp {
 namespace {
@@ -67,6 +70,77 @@ TEST(CacheProvisioner, ValidationConfirmsPrevention) {
   EXPECT_TRUE(plan.prevention_holds);
   EXPECT_LE(plan.observed_worst_gain, 1.0);
   EXPECT_GT(plan.observed_worst_x, plan.recommended_cache_size);
+}
+
+/// validate_plan as a serial loop: measure_adversarial_gain per candidate
+/// x, in candidate order, keeping the first x of highest gain.
+ProvisionPlan serial_reference_plan(const ProvisionOptions& options,
+                                    const ClusterSpec& spec) {
+  ProvisionOptions unvalidated = options;
+  unvalidated.validate = false;
+  ProvisionPlan plan = CacheProvisioner(unvalidated).plan(spec);
+  ScenarioConfig config;
+  config.params.nodes = spec.nodes;
+  config.params.replication = spec.replication;
+  config.params.items = spec.items;
+  config.params.cache_size = plan.recommended_cache_size;
+  config.params.query_rate = spec.attack_rate_qps;
+  config.partitioner = options.partitioner;
+  config.selector = options.selector;
+  for (const std::uint64_t x : candidate_queried_keys(
+           config.params, options.validation_grid_points)) {
+    const double gain =
+        measure_adversarial_gain(config, x, options.validation_trials,
+                                 options.seed ^ x)
+            .max_gain;
+    if (gain > plan.observed_worst_gain) {
+      plan.observed_worst_gain = gain;
+      plan.observed_worst_x = x;
+    }
+  }
+  plan.validated = true;
+  plan.prevention_holds = plan.observed_worst_gain <= 1.0;
+  return plan;
+}
+
+void expect_identical_plans(const ProvisionPlan& a, const ProvisionPlan& b) {
+  EXPECT_EQ(a.spec.nodes, b.spec.nodes);
+  EXPECT_EQ(a.spec.replication, b.spec.replication);
+  EXPECT_EQ(a.spec.items, b.spec.items);
+  EXPECT_EQ(a.spec.attack_rate_qps, b.spec.attack_rate_qps);
+  EXPECT_EQ(a.spec.node_capacity_qps, b.spec.node_capacity_qps);
+  EXPECT_EQ(a.prevention_possible, b.prevention_possible);
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.recommended_cache_size, b.recommended_cache_size);
+  EXPECT_EQ(a.even_load_qps, b.even_load_qps);
+  EXPECT_EQ(a.worst_case_load_bound_qps, b.worst_case_load_bound_qps);
+  EXPECT_EQ(a.capacity_sufficient, b.capacity_sufficient);
+  EXPECT_EQ(a.validated, b.validated);
+  EXPECT_EQ(a.observed_worst_gain, b.observed_worst_gain);
+  EXPECT_EQ(a.observed_worst_x, b.observed_worst_x);
+  EXPECT_EQ(a.prevention_holds, b.prevention_holds);
+  EXPECT_EQ(a.degraded.has_value(), b.degraded.has_value());
+  EXPECT_EQ(to_json(a), to_json(b));
+}
+
+TEST(CacheProvisioner, ValidationMatchesSerialBestResponseSearch) {
+  // The live benchmark's cluster under the default options, then a larger
+  // cluster with a denser grid, a ring partitioner and random replica
+  // choice. Least-loaded choice quantizes the gain to ceil(x/n)·n/x at
+  // nearly every seed; random choice makes every (x, trial) seed show.
+  const ClusterSpec bench{.nodes = 8, .replication = 2, .items = 100'000};
+  expect_identical_plans(CacheProvisioner().plan(bench),
+                         serial_reference_plan(ProvisionOptions{}, bench));
+
+  ProvisionOptions options = fast_options();
+  options.validation_grid_points = 5;
+  options.partitioner = "ring";
+  options.selector = "random";
+  options.seed = 42;
+  const ClusterSpec spec = small_spec();
+  expect_identical_plans(CacheProvisioner(options).plan(spec),
+                         serial_reference_plan(options, spec));
 }
 
 TEST(CacheProvisioner, WorstCaseBoundNearEvenLoad) {
