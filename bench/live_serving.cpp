@@ -92,9 +92,6 @@ struct LiveFlags {
   std::uint64_t detect_min_samples = 256;
   std::uint64_t write_quorum = 0;  // W (0 = majority of d)
   std::uint64_t read_quorum = 0;   // R (0 = majority of d)
-  std::string reactor = "epoll";  // event loop backend: epoll | uring
-  net::ReactorKind reactor_kind = net::ReactorKind::kEpoll;  // parsed
-  bool busy_poll = false;        // uring only: SQPOLL + spin-peek
   bool metrics = true;  // server-side histograms (off = overhead baseline)
   std::string csv;
   std::string json;
@@ -423,8 +420,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     config.items = flags.m;
     config.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
     config.metrics = flags.metrics;
-    config.reactor = flags.reactor_kind;
-    config.busy_poll = flags.busy_poll;
     config.write_quorum = static_cast<std::uint32_t>(flags.write_quorum);
     config.read_quorum = static_cast<std::uint32_t>(flags.read_quorum);
     config.detect = flags.detect;
@@ -487,8 +482,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     fe_config.batch_max =
         static_cast<std::uint32_t>(flags.batch_max == 0 ? 1 : flags.batch_max);
     fe_config.coalesce = !flags.no_coalesce;
-    fe_config.reactor = flags.reactor_kind;
-    fe_config.busy_poll = flags.busy_poll;
     fe_config.detect = flags.detect;
     fe_config.detect_hot_fraction = flags.detect_threshold;
     fe_config.detect_min_samples = flags.detect_min_samples;
@@ -520,8 +513,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     router_config.batch_max =
         static_cast<std::uint32_t>(flags.batch_max == 0 ? 1 : flags.batch_max);
     router_config.metrics = flags.metrics;
-    router_config.reactor = flags.reactor_kind;
-    router_config.busy_poll = flags.busy_poll;
     router = std::make_unique<net::RouterServer>(router_config);
     if (!router->start()) {
       std::fprintf(stderr, "live_serving: router failed to start\n");
@@ -760,14 +751,13 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
               static_cast<unsigned long long>(fleet),
               static_cast<unsigned long long>(fe_shards),
               backend_table.render().c_str());
-  std::printf("[fe_fleet=%llu fe_shards=%llu] reactor=%s offered=%.0f qps "
+  std::printf("[fe_fleet=%llu fe_shards=%llu] offered=%.0f qps "
               "achieved=%.0f qps (%.1f%%)%s | rps/core=%.0f "
               "fe_syscalls/req=%.2f fe_be_frames/req=%.3f coalesced=%llu "
               "batch_fill=%.1f\n\n",
               static_cast<unsigned long long>(fleet),
               static_cast<unsigned long long>(fe_shards),
-              net::to_string(frontends[0]->reactor_kind()), flags.rate,
-              throughput,
+              flags.rate, throughput,
               flags.rate > 0 ? 100.0 * throughput / flags.rate : 0.0,
               rate_bound ? " RATE-BOUND" : "", rps_per_core,
               syscalls_per_req, frames_per_req,
@@ -905,7 +895,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
                                                                          : 0),
                  static_cast<std::int64_t>(fe_shards),
                  static_cast<std::int64_t>(fleet),
-                 std::string(net::to_string(frontends[0]->reactor_kind())),
                  static_cast<std::int64_t>(completed), throughput,
                  rps_per_core, syscalls_per_req, frames_per_req,
                  static_cast<std::int64_t>(fe_stats.coalesced), batch_fill,
@@ -1030,11 +1019,6 @@ int main(int argc, char** argv) {
                       "W replica acks per write (0 = majority of d)");
   flag_set.add_uint64("read-quorum", &flags.read_quorum,
                       "R replica responses per quorum read (0 = majority)");
-  flag_set.add_string("reactor", &flags.reactor,
-                      "event loop backend: epoll|uring (uring falls back to "
-                      "epoll when io_uring is unavailable)");
-  flag_set.add_bool("busy-poll", &flags.busy_poll,
-                    "uring only: SQPOLL + spin-peek before blocking");
   flag_set.add_bool("metrics", &flags.metrics,
                     "server-side histograms (--metrics=false for the "
                     "instrumentation-overhead baseline)");
@@ -1064,11 +1048,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "live_serving: --attack adaptive needs --preset adversarial "
                  "and --shift-period > 0\n");
-    return 2;
-  }
-  if (!net::parse_reactor_kind(flags.reactor, flags.reactor_kind)) {
-    std::fprintf(stderr, "live_serving: bad --reactor '%s' (epoll|uring)\n",
-                 flags.reactor.c_str());
     return 2;
   }
   std::vector<std::uint64_t> shard_counts;
@@ -1132,8 +1111,8 @@ int main(int argc, char** argv) {
   std::printf("rate-sim prediction (same partition seed): gain=%.4f\n\n",
               predicted);
 
-  TextTable table({"preset", "x", "fe_shards", "fe_fleet", "reactor",
-                   "completed", "throughput_qps", "rps_per_core",
+  TextTable table({"preset", "x", "fe_shards", "fe_fleet", "completed",
+                   "throughput_qps", "rps_per_core",
                    "syscalls_per_req", "frames_per_req", "coalesced",
                    "batch_fill", "rate_bound", "hit_ratio", "failures",
                    "max_backend", "ideal", "live_gain", "predicted_gain",

@@ -10,7 +10,7 @@
 #include "cache/tinylfu_cache.h"
 #include "cluster/placement_index.h"
 #include "core/scp.h"
-#include "net/reactor.h"
+#include "net/frame_loop.h"
 #include "net/sync_client.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -328,41 +328,29 @@ void BM_WireBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_WireBatch)->Arg(1)->Arg(8)->Arg(64);
 
-// One reactor echoing frames to one synchronous client, both reactor
-// backends. Reports ns/frame (round trip) and the counters that motivated
-// UringLoop: syscalls/frame and frames/wakeup on the server's data plane.
-// Reactor arg: 0 = epoll (FrameLoop), 1 = uring (skips when unavailable).
+// One FrameLoop echoing frames to one synchronous client. Reports ns/frame
+// (round trip) plus syscalls/frame and frames/wakeup on the server's data
+// plane.
 void BM_FrameLoopEcho(benchmark::State& state) {
-  const bool want_uring = state.range(0) != 0;
-  std::string reason;
-  if (want_uring && !net::uring_available(&reason)) {
-    state.SkipWithError(
-        ("SKIPPED: no io_uring (" + reason + ")").c_str());
-    return;
-  }
-  net::ReactorOptions options;
-  options.kind = want_uring ? net::ReactorKind::kUring
-                            : net::ReactorKind::kEpoll;
-  auto loop = net::make_reactor(options);
+  net::FrameLoop loop;
   net::Reactor::Callbacks callbacks;
-  net::Reactor* raw = loop.get();
-  callbacks.on_message = [raw](net::ConnId conn, net::Message&& message) {
-    raw->send(conn, message);
+  callbacks.on_message = [&loop](net::ConnId conn, net::Message&& message) {
+    loop.send(conn, message);
   };
-  loop->set_callbacks(std::move(callbacks));
-  if (!loop->listen("127.0.0.1", 0) || !loop->start()) {
+  loop.set_callbacks(std::move(callbacks));
+  if (!loop.listen("127.0.0.1", 0) || !loop.start()) {
     state.SkipWithError("echo reactor failed to start");
     return;
   }
   net::SyncClient client;
-  if (!client.connect("127.0.0.1", loop->port(), 2.0)) {
+  if (!client.connect("127.0.0.1", loop.port(), 2.0)) {
     state.SkipWithError("echo client failed to connect");
     return;
   }
   net::Message request;
   request.type = net::MsgType::kGet;
-  const std::uint64_t syscalls0 = loop->counters().syscalls.load();
-  const std::uint64_t wakeups0 = loop->counters().wakeups.load();
+  const std::uint64_t syscalls0 = loop.counters().syscalls.load();
+  const std::uint64_t wakeups0 = loop.counters().wakeups.load();
   std::uint64_t frames = 0;
   for (auto _ : state) {
     request.key = frames++;
@@ -373,8 +361,8 @@ void BM_FrameLoopEcho(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(reply->key);
   }
-  const std::uint64_t syscalls = loop->counters().syscalls.load() - syscalls0;
-  const std::uint64_t wakeups = loop->counters().wakeups.load() - wakeups0;
+  const std::uint64_t syscalls = loop.counters().syscalls.load() - syscalls0;
+  const std::uint64_t wakeups = loop.counters().wakeups.load() - wakeups0;
   if (frames > 0) {
     state.counters["syscalls_per_frame"] =
         static_cast<double>(syscalls) / static_cast<double>(frames);
@@ -383,11 +371,10 @@ void BM_FrameLoopEcho(benchmark::State& state) {
                           static_cast<double>(wakeups)
                     : 0.0;
   }
-  state.SetLabel(want_uring ? "uring" : "epoll");
   client.disconnect();
-  loop->stop(0.5);
+  loop.stop(0.5);
 }
-BENCHMARK(BM_FrameLoopEcho)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_FrameLoopEcho)->UseRealTime();
 
 void BM_AdversarialShiftFixpoint(benchmark::State& state) {
   const auto start = QueryDistribution::zipf(

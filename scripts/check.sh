@@ -141,7 +141,7 @@ print(urllib.request.urlopen(
     --threads 2 --json "$live_json" >/dev/null
   validate_json "$live_json" live_serving
   for column in cli_svc_p99_us fe_p99_us rtt_p99_us svc_p99_us \
-      reactor rps_per_core syscalls_per_req rate_bound \
+      rps_per_core syscalls_per_req rate_bound \
       coalesced frames_per_req batch_fill; do
     if ! grep -q "\"$column\"" "$live_json"; then
       echo "check.sh: live JSON missing column $column" >&2
@@ -181,26 +181,7 @@ print(f"batching equivalence: frames/req batched="
 EOF
   echo "check.sh: batching equivalence smoke OK"
 
-  # Live serving smoke 2b: the same cluster on the io_uring data plane,
-  # gated on the runtime probe (seccomp'd containers and old kernels skip
-  # with a visible reason instead of failing).
-  if "$BUILD_DIR/src/net/scp_stats" --probe-uring; then
-    uring_json="$BUILD_DIR/smoke_live_uring.json"
-    rm -f "$uring_json"
-    "$BUILD_DIR/bench/live_serving" \
-      --n 3 --d 2 --m 1024 --c 4 --rate 1000 --duration 1 --warmup 0.2 \
-      --threads 2 --reactor uring --json "$uring_json" >/dev/null
-    validate_json "$uring_json" live_serving
-    if ! grep -q '"reactor":"uring"' "$uring_json"; then
-      echo "check.sh: uring smoke did not run on the uring reactor" >&2
-      exit 1
-    fi
-    echo "check.sh: uring serving smoke OK"
-  else
-    echo "check.sh: io_uring unavailable, uring smoke skipped"
-  fi
-
-  # Net micro-bench: the echo round-trip for both reactors plus the batched
+  # Net micro-bench: the FrameLoop echo round-trip plus the batched
   # wire-frame cost (BM_WireBatch, ns/key at batch 1/8/64), wrapped in the
   # standard {bench,params,wall_ms,series} record as BENCH_net.json.
   bench_net_raw="$BUILD_DIR/bench_net_raw.json"
@@ -229,7 +210,6 @@ for b in raw.get("benchmarks", []):
         continue
     entry = {
         "name": b["name"],
-        "reactor": b.get("label", ""),
         "ns_per_frame": b.get("real_time", 0.0),
         "syscalls_per_frame": b.get("syscalls_per_frame", 0.0),
         "frames_per_wakeup": b.get("frames_per_wakeup", 0.0),
@@ -242,7 +222,6 @@ assert batch_series, "no BM_WireBatch runs in benchmark output"
 record = {
     "bench": "net_echo",
     "params": {"benchmark": "BM_FrameLoopEcho|BM_WireBatch",
-               "reactors": [e["reactor"] or "skipped" for e in series],
                "batch_sizes": [e["batch"] for e in batch_series]},
     "wall_ms": sum(b.get("real_time", 0) * b.get("iterations", 0)
                    for b in raw.get("benchmarks", [])) / 1e6,
@@ -251,7 +230,7 @@ record = {
 # Compact separators: the same "key":value shape JsonWriter emits, which
 # is what validate_json greps for.
 json.dump(record, open(sys.argv[2], "w"), separators=(",", ":"))
-print("BENCH_net.json:", *(f"{e['reactor'] or 'skip'}="
+print("BENCH_net.json:", *(f"{e['name']}="
       f"{e['syscalls_per_frame']:.2f}syscalls/frame" for e in series),
       *(f"batch{e['batch']}={e['ns_per_key']:.0f}ns/key"
         for e in batch_series))

@@ -50,9 +50,7 @@ BackendServer::BackendServer(BackendConfig config)
                                     config_.partition_seed)),
       pool_(ReactorPool::Options{
           .shards = config_.shards == 0 ? 1 : config_.shards,
-          .force_fallback_accept = config_.force_fallback_accept,
-          .reactor = config_.reactor,
-          .busy_poll = config_.busy_poll}),
+          .force_fallback_accept = config_.force_fallback_accept}),
       clock_(config_.node_id),
       detector_(replication::FailureDetectorConfig{
           .interval_s = config_.fd_interval_s,
@@ -297,8 +295,6 @@ obs::MetricsSnapshot BackendServer::metrics_snapshot() const {
         loop.frames_in.load(std::memory_order_relaxed);
     snap.counters["loop.frames_out"] =
         loop.frames_out.load(std::memory_order_relaxed);
-    snap.counters["loop.buf_starved"] =
-        loop.buf_starved.load(std::memory_order_relaxed);
     shards.push_back(std::move(snap));
   }
   obs::MetricsSnapshot snap = merge_shard_snapshots("backend", shards);

@@ -80,11 +80,6 @@ struct BackendConfig {
   std::uint32_t shards = 1;
   /// Test hook: force the single-acceptor round-robin accept path.
   bool force_fallback_accept = false;
-  /// Event-loop backend for every shard (uring falls back to epoll where
-  /// unavailable; reactor_kind() reports the effective choice).
-  ReactorKind reactor = ReactorKind::kEpoll;
-  /// UringLoop only: SQPOLL + spin-peek before blocking.
-  bool busy_poll = false;
 
   /// Replica-mesh endpoint per NodeId (index = node; this node's own entry
   /// is ignored). Empty = no mesh: writes coordinate locally with W=1,
@@ -150,9 +145,6 @@ class BackendServer {
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
   std::uint16_t metrics_http_port() const noexcept;
-
-  /// Effective reactor backend (after any uring→epoll fallback).
-  ReactorKind reactor_kind() const noexcept { return pool_.reactor_kind(); }
 
   /// Summed reactor counters across shards — syscalls and wakeups feed the
   /// syscalls/request and frames/wakeup measurements (thread-safe).

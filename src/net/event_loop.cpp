@@ -1,19 +1,14 @@
 #include "net/event_loop.h"
 
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
-#if SCP_NET_USE_EPOLL
-#include <sys/epoll.h>
-#endif
-
 #include "common/log.h"
 
 namespace scp::net {
-
-#if SCP_NET_USE_EPOLL
 
 EventLoop::EventLoop() {
   epoll_.reset(::epoll_create1(0));
@@ -79,69 +74,5 @@ int EventLoop::wait(std::vector<IoEvent>& out, int timeout_ms) {
   }
   return static_cast<int>(out.size());
 }
-
-#else  // poll(2) fallback
-
-EventLoop::EventLoop() = default;
-
-EventLoop::~EventLoop() = default;
-
-bool EventLoop::valid() const noexcept { return true; }
-
-void EventLoop::set_wake_fd(int fd) {
-  wake_fd_ = fd;
-  if (fd >= 0) interest_[fd] = POLLIN;
-}
-
-bool EventLoop::add(int fd, bool want_read, bool want_write) {
-  if (interest_.count(fd) != 0) return false;
-  interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
-                                     (want_write ? POLLOUT : 0));
-  return true;
-}
-
-bool EventLoop::modify(int fd, bool want_read, bool want_write) {
-  auto it = interest_.find(fd);
-  if (it == interest_.end()) return false;
-  it->second = static_cast<short>((want_read ? POLLIN : 0) |
-                                  (want_write ? POLLOUT : 0));
-  return true;
-}
-
-void EventLoop::remove(int fd) { interest_.erase(fd); }
-
-int EventLoop::wait(std::vector<IoEvent>& out, int timeout_ms) {
-  out.clear();
-  pollfds_.clear();
-  for (const auto& [fd, events] : interest_) {
-    pollfds_.push_back(pollfd{fd, events, 0});
-  }
-  count_syscall();
-  const int n = ::poll(pollfds_.data(),
-                       static_cast<nfds_t>(pollfds_.size()), timeout_ms);
-  if (n < 0) {
-    return errno == EINTR ? 0 : -1;
-  }
-  for (const pollfd& pfd : pollfds_) {
-    if (pfd.revents == 0) continue;
-    if (pfd.fd == wake_fd_) {
-      char buf[64];
-      count_syscall();
-      while (::read(pfd.fd, buf, sizeof(buf)) > 0) {
-        count_syscall();
-      }
-      continue;
-    }
-    IoEvent event;
-    event.fd = pfd.fd;
-    event.readable = (pfd.revents & POLLIN) != 0;
-    event.writable = (pfd.revents & POLLOUT) != 0;
-    event.broken = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-    out.push_back(event);
-  }
-  return static_cast<int>(out.size());
-}
-
-#endif  // SCP_NET_USE_EPOLL
 
 }  // namespace scp::net

@@ -1,28 +1,15 @@
-// Readiness notification for the epoll-backed reactor: epoll on Linux,
-// poll(2) everywhere else (or when SCP_NET_FORCE_POLL is defined — the CI
-// matrix builds the fallback on Linux too so it cannot rot).
-//
-// Level-triggered semantics on both backends: a registered fd is reported
-// readable/writable on every wait() while the condition holds. The owning
-// Reactor's self-pipe read end is registered via set_wake_fd(); wait()
-// drains it internally and reports the interruption as a return with no
-// events.
+// Readiness notification for FrameLoop: a level-triggered epoll set. A
+// registered fd is reported readable/writable on every wait() while the
+// condition holds. The owning Reactor's self-pipe read end is registered
+// via set_wake_fd(); wait() drains it internally and reports the
+// interruption as a return with no events.
 #pragma once
-
-#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/socket.h"
-
-#if defined(__linux__) && !defined(SCP_NET_FORCE_POLL)
-#define SCP_NET_USE_EPOLL 1
-#else
-#define SCP_NET_USE_EPOLL 0
-#endif
 
 namespace scp::net {
 
@@ -49,8 +36,8 @@ class EventLoop {
   /// it and suppresses it from the event list.
   void set_wake_fd(int fd);
 
-  /// Optional syscall accounting: every epoll_ctl/epoll_wait/poll and wake
-  /// drain increments the counter (must outlive the loop).
+  /// Optional syscall accounting: every epoll_ctl/epoll_wait and wake drain
+  /// increments the counter (must outlive the loop).
   void set_syscall_counter(std::atomic<std::uint64_t>* counter) {
     syscalls_ = counter;
   }
@@ -73,13 +60,7 @@ class EventLoop {
 
   int wake_fd_ = -1;
   std::atomic<std::uint64_t>* syscalls_ = nullptr;
-#if SCP_NET_USE_EPOLL
   Socket epoll_;
-#else
-  // fd → interest; the pollfd array is rebuilt on demand.
-  std::unordered_map<int, short> interest_;
-  std::vector<pollfd> pollfds_;
-#endif
 };
 
 }  // namespace scp::net

@@ -1,5 +1,5 @@
-// Readiness-based framed-TCP reactor: one event loop (epoll or poll) on its
-// own thread, owning a set of connections that speak the length-prefixed
+// Readiness-based framed-TCP reactor: one epoll event loop on its own
+// thread, owning a set of connections that speak the length-prefixed
 // wire protocol. Both server roles and the front-end's backend pool are
 // built on the Reactor interface this class implements — a FrameLoop can
 // simultaneously accept inbound connections (listen) and maintain outbound
@@ -15,8 +15,7 @@
 // same per-loop pool, and inbound frames are decoded from a zero-copy view.
 //
 // Timers, post(), the self-pipe wakeup, buffer pooling and the threading
-// contract live in the Reactor base (see reactor.h), shared byte-for-byte
-// with UringLoop.
+// contract live in the Reactor base (see reactor.h).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +33,6 @@ class FrameLoop final : public Reactor {
  public:
   FrameLoop();
   ~FrameLoop() override;
-
-  ReactorKind kind() const noexcept override { return ReactorKind::kEpoll; }
 
   bool listen(const std::string& address, std::uint16_t port,
               int backlog = 128, bool reuse_port = false) override;

@@ -28,9 +28,7 @@ FrontendServer::FrontendServer(FrontendConfig config)
                                     config_.partition_seed)),
       pool_(ReactorPool::Options{
           .shards = config_.shards == 0 ? 1 : config_.shards,
-          .force_fallback_accept = config_.force_fallback_accept,
-          .reactor = config_.reactor,
-          .busy_poll = config_.busy_poll}) {}
+          .force_fallback_accept = config_.force_fallback_accept}) {}
 
 FrontendServer::~FrontendServer() { stop(0.0); }
 
@@ -73,15 +71,15 @@ bool FrontendServer::start() {
   }
 
   const std::size_t n_shards = pool_.shards();
-  const bool policy_tier = config_.cache_policy != "perfect" &&
-                           config_.cache_policy != "none" &&
-                           config_.cache_capacity > 0;
+  const bool policy_cache = config_.cache_policy != "perfect" &&
+                            config_.cache_policy != "none" &&
+                            config_.cache_capacity > 0;
   shards_.clear();
   for (std::size_t k = 0; k < n_shards; ++k) {
     auto shard = std::make_unique<Shard>();
     shard->index = k;
     shard->loop = &pool_.shard(k);
-    // Shard 0 keeps the unsharded server's RNG/tier streams so shards == 1
+    // Shard 0 keeps the unsharded server's RNG stream so shards == 1
     // reproduces it decision-for-decision.
     shard->rng = Rng(k == 0 ? config_.seed
                             : derive_seed(config_.seed, 100 + k));
@@ -92,12 +90,8 @@ bool FrontendServer::start() {
     const std::size_t member_capacity = slice_capacity(
         config_.cache_capacity, config_.fleet_size, config_.fleet_index);
     shard->cache_capacity = slice_capacity(member_capacity, n_shards, k);
-    if (policy_tier && shard->cache_capacity > 0) {
-      const std::uint64_t tier_seed = derive_seed(config_.seed, 7);
-      shard->tier = std::make_unique<FrontEndTier>(
-          std::max<std::uint32_t>(config_.frontends, 1),
-          shard->cache_capacity, config_.cache_policy,
-          k == 0 ? tier_seed : derive_seed(tier_seed, k));
+    if (policy_cache && shard->cache_capacity > 0) {
+      shard->cache = make_cache(config_.cache_policy, shard->cache_capacity);
     }
     if (config_.detect) {
       shard->hot_agg = std::make_unique<detect::HotKeyAggregator>(
@@ -304,8 +298,6 @@ obs::MetricsSnapshot FrontendServer::metrics_snapshot() const {
         loop.frames_in.load(std::memory_order_relaxed);
     snap.counters["loop.frames_out"] =
         loop.frames_out.load(std::memory_order_relaxed);
-    snap.counters["loop.buf_starved"] =
-        loop.buf_starved.load(std::memory_order_relaxed);
     per_shard.push_back(std::move(snap));
   }
   obs::MetricsSnapshot snap = merge_shard_snapshots("frontend", per_shard);
@@ -582,7 +574,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       return;
     }
     case MsgType::kMiss: {
-      // The fetch produced no value: release the tier slot the lookup
+      // The fetch produced no value: release the cache slot the lookup
       // admitted, or it sits value-less forever, evicting real entries and
       // turning future hits into forwards.
       if (request.op == MsgType::kGet) {
@@ -710,8 +702,8 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     if (shard.hot_flagged.insert(key).second) {
       shard.hot_flagged_total.fetch_add(1, std::memory_order_relaxed);
     }
-    if (shard.tier == nullptr) {
-      // Perfect provision has no policy tier to train; mitigation instead
+    if (shard.cache == nullptr) {
+      // Perfect provision has no policy cache to train; mitigation instead
       // re-provisions the cached set, swapping oracle-prefix tail slots for
       // the flagged keys (see cache_lookup). "none" stays classify-only.
       if (config_.cache_policy == "perfect" && key < config_.items &&
@@ -726,14 +718,14 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
       }
       continue;
     }
-    if (shard.tier->contains(key) && shard.values.count(key) != 0) {
+    if (shard.cache->contains(key) && shard.values.count(key) != 0) {
       continue;  // already serving hits; nothing to fix
     }
     // Globally hot at the backends and absent here — the miss-flood
     // signature. Force-admit the slot and warm its bytes with a
     // self-initiated fetch (client = kInvalidConn; the reply's send to it
     // is a harmless no-op).
-    shard.tier->access(key);
+    shard.cache->access(key);
     if (!shard.hot_prefetching.insert(key).second) continue;  // in flight
     shard.hot_prefetches.fetch_add(1, std::memory_order_relaxed);
     // Via the single-flight table: if a client's fetch for this key is
@@ -876,42 +868,42 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
     }
     return false;
   }
-  if (shard.tier == nullptr) return false;
-  // Probe with the non-mutating contains() before touching the tier:
+  if (shard.cache == nullptr) return false;
+  // Probe with the non-mutating contains() before touching the cache:
   // access() admits on miss AND refreshes recency on hit, so calling it for
   // a key whose bytes haven't arrived yet would let the very requests that
   // are waiting on the fetch keep the value-less slot maximally fresh —
   // under a miss-flood each attack key's slot gets refreshed by every
   // attack request and real entries are evicted instead.
-  if (!shard.tier->contains(key)) {
-    shard.tier->access(key);  // miss: let the policy train and admit
+  if (!shard.cache->contains(key)) {
+    shard.cache->access(key);  // miss: let the policy train and admit
     return false;
   }
   auto it = shard.values.find(key);
   if (it == shard.values.end()) return false;  // admitted but not yet fetched
-  if (!shard.tier->access(key)) return false;  // routed to a non-holding member
+  shard.cache->access(key);  // hit: refresh the policy's recency/frequency
   value = it->second;
   return true;
 }
 
 void FrontendServer::admit(Shard& shard, std::uint64_t key,
                            const std::string& value) {
-  if (shard.tier == nullptr || !owns(shard, key)) return;
-  if (!shard.tier->contains(key)) return;  // the policy declined admission
+  if (shard.cache == nullptr || !owns(shard, key)) return;
+  if (!shard.cache->contains(key)) return;  // the policy declined admission
   shard.values[key] = value;
-  // Reconcile the value side-map with tier membership once it outgrows the
-  // tier (policy evictions leave dead entries behind). Only entries the
-  // tier no longer holds are dropped — resident values must survive or
-  // their tier hits would find no bytes. Bound: capacity plus 1/8 slack
+  // Reconcile the value side-map with cache membership once it outgrows the
+  // cache (policy evictions leave dead entries behind). Only entries the
+  // cache no longer holds are dropped — resident values must survive or
+  // their cache hits would find no bytes. Bound: capacity plus 1/8 slack
   // (min 64) for churn between reconciles; the old 4c+64 bound let dead
   // values carry ~4× the configured memory budget before the first sweep.
-  const std::size_t capacity = shard.tier->capacity();
+  const std::size_t capacity = shard.cache->capacity();
   const std::size_t bound =
       capacity + std::max<std::size_t>(64, capacity / 8);
   if (shard.values.size() > bound) {
     for (auto it = shard.values.begin(); it != shard.values.end();) {
-      it = shard.tier->contains(it->first) ? std::next(it)
-                                           : shard.values.erase(it);
+      it = shard.cache->contains(it->first) ? std::next(it)
+                                            : shard.values.erase(it);
     }
   }
   if (shard.values_entries != nullptr) {
@@ -925,8 +917,8 @@ void FrontendServer::admit(Shard& shard, std::uint64_t key,
 }
 
 void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
-  if (shard.tier == nullptr) return;
-  shard.tier->invalidate(key);
+  if (shard.cache == nullptr) return;
+  shard.cache->invalidate(key);
   shard.values.erase(key);
   if (shard.values_entries != nullptr) {
     shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
@@ -1178,7 +1170,7 @@ void FrontendServer::retry_or_fail(Shard& shard,
 void FrontendServer::fail_request(Shard& shard, ConnId client,
                                   std::uint64_t key, MsgType op) {
   // A failed fetch leaves no bytes behind either — release any value-less
-  // tier slot the lookup admitted.
+  // cache slot the lookup admitted.
   drop_cached(shard, key);
   // A failed GET lead takes its parked waiters down with it (before the
   // prefetch early-return below: a kInvalidConn lead can carry real

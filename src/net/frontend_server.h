@@ -1,7 +1,7 @@
 // scp_frontend: the paper's front end as a real TCP server.
 //
-// Serves client GETs from a front-end cache (perfect-prefix oracle or a
-// cache::FrontEndTier of k real policy caches); misses are forwarded to a
+// Serves client GETs from a front-end cache (perfect-prefix oracle or one
+// real policy cache per shard, from make_cache); misses are forwarded to a
 // backend chosen by the existing replica-selection machinery over the key's
 // replica group (power-of-d routing; "pinned" reproduces the paper's stable
 // key → serving-node balls-into-bins placement, with the cumulative
@@ -57,7 +57,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cache/frontend_tier.h"
+#include "cache/cache.h"
 #include "cluster/partitioner.h"
 #include "cluster/routing.h"
 #include "common/rng.h"
@@ -80,10 +80,9 @@ struct FrontendConfig {
   std::vector<std::pair<std::string, std::uint16_t>> backends;
 
   /// "perfect" (Assumption-2 oracle over the rank-canonical key space),
-  /// "none", or a FrontEndTier policy: lru | lfu | slru | tinylfu.
+  /// "none", or a make_cache policy: lru | lfu | slru | tinylfu.
   std::string cache_policy = "perfect";
   std::size_t cache_capacity = 0;  ///< total entries across shards (c)
-  std::uint32_t frontends = 1;     ///< tier width k (policy caches only)
   std::uint64_t items = 0;         ///< key space size m (perfect cache bound)
   std::uint32_t value_bytes = 64;  ///< perfect-cache value synthesis
 
@@ -91,7 +90,7 @@ struct FrontendConfig {
   /// round-robin.
   std::string router = "pinned";
   RetryPolicy retry;
-  std::uint64_t seed = 1;  ///< tie-breaks, random routing, tier affinity
+  std::uint64_t seed = 1;  ///< tie-breaks, random routing
 
   /// Single-flight coalescing: a GET miss for a key that already has a
   /// forward in flight parks the client on that forward instead of emitting
@@ -122,11 +121,6 @@ struct FrontendConfig {
   std::uint64_t fleet_seed = 0;
   /// Test hook: force the single-acceptor round-robin accept path.
   bool force_fallback_accept = false;
-  /// Event-loop backend for every shard (uring falls back to epoll where
-  /// unavailable; reactor_kind() reports the effective choice).
-  ReactorKind reactor = ReactorKind::kEpoll;
-  /// UringLoop only: SQPOLL + spin-peek before blocking.
-  bool busy_poll = false;
 
   /// Hot-key mitigation (src/detect): subscribe to kHotKeyReport pushes
   /// from every backend (which must run with BackendConfig::detect), feed
@@ -173,9 +167,6 @@ class FrontendServer {
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
   std::uint16_t metrics_http_port() const noexcept;
-
-  /// Effective reactor backend (after any uring→epoll fallback).
-  ReactorKind reactor_kind() const noexcept { return pool_.reactor_kind(); }
 
   /// Summed reactor counters across shards — syscalls and wakeups feed the
   /// syscalls/request and frames/wakeup measurements (thread-safe).
@@ -251,9 +242,9 @@ class FrontendServer {
   struct Shard {
     std::size_t index = 0;
     Reactor* loop = nullptr;
-    std::unique_ptr<FrontEndTier> tier;  // null for perfect/none/empty slice
-    std::size_t cache_capacity = 0;      // this shard's slice of c
-    std::unordered_map<std::uint64_t, std::string> values;  // tier contents
+    std::unique_ptr<FrontEndCache> cache;  // null for perfect/none/empty slice
+    std::size_t cache_capacity = 0;        // this shard's slice of c
+    std::unordered_map<std::uint64_t, std::string> values;  // cache contents
     /// Perfect-oracle keys invalidated by a write: served as misses until a
     /// backend refetch returns the oracle's synthesized value again. (The
     /// oracle can't hold arbitrary bytes, so a key written with foreign

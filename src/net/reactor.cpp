@@ -7,8 +7,6 @@
 #include <cstring>
 
 #include "common/log.h"
-#include "net/frame_loop.h"
-#include "net/uring_loop.h"
 
 namespace scp::net {
 namespace {
@@ -31,40 +29,6 @@ bool make_wake_pipe(Socket& read_end, Socket& write_end) {
 }
 
 }  // namespace
-
-bool parse_reactor_kind(const std::string& text, ReactorKind& kind) {
-  if (text == "epoll") {
-    kind = ReactorKind::kEpoll;
-    return true;
-  }
-  if (text == "uring") {
-    kind = ReactorKind::kUring;
-    return true;
-  }
-  return false;
-}
-
-const char* to_string(ReactorKind kind) noexcept {
-  return kind == ReactorKind::kUring ? "uring" : "epoll";
-}
-
-bool uring_available(std::string* reason) {
-  return uring_runtime_available(reason);
-}
-
-std::unique_ptr<Reactor> make_reactor(const ReactorOptions& options) {
-  if (options.kind == ReactorKind::kUring) {
-    UringOptions uring;
-    uring.busy_poll = options.busy_poll;
-    std::unique_ptr<Reactor> loop = make_uring_loop(uring);
-    if (loop != nullptr) return loop;
-    std::string reason;
-    uring_available(&reason);
-    SCP_LOG_WARN << "net: io_uring unavailable (" << reason
-                 << "); falling back to epoll";
-  }
-  return std::make_unique<FrameLoop>();
-}
 
 Reactor::Reactor() { make_wake_pipe(wake_read_, wake_write_); }
 
@@ -171,14 +135,6 @@ void Reactor::wakeup() noexcept {
   const char byte = 1;
   // Best effort: a full pipe already guarantees a pending wakeup.
   [[maybe_unused]] const ssize_t n = ::write(wake_write_.fd(), &byte, 1);
-}
-
-void Reactor::drain_wake_pipe() {
-  char buf[64];
-  counters_.syscalls.fetch_add(1, std::memory_order_relaxed);
-  while (::read(wake_read_.fd(), buf, sizeof(buf)) > 0) {
-    counters_.syscalls.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::size_t Reactor::drain_posted() {

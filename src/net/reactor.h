@@ -1,34 +1,25 @@
-// Reactor: the serving tier's event-loop abstraction. Two implementations
-// share this interface and the non-I/O machinery it owns:
+// Reactor: the serving tier's event-loop interface. FrameLoop (epoll,
+// frame_loop.h) is its implementation; the base class keeps the I/O
+// model's seam so a test fake can stand in for it.
 //
-//   FrameLoop  — readiness-based (epoll, or poll under SCP_NET_FORCE_POLL).
-//                The default everywhere; the only backend on kernels without
-//                io_uring.
-//   UringLoop  — completion-based on io_uring: multishot accept, provided
-//                buffer rings for receives, batched SQE submission (one
-//                io_uring_enter per wakeup) and linked send chains. Selected
-//                with ReactorKind::kUring where uring_available().
-//
-// The base class owns everything that is not readiness-vs-completion
-// specific, so the two loops cannot drift apart on semantics: the timer
-// queue (run_after), the self-pipe wakeup, the cross-thread post() queue,
+// The base class owns everything that is not I/O specific: the timer queue
+// (run_after), the self-pipe wakeup, the cross-thread post() queue,
 // pre-start connect queueing, the per-loop buffer pool, thread lifecycle
 // (start/request_stop/join) and the counters. Derived classes implement the
 // I/O: listen/send/close_connection, the loop body (run), fd adoption and
 // outbound connects.
 //
-// Threading contract (identical for both backends): callbacks, send(),
-// close_connection() and run_after() execute on the loop thread (callbacks
-// are invoked there; calling these from inside a callback is the normal
-// pattern). listen()/connect()/run_after() may also be called before
-// start(). post() and stop() are safe from any thread.
+// Threading contract: callbacks, send(), close_connection() and
+// run_after() execute on the loop thread (callbacks are invoked there;
+// calling these from inside a callback is the normal pattern).
+// listen()/connect()/run_after() may also be called before start(). post()
+// and stop() are safe from any thread.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -45,19 +36,6 @@ namespace scp::net {
 using ConnId = std::uint64_t;
 inline constexpr ConnId kInvalidConn = 0;
 
-enum class ReactorKind { kEpoll, kUring };
-
-/// Parses "epoll" or "uring" (the --reactor flag values). False otherwise.
-bool parse_reactor_kind(const std::string& text, ReactorKind& kind);
-const char* to_string(ReactorKind kind) noexcept;
-
-/// Runtime probe, cached after the first call: io_uring is present, not
-/// blocked (seccomp returns EPERM in many container runtimes) and supports
-/// every feature UringLoop needs (multishot accept/recv, provided buffer
-/// rings, EXT_ARG timeouts). When false and `reason` is non-null, it gets a
-/// one-line explanation for logs/CI.
-bool uring_available(std::string* reason = nullptr);
-
 /// Loop-wide counters, readable from any thread.
 struct ReactorCounters {
   std::atomic<std::uint64_t> accepted{0};         ///< inbound connections
@@ -65,18 +43,13 @@ struct ReactorCounters {
   std::atomic<std::uint64_t> frames_out{0};       ///< messages queued out
   std::atomic<std::uint64_t> protocol_errors{0};  ///< bad frames/streams
   /// Data-plane syscalls issued by the loop thread (waits, recv/sendmsg,
-  /// accept, epoll_ctl, wake-pipe drains, io_uring_enter). The numerator of
-  /// the syscalls/request measurement.
+  /// accept, epoll_ctl, wake-pipe drains). The numerator of the
+  /// syscalls/request measurement.
   std::atomic<std::uint64_t> syscalls{0};
   /// Blocking waits returned (loop iterations). frames/wakeup =
   /// (frames_in + frames_out) / wakeups.
   std::atomic<std::uint64_t> wakeups{0};
-  /// UringLoop only: receives that found the provided-buffer ring empty
-  /// (ENOBUFS) and had to re-arm after recycling. Always 0 for epoll.
-  std::atomic<std::uint64_t> buf_starved{0};
 };
-/// Historical name, kept so counter-consuming code reads naturally.
-using FrameLoopCounters = ReactorCounters;
 
 class Reactor {
  public:
@@ -108,9 +81,6 @@ class Reactor {
   /// "loop.dispatch_depth" (posted functions + I/O events per iteration).
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Which backend this reactor is (the effective kind after any fallback).
-  virtual ReactorKind kind() const noexcept = 0;
-
   /// Binds and listens (port 0 = kernel-assigned; see port()). Call before
   /// start(). Returns false on bind/listen failure. With `reuse_port` the
   /// listener is SO_REUSEPORT-bound so sibling loops can share the port.
@@ -131,7 +101,7 @@ class Reactor {
   /// The loop owns the fd from this call on; a draining loop closes it.
   void adopt(int fd);
 
-  /// Spawns the loop thread. Returns false if the backend's resources could
+  /// Spawns the loop thread. Returns false if the loop's resources could
   /// not be acquired or the loop is already running.
   bool start();
 
@@ -189,8 +159,8 @@ class Reactor {
     }
   };
 
-  /// True when construction acquired every backend resource (epoll fd /
-  /// uring ring). Checked by start(); the wake pipe is checked by the base.
+  /// True when construction acquired every I/O resource (the epoll fd).
+  /// Checked by start(); the wake pipe is checked by the base.
   virtual bool valid() const noexcept = 0;
 
   /// The loop body, executed on the spawned thread. The base wrapper sets
@@ -210,12 +180,10 @@ class Reactor {
   }
 
   /// Interrupts the loop's blocking wait. Safe from any thread (write(2) on
-  /// the self-pipe; both backends watch the read end).
+  /// the self-pipe; the derived loop watches the read end).
   void wakeup() noexcept;
   int wake_fd() const noexcept { return wake_read_.fd(); }
   bool wake_valid() const noexcept { return wake_read_.valid(); }
-  /// Empties the self-pipe (loop thread). Counted as one syscall batch.
-  void drain_wake_pipe();
 
   /// Runs queued pre-start connects and posted functions (loop thread).
   /// Returns the number of posted functions, for dispatch-depth accounting.
@@ -274,17 +242,5 @@ class Reactor {
   // owning thread's first instruction, hence atomic.
   std::atomic<std::thread::id> loop_thread_id_{};
 };
-
-struct ReactorOptions {
-  ReactorKind kind = ReactorKind::kEpoll;
-  /// UringLoop only: IORING_SETUP_SQPOLL plus a user-side spin-peek window
-  /// before blocking — trades a busy core for wakeup latency.
-  bool busy_poll = false;
-};
-
-/// Creates a reactor of the requested kind with graceful fallback: kUring
-/// on a host without usable io_uring returns a FrameLoop instead (check the
-/// result's kind() for the effective backend). Never returns null.
-std::unique_ptr<Reactor> make_reactor(const ReactorOptions& options = {});
 
 }  // namespace scp::net

@@ -1,6 +1,7 @@
 #include "net/reactor_pool.h"
 
 #include "common/log.h"
+#include "net/frame_loop.h"
 
 namespace scp::net {
 
@@ -34,16 +35,10 @@ obs::MetricsSnapshot merge_shard_snapshots(
 
 ReactorPool::ReactorPool(Options options) : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
-  ReactorOptions reactor_options;
-  reactor_options.kind = options_.reactor;
-  reactor_options.busy_poll = options_.busy_poll;
   loops_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    // make_reactor falls back to epoll per-call; the first shard's effective
-    // kind is authoritative (the probe result is cached, so siblings agree).
-    loops_.push_back(make_reactor(reactor_options));
+    loops_.push_back(std::make_unique<FrameLoop>());
   }
-  reactor_kind_ = loops_[0]->kind();
 }
 
 bool ReactorPool::listen(const std::string& address, std::uint16_t port,
@@ -134,7 +129,6 @@ ReactorPool::Totals ReactorPool::totals() const {
     totals.protocol_errors += c.protocol_errors.load(std::memory_order_relaxed);
     totals.syscalls += c.syscalls.load(std::memory_order_relaxed);
     totals.wakeups += c.wakeups.load(std::memory_order_relaxed);
-    totals.buf_starved += c.buf_starved.load(std::memory_order_relaxed);
   }
   return totals;
 }

@@ -1,5 +1,4 @@
-// Sharded multi-reactor: N reactors (FrameLoop or UringLoop, per
-// Options::reactor) sharing one listening port.
+// Sharded multi-reactor: N FrameLoops sharing one listening port.
 //
 // The preferred mechanism is SO_REUSEPORT — every shard owns its own
 // listening socket bound to the same address/port and the kernel spreads
@@ -49,11 +48,6 @@ class ReactorPool {
     /// Test hook: skip SO_REUSEPORT and exercise the single-acceptor
     /// round-robin fallback even where the kernel supports sharded listen.
     bool force_fallback_accept = false;
-    /// Requested backend for every shard. kUring falls back to epoll where
-    /// io_uring is unusable — reactor_kind() reports the effective choice.
-    ReactorKind reactor = ReactorKind::kEpoll;
-    /// UringLoop only (see ReactorOptions::busy_poll).
-    bool busy_poll = false;
   };
 
   explicit ReactorPool(Options options);
@@ -63,9 +57,6 @@ class ReactorPool {
   std::size_t shards() const noexcept { return loops_.size(); }
   Reactor& shard(std::size_t index) { return *loops_[index]; }
   const Reactor& shard(std::size_t index) const { return *loops_[index]; }
-
-  /// The effective backend all shards run (after any uring→epoll fallback).
-  ReactorKind reactor_kind() const noexcept { return reactor_kind_; }
 
   /// Binds the shared listening port across all shards (see file comment).
   /// Call after per-shard callbacks are set, before start(). All-or-nothing:
@@ -98,13 +89,14 @@ class ReactorPool {
     std::uint64_t protocol_errors = 0;
     std::uint64_t syscalls = 0;
     std::uint64_t wakeups = 0;
+    /// Always 0: FrameLoop has no receive-buffer ring to starve. Kept for
+    /// readers of the totals that still sum it.
     std::uint64_t buf_starved = 0;
   };
   Totals totals() const;
 
  private:
   Options options_;
-  ReactorKind reactor_kind_ = ReactorKind::kEpoll;
   // unique_ptr: reactors are non-movable and shard() refs must be stable.
   std::vector<std::unique_ptr<Reactor>> loops_;
   std::uint16_t port_ = 0;

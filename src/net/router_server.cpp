@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "net/frame_loop.h"
 
 namespace scp::net {
 namespace {
@@ -17,8 +18,7 @@ constexpr double kReconnectCapS = 1.0;
 
 RouterServer::RouterServer(RouterConfig config)
     : config_(std::move(config)),
-      loop_(make_reactor(
-          ReactorOptions{.kind = config_.reactor, .busy_poll = config_.busy_poll})),
+      loop_(std::make_unique<FrameLoop>()),
       router_(static_cast<std::uint32_t>(config_.frontends.size()),
               config_.fleet_seed),
       rng_(config_.seed) {}
@@ -116,10 +116,6 @@ std::uint16_t RouterServer::port() const noexcept { return loop_->port(); }
 
 bool RouterServer::running() const noexcept { return loop_->running(); }
 
-ReactorKind RouterServer::reactor_kind() const noexcept {
-  return loop_->kind();
-}
-
 bool RouterServer::wait_frontends_up(double timeout_s) const {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<
@@ -177,8 +173,6 @@ obs::MetricsSnapshot RouterServer::metrics_snapshot() const {
       loop.frames_in.load(std::memory_order_relaxed);
   snap.counters["loop.frames_out"] =
       loop.frames_out.load(std::memory_order_relaxed);
-  snap.counters["loop.buf_starved"] =
-      loop.buf_starved.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -67,8 +67,6 @@ struct RouterConfig {
   bool metrics = true;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;
-  ReactorKind reactor = ReactorKind::kEpoll;
-  bool busy_poll = false;
 };
 
 class RouterServer {
@@ -103,9 +101,6 @@ class RouterServer {
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
   std::uint16_t metrics_http_port() const noexcept;
-
-  /// Effective reactor backend (after any uring→epoll fallback).
-  ReactorKind reactor_kind() const noexcept;
 
  private:
   struct PendingRequest {

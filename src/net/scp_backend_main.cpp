@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   std::uint64_t items = config.items;
   std::uint64_t value_bytes = config.value_bytes;
   std::uint64_t shards = config.shards;
-  std::string reactor = "epoll";
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
   std::string peers;
@@ -84,11 +83,6 @@ int main(int argc, char** argv) {
   flags.add_uint64("value-bytes", &value_bytes, "stored value size");
   flags.add_uint64("shards", &shards,
                    "reactor shards sharing the port via SO_REUSEPORT");
-  flags.add_string("reactor", &reactor,
-                   "event loop backend: epoll|uring (uring falls back to "
-                   "epoll when io_uring is unavailable)");
-  flags.add_bool("busy-poll", &config.busy_poll,
-                 "uring only: SQPOLL + spin-peek before blocking");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
   flags.add_bool("metrics", &config.metrics,
                  "hot-path histograms (service time, loop ticks)");
@@ -131,11 +125,6 @@ int main(int argc, char** argv) {
   config.value_bytes = static_cast<std::uint32_t>(value_bytes);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
   config.shards = static_cast<std::uint32_t>(shards == 0 ? 1 : shards);
-  if (!parse_reactor_kind(reactor, config.reactor)) {
-    std::fprintf(stderr, "scp_backend: bad --reactor '%s' (epoll|uring)\n",
-                 reactor.c_str());
-    return 2;
-  }
   if (config.node_id >= config.nodes || config.replication == 0 ||
       config.replication > config.nodes) {
     std::fprintf(stderr, "scp_backend: need 0 <= node < nodes and 0 < d <= n\n");
@@ -162,8 +151,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("PORT %u\n", static_cast<unsigned>(server.port()));
-  // Effective backend: may differ from --reactor after uring fallback.
-  std::printf("REACTOR %s\n", to_string(server.reactor_kind()));
   if (server.metrics_http_port() != 0) {
     std::printf("METRICS_PORT %u\n",
                 static_cast<unsigned>(server.metrics_http_port()));

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   std::uint64_t nodes = config.nodes;
   std::uint64_t replication = config.replication;
   std::uint64_t cache_capacity = 0;
-  std::uint64_t frontends = config.frontends;
   std::uint64_t items = config.items;
   std::uint64_t value_bytes = config.value_bytes;
   std::uint64_t max_retries = config.retry.max_retries;
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
   std::uint64_t fleet = 1;
   std::uint64_t fleet_index = 0;
   std::string backends_list;
-  std::string reactor = "epoll";
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
 
@@ -86,9 +84,8 @@ int main(int argc, char** argv) {
   flags.add_string("cache", &config.cache_policy,
                    "front-end cache: perfect|none|lru|lfu|slru|tinylfu");
   flags.add_uint64("cache-capacity", &cache_capacity,
-                   "entries per front-end cache (c)");
-  flags.add_uint64("frontends", &frontends,
-                   "tier width k (policy caches only)");
+                   "aggregate cache entries c, split across shards and "
+                   "fleet members");
   flags.add_uint64("items", &items, "key space size m (perfect cache bound)");
   flags.add_uint64("value-bytes", &value_bytes,
                    "value size for perfect-cache synthesis");
@@ -118,11 +115,6 @@ int main(int argc, char** argv) {
                    "this member's index in the fleet (0..N-1)");
   flags.add_uint64("fleet-seed", &config.fleet_seed,
                    "fleet hash seed (must match every member and router)");
-  flags.add_string("reactor", &reactor,
-                   "event loop backend: epoll|uring (uring falls back to "
-                   "epoll when io_uring is unavailable)");
-  flags.add_bool("busy-poll", &config.busy_poll,
-                 "uring only: SQPOLL + spin-peek before blocking");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
   flags.add_bool("metrics", &config.metrics,
                  "hot-path histograms (lookup, RTT, request latency)");
@@ -142,7 +134,6 @@ int main(int argc, char** argv) {
   config.nodes = static_cast<std::uint32_t>(nodes);
   config.replication = static_cast<std::uint32_t>(replication);
   config.cache_capacity = cache_capacity;
-  config.frontends = static_cast<std::uint32_t>(frontends);
   config.items = items;
   config.value_bytes = static_cast<std::uint32_t>(value_bytes);
   config.retry.max_retries = static_cast<std::uint32_t>(max_retries);
@@ -158,11 +149,6 @@ int main(int argc, char** argv) {
                  "scp_frontend: --fleet-index %u out of range for --fleet %u\n",
                  static_cast<unsigned>(config.fleet_index),
                  static_cast<unsigned>(config.fleet_size));
-    return 2;
-  }
-  if (!parse_reactor_kind(reactor, config.reactor)) {
-    std::fprintf(stderr, "scp_frontend: bad --reactor '%s' (epoll|uring)\n",
-                 reactor.c_str());
     return 2;
   }
   if (!parse_backends(backends_list, config.backends)) {
@@ -182,8 +168,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("PORT %u\n", static_cast<unsigned>(server.port()));
-  // Effective backend: may differ from --reactor after uring fallback.
-  std::printf("REACTOR %s\n", to_string(server.reactor_kind()));
   if (server.metrics_http_port() != 0) {
     std::printf("METRICS_PORT %u\n",
                 static_cast<unsigned>(server.metrics_http_port()));

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   std::uint64_t max_hops = config.max_hops;
   std::uint64_t batch_max = config.batch_max;
   std::string frontends_list;
-  std::string reactor = "epoll";
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
 
@@ -86,11 +85,6 @@ int main(int argc, char** argv) {
   flags.add_uint64("batch-max", &batch_max,
                    "max keys per kBatchGet dispatch frame; 1 disables "
                    "batching (one kGet frame per dispatch)");
-  flags.add_string("reactor", &reactor,
-                   "event loop backend: epoll|uring (uring falls back to "
-                   "epoll when io_uring is unavailable)");
-  flags.add_bool("busy-poll", &config.busy_poll,
-                 "uring only: SQPOLL + spin-peek before blocking");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
   flags.add_bool("metrics", &config.metrics, "hot-path histograms");
   flags.add_int64("metrics-port", &metrics_port,
@@ -103,11 +97,6 @@ int main(int argc, char** argv) {
   config.batch_max =
       static_cast<std::uint32_t>(batch_max == 0 ? 1 : batch_max);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
-  if (!parse_reactor_kind(reactor, config.reactor)) {
-    std::fprintf(stderr, "scp_router: bad --reactor '%s' (epoll|uring)\n",
-                 reactor.c_str());
-    return 2;
-  }
   if (!parse_endpoints(frontends_list, config.frontends)) {
     std::fprintf(stderr, "scp_router: bad --frontends entry\n");
     return 2;
@@ -123,8 +112,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("PORT %u\n", static_cast<unsigned>(server.port()));
-  // Effective backend: may differ from --reactor after uring fallback.
-  std::printf("REACTOR %s\n", to_string(server.reactor_kind()));
   if (server.metrics_http_port() != 0) {
     std::printf("METRICS_PORT %u\n",
                 static_cast<unsigned>(server.metrics_http_port()));

@@ -9,7 +9,6 @@
 
 #include "common/flags.h"
 #include "obs/exposition.h"
-#include "net/reactor.h"
 #include "net/sync_client.h"
 
 namespace {
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
   double interval_s = 0.0;
   std::uint64_t count = 1;
   double timeout_s = 1.0;
-  bool probe_uring = false;
 
   FlagSet flags("scp_stats: poll a live SCP server and print its metrics");
   flags.add_string("host", &host, "server address");
@@ -85,19 +83,7 @@ int main(int argc, char** argv) {
                    "seconds between polls (0 = single shot)");
   flags.add_uint64("count", &count, "number of polls (0 = until killed)");
   flags.add_double("timeout", &timeout_s, "per-request timeout (seconds)");
-  flags.add_bool("probe-uring", &probe_uring,
-                 "probe io_uring support and exit: 0 = usable, 3 = not "
-                 "(CI gates uring smoke runs on this)");
   if (!flags.parse(argc, argv)) return 2;
-  if (probe_uring) {
-    std::string reason;
-    if (scp::net::uring_available(&reason)) {
-      std::printf("io_uring: available\n");
-      return 0;
-    }
-    std::printf("io_uring: unavailable (%s)\n", reason.c_str());
-    return 3;
-  }
   if (port == 0 || port > 65535) {
     std::fprintf(stderr, "scp_stats: --port is required\n");
     return 2;

@@ -31,31 +31,6 @@ namespace {
 
 constexpr std::uint64_t kPartitionSeed = 77;
 
-ReactorKind g_reactor = ReactorKind::kEpoll;
-
-class ReactorSuite : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(parse_reactor_kind(GetParam(), g_reactor));
-    if (g_reactor == ReactorKind::kUring) {
-      std::string reason;
-      if (!uring_available(&reason)) {
-        GTEST_SKIP() << "SKIPPED: no io_uring (" << reason << ")";
-      }
-    }
-  }
-  void TearDown() override { g_reactor = ReactorKind::kEpoll; }
-};
-
-static std::string reactor_name(
-    const ::testing::TestParamInfo<const char*>& info) {
-  return info.param;
-}
-
-class BatchServing : public ReactorSuite {};
-INSTANTIATE_TEST_SUITE_P(Reactors, BatchServing,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-
 /// Deadline-polls `predicate` every millisecond. False on timeout.
 bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
   const auto deadline =
@@ -195,7 +170,6 @@ FrontendConfig fake_frontend_config(
   config.cache_policy = "none";
   config.retry.max_retries = 2;
   config.retry.timeout_s = 8.0;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -204,7 +178,7 @@ FrontendConfig fake_frontend_config(
 // forwards, the rest park on it, and the single kValue fans out to all of
 // them. The fake backend stays silent until every client's GET has been
 // counted, so all N requests are provably concurrent.
-TEST_P(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
+TEST(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint64_t kKey = 17;
   constexpr std::size_t kClients = 4;
@@ -267,7 +241,7 @@ TEST_P(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
 // kRedirect re-forwards to the named node without the client ever seeing
 // it. The fake owner holds all three forwards, then answers them with a
 // single mixed batch frame in wire order (the FIFO contract).
-TEST_P(BatchServing, MixedBatchReplySettlesEachForward) {
+TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::size_t kKeys = 3;
 
@@ -352,7 +326,7 @@ TEST_P(BatchServing, MixedBatchReplySettlesEachForward) {
 // in request order with per-key outcomes: owned+stored -> kValue,
 // owned+absent -> kMiss, non-owned -> kRedirect naming a replica. The batch
 // counts one request per key, keeping backend_requests == FE attempts.
-TEST_P(BatchServing, BackendAnswersWholeBatchInOneReply) {
+TEST(BatchServing, BackendAnswersWholeBatchInOneReply) {
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -362,7 +336,6 @@ TEST_P(BatchServing, BackendAnswersWholeBatchInOneReply) {
   config.replication = kReplication;
   config.partition_seed = kPartitionSeed;
   config.items = kItems;
-  config.reactor = g_reactor;
   BackendServer server(config);
   ASSERT_TRUE(server.start());
 
@@ -407,7 +380,7 @@ TEST_P(BatchServing, BackendAnswersWholeBatchInOneReply) {
 // are framed, never what they return. Distinct keys keep coalescing out of
 // the comparison; the client's kBatchGet lands all keys in one FE wakeup,
 // which is what makes the batched side actually emit kBatchGet frames.
-TEST_P(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
+TEST(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -422,7 +395,6 @@ TEST_P(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
     config.replication = kReplication;
     config.partition_seed = kPartitionSeed;
     config.items = kItems;
-    config.reactor = g_reactor;
     backends.push_back(std::make_unique<BackendServer>(config));
     ASSERT_TRUE(backends.back()->start());
     endpoints.emplace_back("127.0.0.1", backends.back()->port());
@@ -436,7 +408,6 @@ TEST_P(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
     config.backends = endpoints;
     config.cache_policy = "none";  // every GET forwards
     config.batch_max = batch_max;
-    config.reactor = g_reactor;
     return std::make_unique<FrontendServer>(config);
   };
   auto batched = make_frontend(64);

@@ -14,8 +14,6 @@
 //     front ends; the front end flags keys hot at the backends but absent
 //     from its cache and warms them; an adaptive shift of the attacked key
 //     set is re-detected and re-mitigated.
-//
-// Runs over both reactor backends like the other net suites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,30 +34,6 @@ namespace {
 
 constexpr std::uint64_t kPartitionSeed = 77;
 
-ReactorKind g_reactor = ReactorKind::kEpoll;
-
-class DetectLoopback : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(parse_reactor_kind(GetParam(), g_reactor));
-    if (g_reactor == ReactorKind::kUring) {
-      std::string reason;
-      if (!uring_available(&reason)) {
-        GTEST_SKIP() << "SKIPPED: no io_uring (" << reason << ")";
-      }
-    }
-  }
-  void TearDown() override { g_reactor = ReactorKind::kEpoll; }
-};
-
-static std::string reactor_name(
-    const ::testing::TestParamInfo<const char*>& info) {
-  return info.param;
-}
-
-INSTANTIATE_TEST_SUITE_P(Reactors, DetectLoopback,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-
 BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
                              std::uint32_t replication, std::uint64_t items) {
   BackendConfig config;
@@ -68,7 +42,6 @@ BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
   config.replication = replication;
   config.partition_seed = kPartitionSeed;
   config.items = items;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -111,7 +84,6 @@ FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
   config.partition_seed = kPartitionSeed;
   config.backends = fleet.endpoints;
   config.items = items;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -136,7 +108,7 @@ void expect_consistent(const ServerStats& stats) {
 
 // --- regression: lookup must not refresh a value-less slot ----------------
 
-TEST_P(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
+TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 64;
@@ -228,7 +200,7 @@ TEST_P(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
 
 // --- regression: forwarded MISS settles a dirty oracle key ----------------
 
-TEST_P(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
+TEST(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 64;
@@ -282,7 +254,7 @@ TEST_P(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
 
 // --- regression: values side-map bound tracks the tier capacity -----------
 
-TEST_P(DetectLoopback, ValuesSideMapStaysBounded) {
+TEST(DetectLoopback, ValuesSideMapStaysBounded) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 256;
@@ -318,7 +290,7 @@ TEST_P(DetectLoopback, ValuesSideMapStaysBounded) {
 
 // --- detection + mitigation, adaptive adversary ---------------------------
 
-TEST_P(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
+TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 512;
@@ -427,7 +399,7 @@ TEST_P(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
 
 // --- perfect provision: flagged keys re-provision the cached set ----------
 
-TEST_P(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
+TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 512;
@@ -499,7 +471,7 @@ TEST_P(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
 
 // --- benign traffic: zero false positives ---------------------------------
 
-TEST_P(DetectLoopback, BenignUniformTrafficFlagsNothing) {
+TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 512;

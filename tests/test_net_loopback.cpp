@@ -1,7 +1,10 @@
 // Loopback integration tests for the live serving tier: real TCP servers on
-// kernel-assigned ports, driven by the blocking SyncClient. Labeled slow —
-// each case spins up servers and sleeps on real sockets.
+// kernel-assigned ports, driven by the blocking SyncClient, plus the bare
+// FrameLoop reactor echoing raw frame streams. Labeled slow — each case
+// spins up servers and sleeps on real sockets.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,45 +15,16 @@
 
 #include "cluster/partitioner.h"
 #include "net/backend_server.h"
+#include "net/frame_loop.h"
 #include "net/frontend_server.h"
 #include "net/sync_client.h"
+#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace scp::net {
 namespace {
 
 constexpr std::uint64_t kPartitionSeed = 77;
-
-/// Reactor backend under test: set per-case by the fixture from the test
-/// parameter, read by the config helpers so every server in a case (fleet
-/// and frontend alike) runs the same loop implementation.
-ReactorKind g_reactor = ReactorKind::kEpoll;
-
-class ReactorSuite : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(parse_reactor_kind(GetParam(), g_reactor));
-    if (g_reactor == ReactorKind::kUring) {
-      std::string reason;
-      if (!uring_available(&reason)) {
-        GTEST_SKIP() << "SKIPPED: no io_uring (" << reason << ")";
-      }
-    }
-  }
-  void TearDown() override { g_reactor = ReactorKind::kEpoll; }
-};
-
-static std::string reactor_name(
-    const ::testing::TestParamInfo<const char*>& info) {
-  return info.param;
-}
-
-class BackendLoopback : public ReactorSuite {};
-class FrontendLoopback : public ReactorSuite {};
-INSTANTIATE_TEST_SUITE_P(Reactors, BackendLoopback,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-INSTANTIATE_TEST_SUITE_P(Reactors, FrontendLoopback,
-                         ::testing::Values("epoll", "uring"), reactor_name);
 
 BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
                              std::uint32_t replication, std::uint64_t items) {
@@ -60,7 +34,6 @@ BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
   config.replication = replication;
   config.partition_seed = kPartitionSeed;
   config.items = items;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -95,11 +68,10 @@ FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
   config.cache_policy = "perfect";
   config.cache_capacity = cache_capacity;
   config.items = items;
-  config.reactor = g_reactor;
   return config;
 }
 
-TEST_P(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
+TEST(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -200,7 +172,7 @@ TEST(BackendPreload, StoresExactlyTheOwnedKeys) {
   }
 }
 
-TEST_P(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
+TEST(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 128;
@@ -253,7 +225,7 @@ TEST_P(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, FailsOverWhenAReplicaDies) {
+TEST(FrontendLoopback, FailsOverWhenAReplicaDies) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -293,7 +265,7 @@ TEST_P(FrontendLoopback, FailsOverWhenAReplicaDies) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
+TEST(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 16;
@@ -324,7 +296,7 @@ TEST_P(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
   frontend.stop();
 }
 
-TEST_P(FrontendLoopback, AdmitEvictsInSyncWithTier) {
+TEST(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   // Regression: a GET whose backend fetch comes back empty (kMiss) must
   // release the tier slot the lookup admitted. Before the fix the slot
   // stayed resident value-less: it consumed cache capacity, evicted real
@@ -339,7 +311,6 @@ TEST_P(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   FrontendConfig config =
       frontend_config(fleet, kNodes, kReplication, kItems, kCache);
   config.cache_policy = "lru";  // deterministic eviction order
-  config.frontends = 1;
   FrontendServer frontend(config);
   ASSERT_TRUE(frontend.start());
   ASSERT_TRUE(frontend.wait_backends_up(5.0));
@@ -380,7 +351,7 @@ TEST_P(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, CounterInvariantsUnderFailover) {
+TEST(FrontendLoopback, CounterInvariantsUnderFailover) {
   // requests == hits + forwarded + coalesced + failures must hold through
   // replica death: orphaned in-flight requests are retried (attempts grows,
   // retries counts the re-sends) but each client GET is accounted exactly
@@ -437,7 +408,7 @@ TEST_P(FrontendLoopback, CounterInvariantsUnderFailover) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
+TEST(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
   // Replica-death failover under single-flight coalescing: clients parked
   // on an in-flight forward must ride the *lead's* retries — one forward
   // fails over, not one per waiter — and settle with exactly one coalesced
@@ -527,7 +498,7 @@ TEST_P(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, ReconnectAfterFlappingBackend) {
+TEST(FrontendLoopback, ReconnectAfterFlappingBackend) {
   // A backend that dies and returns on the same port must be re-adopted:
   // wait_backends_up succeeds again after each flap, requests flow, and the
   // conn -> node map does not leak stale entries.
@@ -580,7 +551,7 @@ TEST_P(FrontendLoopback, ReconnectAfterFlappingBackend) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
+TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -640,7 +611,7 @@ TEST_P(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
+TEST(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 256;
@@ -661,6 +632,103 @@ TEST_P(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
   frontend.stop(2.0);
   EXPECT_FALSE(frontend.running());
   for (auto& backend : fleet.backends) backend->stop();
+}
+
+/// Makes `loop` an echo server: every decoded message is sent straight back.
+void make_echo(FrameLoop& loop) {
+  Reactor::Callbacks callbacks;
+  callbacks.on_message = [&loop](ConnId conn, Message&& message) {
+    loop.send(conn, message);
+  };
+  loop.set_callbacks(std::move(callbacks));
+}
+
+TEST(FrameLoopEcho, BackToBackFramesEchoInOrder) {
+  // A multi-kilobyte blast written back to back arrives in arbitrary read
+  // chunks; the loop must reassemble and echo every frame, in order,
+  // without losing a byte of the stream.
+  FrameLoop loop;
+  make_echo(loop);
+  ASSERT_TRUE(loop.listen("127.0.0.1", 0));
+  ASSERT_TRUE(loop.start());
+
+  // Raw socket so the whole blast goes out back to back instead of the
+  // one-frame-at-a-time cadence a sync call() would produce.
+  Socket sock = connect_tcp("127.0.0.1", loop.port(), /*timeout_s=*/2.0);
+  ASSERT_TRUE(sock.valid());
+
+  constexpr int kFrames = 200;
+  std::vector<std::uint8_t> blast;
+  for (int i = 0; i < kFrames; ++i) {
+    Message message;
+    message.type = MsgType::kValue;
+    message.key = static_cast<std::uint64_t>(i);
+    message.payload.assign(512, static_cast<char>('a' + (i % 26)));
+    const std::vector<std::uint8_t> frame = encode(message);
+    blast.insert(blast.end(), frame.begin(), frame.end());
+  }
+  std::size_t sent = 0;
+  while (sent < blast.size()) {
+    const ssize_t n =
+        ::send(sock.fd(), blast.data() + sent, blast.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+
+  FrameReader reader;
+  std::vector<Message> replies;
+  std::uint8_t chunk[4096];
+  while (replies.size() < kFrames) {
+    const ssize_t n = ::recv(sock.fd(), chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "peer closed after " << replies.size() << " replies";
+    reader.append({chunk, static_cast<std::size_t>(n)});
+    while (auto frame = reader.next_frame()) {
+      auto reply = decode_payload(*frame);
+      ASSERT_TRUE(reply.has_value());
+      replies.push_back(std::move(*reply));
+    }
+  }
+
+  // Stream-exact echo: every frame back, in order, payloads intact.
+  ASSERT_EQ(replies.size(), kFrames);
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(replies[i].key, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(replies[i].payload.size(), 512u);
+    EXPECT_EQ(replies[i].payload[0], static_cast<char>('a' + (i % 26)));
+  }
+  EXPECT_EQ(loop.counters().frames_in.load(), kFrames);
+  EXPECT_EQ(loop.counters().frames_out.load(), kFrames);
+  EXPECT_EQ(loop.counters().protocol_errors.load(), 0u);
+
+  sock.reset();
+  loop.stop(0.5);
+}
+
+TEST(FrameLoopEcho, ServesSequentialClients) {
+  // The listener keeps accepting after each connection: N sequential
+  // clients must all get served.
+  FrameLoop loop;
+  make_echo(loop);
+  ASSERT_TRUE(loop.listen("127.0.0.1", 0));
+  ASSERT_TRUE(loop.start());
+
+  constexpr int kClients = 8;
+  for (int i = 0; i < kClients; ++i) {
+    SyncClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", loop.port(), 2.0))
+        << "client " << i << " could not connect";
+    // kGet, not kPing: the wire format only carries `key` for key-bearing
+    // message types, and the echoed key is how we tell replies apart.
+    Message request;
+    request.type = MsgType::kGet;
+    request.key = static_cast<std::uint64_t>(i);
+    const auto reply = client.call(request, 2.0);
+    ASSERT_TRUE(reply.has_value()) << "client " << i;
+    EXPECT_EQ(reply->type, MsgType::kGet);
+    EXPECT_EQ(reply->key, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(loop.counters().accepted.load(), kClients);
+  loop.stop(0.5);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // blocking SyncClient. Proves the acceptance property over real sockets:
 // with R+W>N (N=3, R=W=2) a write acked by any coordinator is readable
 // through any coordinator with one replica crashed, and read-repair
-// converges a restarted replica. Parameterized over both reactor backends.
+// converges a restarted replica.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,30 +22,6 @@ namespace {
 
 constexpr std::uint64_t kPartitionSeed = 77;
 
-ReactorKind g_reactor = ReactorKind::kEpoll;
-
-class QuorumSuite : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(parse_reactor_kind(GetParam(), g_reactor));
-    if (g_reactor == ReactorKind::kUring) {
-      std::string reason;
-      if (!uring_available(&reason)) {
-        GTEST_SKIP() << "SKIPPED: no io_uring (" << reason << ")";
-      }
-    }
-  }
-  void TearDown() override { g_reactor = ReactorKind::kEpoll; }
-};
-
-static std::string reactor_name(
-    const ::testing::TestParamInfo<const char*>& info) {
-  return info.param;
-}
-
-INSTANTIATE_TEST_SUITE_P(Reactors, QuorumSuite,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-
 BackendConfig quorum_config(std::uint32_t node_id, std::uint32_t nodes,
                             std::uint32_t replication, std::uint64_t items) {
   BackendConfig config;
@@ -54,7 +30,6 @@ BackendConfig quorum_config(std::uint32_t node_id, std::uint32_t nodes,
   config.replication = replication;
   config.partition_seed = kPartitionSeed;
   config.items = items;
-  config.reactor = g_reactor;
   config.write_quorum = 2;
   config.read_quorum = 2;
   config.op_timeout_s = 2.0;
@@ -120,7 +95,7 @@ bool eventually(const Pred& pred, double timeout_s = 5.0) {
   return pred();
 }
 
-TEST_P(QuorumSuite, WriteThroughOneCoordinatorReadsThroughEveryOther) {
+TEST(QuorumSuite, WriteThroughOneCoordinatorReadsThroughEveryOther) {
   // N=3, d=3: every node replicates every key, so every node coordinates
   // for every key and every storage engine must converge.
   Mesh mesh = start_mesh(3, 3, /*items=*/0);
@@ -155,7 +130,7 @@ TEST_P(QuorumSuite, WriteThroughOneCoordinatorReadsThroughEveryOther) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-TEST_P(QuorumSuite, DeleteTombstonesAcrossTheQuorum) {
+TEST(QuorumSuite, DeleteTombstonesAcrossTheQuorum) {
   Mesh mesh = start_mesh(3, 3, /*items=*/0);
 
   SyncClient client;
@@ -179,7 +154,7 @@ TEST_P(QuorumSuite, DeleteTombstonesAcrossTheQuorum) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-TEST_P(QuorumSuite, QuorumSurvivesOneReplicaCrash) {
+TEST(QuorumSuite, QuorumSurvivesOneReplicaCrash) {
   Mesh mesh = start_mesh(3, 3, /*items=*/0);
 
   // Write while all three are up, then crash one replica.
@@ -212,7 +187,7 @@ TEST_P(QuorumSuite, QuorumSurvivesOneReplicaCrash) {
   }
 }
 
-TEST_P(QuorumSuite, ReadRepairConvergesARestartedReplica) {
+TEST(QuorumSuite, ReadRepairConvergesARestartedReplica) {
   Mesh mesh = start_mesh(3, 3, /*items=*/0);
 
   // Crash replica 2, then commit a write it never sees.
@@ -254,7 +229,7 @@ TEST_P(QuorumSuite, ReadRepairConvergesARestartedReplica) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-TEST_P(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
+TEST(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
   // Ring partitioner so membership changes actually move keys. Three nodes
   // preloaded with their owned slice of 64 keys; node 3 joins empty.
   constexpr std::uint32_t kNodes = 3;
@@ -320,7 +295,7 @@ TEST_P(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-TEST_P(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
+TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
   // Four ring nodes, d=2; node 0 leaves gracefully. Keys whose old group
   // contained node 0 gain a replacement member, and the surviving old
   // holder streams them over.
@@ -380,7 +355,7 @@ TEST_P(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-TEST_P(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
+TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   // The FE serves cached reads from the perfect oracle; a PUT through the
   // FE must stop the oracle from synthesizing the stale value until the
   // backend confirms the refetched bytes.
@@ -395,7 +370,6 @@ TEST_P(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   fe_config.cache_policy = "perfect";
   fe_config.cache_capacity = kItems;  // every key cached
   fe_config.items = kItems;
-  fe_config.reactor = g_reactor;
   FrontendServer frontend(fe_config);
   ASSERT_TRUE(frontend.start());
   ASSERT_TRUE(frontend.wait_backends_up(5.0));

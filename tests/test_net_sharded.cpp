@@ -21,37 +21,6 @@ namespace {
 
 constexpr std::uint64_t kPartitionSeed = 77;
 
-/// Reactor backend under test: set per-case by the fixture from the test
-/// parameter, read by the config helpers so every server in a case (fleet
-/// and frontend alike) runs the same loop implementation.
-ReactorKind g_reactor = ReactorKind::kEpoll;
-
-class ReactorSuite : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(parse_reactor_kind(GetParam(), g_reactor));
-    if (g_reactor == ReactorKind::kUring) {
-      std::string reason;
-      if (!uring_available(&reason)) {
-        GTEST_SKIP() << "SKIPPED: no io_uring (" << reason << ")";
-      }
-    }
-  }
-  void TearDown() override { g_reactor = ReactorKind::kEpoll; }
-};
-
-static std::string reactor_name(
-    const ::testing::TestParamInfo<const char*>& info) {
-  return info.param;
-}
-
-class ShardedFrontend : public ReactorSuite {};
-class ShardedBackend : public ReactorSuite {};
-INSTANTIATE_TEST_SUITE_P(Reactors, ShardedFrontend,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-INSTANTIATE_TEST_SUITE_P(Reactors, ShardedBackend,
-                         ::testing::Values("epoll", "uring"), reactor_name);
-
 BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
                              std::uint32_t replication, std::uint64_t items) {
   BackendConfig config;
@@ -60,7 +29,6 @@ BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
   config.replication = replication;
   config.partition_seed = kPartitionSeed;
   config.items = items;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -95,7 +63,6 @@ FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
   config.cache_capacity = cache_capacity;
   config.items = items;
   config.shards = shards;
-  config.reactor = g_reactor;
   return config;
 }
 
@@ -103,7 +70,7 @@ void stop_fleet(Fleet& fleet) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
-TEST_P(ShardedFrontend, StressManyClientsCounterConsistency) {
+TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
   // Many concurrent SyncClients (one per thread, as the class requires)
   // spread across the shards by the kernel's SO_REUSEPORT placement,
   // interleaving GET and STATS. Every GET must resolve to the canonical
@@ -183,7 +150,7 @@ TEST_P(ShardedFrontend, StressManyClientsCounterConsistency) {
   stop_fleet(fleet);
 }
 
-TEST_P(ShardedFrontend, PerShardMetricsSumToAggregate) {
+TEST(ShardedFrontend, PerShardMetricsSumToAggregate) {
   // Acceptance criterion: in a live scrape the aggregated series must equal
   // the sum of the per-shard series — counters exactly, histogram by count.
   constexpr std::uint32_t kNodes = 2;
@@ -244,7 +211,7 @@ TEST_P(ShardedFrontend, PerShardMetricsSumToAggregate) {
   stop_fleet(fleet);
 }
 
-TEST_P(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
+TEST(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
   // Documented c/N semantics: a shard only serves cache hits for keys it
   // owns (mix64(key) % N); the cached prefix {key < c} is partitioned, not
   // duplicated. One client on the fallback acceptor lands on shard 0, so
@@ -287,7 +254,7 @@ TEST_P(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
   stop_fleet(fleet);
 }
 
-TEST_P(ShardedFrontend, GracefulStopDrainsAllShards) {
+TEST(ShardedFrontend, GracefulStopDrainsAllShards) {
   // SIGTERM maps to stop(): after it returns, no shard may keep accepting —
   // every listener (all N SO_REUSEPORT sockets) must be closed, in-flight
   // requests answered first.
@@ -330,7 +297,7 @@ TEST_P(ShardedFrontend, GracefulStopDrainsAllShards) {
   stop_fleet(fleet);
 }
 
-TEST_P(ShardedBackend, ServesAcrossShardsAndMergesMetrics) {
+TEST(ShardedBackend, ServesAcrossShardsAndMergesMetrics) {
   // Sharded backend: shared storage behind N reactors. Replies must be
   // identical from every shard, the service-time histogram must merge
   // (aggregate count == sum of shard counts == requests), and the
@@ -389,7 +356,7 @@ TEST_P(ShardedBackend, ServesAcrossShardsAndMergesMetrics) {
   EXPECT_FALSE(server.running());
 }
 
-TEST_P(ShardedFrontend, SingleShardMatchesUnshardedCounters) {
+TEST(ShardedFrontend, SingleShardMatchesUnshardedCounters) {
   // Equivalence guard: --shards 1 runs the same code path the unsharded
   // server did — same counter totals on the canonical hit/forward workload
   // (the full byte-level guard is the unmodified test_net_loopback suite).
