@@ -265,19 +265,17 @@ EOF
     echo "check.sh: sharded scp_backend did not print its ports" >&2
     exit 1
   fi
-  python3 - "$sharded_port" "$sharded_metrics_port" <<'EOF'
-import json, socket, struct, sys, urllib.request
+  PYTHONPATH=scripts python3 - "$sharded_port" "$sharded_metrics_port" <<'EOF'
+import json, socket, sys, urllib.request
+import scp_wire
 
 port, metrics_port = int(sys.argv[1]), int(sys.argv[2])
 sent = 0
 for conn in range(8):  # several connections so multiple shards see traffic
     with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
         for key in range(8):
-            payload = struct.pack(">BQ", 1, key)  # kGet
-            s.sendall(struct.pack(">I", len(payload)) + payload)
-            header = s.recv(4, socket.MSG_WAITALL)
-            (length,) = struct.unpack(">I", header)
-            s.recv(length, socket.MSG_WAITALL)
+            reply = scp_wire.call(s, scp_wire.get(key, request_id=sent))
+            assert reply.id == sent, (sent, reply.id)
             sent += 1
 doc = json.load(urllib.request.urlopen(
     f"http://127.0.0.1:{metrics_port}/metrics.json", timeout=5))
@@ -374,8 +372,9 @@ EOF
   # being SIGKILLed, and the surviving pair must still accept writes. The
   # python block owns the process lifecycle (spawn, kill, reap) so a failure
   # mid-scenario cannot leak listeners.
-  python3 - "$BUILD_DIR/src/net/scp_backend" <<'EOF'
-import signal, socket, struct, subprocess, sys, time
+  PYTHONPATH=scripts python3 - "$BUILD_DIR/src/net/scp_backend" <<'EOF'
+import signal, socket, subprocess, sys, time
+import scp_wire
 
 backend = sys.argv[1]
 
@@ -389,20 +388,11 @@ def free_ports(count):
         s.close()
     return ports
 
-def call(port, payload, timeout=3.0):
-    """One request/reply round trip on a fresh connection."""
-    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as s:
-        s.settimeout(timeout)
-        s.sendall(struct.pack(">I", len(payload)) + payload)
-        header = s.recv(4, socket.MSG_WAITALL)
-        (length,) = struct.unpack(">I", header)
-        return s.recv(length, socket.MSG_WAITALL)
-
 def put(port, key, value):
-    return call(port, struct.pack(">BQI", 12, key, len(value)) + value)
+    return scp_wire.roundtrip(port, scp_wire.put(key, value))
 
 def quorum_get(port, key):
-    return call(port, struct.pack(">BQ", 15, key))
+    return scp_wire.roundtrip(port, scp_wire.quorum_get(key))
 
 ports = free_ports(3)
 peers = ",".join(f"127.0.0.1:{p}" for p in ports)
@@ -423,7 +413,7 @@ try:
     while True:
         try:
             reply = put(ports[0], 7, value)
-            if reply[0] == 14:  # kWriteReply
+            if reply.type == scp_wire.WRITE_REPLY:
                 break
         except OSError:
             pass
@@ -432,8 +422,8 @@ try:
 
     # Read-your-write through a different coordinator.
     reply = quorum_get(ports[1], 7)
-    assert reply[0] == 2, f"expected kValue, got type {reply[0]}"
-    assert reply[13:] == value, reply[13:]
+    assert reply.type == scp_wire.VALUE, f"expected kValue, got {reply.type}"
+    assert reply.value == value, reply.value
 
     # Crash one replica; R=2 over the survivors still answers...
     procs[2].send_signal(signal.SIGKILL)
@@ -442,7 +432,7 @@ try:
     while True:
         try:
             reply = quorum_get(ports[0], 7)
-            if reply[0] == 2 and reply[13:] == value:
+            if reply.type == scp_wire.VALUE and reply.value == value:
                 break
         except OSError:
             pass
@@ -454,7 +444,7 @@ try:
     while True:
         try:
             reply = put(ports[1], 8, b"post-crash write")
-            if reply[0] == 14:
+            if reply.type == scp_wire.WRITE_REPLY:
                 break
         except OSError:
             pass

@@ -384,37 +384,29 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       handle_leave(shard, conn, message);
       return;
     case MsgType::kHotKeyReport:
-      // Gossip from a peer (it arrives on the conn the peer dialed to us,
-      // never on our reply-FIFO outbound conns). One-way: no reply.
+      // Gossip from a peer, on the connection the peer dialed to us.
+      // One-way: no reply.
       handle_hot_report(message);
       return;
     case MsgType::kHotKeySubscribe:
-      // Deliberately unacked (see wire.h): the subscriber's reply-FIFO
-      // matching must not see a frame it never owed.
+      // One-way (see wire.h): no reply.
       if (config_.detect &&
           std::find(shard.hot_subs.begin(), shard.hot_subs.end(), conn) ==
               shard.hot_subs.end()) {
         shard.hot_subs.push_back(conn);
       }
       return;
-    case MsgType::kStats: {
-      Message reply;
-      reply.type = MsgType::kStatsReply;
-      reply.stats = stats();
-      shard.loop->send(conn, reply);
-      return;
-    }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     default: {
@@ -422,7 +414,7 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
   }
@@ -445,7 +437,7 @@ void BackendServer::handle_get(Shard& shard, ConnId conn,
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, {conn, message.id}, reply);
     obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
     return;
   }
@@ -471,7 +463,7 @@ void BackendServer::handle_get(Shard& shard, ConnId conn,
     misses_.fetch_add(1, std::memory_order_relaxed);
     reply.type = MsgType::kMiss;
   }
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
   obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
 }
 
@@ -537,7 +529,7 @@ void BackendServer::handle_batch_get(Shard& shard, ConnId conn,
   hits_.fetch_add(hit, std::memory_order_relaxed);
   misses_.fetch_add(missed, std::memory_order_relaxed);
 
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
   obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
 }
 
@@ -564,7 +556,7 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, {conn, message.id}, reply);
     return;
   }
 
@@ -601,7 +593,7 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
   }
 
   Op op;
-  op.client = conn;
+  op.client = {conn, message.id};
   op.kind = message.type;
   op.key = message.key;
   op.version = version;
@@ -647,7 +639,7 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     reply.key = message.key;
     reply.node = shard.group[0];
     redirects_.fetch_add(1, std::memory_order_relaxed);
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, {conn, message.id}, reply);
     return;
   }
 
@@ -668,7 +660,7 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
   }
 
   Op op;
-  op.client = conn;
+  op.client = {conn, message.id};
   op.kind = MsgType::kQuorumGet;
   op.key = message.key;
   op.start_ns = start_ns;
@@ -722,7 +714,7 @@ void BackendServer::handle_replicate(Shard& shard, ConnId conn,
   reply.key = message.key;
   reply.version = message.version;
   reply.flags = applied ? kFlagApplied : 0;
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
 void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
@@ -740,18 +732,19 @@ void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
       reply.payload = std::move(entry->value);
     }
   }
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
 bool BackendServer::send_to_peer(Shard& shard, std::uint32_t node,
-                                 const Message& message, Expect expect,
+                                 Message& message, Expect expect,
                                  std::uint64_t op, bool queue_if_down) {
   if (node >= shard.peers.size()) return false;
   PeerState& peer = shard.peers[node];
   if (peer.left || peer.address.empty()) return false;
   if (peer.up) {
+    message.id = peer.expected.next_id();
     if (!shard.loop->send(peer.conn, message)) return false;
-    peer.expected.push_back({op, expect, message.key});
+    peer.expected.add({op, expect, message.key});
     return true;
   }
   if (queue_if_down && peer.queued.size() < kMaxQueuedPerPeer) {
@@ -764,14 +757,14 @@ bool BackendServer::send_to_peer(Shard& shard, std::uint32_t node,
 void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
                                       Message&& message) {
   PeerState& peer = shard.peers[node];
-  if (peer.expected.empty()) {
+  const std::optional<ExpectedReply> owed = peer.expected.take(message.id);
+  if (!owed.has_value()) {
     SCP_LOG_WARN << "scp_backend: unsolicited reply from peer " << node
                  << "; resetting connection";
     shard.loop->close_connection(peer.conn);
     return;
   }
-  ExpectedReply expected = peer.expected.front();
-  peer.expected.pop_front();
+  const ExpectedReply& expected = *owed;
 
   const auto protocol_error = [&] {
     SCP_LOG_WARN << "scp_backend: reply mismatch from peer " << node
@@ -902,7 +895,7 @@ void BackendServer::resolve_write(Shard& shard, std::uint64_t /*op_id*/,
   reply.type = MsgType::kWriteReply;
   reply.key = op.key;
   reply.version = op.version;
-  shard.loop->send(op.client, reply);
+  send_reply(*shard.loop, op.client, reply);
   obs::Timer* write_us =
       shard.index < write_us_.size() ? write_us_[shard.index] : nullptr;
   obs::record_elapsed(write_us, op.start_ns, /*divisor=*/1'000);
@@ -919,7 +912,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
   } else {
     reply.type = MsgType::kMiss;
   }
-  shard.loop->send(op.client, reply);
+  send_reply(*shard.loop, op.client, reply);
   obs::Timer* read_us = shard.index < quorum_read_us_.size()
                             ? quorum_read_us_[shard.index]
                             : nullptr;
@@ -956,7 +949,7 @@ void BackendServer::fail_op(Shard& shard, Op& op, const char* reason) {
   reply.type = MsgType::kError;
   reply.key = op.key;
   reply.payload = reason;
-  shard.loop->send(op.client, reply);
+  send_reply(*shard.loop, op.client, reply);
 }
 
 void BackendServer::sweep_ops(Shard& shard) {
@@ -991,9 +984,7 @@ void BackendServer::on_conn_close(Shard& shard, ConnId conn) {
   }
   peer.conn = kInvalidConn;
 
-  std::deque<ExpectedReply> orphaned;
-  orphaned.swap(peer.expected);
-  for (const ExpectedReply& expected : orphaned) {
+  for (const ExpectedReply& expected : peer.expected.drain()) {
     apply_peer_loss(shard, expected);
   }
   if (!peer.left) schedule_reconnect(shard, node);
@@ -1016,9 +1007,10 @@ void BackendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
   // Flush deferred repair/handoff frames in order.
   std::vector<Message> queued;
   queued.swap(peer.queued);
-  for (const Message& message : queued) {
+  for (Message& message : queued) {
+    message.id = peer.expected.next_id();
     if (!shard.loop->send(peer.conn, message)) break;
-    peer.expected.push_back({0, Expect::kRepairAck, message.key});
+    peer.expected.add({0, Expect::kRepairAck, message.key});
   }
 }
 
@@ -1082,9 +1074,8 @@ void BackendServer::hot_tick() {
     Message message;
     message.type = MsgType::kHotKeyReport;
     message.hot = std::move(report);
-    // Gossip to alive mesh peers. One-way: no expected-reply registration,
-    // so the frame rides the FIFO reply-matched connection without ever
-    // entering its match queue.
+    // Gossip to alive mesh peers. One-way (id 0): no reply is owed, so
+    // nothing is registered.
     for (std::uint32_t node = 0; node < shard.peers.size(); ++node) {
       const PeerState& peer = shard.peers[node];
       if (!peer.up || peer.left) continue;
@@ -1172,7 +1163,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
     Message reply;
     reply.type = MsgType::kError;
     reply.payload = "join: bad endpoint (want host:port)";
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, {conn, message.id}, reply);
     return;
   }
   const NodeId node = message.node;
@@ -1185,7 +1176,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
       Message reply;
       reply.type = MsgType::kError;
       reply.payload = "join: requires the ring partitioner";
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     if (!ring->contains_node(node)) {
@@ -1239,7 +1230,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.version = membership_.epoch();
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
 void BackendServer::handle_leave(Shard& shard, ConnId conn,
@@ -1254,7 +1245,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
       Message reply;
       reply.type = MsgType::kError;
       reply.payload = "leave: requires the ring partitioner";
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     if (ring->contains_node(node)) {
@@ -1263,7 +1254,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
         Message reply;
         reply.type = MsgType::kError;
         reply.payload = "leave: too few nodes left for the replication factor";
-        shard.loop->send(conn, reply);
+        send_reply(*shard.loop, {conn, message.id}, reply);
         return;
       }
       old_ring = std::make_shared<ConsistentHashRing>(*ring);
@@ -1306,7 +1297,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.version = membership_.epoch();
-  shard.loop->send(conn, reply);
+  send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
 }  // namespace scp::net

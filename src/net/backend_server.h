@@ -25,15 +25,15 @@
 // key (first alive old holder) and streams handoff as idempotent
 // kReplicate applies — old holders keep serving while keys move.
 //
-// Reply matching on peer connections is FIFO (peers answer in order); every
-// expected reply carries the key for cross-checking, and a mismatch drops
-// the connection like the front end does.
+// Peer replies are matched by request id (inflight.h), as on every hop; an
+// unknown id or a key mismatch drops the connection like the front end
+// does. Client replies echo the client's id: a quorum write is acked only
+// once W replicas confirmed, after replies to requests sent later.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -48,6 +48,7 @@
 #include "cluster/partitioner.h"
 #include "detect/hot_key.h"
 #include "kvstore/storage_engine.h"
+#include "net/inflight.h"
 #include "net/reactor_pool.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -165,7 +166,7 @@ class BackendServer {
  private:
   static constexpr std::uint32_t kNoNode = UINT32_MAX;
 
-  /// Reply kinds owed on a peer connection, FIFO per connection.
+  /// Reply kinds owed on a peer connection.
   enum class Expect : std::uint8_t {
     kRepAck,    ///< kReplicate sent for a client write (op != 0)
     kVerValue,  ///< kVerRead sent for a quorum read (op != 0)
@@ -181,7 +182,7 @@ class BackendServer {
 
   /// An in-flight coordinated operation (write or quorum read).
   struct Op {
-    ConnId client = kInvalidConn;
+    ReplyTo client;
     MsgType kind = MsgType::kPut;  ///< kPut, kDelete or kQuorumGet
     std::uint64_t key = 0;
     std::uint64_t version = 0;  ///< writes: the minted version
@@ -198,7 +199,7 @@ class BackendServer {
     bool up = false;
     bool left = false;  ///< administratively removed; never redialed
     std::uint32_t connect_attempts = 0;
-    std::deque<ExpectedReply> expected;  ///< FIFO on this connection
+    InflightTable<ExpectedReply> expected;  ///< sent, by request id
     /// Repair/handoff frames deferred until the connection establishes
     /// (a just-joined node is dialed asynchronously). Bounded.
     std::vector<Message> queued;
@@ -241,10 +242,10 @@ class BackendServer {
   void handle_join(Shard& shard, ConnId conn, const Message& message);
   void handle_leave(Shard& shard, ConnId conn, const Message& message);
 
-  /// Sends on the shard's mesh connection to `node`, registering the owed
-  /// reply. With `queue_if_down` an unconnected (but not left) peer defers
-  /// the frame until the connection establishes. False = peer unreachable.
-  bool send_to_peer(Shard& shard, std::uint32_t node, const Message& message,
+  /// Sends on the shard's mesh connection to `node` under a fresh id,
+  /// registering the owed reply. With `queue_if_down` an unconnected (but
+  /// not left) peer defers the frame until it connects. False = unreachable.
+  bool send_to_peer(Shard& shard, std::uint32_t node, Message& message,
                     Expect expect, std::uint64_t op, bool queue_if_down);
 
   /// Counts a lost in-flight reply (closed connection, kError) against the

@@ -332,18 +332,19 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
     case MsgType::kGet: {
       const std::uint64_t start_ns =
           shard.request_us != nullptr ? obs::now_ns() : 0;
-      serve_get(shard, conn, message.key, start_ns);
+      serve_get(shard, {conn, message.id}, message.key, start_ns);
       return;
     }
     case MsgType::kBatchGet: {
-      // Router-batched dispatch: serve every key in the frame. Replies go
-      // back as one frame *per key* — the edge router matches them by key
-      // (its replies can overtake each other), and the reactor's gathered
-      // flush amortizes them into one writev anyway.
-      for (const std::uint64_t key : message.batch_keys) {
+      // Router-batched dispatch: serve every key in the frame. Key i is
+      // answered with a frame of its own carrying id b+i, as soon as it
+      // settles (hits overtake forwards); the reactor's gathered flush
+      // amortizes the frames into one writev anyway.
+      for (std::size_t i = 0; i < message.batch_keys.size(); ++i) {
         const std::uint64_t start_ns =
             shard.request_us != nullptr ? obs::now_ns() : 0;
-        serve_get(shard, conn, key, start_ns);
+        serve_get(shard, {conn, message.id + static_cast<std::uint32_t>(i)},
+                  message.batch_keys[i], start_ns);
       }
       return;
     }
@@ -359,28 +360,21 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
           shard.request_us != nullptr ? obs::now_ns() : 0;
       shard.requests.fetch_add(1, std::memory_order_relaxed);
       shard.misses.fetch_add(1, std::memory_order_relaxed);
-      forward(shard, conn, message.key, /*attempts=*/0, start_ns,
-              MsgType::kQuorumGet);
-      return;
-    }
-    case MsgType::kStats: {
-      Message reply;
-      reply.type = MsgType::kStatsReply;
-      reply.stats = stats();  // aggregated over shards
-      shard.loop->send(conn, reply);
+      forward(shard, {conn, message.id}, message.key, /*attempts=*/0,
+              start_ns, MsgType::kQuorumGet);
       return;
     }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
     default: {
@@ -388,14 +382,14 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, {conn, message.id}, reply);
       return;
     }
   }
 }
 
-void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
-                               std::uint64_t start_ns) {
+void FrontendServer::serve_get(Shard& shard, ReplyTo client,
+                               std::uint64_t key, std::uint64_t start_ns) {
   shard.requests.fetch_add(1, std::memory_order_relaxed);
   if (config_.fleet_size > 1 && !fleet_owns(key)) {
     if (fleet_redirect_needed(key)) {
@@ -407,7 +401,7 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
       reply.type = MsgType::kRedirect;
       reply.key = key;
       reply.node = fleet_owner(key, config_.fleet_seed, config_.fleet_size);
-      shard.loop->send(conn, reply);
+      send_reply(*shard.loop, client, reply);
       obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
       return;
     }
@@ -415,7 +409,7 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
     // the forward, and the router's power-of-two-choices sent it here
     // to balance exactly this load. Skip the cache entirely.
     shard.misses.fetch_add(1, std::memory_order_relaxed);
-    forward_get(shard, conn, key, start_ns);
+    forward_get(shard, client, key, start_ns);
     return;
   }
   std::string value;
@@ -427,15 +421,15 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
     reply.type = MsgType::kValue;
     reply.key = key;
     reply.payload = std::move(value);
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, client, reply);
     obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
     return;
   }
   shard.misses.fetch_add(1, std::memory_order_relaxed);
-  forward_get(shard, conn, key, start_ns);
+  forward_get(shard, client, key, start_ns);
 }
 
-void FrontendServer::forward_get(Shard& shard, ConnId client,
+void FrontendServer::forward_get(Shard& shard, ReplyTo client,
                                  std::uint64_t key, std::uint64_t start_ns) {
   if (config_.coalesce) {
     auto [it, inserted] = shard.inflight.try_emplace(key);
@@ -455,6 +449,7 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
                                   Message&& message) {
   const std::uint64_t start_ns =
       shard.request_us != nullptr ? obs::now_ns() : 0;
+  const ReplyTo client{conn, message.id};
   shard.requests.fetch_add(1, std::memory_order_relaxed);
   const bool is_delete = message.type == MsgType::kDelete;
   (is_delete ? shard.deletes : shard.puts)
@@ -471,7 +466,7 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
     reply.key = message.key;
     reply.node =
         fleet_owner(message.key, config_.fleet_seed, config_.fleet_size);
-    shard.loop->send(conn, reply);
+    send_reply(*shard.loop, client, reply);
     obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
     return;
   }
@@ -479,35 +474,31 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
   // Invalidate before the backend sees the write: a stale hit after the
   // coordinator acked would un-do the write for readers landing here.
   invalidate_cached(shard, message.key);
-  forward(shard, conn, message.key, /*attempts=*/0, start_ns, message.type,
+  forward(shard, client, message.key, /*attempts=*/0, start_ns, message.type,
           message.payload);
 }
 
 void FrontendServer::handle_backend(Shard& shard, std::uint32_t node,
                                     Message&& message) {
-  BackendState& backend = shard.backends[node];
   if (message.type == MsgType::kHotKeyReport) {
-    // One-way push (we subscribed); owns no pending-queue slot.
+    // One-way push (we subscribed); answers no request.
     handle_hot_report(shard, std::move(message));
     return;
-  }
-  if (message.type == MsgType::kPong || message.type == MsgType::kStatsReply ||
-      message.type == MsgType::kMetricsReply) {
-    return;  // health probes; nothing pending
   }
   if (message.type == MsgType::kBatchReply) {
     handle_batch_reply(shard, node, std::move(message));
     return;
   }
-  if (backend.pending.empty() || backend.pending.front().key != message.key) {
-    // FIFO contract broken — drop the connection; on_conn_close requeues.
+  BackendState& backend = shard.backends[node];
+  const PendingRequest* sent = backend.pending.find(message.id);
+  if (sent == nullptr || sent->key != message.key) {
+    // Protocol error: drop the connection; on_conn_close requeues.
     SCP_LOG_WARN << "scp_frontend: reply mismatch from backend " << node
                  << "; resetting connection";
     shard.loop->close_connection(backend.conn);
     return;
   }
-  PendingRequest request = backend.pending.front();
-  backend.pending.pop_front();
+  const PendingRequest request = *backend.pending.take(message.id);
   pending_total_.fetch_sub(1, std::memory_order_relaxed);
   settle_forward(shard, node, request, message.type,
                  std::move(message.payload), message.node, message.version);
@@ -516,24 +507,26 @@ void FrontendServer::handle_backend(Shard& shard, std::uint32_t node,
 void FrontendServer::handle_batch_reply(Shard& shard, std::uint32_t node,
                                         Message&& reply) {
   BackendState& backend = shard.backends[node];
-  // The backend answers a kBatchGet's keys in request order, so the reply
-  // must line up with the head of the FIFO entry-for-entry. Cross-check all
-  // keys before settling anything: a half-applied mismatched batch would
-  // answer clients with the wrong keys' verdicts.
-  bool matches = backend.pending.size() >= reply.batch.size();
+  // Item i answers the GET sent with id reply.id + i. Check every item
+  // before settling any: a half-applied mismatched batch would answer
+  // clients with the wrong keys' verdicts.
+  bool matches = !reply.batch.empty();
   for (std::size_t i = 0; matches && i < reply.batch.size(); ++i) {
-    matches = backend.pending[i].key == reply.batch[i].key &&
-              backend.pending[i].op == MsgType::kGet;
+    const PendingRequest* sent =
+        backend.pending.find(reply.id + static_cast<std::uint32_t>(i));
+    matches = sent != nullptr && sent->key == reply.batch[i].key &&
+              sent->op == MsgType::kGet;
   }
-  if (!matches || reply.batch.empty()) {
+  if (!matches) {
     SCP_LOG_WARN << "scp_frontend: batch reply mismatch from backend " << node
                  << "; resetting connection";
     shard.loop->close_connection(backend.conn);
     return;
   }
-  for (BatchItem& item : reply.batch) {
-    PendingRequest request = backend.pending.front();
-    backend.pending.pop_front();
+  for (std::size_t i = 0; i < reply.batch.size(); ++i) {
+    BatchItem& item = reply.batch[i];
+    const PendingRequest request =
+        *backend.pending.take(reply.id + static_cast<std::uint32_t>(i));
     pending_total_.fetch_sub(1, std::memory_order_relaxed);
     settle_forward(shard, node, request, item.type, std::move(item.payload),
                    item.node, /*version=*/0);
@@ -567,7 +560,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       reply.type = MsgType::kValue;
       reply.key = request.key;
       reply.payload = std::move(payload);
-      shard.loop->send(request.client, reply);
+      send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kValue, reply.payload);
       }
@@ -595,7 +588,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       Message reply;
       reply.type = MsgType::kMiss;
       reply.key = request.key;
-      shard.loop->send(request.client, reply);
+      send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kMiss, std::string());
       }
@@ -608,7 +601,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       reply.type = MsgType::kWriteReply;
       reply.key = request.key;
       reply.version = version;
-      shard.loop->send(request.client, reply);
+      send_reply(*shard.loop, request.client, reply);
       return;
     }
     case MsgType::kRedirect: {
@@ -642,7 +635,7 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
   const std::uint64_t now =
       shard.request_us != nullptr && !waiters.empty() ? obs::now_ns() : 0;
   for (const Waiter& waiter : waiters) {
-    if (waiter.client == kInvalidConn) {
+    if (waiter.client.conn == kInvalidConn) {
       // A hot-key warm fetch that coalesced onto this forward: the bytes
       // just got admitted by the lead's settle; nothing to send.
       shard.hot_prefetching.erase(key);
@@ -658,7 +651,7 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
     reply.type = type;
     reply.key = key;
     if (type == MsgType::kValue) reply.payload = payload;
-    shard.loop->send(waiter.client, reply);
+    send_reply(*shard.loop, waiter.client, reply);
     if (now != 0 && waiter.start_ns != 0) {
       shard.request_us->record((now - waiter.start_ns) / 1'000);
     }
@@ -671,7 +664,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
   const std::vector<Waiter> waiters = std::move(it->second);
   shard.inflight.erase(it);
   for (const Waiter& waiter : waiters) {
-    if (waiter.client == kInvalidConn) {
+    if (waiter.client.conn == kInvalidConn) {
       shard.hot_prefetching.erase(key);
       continue;
     }
@@ -682,7 +675,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
     reply.type = MsgType::kError;
     reply.key = key;
     reply.payload = "no live replica";
-    shard.loop->send(waiter.client, reply);
+    send_reply(*shard.loop, waiter.client, reply);
   }
 }
 
@@ -723,14 +716,14 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     }
     // Globally hot at the backends and absent here — the miss-flood
     // signature. Force-admit the slot and warm its bytes with a
-    // self-initiated fetch (client = kInvalidConn; the reply's send to it
+    // self-initiated fetch (no client connection; the reply's send to it
     // is a harmless no-op).
     shard.cache->access(key);
     if (!shard.hot_prefetching.insert(key).second) continue;  // in flight
     shard.hot_prefetches.fetch_add(1, std::memory_order_relaxed);
     // Via the single-flight table: if a client's fetch for this key is
     // already in flight, the warm fetch parks on it instead of doubling it.
-    forward_get(shard, kInvalidConn, key, /*start_ns=*/0);
+    forward_get(shard, ReplyTo{}, key, /*start_ns=*/0);
   }
   // Retire flags whose keys cooled off (the aggregator's exit hysteresis).
   for (auto it = shard.hot_flagged.begin(); it != shard.hot_flagged.end();) {
@@ -752,7 +745,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
 void FrontendServer::complete_request(Shard& shard,
                                       const PendingRequest& request,
                                       std::uint32_t node) {
-  if (request.client == kInvalidConn) {
+  if (request.client.conn == kInvalidConn) {
     // Self-initiated hot-key warm fetch: no client behind it, so it stays
     // out of the request accounting (requests == hits + forwarded +
     // failures must keep holding for real traffic).
@@ -789,17 +782,15 @@ void FrontendServer::on_conn_close(Shard& shard, ConnId conn) {
   }
   backend.conn = kInvalidConn;
 
-  std::deque<PendingRequest> orphaned;
-  orphaned.swap(backend.pending);
-  for (const PendingRequest& request : orphaned) {
+  for (const PendingRequest& request : backend.pending.drain()) {
     pending_total_.fetch_sub(1, std::memory_order_relaxed);
     retry_or_fail(shard, request);
   }
   // Queued forwards never hit the wire, so they re-route at the same
   // attempt count instead of burning a retry.
-  std::vector<QueuedForward> queued;
+  std::vector<PendingRequest> queued;
   queued.swap(backend.queued);
-  for (const QueuedForward& q : queued) {
+  for (const PendingRequest& q : queued) {
     pending_total_.fetch_sub(1, std::memory_order_relaxed);
     forward(shard, q.client, q.key, q.attempts, q.start_ns);
   }
@@ -816,8 +807,8 @@ void FrontendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
     backend.connect_attempts = 0;
     shard.backends_up.fetch_add(1, std::memory_order_relaxed);
     if (config_.detect) {
-      // Ask for kHotKeyReport pushes. Deliberately unacked, so this send
-      // leaves the connection's FIFO pending queue untouched.
+      // Ask for kHotKeyReport pushes. One-way (id 0): the backend never
+      // answers it, so nothing is pending.
       Message subscribe;
       subscribe.type = MsgType::kHotKeySubscribe;
       shard.loop->send(backend.conn, subscribe);
@@ -983,7 +974,7 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   return shard.candidates[turn % shard.candidates.size()];
 }
 
-void FrontendServer::forward(Shard& shard, ConnId client, std::uint64_t key,
+void FrontendServer::forward(Shard& shard, ReplyTo client, std::uint64_t key,
                              std::uint32_t attempts, std::uint64_t start_ns,
                              MsgType op, const std::string& payload) {
   const std::uint32_t node = route(shard, key);
@@ -1010,7 +1001,7 @@ void FrontendServer::forward(Shard& shard, ConnId client, std::uint64_t key,
 }
 
 void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
-                                ConnId client, std::uint64_t key,
+                                ReplyTo client, std::uint64_t key,
                                 std::uint32_t attempts,
                                 std::uint64_t start_ns, MsgType op,
                                 const std::string& payload) {
@@ -1022,10 +1013,11 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
   if (op == MsgType::kGet && config_.batch_max > 1) {
     // Batched forwarding: GETs accumulate here and flush as one kBatchGet
     // at the reactor's before-flush hook (sooner if the queue fills). The
-    // wire send, FIFO pending entry and attempt counters all happen at
-    // flush so FIFO order matches wire order; pending_total_ is counted
+    // wire send, pending entry and attempt counters all happen at flush,
+    // so the batch's keys get consecutive ids; pending_total_ is counted
     // now so stop()'s drain sees queued forwards too.
-    backend.queued.push_back({client, key, attempts, start_ns});
+    backend.queued.push_back({.client = client, .key = key,
+                              .attempts = attempts, .start_ns = start_ns});
     pending_total_.fetch_add(1, std::memory_order_relaxed);
     if (backend.queued.size() >= config_.batch_max) {
       flush_backend_queue(shard, node);
@@ -1034,6 +1026,7 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
   }
   Message request;
   request.type = op;
+  request.id = backend.pending.next_id();
   request.key = key;
   if (op == MsgType::kPut) request.payload = payload;
   if (!shard.loop->send(backend.conn, request)) {
@@ -1059,7 +1052,7 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.retry.timeout_s));
-  backend.pending.push_back(pending);
+  backend.pending.add(std::move(pending));
   pending_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -1075,13 +1068,13 @@ void FrontendServer::flush_forward_queues(Shard& shard) {
 void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
   BackendState& backend = shard.backends[node];
   if (backend.queued.empty()) return;
-  std::vector<QueuedForward> queued;
+  std::vector<PendingRequest> queued;
   queued.swap(backend.queued);
 
   const auto requeue_all = [&] {
     // The wire send never happened: re-route every forward at the same
     // attempt count (forward re-counts pending_total_ on its way back in).
-    for (const QueuedForward& q : queued) {
+    for (const PendingRequest& q : queued) {
       pending_total_.fetch_sub(1, std::memory_order_relaxed);
       forward(shard, q.client, q.key, q.attempts, q.start_ns);
     }
@@ -1097,13 +1090,15 @@ void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
     // identical to the unbatched path.
     Message request;
     request.type = MsgType::kGet;
+    request.id = backend.pending.next_id();
     request.key = queued.front().key;
     sent = shard.loop->send(backend.conn, request);
   } else {
     Message request;
     request.type = MsgType::kBatchGet;
+    request.id = backend.pending.next_id();
     request.batch_keys.reserve(queued.size());
-    for (const QueuedForward& q : queued) {
+    for (const PendingRequest& q : queued) {
       request.batch_keys.push_back(q.key);
     }
     sent = shard.loop->send(backend.conn, request);
@@ -1121,26 +1116,23 @@ void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
   // `attempts` counts keys sent (so backend requests == attempts keeps
   // holding — the backend counts batch keys individually too), `retries`
   // the re-sent keys, and the router's load signal moves one unit per key.
+  // Adding the entries in queue order gives key i the frame's id + i.
   const std::uint64_t sent_ns =
       shard.request_us != nullptr ? obs::now_ns() : 0;
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.retry.timeout_s));
-  for (const QueuedForward& q : queued) {
+  for (PendingRequest& pending : queued) {
     shard.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (q.attempts > 0) shard.retries.fetch_add(1, std::memory_order_relaxed);
+    if (pending.attempts > 0) {
+      shard.retries.fetch_add(1, std::memory_order_relaxed);
+    }
     shard.loads[node] += 1.0;
-    PendingRequest pending;
-    pending.client = q.client;
-    pending.key = q.key;
-    pending.op = MsgType::kGet;
-    pending.attempts = q.attempts;
-    pending.start_ns = q.start_ns;
     pending.sent_ns = sent_ns;
     pending.deadline = deadline;
     // pending_total_ was counted when the forward was queued.
-    backend.pending.push_back(pending);
+    backend.pending.add(std::move(pending));
   }
 }
 
@@ -1149,7 +1141,7 @@ void FrontendServer::retry_or_fail(Shard& shard,
   if (request.attempts + 1 < config_.retry.max_attempts() &&
       !stopping_.load()) {
     const double backoff = config_.retry.backoff_s(request.attempts);
-    const ConnId client = request.client;
+    const ReplyTo client = request.client;
     const std::uint64_t key = request.key;
     const MsgType op = request.op;
     const std::string payload = request.payload;
@@ -1167,7 +1159,7 @@ void FrontendServer::retry_or_fail(Shard& shard,
   }
 }
 
-void FrontendServer::fail_request(Shard& shard, ConnId client,
+void FrontendServer::fail_request(Shard& shard, ReplyTo client,
                                   std::uint64_t key, MsgType op) {
   // A failed fetch leaves no bytes behind either — release any value-less
   // cache slot the lookup admitted.
@@ -1176,7 +1168,7 @@ void FrontendServer::fail_request(Shard& shard, ConnId client,
   // prefetch early-return below: a kInvalidConn lead can carry real
   // waiters). Failed writes never touch the GET single-flight table.
   if (op == MsgType::kGet) fail_waiters(shard, key);
-  if (client == kInvalidConn) {
+  if (client.conn == kInvalidConn) {
     // Failed hot-key warm fetch: the next report retriggers it; no client
     // to answer and no failure to count (see complete_request).
     shard.hot_prefetching.erase(key);
@@ -1187,17 +1179,18 @@ void FrontendServer::fail_request(Shard& shard, ConnId client,
   reply.type = MsgType::kError;
   reply.key = key;
   reply.payload = "no live replica";
-  shard.loop->send(client, reply);
+  send_reply(*shard.loop, client, reply);
 }
 
 void FrontendServer::sweep_timeouts(Shard& shard) {
   if (stopping_.load()) return;
   const auto now = std::chrono::steady_clock::now();
   for (BackendState& backend : shard.backends) {
-    if (backend.conn != kInvalidConn && !backend.pending.empty() &&
-        backend.pending.front().deadline <= now) {
-      // Head-of-line timeout: everything behind it is late too. Reset the
-      // connection; on_conn_close retries the whole queue elsewhere.
+    const PendingRequest* oldest = backend.pending.oldest();
+    if (backend.conn != kInvalidConn && oldest != nullptr &&
+        oldest->deadline <= now) {
+      // The oldest request outlived its deadline: reset the connection;
+      // on_conn_close retries everything it carried elsewhere.
       shard.loop->close_connection(backend.conn);
     }
   }

@@ -10,10 +10,11 @@
 // re-forwards, a per-request deadline enforced by a sweep timer, and
 // automatic reconnection.
 //
-// Request/reply matching is FIFO per backend connection: the backend
-// answers GETs in order, so the head of that connection's pending queue is
-// always the reply's owner (the key is cross-checked; a mismatch is a
-// protocol error and drops the connection).
+// Request/reply matching is by request id on every backend connection
+// (inflight.h), so a backend may answer in any order (it acks a quorum
+// write after answering a later GET); an unknown id, or a reply whose key
+// differs from its request's, drops the connection. Client replies echo the
+// id the client sent.
 //
 // Sharding (config.shards = N > 1): a ReactorPool runs N reactors sharing
 // the listening port via SO_REUSEPORT, and every piece of per-request state
@@ -50,7 +51,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -62,6 +62,7 @@
 #include "cluster/routing.h"
 #include "common/rng.h"
 #include "detect/hot_key.h"
+#include "net/inflight.h"
 #include "net/reactor_pool.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -195,27 +196,21 @@ class FrontendServer {
  private:
   static constexpr std::uint32_t kNoBackend = UINT32_MAX;
 
+  /// A forwarded request: sent and pending by id, or a GET queued for the
+  /// wakeup's batch flush (batch_max > 1), which sends it, stamps sent_ns
+  /// and deadline, and makes it pending, so a batch's keys get consecutive
+  /// ids.
   struct PendingRequest {
-    ConnId client = kInvalidConn;
+    ReplyTo client;
     std::uint64_t key = 0;
     /// What was forwarded: kGet, kQuorumGet, kPut or kDelete. Reads expect
     /// kValue/kMiss back, writes expect kWriteReply.
     MsgType op = MsgType::kGet;
-    std::string payload;  ///< kPut only: the value (kept for retries)
-    std::chrono::steady_clock::time_point deadline;
+    std::string payload{};  ///< kPut only: the value (kept for retries)
+    std::chrono::steady_clock::time_point deadline{};
     std::uint32_t attempts = 0;  ///< 0-based index of this attempt
     std::uint64_t start_ns = 0;  ///< kGet arrival (carried across retries)
     std::uint64_t sent_ns = 0;   ///< this attempt's wire send
-  };
-
-  /// A GET forward awaiting the wakeup's batch flush (batch_max > 1). The
-  /// wire send, FIFO pending entry and attempt counters all happen at flush
-  /// time so FIFO order matches wire order exactly.
-  struct QueuedForward {
-    ConnId client = kInvalidConn;
-    std::uint64_t key = 0;
-    std::uint32_t attempts = 0;
-    std::uint64_t start_ns = 0;
   };
 
   struct BackendState {
@@ -224,15 +219,15 @@ class FrontendServer {
     ConnId conn = kInvalidConn;
     bool up = false;
     std::uint32_t connect_attempts = 0;
-    std::deque<PendingRequest> pending;  ///< FIFO on this connection
-    std::vector<QueuedForward> queued;   ///< forwards awaiting batch flush
+    InflightTable<PendingRequest> pending;  ///< sent, by request id
+    std::vector<PendingRequest> queued;     ///< GETs awaiting batch flush
   };
 
   /// A client parked on another request's in-flight forward for the same
-  /// key (single-flight coalescing). client == kInvalidConn marks a hot-key
-  /// warm fetch riding along.
+  /// key (single-flight coalescing). client.conn == kInvalidConn marks a
+  /// hot-key warm fetch riding along.
   struct Waiter {
-    ConnId client = kInvalidConn;
+    ReplyTo client;
     std::uint64_t start_ns = 0;
   };
 
@@ -256,8 +251,9 @@ class FrontendServer {
     std::vector<BackendState> backends;
     std::unordered_map<ConnId, std::uint32_t> backend_by_conn;
     /// Single-flight table: key -> waiters parked on the one in-flight GET
-    /// forward for that key (the lead request rides the pending FIFO as
-    /// usual; retries and failover move the lead, never the waiters).
+    /// forward for that key (the lead request is pending on a backend
+    /// connection as usual; retries and failover move the lead, never the
+    /// waiters).
     std::unordered_map<std::uint64_t, std::vector<Waiter>> inflight;
     std::vector<double> loads;  ///< forwarded count per backend (routing)
     std::unordered_map<std::uint64_t, std::uint32_t> pins;  // pinned router
@@ -357,11 +353,11 @@ class FrontendServer {
 
   /// One GET of a kGet / kBatchGet client frame: cache lookup, fleet
   /// bounce, or miss forward. `start_ns` is the frame arrival time.
-  void serve_get(Shard& shard, ConnId conn, std::uint64_t key,
+  void serve_get(Shard& shard, ReplyTo client, std::uint64_t key,
                  std::uint64_t start_ns);
   /// Single-flight entry point for GET misses: parks on an existing
   /// in-flight forward for `key` when coalescing allows, else forwards.
-  void forward_get(Shard& shard, ConnId client, std::uint64_t key,
+  void forward_get(Shard& shard, ReplyTo client, std::uint64_t key,
                    std::uint64_t start_ns);
   /// Settles one forwarded request with its backend verdict (shared by the
   /// single-reply and kBatchReply paths); fans the result out to any
@@ -370,8 +366,8 @@ class FrontendServer {
                       const PendingRequest& request, MsgType type,
                       std::string&& payload, std::uint32_t redirect_node,
                       std::uint64_t version);
-  /// Pops reply.batch.size() FIFO entries off `node`'s pending queue (keys
-  /// cross-checked in order) and settles each one.
+  /// Settles item i with the request sent under id reply.id + i, after
+  /// checking every item's id and key.
   void handle_batch_reply(Shard& shard, std::uint32_t node, Message&& reply);
   /// Completion fan-out: answers every waiter parked on `key` with the
   /// settled kValue/kMiss verdict and erases the in-flight entry.
@@ -380,10 +376,10 @@ class FrontendServer {
   /// Failure fan-out: kError to every waiter parked on `key`.
   void fail_waiters(Shard& shard, std::uint64_t key);
 
-  void forward(Shard& shard, ConnId client, std::uint64_t key,
+  void forward(Shard& shard, ReplyTo client, std::uint64_t key,
                std::uint32_t attempts, std::uint64_t start_ns,
                MsgType op = MsgType::kGet, const std::string& payload = {});
-  void forward_to(Shard& shard, std::uint32_t node, ConnId client,
+  void forward_to(Shard& shard, std::uint32_t node, ReplyTo client,
                   std::uint64_t key, std::uint32_t attempts,
                   std::uint64_t start_ns, MsgType op = MsgType::kGet,
                   const std::string& payload = {});
@@ -395,7 +391,7 @@ class FrontendServer {
   void flush_backend_queue(Shard& shard, std::uint32_t node);
   std::uint32_t route(Shard& shard, std::uint64_t key);
   void retry_or_fail(Shard& shard, const PendingRequest& request);
-  void fail_request(Shard& shard, ConnId client, std::uint64_t key,
+  void fail_request(Shard& shard, ReplyTo client, std::uint64_t key,
                     MsgType op);
   void schedule_reconnect(Shard& shard, std::uint32_t node);
   void sweep_timeouts(Shard& shard);

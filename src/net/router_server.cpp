@@ -195,7 +195,7 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       const std::uint64_t start_ns =
           request_us_ != nullptr ? obs::now_ns() : 0;
       requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch(conn, message.key, /*hops=*/0, start_ns);
+      dispatch({conn, message.id}, message.key, /*hops=*/0, start_ns);
       return;
     }
     case MsgType::kPut:
@@ -208,28 +208,21 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       const std::uint64_t start_ns =
           request_us_ != nullptr ? obs::now_ns() : 0;
       requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch(conn, message.key, /*hops=*/0, start_ns, message.type,
-               message.payload);
-      return;
-    }
-    case MsgType::kStats: {
-      Message reply;
-      reply.type = MsgType::kStatsReply;
-      reply.stats = stats();
-      loop_->send(conn, reply);
+      dispatch({conn, message.id}, message.key, /*hops=*/0, start_ns,
+               message.type, message.payload);
       return;
     }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      loop_->send(conn, reply);
+      send_reply(*loop_, {conn, message.id}, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      loop_->send(conn, reply);
+      send_reply(*loop_, {conn, message.id}, reply);
       return;
     }
     default: {
@@ -237,7 +230,7 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      loop_->send(conn, reply);
+      send_reply(*loop_, {conn, message.id}, reply);
       return;
     }
   }
@@ -258,25 +251,14 @@ void RouterServer::handle_member(std::uint32_t member, Message&& message) {
     router_.set_scraped_load(member, load);
     return;
   }
-  if (message.type == MsgType::kPong ||
-      message.type == MsgType::kStatsReply) {
-    return;  // health probes; nothing pending
-  }
-  // Replies are matched by key, not FIFO: a fleet member answers cache hits
-  // and redirects immediately but forwards only when the backend responds,
-  // so its replies legitimately overtake one another. Oldest-first scan so
-  // duplicate keys in flight complete in dispatch order.
-  const auto it = std::find_if(
-      fe.pending.begin(), fe.pending.end(),
-      [&](const PendingRequest& p) { return p.key == message.key; });
-  if (it == fe.pending.end()) {
+  const PendingRequest* sent = fe.pending.find(message.id);
+  if (sent == nullptr || sent->key != message.key) {
     SCP_LOG_WARN << "scp_router: unmatched reply from fe " << member
                  << "; resetting connection";
     loop_->close_connection(fe.conn);
     return;
   }
-  PendingRequest request = *it;
-  fe.pending.erase(it);
+  const PendingRequest request = *fe.pending.take(message.id);
   pending_total_.fetch_sub(1, std::memory_order_relaxed);
   router_.on_complete(member);
 
@@ -315,8 +297,7 @@ void RouterServer::handle_member(std::uint32_t member, Message&& message) {
       request_us_->record((now - request.start_ns) / 1'000);
     }
   }
-  const ConnId client = request.client;
-  loop_->send(client, message);
+  send_reply(*loop_, request.client, message);
 }
 
 void RouterServer::on_conn_close(ConnId conn) {
@@ -334,9 +315,7 @@ void RouterServer::on_conn_close(ConnId conn) {
   fe.conn = kInvalidConn;
   router_.set_up(member, false);
 
-  std::deque<PendingRequest> orphaned;
-  orphaned.swap(fe.pending);
-  for (const PendingRequest& request : orphaned) {
+  for (const PendingRequest& request : fe.pending.drain()) {
     pending_total_.fetch_sub(1, std::memory_order_relaxed);
     router_.on_complete(member);
     // Re-dispatch to whichever candidate is still live (the dead member is
@@ -350,9 +329,9 @@ void RouterServer::on_conn_close(ConnId conn) {
   }
   // Queued dispatches never hit the wire: unwind the queue-time accounting
   // and route them again without burning a hop.
-  std::vector<QueuedDispatch> queued;
+  std::vector<PendingRequest> queued;
   queued.swap(fe.queued);
-  for (const QueuedDispatch& q : queued) {
+  for (const PendingRequest& q : queued) {
     pending_total_.fetch_sub(1, std::memory_order_relaxed);
     router_.on_complete(member);
     dispatch(q.client, q.key, q.hops, q.start_ns);
@@ -394,7 +373,7 @@ void RouterServer::schedule_reconnect(std::uint32_t member) {
   });
 }
 
-bool RouterServer::dispatch_to(std::uint32_t member, ConnId client,
+bool RouterServer::dispatch_to(std::uint32_t member, ReplyTo client,
                                std::uint64_t key, std::uint32_t hops,
                                std::uint64_t start_ns, MsgType op,
                                const std::string& payload) {
@@ -404,9 +383,10 @@ bool RouterServer::dispatch_to(std::uint32_t member, ConnId client,
     // Batched dispatch: GETs for this member accumulate and flush as one
     // kBatchGet at the reactor's before-flush hook (sooner if the queue
     // fills). The load delta is counted now so power-of-two-choices sees
-    // same-wakeup dispatches; the wire send, pending entry and attempt
-    // counters happen at flush.
-    fe.queued.push_back({client, key, hops, start_ns});
+    // same-wakeup dispatches; the wire send, pending entry (which mints
+    // the request id) and attempt counters happen at flush.
+    fe.queued.push_back(
+        {.client = client, .key = key, .hops = hops, .start_ns = start_ns});
     pending_total_.fetch_add(1, std::memory_order_relaxed);
     router_.on_dispatch(member);
     if (fe.queued.size() >= config_.batch_max) {
@@ -416,6 +396,7 @@ bool RouterServer::dispatch_to(std::uint32_t member, ConnId client,
   }
   Message request;
   request.type = op;
+  request.id = fe.pending.next_id();
   request.key = key;
   if (op == MsgType::kPut) request.payload = payload;
   if (!loop_->send(fe.conn, request)) return false;
@@ -438,7 +419,7 @@ bool RouterServer::dispatch_to(std::uint32_t member, ConnId client,
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.timeout_s));
-  fe.pending.push_back(pending);
+  fe.pending.add(std::move(pending));
   pending_total_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -453,14 +434,14 @@ void RouterServer::flush_member_queues() {
 void RouterServer::flush_member_queue(std::uint32_t member) {
   MemberState& fe = members_[member];
   if (fe.queued.empty()) return;
-  std::vector<QueuedDispatch> queued;
+  std::vector<PendingRequest> queued;
   queued.swap(fe.queued);
 
   const auto redispatch_all = [&] {
     // The wire send never happened: unwind the queue-time accounting and
     // route each dispatch again (the dead member is marked down, so pick()
     // goes around it; dispatch re-counts pending_total_ on its way in).
-    for (const QueuedDispatch& q : queued) {
+    for (const PendingRequest& q : queued) {
       pending_total_.fetch_sub(1, std::memory_order_relaxed);
       router_.on_complete(member);
       dispatch(q.client, q.key, q.hops, q.start_ns);
@@ -477,13 +458,15 @@ void RouterServer::flush_member_queue(std::uint32_t member) {
     // identical to the unbatched path.
     Message request;
     request.type = MsgType::kGet;
+    request.id = fe.pending.next_id();
     request.key = queued.front().key;
     sent = loop_->send(fe.conn, request);
   } else {
     Message request;
     request.type = MsgType::kBatchGet;
+    request.id = fe.pending.next_id();
     request.batch_keys.reserve(queued.size());
-    for (const QueuedDispatch& q : queued) {
+    for (const PendingRequest& q : queued) {
       request.batch_keys.push_back(q.key);
     }
     sent = loop_->send(fe.conn, request);
@@ -499,30 +482,26 @@ void RouterServer::flush_member_queue(std::uint32_t member) {
 
   // One wire send for the whole queue; the ledger stays per key (the fleet
   // member answers each with its own frame and counts them individually).
+  // Adding the entries in queue order gives key i the frame's id + i.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.timeout_s));
-  for (const QueuedDispatch& q : queued) {
+  for (PendingRequest& pending : queued) {
     attempts_.fetch_add(1, std::memory_order_relaxed);
-    if (q.hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+    if (pending.hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
     if (member < member_dispatches_.size() &&
         member_dispatches_[member] != nullptr) {
       member_dispatches_[member]->inc();
     }
-    PendingRequest pending;
-    pending.client = q.client;
-    pending.key = q.key;
-    pending.op = MsgType::kGet;
-    pending.hops = q.hops + 1;
-    pending.start_ns = q.start_ns;
+    ++pending.hops;
     pending.deadline = deadline;
     // pending_total_ and router_.on_dispatch were counted at queue time.
-    fe.pending.push_back(pending);
+    fe.pending.add(std::move(pending));
   }
 }
 
-void RouterServer::dispatch(ConnId client, std::uint64_t key,
+void RouterServer::dispatch(ReplyTo client, std::uint64_t key,
                             std::uint32_t hops, std::uint64_t start_ns,
                             MsgType op, const std::string& payload) {
   if (hops >= config_.max_hops) {
@@ -546,13 +525,13 @@ void RouterServer::dispatch(ConnId client, std::uint64_t key,
   fail_request(client, key);
 }
 
-void RouterServer::fail_request(ConnId client, std::uint64_t key) {
+void RouterServer::fail_request(ReplyTo client, std::uint64_t key) {
   failures_.fetch_add(1, std::memory_order_relaxed);
   Message reply;
   reply.type = MsgType::kError;
   reply.key = key;
   reply.payload = "no live front end";
-  loop_->send(client, reply);
+  send_reply(*loop_, client, reply);
 }
 
 void RouterServer::scrape_members() {
@@ -570,10 +549,11 @@ void RouterServer::sweep_timeouts() {
   if (stopping_.load()) return;
   const auto now = std::chrono::steady_clock::now();
   for (MemberState& fe : members_) {
-    if (fe.conn != kInvalidConn && !fe.pending.empty() &&
-        fe.pending.front().deadline <= now) {
-      // Head-of-line timeout: reset the connection; on_conn_close
-      // re-dispatches the whole queue to the surviving candidate.
+    const PendingRequest* oldest = fe.pending.oldest();
+    if (fe.conn != kInvalidConn && oldest != nullptr &&
+        oldest->deadline <= now) {
+      // The oldest request outlived its deadline: reset the connection;
+      // on_conn_close re-dispatches everything it carried.
       loop_->close_connection(fe.conn);
     }
   }

@@ -11,13 +11,14 @@
 // (a cached key landed on the wrong member), the router follows the hop
 // transparently — the client never sees a REDIRECT.
 //
-// Request/reply matching is by key per fleet-member connection — NOT FIFO,
-// because a member answers cache hits and redirects immediately but
-// forwards only when its backend responds, so replies legitimately overtake
-// one another. Scrape replies (kMetricsReply/kStatsReply/kPong) are
-// filtered out before matching; an unmatched key is a protocol error that
-// resets the connection. A member connection dying re-dispatches its queued
-// requests to the surviving candidate (or fails them after the hop budget).
+// Request/reply matching is by request id on every fleet-member connection
+// (inflight.h): a member answers hits and redirects at once but forwards
+// only when its backend responds, so replies overtake one another, and a
+// GET and a PUT in flight for one key are told apart by id alone. Scrape
+// replies (kMetricsReply) are dispatched by type; an unknown id or a key
+// mismatch resets the connection. Relayed replies carry the client's own
+// id. A member connection dying re-dispatches its in-flight requests to the
+// surviving candidate (or fails them after the hop budget).
 //
 // The router is deliberately stateless beyond the fleet seed and endpoint
 // list — any number of router replicas can front the same fleet, so the
@@ -26,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -34,6 +34,7 @@
 
 #include "common/rng.h"
 #include "net/fleet.h"
+#include "net/inflight.h"
 #include "net/reactor.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -58,11 +59,10 @@ struct RouterConfig {
   double timeout_s = 0.500;
   /// Max keys per kBatchGet dispatch frame. GET dispatches for one member
   /// accumulate during a reactor wakeup and flush as one batch frame
-  /// (sooner when the queue reaches this cap); the member answers each key
-  /// with its own reply frame, which the by-key matching absorbs
-  /// unchanged. <= 1 disables batching (one kGet frame per dispatch,
-  /// byte-identical to the unbatched wire traffic). Clamped to
-  /// kMaxBatchEntries.
+  /// (sooner when the queue reaches this cap); with batch id b the member
+  /// answers key i with its own reply frame carrying id b+i. <= 1 disables
+  /// batching (one kGet frame per dispatch, byte-identical to the unbatched
+  /// wire traffic). Clamped to kMaxBatchEntries.
   std::uint32_t batch_max = 64;
   bool metrics = true;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
@@ -103,27 +103,23 @@ class RouterServer {
   std::uint16_t metrics_http_port() const noexcept;
 
  private:
+  /// A dispatched request: sent and pending by id, or a GET queued for the
+  /// wakeup's batch flush (batch_max > 1). The member's load delta
+  /// (router_.on_dispatch) is counted at queue time so power-of-two-choices
+  /// sees same-wakeup dispatches; the flush sends the batch, counts the
+  /// hop and attempt, and makes each entry pending, so a batch's keys get
+  /// consecutive ids.
   struct PendingRequest {
-    ConnId client = kInvalidConn;
+    ReplyTo client;
     std::uint64_t key = 0;
     /// Dispatched op: kGet, kQuorumGet, kPut or kDelete (writes redirect to
     /// the fleet owner exactly like cached reads, so both need replaying).
     MsgType op = MsgType::kGet;
-    std::string payload;  ///< kPut only: the value (kept for re-dispatch)
-    std::chrono::steady_clock::time_point deadline;
-    std::uint32_t hops = 0;      ///< dispatches so far (this one included)
-    std::uint64_t start_ns = 0;  ///< client kGet arrival
-  };
-
-  /// A GET dispatch awaiting the wakeup's batch flush (batch_max > 1). The
-  /// member's load delta (router_.on_dispatch) is counted at queue time so
-  /// power-of-two-choices sees same-wakeup dispatches; the wire send, the
-  /// pending entry and the attempt counters happen at flush.
-  struct QueuedDispatch {
-    ConnId client = kInvalidConn;
-    std::uint64_t key = 0;
+    std::string payload{};  ///< kPut only: the value (kept for re-dispatch)
+    std::chrono::steady_clock::time_point deadline{};
+    /// Dispatches so far (a sent one included; a queued one not yet).
     std::uint32_t hops = 0;
-    std::uint64_t start_ns = 0;
+    std::uint64_t start_ns = 0;  ///< client kGet arrival
   };
 
   struct MemberState {
@@ -132,8 +128,8 @@ class RouterServer {
     ConnId conn = kInvalidConn;
     bool up = false;
     std::uint32_t connect_attempts = 0;
-    std::deque<PendingRequest> pending;   ///< in flight, oldest first
-    std::vector<QueuedDispatch> queued;   ///< awaiting batch flush
+    InflightTable<PendingRequest> pending;  ///< sent, by request id
+    std::vector<PendingRequest> queued;     ///< GETs awaiting batch flush
   };
 
   void handle(ConnId conn, Message&& message);
@@ -144,15 +140,15 @@ class RouterServer {
 
   /// Sends `key` to `member`, recording the pending entry. False when the
   /// connection is down or the send fails (nothing recorded).
-  bool dispatch_to(std::uint32_t member, ConnId client, std::uint64_t key,
+  bool dispatch_to(std::uint32_t member, ReplyTo client, std::uint64_t key,
                    std::uint32_t hops, std::uint64_t start_ns,
                    MsgType op = MsgType::kGet, const std::string& payload = {});
   /// Routes by power-of-two-choices and dispatches; fails the request when
   /// no candidate is live or the hop budget is spent.
-  void dispatch(ConnId client, std::uint64_t key, std::uint32_t hops,
+  void dispatch(ReplyTo client, std::uint64_t key, std::uint32_t hops,
                 std::uint64_t start_ns, MsgType op = MsgType::kGet,
                 const std::string& payload = {});
-  void fail_request(ConnId client, std::uint64_t key);
+  void fail_request(ReplyTo client, std::uint64_t key);
   /// Reactor before-flush hook: sends every member's queued GET dispatches
   /// (one kBatchGet each, plain kGet for a queue of one) so the batch frames
   /// ride the wakeup's gathered write.

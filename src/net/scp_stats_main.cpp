@@ -1,5 +1,5 @@
 // scp_stats — scrape a live SCP server's counters and metrics over the wire
-// protocol (kStats + kMetricsRequest) and pretty-print or JSON-dump them.
+// protocol (kMetricsRequest) and pretty-print or JSON-dump them.
 //
 //   scp_stats --port 9000                  # one human-readable snapshot
 //   scp_stats --port 9000 --json           # one JSON document on stdout
@@ -16,19 +16,7 @@ namespace {
 using namespace scp;
 using namespace scp::net;
 
-void print_stats_text(const ServerStats& stats,
-                      const obs::MetricsSnapshot& metrics) {
-  std::printf(
-      "stats: requests=%llu hits=%llu misses=%llu redirects=%llu "
-      "forwarded=%llu retries=%llu failures=%llu attempts=%llu\n",
-      static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.hits),
-      static_cast<unsigned long long>(stats.misses),
-      static_cast<unsigned long long>(stats.redirects),
-      static_cast<unsigned long long>(stats.forwarded),
-      static_cast<unsigned long long>(stats.retries),
-      static_cast<unsigned long long>(stats.failures),
-      static_cast<unsigned long long>(stats.attempts));
+void print_stats_text(const obs::MetricsSnapshot& metrics) {
   for (const auto& [name, value] : metrics.counters) {
     std::printf("counter %-32s %llu\n", name.c_str(),
                 static_cast<unsigned long long>(value));
@@ -42,20 +30,9 @@ void print_stats_text(const ServerStats& stats,
   }
 }
 
-void print_stats_json(const ServerStats& stats,
-                      const obs::MetricsSnapshot& metrics) {
+void print_stats_json(const obs::MetricsSnapshot& metrics) {
   JsonWriter w;
   w.begin_object();
-  w.key("stats").begin_object();
-  w.field("requests", stats.requests);
-  w.field("hits", stats.hits);
-  w.field("misses", stats.misses);
-  w.field("redirects", stats.redirects);
-  w.field("forwarded", stats.forwarded);
-  w.field("retries", stats.retries);
-  w.field("failures", stats.failures);
-  w.field("attempts", stats.attempts);
-  w.end();
   w.key("metrics");
   obs::write_json(w, metrics);
   w.end();
@@ -101,13 +78,6 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::duration<double>(
           interval_s > 0 ? interval_s : 1.0));
     }
-    Message stats_req;
-    stats_req.type = MsgType::kStats;
-    auto stats_reply = client.call(stats_req, timeout_s);
-    if (!stats_reply || stats_reply->type != MsgType::kStatsReply) {
-      std::fprintf(stderr, "scp_stats: kStats request failed\n");
-      return 1;
-    }
     Message metrics_req;
     metrics_req.type = MsgType::kMetricsRequest;
     auto metrics_reply = client.call(metrics_req, timeout_s);
@@ -116,12 +86,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (json) {
-      print_stats_json(stats_reply->stats, metrics_reply->metrics);
+      print_stats_json(metrics_reply->metrics);
     } else if (prometheus) {
       std::fputs(obs::to_prometheus_text(metrics_reply->metrics).c_str(),
                  stdout);
     } else {
-      print_stats_text(stats_reply->stats, metrics_reply->metrics);
+      print_stats_text(metrics_reply->metrics);
     }
     std::fflush(stdout);
   }

@@ -89,6 +89,7 @@ void encode_into(const Message& message, std::vector<std::uint8_t>& frame) {
   std::vector<std::uint8_t>& payload = frame;
   put_u32(payload, 0);  // length prefix, patched below
   put_u8(payload, static_cast<std::uint8_t>(message.type));
+  put_u32(payload, message.id);
   switch (message.type) {
     case MsgType::kGet:
     case MsgType::kMiss:
@@ -102,24 +103,8 @@ void encode_into(const Message& message, std::vector<std::uint8_t>& frame) {
       put_u64(payload, message.key);
       put_u32(payload, message.node);
       break;
-    case MsgType::kStats:
     case MsgType::kPing:
     case MsgType::kPong:
-      break;
-    case MsgType::kStatsReply:
-      put_u64(payload, message.stats.requests);
-      put_u64(payload, message.stats.hits);
-      put_u64(payload, message.stats.misses);
-      put_u64(payload, message.stats.redirects);
-      put_u64(payload, message.stats.forwarded);
-      put_u64(payload, message.stats.retries);
-      put_u64(payload, message.stats.failures);
-      put_u64(payload, message.stats.attempts);
-      put_u64(payload, message.stats.puts);
-      put_u64(payload, message.stats.deletes);
-      put_u64(payload, message.stats.replications);
-      put_u64(payload, message.stats.invalidations);
-      put_u64(payload, message.stats.coalesced);
       break;
     case MsgType::kMetricsRequest:
       break;
@@ -235,9 +220,10 @@ void encode_into(const Message& message, std::vector<std::uint8_t>& frame) {
 std::optional<Message> decode_payload(std::span<const std::uint8_t> payload) {
   Cursor cursor(payload);
   std::uint8_t raw_type = 0;
-  if (!cursor.read_u8(raw_type)) return std::nullopt;
-
   Message message;
+  if (!cursor.read_u8(raw_type) || !cursor.read_u32(message.id)) {
+    return std::nullopt;
+  }
   switch (static_cast<MsgType>(raw_type)) {
     case MsgType::kGet:
     case MsgType::kMiss:
@@ -254,28 +240,9 @@ std::optional<Message> decode_payload(std::span<const std::uint8_t> payload) {
       if (!cursor.read_u64(message.key)) return std::nullopt;
       if (!cursor.read_u32(message.node)) return std::nullopt;
       break;
-    case MsgType::kStats:
     case MsgType::kPing:
     case MsgType::kPong:
       message.type = static_cast<MsgType>(raw_type);
-      break;
-    case MsgType::kStatsReply:
-      message.type = MsgType::kStatsReply;
-      if (!cursor.read_u64(message.stats.requests) ||
-          !cursor.read_u64(message.stats.hits) ||
-          !cursor.read_u64(message.stats.misses) ||
-          !cursor.read_u64(message.stats.redirects) ||
-          !cursor.read_u64(message.stats.forwarded) ||
-          !cursor.read_u64(message.stats.retries) ||
-          !cursor.read_u64(message.stats.failures) ||
-          !cursor.read_u64(message.stats.attempts) ||
-          !cursor.read_u64(message.stats.puts) ||
-          !cursor.read_u64(message.stats.deletes) ||
-          !cursor.read_u64(message.stats.replications) ||
-          !cursor.read_u64(message.stats.invalidations) ||
-          !cursor.read_u64(message.stats.coalesced)) {
-        return std::nullopt;
-      }
       break;
     case MsgType::kMetricsRequest:
       message.type = MsgType::kMetricsRequest;

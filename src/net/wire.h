@@ -4,14 +4,19 @@
 //
 //   [u32 payload_length, big endian] [payload_length bytes]
 //
-// The payload starts with a one-byte message type followed by type-specific
-// big-endian fields. The protocol is deliberately tiny — GET by key id with
-// VALUE / MISS / REDIRECT replies, a STATS introspection pair, and the
-// mutable-data family (PUT / DELETE / quorum version reads, the replica
-// apply + ack pair that carries quorum replication, rebalance handoff
-// streams, and the JOIN / LEAVE membership announcements) — because the
-// serving tier exists to measure the paper's load-balancing claims on a
-// real request path, not to be a general RPC system. Decoding is strict:
+// The payload starts with a one-byte message type and a u32 request id,
+// followed by type-specific big-endian fields. Every hop matches a reply to
+// its request by id alone (a reply carries its request's id), so a peer may
+// answer in any order; each connection with requests in flight mints ids
+// from its own counter (inflight.h), and servers echo a client's id
+// verbatim. One-way frames (kHotKeyReport, kHotKeySubscribe) carry id 0.
+// The protocol is deliberately tiny — GET by key id with VALUE / MISS /
+// REDIRECT replies, a metrics introspection pair, and the mutable-data
+// family (PUT / DELETE / quorum version reads, the replica apply + ack pair
+// that carries quorum replication, rebalance handoff streams, and the JOIN
+// / LEAVE membership announcements) — because the serving tier exists to
+// measure the paper's load-balancing claims on a real request path, not to
+// be a general RPC system. Decoding is strict:
 // unknown types, truncated fields and trailing bytes are all rejected, and
 // FrameReader refuses frames whose declared length exceeds the cap (a
 // garbage or hostile peer cannot make a server buffer unbounded data).
@@ -38,8 +43,7 @@ enum class MsgType : std::uint8_t {
   kValue = 2,      ///< reply: `key` found, value attached
   kMiss = 3,       ///< reply: `key` absent on the serving node
   kRedirect = 4,   ///< reply: `key` not owned here; try node `node`
-  kStats = 5,      ///< request: server counters
-  kStatsReply = 6, ///< reply: ServerStats snapshot
+  // 5 and 6 are unassigned; decode rejects them.
   kPing = 7,       ///< request: liveness probe
   kPong = 8,       ///< reply to kPing
   kError = 9,      ///< reply: request failed, human-readable reason attached
@@ -65,16 +69,17 @@ enum class MsgType : std::uint8_t {
   kHotKeyReport = 22,    ///< one-way: node `hot.node`'s windowed top-k
                          ///< observation (gossiped between backends and
                          ///< pushed to subscribed front ends; never
-                         ///< answered, so it rides reply-FIFO connections
-                         ///< without disturbing the match queues)
-  kHotKeySubscribe = 23, ///< request: push future kHotKeyReports down this
+                         ///< answered)
+  kHotKeySubscribe = 23, ///< one-way: push future kHotKeyReports down this
                          ///< connection (front ends send it after connect;
-                         ///< deliberately not acked — see kHotKeyReport)
+                         ///< never answered)
   // --- batched forwarding ------------------------------------------------
-  kBatchGet = 24,   ///< request: fetch every key in `batch_keys` in one frame
+  kBatchGet = 24,   ///< request: fetch every key in `batch_keys` in one
+                    ///< frame; with id b, key i owns id b+i (a front end
+                    ///< answers each key with its own frame)
   kBatchReply = 25, ///< reply: one BatchItem per requested key, in request
                     ///< order (each item is a kValue/kMiss/kRedirect/kError
-                    ///< verdict for its key)
+                    ///< verdict for its key), carrying the batch's id
 };
 
 // Bits of Message::flags (kVerValue / kReplicate / kRepAck).
@@ -88,7 +93,7 @@ inline constexpr std::uint8_t kFlagApplied = 1;    ///< apply took effect (kRepA
 inline constexpr std::uint32_t kMaxBatchEntries = 4096;
 
 /// One per-key verdict inside a kBatchReply: the same shapes an individual
-/// reply frame can take, keyed so a batch survives reordering-free matching.
+/// reply frame can take. Item i answers request id b+i; its key must match.
 struct BatchItem {
   MsgType type = MsgType::kMiss;  ///< kValue | kMiss | kRedirect | kError
   std::uint64_t key = 0;
@@ -98,8 +103,8 @@ struct BatchItem {
   bool operator==(const BatchItem&) const = default;
 };
 
-/// Counter snapshot carried by kStatsReply. Both server roles fill the
-/// fields that apply to them and leave the rest zero.
+/// Counter snapshot returned by every server's stats(); kMetricsReply
+/// carries the same counters. Each role fills the fields that apply to it.
 struct ServerStats {
   std::uint64_t requests = 0;   ///< GETs received
   std::uint64_t hits = 0;       ///< served locally (storage / cache)
@@ -125,6 +130,8 @@ struct ServerStats {
 /// encode() ignores the rest and decode_payload() zero-fills them.
 struct Message {
   MsgType type = MsgType::kPing;
+  std::uint32_t id = 0;     ///< every type: request id (a reply carries
+                            ///< its request's id; one-way frames carry 0)
   std::uint64_t key = 0;    ///< kGet, kValue, kMiss, kRedirect, kError,
                             ///< every write/replication type
   std::uint32_t node = 0;   ///< kRedirect: suggested NodeId; kJoin/kLeave:
@@ -133,7 +140,6 @@ struct Message {
   std::uint8_t flags = 0;     ///< kVerValue/kReplicate/kRepAck (kFlag* bits)
   std::string payload;      ///< kValue/kVerValue/kReplicate/kPut: value
                             ///< bytes; kError: reason; kJoin: "host:port"
-  ServerStats stats;        ///< kStatsReply
   obs::MetricsSnapshot metrics;  ///< kMetricsReply
   detect::HotKeyReport hot;      ///< kHotKeyReport
   std::vector<std::uint64_t> batch_keys;  ///< kBatchGet: requested keys

@@ -45,11 +45,12 @@ bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
 }
 
 /// A scripted stand-in for scp_backend: accepts the front end's connection,
-/// decodes every frame, records GET keys in wire-arrival order (kBatchGet
-/// flattened), and sends replies only when the test says so. The window in
-/// which a forward stays in flight — where waiters park and batches build —
-/// is therefore as wide as the test needs, with no race against a real
-/// backend's reply.
+/// decodes every frame, records GET keys and their request ids in
+/// wire-arrival order (kBatchGet flattened: key i of a batch with id b owns
+/// id b+i), and sends replies only when the test says so; a reply must echo
+/// the id of the request it answers. The window in which a forward stays in
+/// flight — where waiters park and batches build — is therefore as wide as
+/// the test needs, with no race against a real backend's reply.
 class FakeBackend {
  public:
   ~FakeBackend() { stop(); }
@@ -73,6 +74,12 @@ class FakeBackend {
   std::vector<std::uint64_t> keys() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return keys_;
+  }
+
+  /// The request id of each key in keys(), index for index.
+  std::vector<std::uint32_t> ids() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_;
   }
 
   /// GET-carrying frames received so far (a kBatchGet counts once).
@@ -132,10 +139,12 @@ class FakeBackend {
         std::lock_guard<std::mutex> lock(mutex_);
         if (message->type == MsgType::kGet) {
           keys_.push_back(message->key);
+          ids_.push_back(message->id);
           ++get_frames_;
         } else if (message->type == MsgType::kBatchGet) {
-          for (const std::uint64_t key : message->batch_keys) {
-            keys_.push_back(key);
+          for (std::size_t i = 0; i < message->batch_keys.size(); ++i) {
+            keys_.push_back(message->batch_keys[i]);
+            ids_.push_back(message->id + static_cast<std::uint32_t>(i));
           }
           ++get_frames_;
         }
@@ -151,6 +160,7 @@ class FakeBackend {
   mutable std::mutex mutex_;
   int conn_fd_ = -1;
   std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> ids_;
   std::uint64_t get_frames_ = 0;
 };
 
@@ -211,11 +221,12 @@ TEST(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
     return !fakes[0]->keys().empty() || !fakes[1]->keys().empty();
   }));
   const std::string value = make_value(kKey, 64);
+  const std::size_t target = fakes[0]->keys().empty() ? 1 : 0;
   Message reply;
   reply.type = MsgType::kValue;
+  reply.id = fakes[target]->ids().at(0);
   reply.key = kKey;
   reply.payload = value;
-  const std::size_t target = fakes[0]->keys().empty() ? 1 : 0;
   ASSERT_TRUE(fakes[target]->reply(reply));
   for (std::thread& client : clients) client.join();
 
@@ -240,7 +251,8 @@ TEST(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
 // forward — kValue answers its client, kMiss answers with a miss, and
 // kRedirect re-forwards to the named node without the client ever seeing
 // it. The fake owner holds all three forwards, then answers them with a
-// single mixed batch frame in wire order (the FIFO contract).
+// single mixed batch frame: the forwards went out on one connection, so
+// their ids are consecutive and the batch carries the first.
 TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::size_t kKeys = 3;
@@ -279,10 +291,13 @@ TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   // Answer in wire order — the first-arrived key gets the value, the second
   // a miss, the third a redirect to node 1.
   const std::vector<std::uint64_t> order = fakes[0]->keys();
+  const std::vector<std::uint32_t> ids = fakes[0]->ids();
   ASSERT_EQ(order.size(), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) ASSERT_EQ(ids[i], ids[0] + i);
   const std::string value = make_value(order[0], 64);
   Message batch;
   batch.type = MsgType::kBatchReply;
+  batch.id = ids[0];
   batch.batch.push_back({MsgType::kValue, order[0], 0, value});
   batch.batch.push_back({MsgType::kMiss, order[1], 0, ""});
   batch.batch.push_back({MsgType::kRedirect, order[2], 1, ""});
@@ -296,6 +311,7 @@ TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   const std::string redirected_value = make_value(order[2], 64);
   Message redirected;
   redirected.type = MsgType::kValue;
+  redirected.id = fakes[1]->ids().at(0);
   redirected.key = order[2];
   redirected.payload = redirected_value;
   ASSERT_TRUE(fakes[1]->reply(redirected));

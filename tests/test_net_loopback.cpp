@@ -116,14 +116,15 @@ TEST(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
     }
   }
 
-  Message stats_request;
-  stats_request.type = MsgType::kStats;
-  const auto stats = client.call(stats_request);
-  ASSERT_TRUE(stats.has_value());
-  ASSERT_EQ(stats->type, MsgType::kStatsReply);
-  EXPECT_EQ(stats->stats.requests, owned + redirected + 1);
-  EXPECT_EQ(stats->stats.hits, owned);
-  EXPECT_EQ(stats->stats.redirects, redirected);
+  Message metrics_request;
+  metrics_request.type = MsgType::kMetricsRequest;
+  const auto metrics = client.call(metrics_request);
+  ASSERT_TRUE(metrics.has_value());
+  ASSERT_EQ(metrics->type, MsgType::kMetricsReply);
+  const auto& counters = metrics->metrics.counters;
+  EXPECT_EQ(counters.at("backend.requests"), owned + redirected + 1);
+  EXPECT_EQ(counters.at("backend.hits"), owned);
+  EXPECT_EQ(counters.at("backend.redirects"), redirected);
 
   Message ping;
   ping.type = MsgType::kPing;

@@ -3,18 +3,28 @@
 // blocking SyncClient. Proves the acceptance property over real sockets:
 // with R+W>N (N=3, R=W=2) a write acked by any coordinator is readable
 // through any coordinator with one replica crashed, and read-repair
-// converges a restarted replica.
+// converges a restarted replica. The ReplyMatching cases race a PUT and a
+// GET for one key through the front end and the router: the backend acks
+// the PUT only after its quorum but answers the GET at once, so each hop
+// must match replies by request id, not by order or key.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/partitioner.h"
 #include "net/backend_server.h"
 #include "net/frontend_server.h"
+#include "net/router_server.h"
+#include "net/socket.h"
 #include "net/sync_client.h"
 
 namespace scp::net {
@@ -352,6 +362,122 @@ TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
   }
   EXPECT_GT(checked, 0u) << "leave moved nothing; enlarge the key set";
 
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+/// A bare client connection: send() puts a frame on the wire without
+/// waiting for a reply, so two connections can issue requests back to
+/// back; receive() blocks for the next reply frame.
+class RawClient {
+ public:
+  bool connect(std::uint16_t port) {
+    sock_ = connect_tcp("127.0.0.1", port, 2.0);
+    return sock_.valid();
+  }
+
+  bool send(const Message& message) {
+    const std::vector<std::uint8_t> frame = encode(message);
+    return ::send(sock_.fd(), frame.data(), frame.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(frame.size());
+  }
+
+  std::optional<Message> receive(double timeout_s) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(timeout_s);
+    std::uint8_t buffer[4096];
+    while (true) {
+      if (auto payload = reader_.next_payload()) {
+        return decode_payload(*payload);
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      pollfd pfd{sock_.fd(), POLLIN, 0};
+      if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) {
+        return std::nullopt;
+      }
+      const ssize_t n = ::recv(sock_.fd(), buffer, sizeof(buffer), 0);
+      if (n <= 0) return std::nullopt;
+      reader_.append({buffer, static_cast<std::size_t>(n)});
+    }
+  }
+
+ private:
+  Socket sock_;
+  FrameReader reader_;
+};
+
+constexpr int kRaceRounds = 200;
+
+/// Round k: client A sends PUT(k) and client B sends GET(k) back to back on
+/// their own connections to `port`. Returns the rounds in which A got
+/// kWriteReply and B got kValue, each carrying its request's id. Both
+/// clients use the same id every round: a server must echo ids, never
+/// require them to be unique.
+int raced_rounds_answered_correctly(std::uint16_t port) {
+  RawClient writer;
+  RawClient reader;
+  if (!writer.connect(port) || !reader.connect(port)) return -1;
+  int correct = 0;
+  for (int round = 0; round < kRaceRounds; ++round) {
+    const std::uint64_t key = static_cast<std::uint64_t>(round);
+    Message put = make_put(key, "round " + std::to_string(round));
+    put.id = static_cast<std::uint32_t>(round);
+    Message get = make_req(MsgType::kGet, key);
+    get.id = static_cast<std::uint32_t>(round);
+    if (!writer.send(put) || !reader.send(get)) return correct;
+    const auto ack = writer.receive(3.0);
+    const auto value = reader.receive(3.0);
+    if (!ack.has_value() || !value.has_value()) return correct;
+    if (ack->type == MsgType::kWriteReply && ack->key == key &&
+        ack->id == put.id && value->type == MsgType::kValue &&
+        value->key == key && value->id == get.id) {
+      ++correct;
+    }
+  }
+  return correct;
+}
+
+/// The write-path cluster the races run against: 3 meshed backends with
+/// n = d = 3, W = 2, and a front end without a cache, so every GET and
+/// PUT is forwarded over the same front-end → backend connection.
+FrontendConfig uncached_frontend_config(const Mesh& mesh) {
+  FrontendConfig config;
+  config.nodes = 3;
+  config.replication = 3;
+  config.partition_seed = kPartitionSeed;
+  config.backends = mesh.endpoints;
+  config.cache_policy = "none";
+  return config;
+}
+
+TEST(ReplyMatching, PutAndGetRacedThroughTheFrontendGetTheirOwnReplies) {
+  Mesh mesh = start_mesh(3, 3, /*items=*/kRaceRounds);
+  FrontendServer frontend(uncached_frontend_config(mesh));
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+
+  EXPECT_EQ(raced_rounds_answered_correctly(frontend.port()), kRaceRounds);
+
+  frontend.stop(0.5);
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+TEST(ReplyMatching, PutAndGetRacedThroughTheRouterGetTheirOwnReplies) {
+  Mesh mesh = start_mesh(3, 3, /*items=*/kRaceRounds);
+  FrontendServer frontend(uncached_frontend_config(mesh));
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  RouterConfig router_config;
+  router_config.frontends = {{"127.0.0.1", frontend.port()}};
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  EXPECT_EQ(raced_rounds_answered_correctly(router.port()), kRaceRounds);
+
+  router.stop(0.5);
+  frontend.stop(0.5);
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 

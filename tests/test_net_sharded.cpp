@@ -73,8 +73,8 @@ void stop_fleet(Fleet& fleet) {
 TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
   // Many concurrent SyncClients (one per thread, as the class requires)
   // spread across the shards by the kernel's SO_REUSEPORT placement,
-  // interleaving GET and STATS. Every GET must resolve to the canonical
-  // value and the aggregated ServerStats must stay exact:
+  // interleaving GETs and metrics scrapes. Every GET must resolve to the
+  // canonical value and the aggregated ServerStats must stay exact:
   // requests == hits + forwarded + coalesced + failures (concurrent misses
   // for one key on one shard single-flight onto the same forward).
   constexpr std::uint32_t kNodes = 3;
@@ -112,11 +112,15 @@ TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
           return;
         }
         gets.fetch_add(1);
-        if (i % 16 == 0) {  // interleave STATS on the same connection
+        if (i % 16 == 0) {  // interleave a scrape on the same connection
           Message request;
-          request.type = MsgType::kStats;
-          const auto stats = client.call(request, 5.0);
-          if (!stats.has_value() || stats->type != MsgType::kStatsReply) {
+          request.type = MsgType::kMetricsRequest;
+          const auto metrics = client.call(request, 5.0);
+          // The aggregate counter has seen at least this thread's GETs.
+          if (!metrics.has_value() ||
+              metrics->type != MsgType::kMetricsReply ||
+              metrics->metrics.counters.count("frontend.requests") == 0 ||
+              metrics->metrics.counters.at("frontend.requests") < i + 1) {
             wrong.fetch_add(1);
             return;
           }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "net/inflight.h"
 
 namespace scp::net {
 namespace {
@@ -20,11 +21,13 @@ std::vector<Message> every_message_type() {
 
   Message get;
   get.type = MsgType::kGet;
+  get.id = 0xffffffffu;
   get.key = 0xdeadbeefcafe1234ULL;
   messages.push_back(get);
 
   Message value;
   value.type = MsgType::kValue;
+  value.id = 0x01020304u;
   value.key = 7;
   value.payload = "the value bytes, including \0 inside"s;
   messages.push_back(value);
@@ -39,15 +42,6 @@ std::vector<Message> every_message_type() {
   redirect.key = 99;
   redirect.node = 1234;
   messages.push_back(redirect);
-
-  Message stats;
-  stats.type = MsgType::kStats;
-  messages.push_back(stats);
-
-  Message stats_reply;
-  stats_reply.type = MsgType::kStatsReply;
-  stats_reply.stats = ServerStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
-  messages.push_back(stats_reply);
 
   Message metrics_request;
   metrics_request.type = MsgType::kMetricsRequest;
@@ -97,6 +91,7 @@ std::vector<Message> every_message_type() {
 
   Message write_reply;
   write_reply.type = MsgType::kWriteReply;
+  write_reply.id = 12;
   write_reply.key = 271828;
   write_reply.version = (42ULL << 10) | 7;  // counter 42 minted by node 7
   messages.push_back(write_reply);
@@ -183,6 +178,7 @@ std::vector<Message> every_message_type() {
 
   Message batch_get;
   batch_get.type = MsgType::kBatchGet;
+  batch_get.id = 0xfffffffeu;  // its keys own ids ...fe, ...ff, 0, 1, 2
   batch_get.batch_keys = {0xdeadbeefcafe1234ULL, 7, 7, 0, ~0ULL};
   messages.push_back(batch_get);
 
@@ -192,6 +188,7 @@ std::vector<Message> every_message_type() {
 
   Message batch_reply;
   batch_reply.type = MsgType::kBatchReply;
+  batch_reply.id = 0xfffffffeu;
   batch_reply.batch.push_back(
       {MsgType::kValue, 7, 0, "batched value bytes\0with a null"s});
   batch_reply.batch.push_back({MsgType::kMiss, 42, 0, ""});
@@ -269,10 +266,26 @@ TEST(Wire, RejectsEmptyPayload) {
 }
 
 TEST(Wire, RejectsUnknownType) {
-  const std::uint8_t payload[] = {0x7f};
+  const std::uint8_t payload[] = {0x7f, 0, 0, 0, 0};
   EXPECT_FALSE(decode_payload(payload).has_value());
-  const std::uint8_t zero[] = {0x00};
+  const std::uint8_t zero[] = {0x00, 0, 0, 0, 0};
   EXPECT_FALSE(decode_payload(zero).has_value());
+  // 5 and 6 are unassigned.
+  const std::uint8_t five[] = {0x05, 0, 0, 0, 0};
+  EXPECT_FALSE(decode_payload(five).has_value());
+  const std::uint8_t six[] = {0x06, 0, 0, 0, 0};
+  EXPECT_FALSE(decode_payload(six).has_value());
+}
+
+TEST(Wire, RequestIdFollowsTheTypeByte) {
+  Message message;
+  message.type = MsgType::kPing;
+  message.id = 0xa1b2c3d4u;
+  const std::vector<std::uint8_t> frame = encode(message);
+  const std::vector<std::uint8_t> expected = {
+      0, 0, 0, 5, static_cast<std::uint8_t>(MsgType::kPing),
+      0xa1, 0xb2, 0xc3, 0xd4};
+  EXPECT_EQ(frame, expected);
 }
 
 TEST(Wire, RejectsTruncatedFields) {
@@ -303,6 +316,7 @@ TEST(Wire, RejectsEmbeddedLengthOverrun) {
   // kValue whose inner byte-length claims more than the payload holds.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kValue));
+  payload.insert(payload.end(), 4, 0);  // request id
   for (int i = 0; i < 8; ++i) payload.push_back(0);  // key
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x10});  // len 16...
   payload.push_back('a');                                   // ...1 byte
@@ -358,8 +372,9 @@ TEST(FrameReaderTest, MaxSizedFrameIsAccepted) {
   Message message;
   message.type = MsgType::kValue;
   message.key = 1;
-  // Inner layout: type(1) + key(8) + len(4) + bytes — fill to the cap.
-  message.payload.assign(kMaxFrameBytes - 13, 'x');
+  // Inner layout: type(1) + id(4) + key(8) + len(4) + bytes — fill to the
+  // cap.
+  message.payload.assign(kMaxFrameBytes - 17, 'x');
   const std::vector<std::uint8_t> frame = encode(message);
   FrameReader reader;
   reader.append(frame);
@@ -495,6 +510,7 @@ std::vector<std::uint8_t> metrics_payload_with_timer(
     u32(static_cast<std::uint32_t>(v));
   };
   payload.push_back(static_cast<std::uint8_t>(MsgType::kMetricsReply));
+  u32(0);  // request id
   u32(0);  // counters
   u32(0);  // gauges
   u32(1);  // timers
@@ -560,6 +576,7 @@ TEST(Wire, RejectsPutWithEmbeddedLengthOverrun) {
   // kPut whose inner byte-length claims more than the payload holds.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kPut));
+  payload.insert(payload.end(), 4, 0);  // request id
   for (int i = 0; i < 8; ++i) payload.push_back(0);         // key
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x20});  // len 32...
   payload.push_back('a');                                   // ...1 byte
@@ -569,6 +586,7 @@ TEST(Wire, RejectsPutWithEmbeddedLengthOverrun) {
 TEST(Wire, RejectsJoinWithEmbeddedLengthOverrun) {
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kJoin));
+  payload.insert(payload.end(), 4, 0);  // request id
   for (int i = 0; i < 4; ++i) payload.push_back(0);         // node
   payload.insert(payload.end(), {0x00, 0x00, 0x01, 0x00});  // len 256...
   payload.push_back('1');                                   // ...1 byte
@@ -580,6 +598,7 @@ TEST(Wire, RejectsHotKeyReportBeyondEntryCap) {
   // entry bytes are read — a hostile peer cannot make the decoder loop.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kHotKeyReport));
+  payload.insert(payload.end(), 4, 0);  // request id
   for (int i = 0; i < 4; ++i) payload.push_back(0);   // node
   for (int i = 0; i < 16; ++i) payload.push_back(0);  // seq + total
   const std::uint32_t n = detect::kMaxHotKeyEntries + 1;
@@ -613,6 +632,7 @@ TEST(Wire, RejectsBatchFramesBeyondEntryCap) {
   for (const MsgType type : {MsgType::kBatchGet, MsgType::kBatchReply}) {
     std::vector<std::uint8_t> payload;
     payload.push_back(static_cast<std::uint8_t>(type));
+    payload.insert(payload.end(), 4, 0);  // request id
     payload.push_back(static_cast<std::uint8_t>(n >> 24));
     payload.push_back(static_cast<std::uint8_t>(n >> 16));
     payload.push_back(static_cast<std::uint8_t>(n >> 8));
@@ -638,6 +658,7 @@ TEST(Wire, RejectsBatchGetCountOverrun) {
   // Declared count claims more keys than the payload holds.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kBatchGet));
+  payload.insert(payload.end(), 4, 0);  // request id
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x03});  // 3 keys...
   for (int i = 0; i < 8; ++i) payload.push_back(0);         // ...1 present
   EXPECT_FALSE(decode_payload(payload).has_value());
@@ -648,6 +669,7 @@ TEST(Wire, RejectsBatchReplyWithNonReplyItemSubtype) {
   // kError); a request subtype smuggled inside a reply batch is rejected.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kBatchReply));
+  payload.insert(payload.end(), 4, 0);  // request id
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x01});  // 1 item
   payload.push_back(static_cast<std::uint8_t>(MsgType::kGet));
   for (int i = 0; i < 8; ++i) payload.push_back(0);  // key
@@ -658,12 +680,65 @@ TEST(Wire, RejectsBatchReplyItemWithEmbeddedLengthOverrun) {
   // kValue item whose inner byte-length claims more than the payload holds.
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(MsgType::kBatchReply));
+  payload.insert(payload.end(), 4, 0);  // request id
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x01});  // 1 item
   payload.push_back(static_cast<std::uint8_t>(MsgType::kValue));
   for (int i = 0; i < 8; ++i) payload.push_back(0);         // key
   payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x10});  // len 16...
   payload.push_back('a');                                   // ...1 byte
   EXPECT_FALSE(decode_payload(payload).has_value());
+}
+
+TEST(InflightTable, MatchesRepliesInAnyOrder) {
+  InflightTable<int> table;
+  const std::uint32_t a = table.add(10);
+  const std::uint32_t b = table.add(20);
+  const std::uint32_t c = table.add(30);
+  EXPECT_EQ(b, a + 1);
+  EXPECT_EQ(c, a + 2);
+  EXPECT_EQ(table.take(b), 20);
+  EXPECT_FALSE(table.take(b).has_value()) << "a request is answered once";
+  ASSERT_NE(table.oldest(), nullptr);
+  EXPECT_EQ(*table.oldest(), 10);
+  EXPECT_EQ(table.take(a), 10);
+  ASSERT_NE(table.oldest(), nullptr);
+  EXPECT_EQ(*table.oldest(), 30);
+  EXPECT_EQ(table.find(c + 1), nullptr) << "never minted";
+  EXPECT_EQ(table.take(c), 30);
+  EXPECT_EQ(table.oldest(), nullptr);
+}
+
+TEST(InflightTable, IdsWrapPastUint32Max) {
+  InflightTable<std::uint64_t> table(UINT32_MAX - 3);
+  // Answer the first two so the window starts mid-ring, then outgrow the
+  // ring three times across the wrap.
+  ASSERT_TRUE(table.take(table.add(0)).has_value());
+  ASSERT_TRUE(table.take(table.add(0)).has_value());
+  std::vector<std::uint32_t> ids;
+  for (std::uint64_t v = 0; v < 40; ++v) ids.push_back(table.add(v));
+  EXPECT_EQ(ids[0], UINT32_MAX - 1);
+  EXPECT_EQ(ids[1], UINT32_MAX);
+  EXPECT_EQ(ids[2], 0u);
+  // Answered newest first, every id still finds its own entry.
+  for (std::size_t i = ids.size(); i-- > 0;) {
+    ASSERT_EQ(table.take(ids[i]), i) << "id " << ids[i];
+  }
+  EXPECT_EQ(table.oldest(), nullptr);
+  EXPECT_EQ(table.next_id(), ids.back() + 1);
+  EXPECT_EQ(table.find(UINT32_MAX), nullptr);
+}
+
+TEST(InflightTable, DrainHandsBackOldestFirstAndIdsKeepCounting) {
+  InflightTable<int> table;
+  for (int v = 0; v < 5; ++v) table.add(v);
+  table.take(1);
+  table.take(3);
+  EXPECT_EQ(table.drain(), (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(table.oldest(), nullptr);
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.add(7), 5u);
+  ASSERT_NE(table.find(5), nullptr);
+  EXPECT_EQ(*table.find(5), 7);
 }
 
 TEST(Wire, MakeValueIsDeterministicAndSized) {
