@@ -80,8 +80,6 @@ struct LiveFlags {
   std::uint64_t seed = 20130708;
   std::uint64_t fe_shards = 1;   // front-end reactor shards
   std::uint64_t fe_fleet = 1;    // front-end fleet width (1 = no router)
-  std::uint64_t batch_max = 64;  // max keys per kBatchGet forward frame
-  bool no_coalesce = false;      // disable single-flight miss coalescing
   std::string shard_sweep;       // "1,2,4": one full run per shard count
   double write_frac = 0.0;       // fraction of ops issued as quorum PUTs
   std::string attack;            // "" | invalidate | adaptive
@@ -92,7 +90,6 @@ struct LiveFlags {
   std::uint64_t detect_min_samples = 256;
   std::uint64_t write_quorum = 0;  // W (0 = majority of d)
   std::uint64_t read_quorum = 0;   // R (0 = majority of d)
-  bool metrics = true;  // server-side histograms (off = overhead baseline)
   std::string csv;
   std::string json;
 };
@@ -284,7 +281,7 @@ obs::MetricsSnapshot scrape_metrics(std::uint16_t port) {
 }
 
 /// p99 of a named server-side timer, or 0 when the timer is absent or empty
-/// (metrics disabled).
+/// (a failed scrape, or no samples).
 std::uint64_t timer_p99(const obs::MetricsSnapshot& snap,
                         const std::string& name) {
   const auto it = snap.timers.find(name);
@@ -419,7 +416,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     config.partition_seed = partition_seed;
     config.items = flags.m;
     config.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
-    config.metrics = flags.metrics;
     config.write_quorum = static_cast<std::uint32_t>(flags.write_quorum);
     config.read_quorum = static_cast<std::uint32_t>(flags.read_quorum);
     config.detect = flags.detect;
@@ -474,14 +470,10 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     fe_config.seed = member == 0
                          ? derive_seed(flags.seed, 3)
                          : derive_seed(derive_seed(flags.seed, 3), 200 + member);
-    fe_config.metrics = flags.metrics;
     fe_config.shards = static_cast<std::uint32_t>(fe_shards);
     fe_config.fleet_size = static_cast<std::uint32_t>(fleet);
     fe_config.fleet_index = member;
     fe_config.fleet_seed = fleet_seed;
-    fe_config.batch_max =
-        static_cast<std::uint32_t>(flags.batch_max == 0 ? 1 : flags.batch_max);
-    fe_config.coalesce = !flags.no_coalesce;
     fe_config.detect = flags.detect;
     fe_config.detect_hot_fraction = flags.detect_threshold;
     fe_config.detect_min_samples = flags.detect_min_samples;
@@ -510,9 +502,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     router_config.frontends = fe_endpoints;
     router_config.fleet_seed = fleet_seed;
     router_config.seed = derive_seed(flags.seed, 6);
-    router_config.batch_max =
-        static_cast<std::uint32_t>(flags.batch_max == 0 ? 1 : flags.batch_max);
-    router_config.metrics = flags.metrics;
     router = std::make_unique<net::RouterServer>(router_config);
     if (!router->start()) {
       std::fprintf(stderr, "live_serving: router failed to start\n");
@@ -862,33 +851,31 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   const std::uint64_t fe_p99 = timer_p99(fe_metrics, "frontend.request_us");
   const std::uint64_t rtt_p99 = timer_p99(fe_metrics, "frontend.forward_rtt_us");
   const std::uint64_t svc_p99 = timer_p99(be_metrics, "backend.service_us");
-  if (flags.metrics) {
-    TextTable decomp({"stage", "p99_us", "count"});
-    const auto timer_count = [](const obs::MetricsSnapshot& snap,
-                                const std::string& name) {
-      const auto it = snap.timers.find(name);
-      return static_cast<std::int64_t>(
-          it != snap.timers.end() ? it->second.count() : 0);
-    };
-    decomp.add_row({std::string("client e2e (queue+svc)"),
-                    static_cast<std::int64_t>(client_p99),
-                    static_cast<std::int64_t>(completed)});
-    decomp.add_row({std::string("client service"),
-                    static_cast<std::int64_t>(cli_svc_p99),
-                    static_cast<std::int64_t>(completed)});
-    decomp.add_row({std::string("frontend request"),
-                    static_cast<std::int64_t>(fe_p99),
-                    timer_count(fe_metrics, "frontend.request_us")});
-    decomp.add_row({std::string("forward rtt"),
-                    static_cast<std::int64_t>(rtt_p99),
-                    timer_count(fe_metrics, "frontend.forward_rtt_us")});
-    decomp.add_row({std::string("backend service"),
-                    static_cast<std::int64_t>(svc_p99),
-                    timer_count(be_metrics, "backend.service_us")});
-    std::printf("latency decomposition (server side scraped live; includes "
-                "warmup):\n%s\n",
-                decomp.render().c_str());
-  }
+  TextTable decomp({"stage", "p99_us", "count"});
+  const auto timer_count = [](const obs::MetricsSnapshot& snap,
+                              const std::string& name) {
+    const auto it = snap.timers.find(name);
+    return static_cast<std::int64_t>(
+        it != snap.timers.end() ? it->second.count() : 0);
+  };
+  decomp.add_row({std::string("client e2e (queue+svc)"),
+                  static_cast<std::int64_t>(client_p99),
+                  static_cast<std::int64_t>(completed)});
+  decomp.add_row({std::string("client service"),
+                  static_cast<std::int64_t>(cli_svc_p99),
+                  static_cast<std::int64_t>(completed)});
+  decomp.add_row({std::string("frontend request"),
+                  static_cast<std::int64_t>(fe_p99),
+                  timer_count(fe_metrics, "frontend.request_us")});
+  decomp.add_row({std::string("forward rtt"),
+                  static_cast<std::int64_t>(rtt_p99),
+                  timer_count(fe_metrics, "frontend.forward_rtt_us")});
+  decomp.add_row({std::string("backend service"),
+                  static_cast<std::int64_t>(svc_p99),
+                  timer_count(be_metrics, "backend.service_us")});
+  std::printf("latency decomposition (server side scraped live; includes "
+              "warmup):\n%s\n",
+              decomp.render().c_str());
 
   table.add_row({flags.preset,
                  static_cast<std::int64_t>(flags.preset == "adversarial" ? x
@@ -984,12 +971,6 @@ int main(int argc, char** argv) {
                       "front-end fleet width N: N FrontendServers (aggregate "
                       "cache c hash-partitioned across them) behind an edge "
                       "router; 1 = classic direct single front end");
-  flag_set.add_uint64("batch-max", &flags.batch_max,
-                      "max keys per kBatchGet forward frame (FE->BE and "
-                      "router->FE); 1 disables batching");
-  flag_set.add_bool("no-coalesce", &flags.no_coalesce,
-                    "disable single-flight miss coalescing (every miss emits "
-                    "its own forward)");
   flag_set.add_string("shard-sweep", &flags.shard_sweep,
                       "comma-separated shard counts (e.g. 1,2,4): run the "
                       "full measurement once per count, one row each");
@@ -1019,9 +1000,6 @@ int main(int argc, char** argv) {
                       "W replica acks per write (0 = majority of d)");
   flag_set.add_uint64("read-quorum", &flags.read_quorum,
                       "R replica responses per quorum read (0 = majority)");
-  flag_set.add_bool("metrics", &flags.metrics,
-                    "server-side histograms (--metrics=false for the "
-                    "instrumentation-overhead baseline)");
   flag_set.add_string("csv", &flags.csv, "also write the table to this CSV");
   flag_set.add_string("json", &flags.json,
                       "also write the standard bench record to this JSON");

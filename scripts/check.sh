@@ -148,38 +148,13 @@ print(urllib.request.urlopen(
       exit 1
     fi
   done
-  echo "check.sh: live serving smoke OK"
-
-  # Batching equivalence smoke: the same cluster with --batch-max 1
-  # --no-coalesce (the classic one-kGet-per-forward wire traffic) must also
-  # complete cleanly, and its FE->BE frame economics must be no better than
-  # the batched default's.
-  unbatched_json="$BUILD_DIR/smoke_live_unbatched.json"
-  rm -f "$unbatched_json"
-  "$BUILD_DIR/bench/live_serving" \
-    --n 3 --d 2 --m 1024 --c 4 --rate 1000 --duration 1 --warmup 0.2 \
-    --threads 2 --batch-max 1 --no-coalesce --json "$unbatched_json" \
-    >/dev/null
-  validate_json "$unbatched_json" live_serving
-  python3 - "$live_json" "$unbatched_json" <<'EOF'
+  python3 - "$live_json" <<'EOF'
 import json, sys
 
-batched = json.load(open(sys.argv[1]))["series"][0]
-unbatched = json.load(open(sys.argv[2]))["series"][0]
-assert int(batched["failures"]) == 0, batched["failures"]
-assert int(unbatched["failures"]) == 0, unbatched["failures"]
-# --batch-max 1 emits no kBatchGet frames at all...
-assert float(unbatched["batch_fill"]) == 0.0, unbatched["batch_fill"]
-assert int(unbatched["coalesced"]) == 0, unbatched["coalesced"]
-# ...and batching+coalescing can only reduce FE->BE frames per request.
-assert float(batched["frames_per_req"]) <= \
-    float(unbatched["frames_per_req"]) + 1e-9, \
-    (batched["frames_per_req"], unbatched["frames_per_req"])
-print(f"batching equivalence: frames/req batched="
-      f"{batched['frames_per_req']} unbatched="
-      f"{unbatched['frames_per_req']}")
+row = json.load(open(sys.argv[1]))["series"][0]
+assert int(row["failures"]) == 0, row["failures"]
 EOF
-  echo "check.sh: batching equivalence smoke OK"
+  echo "check.sh: live serving smoke OK"
 
   # Net micro-bench: the FrameLoop echo round-trip plus the batched
   # wire-frame cost (BM_WireBatch, ns/key at batch 1/8/64), wrapped in the

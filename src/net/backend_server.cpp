@@ -16,8 +16,6 @@ namespace scp::net {
 namespace {
 
 constexpr double kSweepIntervalS = 0.050;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
 /// Repair/handoff frames deferred while a peer connection establishes; a
 /// peer that stays down longer than this buffer's worth is healed later by
 /// read-repair instead.
@@ -144,20 +142,28 @@ bool BackendServer::start() {
     };
     s->loop->set_callbacks(std::move(callbacks));
 
-    if (config_.metrics) {
-      auto registry = std::make_unique<obs::MetricsRegistry>();
-      service_us_.push_back(&registry->timer("backend.service_us"));
-      write_us_.push_back(&registry->timer("backend.write_quorum_us"));
-      quorum_read_us_.push_back(&registry->timer("backend.read_quorum_us"));
-      if (k == 0) {
-        // Shared storage — recorded once so the merged gauge is the key
-        // count, not shards × keys.
-        registry->gauge("backend.keys")
-            .set(static_cast<std::int64_t>(storage_.live_count()));
-      }
-      s->loop->set_metrics(registry.get());
-      registries_.push_back(std::move(registry));
+    obs::MetricsRegistry& r = s->registry;
+    s->requests = &r.counter("backend.requests");
+    s->hits = &r.counter("backend.hits");
+    s->misses = &r.counter("backend.misses");
+    s->redirects = &r.counter("backend.redirects");
+    s->puts = &r.counter("backend.puts");
+    s->deletes = &r.counter("backend.deletes");
+    s->replications = &r.counter("backend.replications");
+    s->quorum_gets = &r.counter("backend.quorum_gets");
+    s->quorum_failures = &r.counter("backend.quorum_failures");
+    s->read_repairs = &r.counter("backend.read_repairs");
+    s->rebalanced_keys = &r.counter("backend.rebalanced_keys");
+    if (config_.detect) {
+      s->hot_observed = &r.counter("detect.observed");
+      s->hot_reports_sent = &r.counter("detect.reports_sent");
+      s->hot_reports_received = &r.counter("detect.reports_received");
+      s->hot_flagged = &r.counter("detect.flagged_keys");
     }
+    s->service_us = &r.timer("backend.service_us");
+    s->write_us = &r.timer("backend.write_quorum_us");
+    s->quorum_read_us = &r.timer("backend.read_quorum_us");
+    s->loop->set_metrics(&r);
     s->loop->run_after(kSweepIntervalS, [this, s] { sweep_ops(*s); });
     if (config_.detect && k == 0) {
       s->loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
@@ -271,62 +277,39 @@ bool BackendServer::wait_peers_up(double timeout_s) const {
 
 ServerStats BackendServer::stats() const {
   ServerStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.redirects = redirects_.load(std::memory_order_relaxed);
-  stats.puts = puts_.load(std::memory_order_relaxed);
-  stats.deletes = deletes_.load(std::memory_order_relaxed);
-  stats.replications = replications_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    stats.requests += shard->requests->value();
+    stats.hits += shard->hits->value();
+    stats.misses += shard->misses->value();
+    stats.redirects += shard->redirects->value();
+    stats.puts += shard->puts->value();
+    stats.deletes += shard->deletes->value();
+    stats.replications += shard->replications->value();
+  }
   return stats;
 }
 
 obs::MetricsSnapshot BackendServer::metrics_snapshot() const {
-  std::vector<obs::MetricsSnapshot> shards;
-  shards.reserve(registries_.size());
-  for (std::size_t k = 0; k < registries_.size(); ++k) {
-    obs::MetricsSnapshot snap = registries_[k]->snapshot();
-    const ReactorCounters& loop = pool_.shard(k).counters();
-    snap.counters["loop.syscalls"] =
-        loop.syscalls.load(std::memory_order_relaxed);
-    snap.counters["loop.wakeups"] =
-        loop.wakeups.load(std::memory_order_relaxed);
-    snap.counters["loop.frames_in"] =
-        loop.frames_in.load(std::memory_order_relaxed);
-    snap.counters["loop.frames_out"] =
-        loop.frames_out.load(std::memory_order_relaxed);
-    shards.push_back(std::move(snap));
+  std::vector<obs::MetricsSnapshot> per_shard;
+  per_shard.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    obs::MetricsSnapshot snap = shard->registry.snapshot();
+    shard->loop->counters().export_to(snap);
+    per_shard.push_back(std::move(snap));
   }
-  obs::MetricsSnapshot snap = merge_shard_snapshots("backend", shards);
-  const ServerStats s = stats();
-  snap.counters["backend.requests"] = s.requests;
-  snap.counters["backend.hits"] = s.hits;
-  snap.counters["backend.misses"] = s.misses;
-  snap.counters["backend.redirects"] = s.redirects;
-  snap.counters["backend.puts"] = s.puts;
-  snap.counters["backend.deletes"] = s.deletes;
-  snap.counters["backend.replications"] = s.replications;
-  snap.counters["backend.quorum_gets"] =
-      quorum_gets_.load(std::memory_order_relaxed);
-  snap.counters["backend.quorum_failures"] =
-      quorum_failures_.load(std::memory_order_relaxed);
-  snap.counters["backend.read_repairs"] =
-      read_repairs_.load(std::memory_order_relaxed);
-  snap.counters["backend.rebalanced_keys"] =
-      rebalanced_keys_.load(std::memory_order_relaxed);
+  if (!per_shard.empty()) {
+    // Shared storage: only shard 0 reports it, so the merged gauge is the
+    // key count, not shards × keys.
+    std::shared_lock lock(storage_mutex_);
+    per_shard[0].gauges["backend.keys"] =
+        static_cast<std::int64_t>(storage_.live_count());
+  }
+  obs::MetricsSnapshot snap = merge_shard_snapshots("backend", per_shard);
   snap.gauges["backend.peers_alive"] =
       static_cast<std::int64_t>(membership_.alive_count());
   snap.gauges["backend.membership_epoch"] =
       static_cast<std::int64_t>(membership_.epoch());
   if (config_.detect) {
-    snap.counters["detect.observed"] =
-        hot_observed_.load(std::memory_order_relaxed);
-    snap.counters["detect.reports_sent"] =
-        hot_reports_sent_.load(std::memory_order_relaxed);
-    snap.counters["detect.reports_received"] =
-        hot_reports_received_.load(std::memory_order_relaxed);
-    snap.counters["detect.flagged_keys"] =
-        hot_flagged_.load(std::memory_order_relaxed);
     {
       std::lock_guard lock(hot_agg_mutex_);
       snap.gauges["detect.hot_keys"] =
@@ -386,7 +369,7 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
     case MsgType::kHotKeyReport:
       // Gossip from a peer, on the connection the peer dialed to us.
       // One-way: no reply.
-      handle_hot_report(message);
+      handle_hot_report(shard, message);
       return;
     case MsgType::kHotKeySubscribe:
       // One-way (see wire.h): no reply.
@@ -422,29 +405,27 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
 
 void BackendServer::handle_get(Shard& shard, ConnId conn,
                                const Message& message) {
-  obs::Timer* service_us =
-      shard.index < service_us_.size() ? service_us_[shard.index] : nullptr;
-  const std::uint64_t start_ns = service_us != nullptr ? obs::now_ns() : 0;
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t start_ns = obs::now_ns();
+  shard.requests->inc();
   {
     std::shared_lock lock(partitioner_mutex_);
     shard.group.resize(partitioner_->replication());
     partitioner_->replica_group(message.key, shard.group);
   }
   if (!in_group(shard.group)) {
-    redirects_.fetch_add(1, std::memory_order_relaxed);
+    shard.redirects->inc();
     Message reply;
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
     send_reply(*shard.loop, {conn, message.id}, reply);
-    obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
+    obs::record_elapsed(shard.service_us, start_ns, /*divisor=*/1'000);
     return;
   }
   if (hot_detector_ != nullptr) {
     // Every served GET feeds the heavy-hitter sketch — this stream *is* the
     // front-end miss stream, which is where a miss-flood attack lives.
-    hot_observed_.fetch_add(1, std::memory_order_relaxed);
+    shard.hot_observed->inc();
     std::lock_guard lock(hot_mutex_);
     hot_detector_->observe(message.key);
   }
@@ -456,23 +437,21 @@ void BackendServer::handle_get(Shard& shard, ConnId conn,
     value = storage_.get(message.key);
   }
   if (value.has_value()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    shard.hits->inc();
     reply.type = MsgType::kValue;
     reply.payload = std::move(*value);
   } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    shard.misses->inc();
     reply.type = MsgType::kMiss;
   }
   send_reply(*shard.loop, {conn, message.id}, reply);
-  obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
+  obs::record_elapsed(shard.service_us, start_ns, /*divisor=*/1'000);
 }
 
 void BackendServer::handle_batch_get(Shard& shard, ConnId conn,
                                      const Message& message) {
-  obs::Timer* service_us =
-      shard.index < service_us_.size() ? service_us_[shard.index] : nullptr;
-  const std::uint64_t start_ns = service_us != nullptr ? obs::now_ns() : 0;
-  requests_.fetch_add(message.batch_keys.size(), std::memory_order_relaxed);
+  const std::uint64_t start_ns = obs::now_ns();
+  shard.requests->inc(message.batch_keys.size());
 
   Message reply;
   reply.type = MsgType::kBatchReply;
@@ -498,12 +477,12 @@ void BackendServer::handle_batch_get(Shard& shard, ConnId conn,
   for (const BatchItem& item : reply.batch) {
     if (item.type != MsgType::kRedirect) ++served;
   }
-  redirects_.fetch_add(reply.batch.size() - served, std::memory_order_relaxed);
+  shard.redirects->inc(reply.batch.size() - served);
 
   if (hot_detector_ != nullptr && served > 0) {
     // The served stream feeds the heavy-hitter sketch exactly as on the
     // single-GET path, under one lock acquisition for the batch.
-    hot_observed_.fetch_add(served, std::memory_order_relaxed);
+    shard.hot_observed->inc(served);
     std::lock_guard lock(hot_mutex_);
     for (const BatchItem& item : reply.batch) {
       if (item.type != MsgType::kRedirect) hot_detector_->observe(item.key);
@@ -526,20 +505,18 @@ void BackendServer::handle_batch_get(Shard& shard, ConnId conn,
       }
     }
   }
-  hits_.fetch_add(hit, std::memory_order_relaxed);
-  misses_.fetch_add(missed, std::memory_order_relaxed);
+  shard.hits->inc(hit);
+  shard.misses->inc(missed);
 
   send_reply(*shard.loop, {conn, message.id}, reply);
-  obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
+  obs::record_elapsed(shard.service_us, start_ns, /*divisor=*/1'000);
 }
 
 void BackendServer::handle_write(Shard& shard, ConnId conn,
                                  const Message& message) {
   const bool is_delete = message.type == MsgType::kDelete;
-  (is_delete ? deletes_ : puts_).fetch_add(1, std::memory_order_relaxed);
-  obs::Timer* write_us =
-      shard.index < write_us_.size() ? write_us_[shard.index] : nullptr;
-  const std::uint64_t start_ns = write_us != nullptr ? obs::now_ns() : 0;
+  (is_delete ? shard.deletes : shard.puts)->inc();
+  const std::uint64_t start_ns = obs::now_ns();
 
   {
     std::shared_lock lock(partitioner_mutex_);
@@ -551,7 +528,7 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
   if (!self_in && !meshed) {
     // Without a replica mesh this node cannot reach the owners; bounce the
     // caller exactly like a misrouted GET.
-    redirects_.fetch_add(1, std::memory_order_relaxed);
+    shard.redirects->inc();
     Message reply;
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
@@ -620,11 +597,8 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
 
 void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
                                       const Message& message) {
-  quorum_gets_.fetch_add(1, std::memory_order_relaxed);
-  obs::Timer* read_us = shard.index < quorum_read_us_.size()
-                            ? quorum_read_us_[shard.index]
-                            : nullptr;
-  const std::uint64_t start_ns = read_us != nullptr ? obs::now_ns() : 0;
+  shard.quorum_gets->inc();
+  const std::uint64_t start_ns = obs::now_ns();
 
   {
     std::shared_lock lock(partitioner_mutex_);
@@ -638,7 +612,7 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
-    redirects_.fetch_add(1, std::memory_order_relaxed);
+    shard.redirects->inc();
     send_reply(*shard.loop, {conn, message.id}, reply);
     return;
   }
@@ -697,7 +671,7 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
 
 void BackendServer::handle_replicate(Shard& shard, ConnId conn,
                                      const Message& message) {
-  replications_.fetch_add(1, std::memory_order_relaxed);
+  shard.replications->inc();
   clock_.observe(message.version);
   bool applied = false;
   {
@@ -896,9 +870,7 @@ void BackendServer::resolve_write(Shard& shard, std::uint64_t /*op_id*/,
   reply.key = op.key;
   reply.version = op.version;
   send_reply(*shard.loop, op.client, reply);
-  obs::Timer* write_us =
-      shard.index < write_us_.size() ? write_us_[shard.index] : nullptr;
-  obs::record_elapsed(write_us, op.start_ns, /*divisor=*/1'000);
+  obs::record_elapsed(shard.write_us, op.start_ns, /*divisor=*/1'000);
 }
 
 void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
@@ -913,10 +885,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
     reply.type = MsgType::kMiss;
   }
   send_reply(*shard.loop, op.client, reply);
-  obs::Timer* read_us = shard.index < quorum_read_us_.size()
-                            ? quorum_read_us_[shard.index]
-                            : nullptr;
-  obs::record_elapsed(read_us, op.start_ns, /*divisor=*/1'000);
+  obs::record_elapsed(shard.quorum_read_us, op.start_ns, /*divisor=*/1'000);
 
   if (winner == nullptr) return;
   // Read-repair: push the winner to every responder that answered with an
@@ -928,7 +897,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
   repair.flags = winner->tombstone ? kFlagTombstone : 0;
   repair.payload = winner->value;
   for (const NodeId node : op.read->stale_nodes()) {
-    read_repairs_.fetch_add(1, std::memory_order_relaxed);
+    shard.read_repairs->inc();
     if (node == config_.node_id) {
       std::unique_lock lock(storage_mutex_);
       if (winner->tombstone) {
@@ -944,7 +913,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
 }
 
 void BackendServer::fail_op(Shard& shard, Op& op, const char* reason) {
-  quorum_failures_.fetch_add(1, std::memory_order_relaxed);
+  shard.quorum_failures->inc();
   Message reply;
   reply.type = MsgType::kError;
   reply.key = op.key;
@@ -1017,11 +986,7 @@ void BackendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
 void BackendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
   if (stopping_.load()) return;
   PeerState& peer = shard.peers[node];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(
-                                     1u << std::min(peer.connect_attempts, 10u)),
-               kReconnectCapS);
-  peer.connect_attempts++;
+  const double delay = reconnect_delay_s(peer.connect_attempts++);
   Shard* s = &shard;
   shard.loop->run_after(delay, [this, s, node] {
     if (stopping_.load()) return;
@@ -1070,7 +1035,7 @@ void BackendServer::hot_tick() {
     hot_detector_->age();
   }
   if (report.total > 0) {
-    absorb_hot_report(report);
+    absorb_hot_report(shard, report);
     Message message;
     message.type = MsgType::kHotKeyReport;
     message.hot = std::move(report);
@@ -1080,18 +1045,14 @@ void BackendServer::hot_tick() {
       const PeerState& peer = shard.peers[node];
       if (!peer.up || peer.left) continue;
       if (!membership_.alive(node)) continue;
-      if (shard.loop->send(peer.conn, message)) {
-        hot_reports_sent_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (shard.loop->send(peer.conn, message)) shard.hot_reports_sent->inc();
     }
     // Push to subscribed front ends; subscriptions live per shard.
     for (auto& other : shards_) {
       Shard* s = other.get();
-      auto push = [this, s, message] {
+      auto push = [s, message] {
         for (const ConnId conn : s->hot_subs) {
-          if (s->loop->send(conn, message)) {
-            hot_reports_sent_.fetch_add(1, std::memory_order_relaxed);
-          }
+          if (s->loop->send(conn, message)) s->hot_reports_sent->inc();
         }
       };
       if (s == &shard) {
@@ -1104,18 +1065,16 @@ void BackendServer::hot_tick() {
   shard.loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
 }
 
-void BackendServer::handle_hot_report(const Message& message) {
+void BackendServer::handle_hot_report(Shard& shard, const Message& message) {
   if (!config_.detect) return;  // peer detects, we don't: drop silently
-  hot_reports_received_.fetch_add(1, std::memory_order_relaxed);
-  absorb_hot_report(message.hot);
+  shard.hot_reports_received->inc();
+  absorb_hot_report(shard, message.hot);
 }
 
-void BackendServer::absorb_hot_report(const detect::HotKeyReport& report) {
+void BackendServer::absorb_hot_report(Shard& shard,
+                                      const detect::HotKeyReport& report) {
   std::lock_guard lock(hot_agg_mutex_);
-  const std::vector<KeyId> newly = hot_agg_.update(report);
-  if (!newly.empty()) {
-    hot_flagged_.fetch_add(newly.size(), std::memory_order_relaxed);
-  }
+  shard.hot_flagged->inc(hot_agg_.update(report).size());
 }
 
 void BackendServer::stream_handoff(
@@ -1152,7 +1111,7 @@ void BackendServer::stream_handoff(
     send_to_peer(shard, item.target, replicate, Expect::kRepairAck, 0,
                  /*queue_if_down=*/true);
   }
-  rebalanced_keys_.fetch_add(plan.size(), std::memory_order_relaxed);
+  shard.rebalanced_keys->inc(plan.size());
 }
 
 void BackendServer::handle_join(Shard& shard, ConnId conn,

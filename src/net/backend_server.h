@@ -29,6 +29,10 @@
 // unknown id or a key mismatch drops the connection like the front end
 // does. Client replies echo the client's id: a quorum write is acked only
 // once W replicas confirmed, after replies to requests sent later.
+//
+// Counters live only in each shard's metrics registry, bumped by the shard
+// whose loop runs the code (gossip and handoff included); stats() and
+// metrics_snapshot() read them back.
 #pragma once
 
 #include <atomic>
@@ -70,9 +74,6 @@ struct BackendConfig {
   /// Keys 0…items-1 are preloaded where owned; 0 = empty store.
   std::uint64_t items = 0;
   std::uint32_t value_bytes = 64;
-  /// Hot-path instrumentation (service-time and loop-tick histograms).
-  /// Off leaves only the ServerStats atomics — the overhead A/B baseline.
-  bool metrics = true;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;
   /// Reactor shards sharing the listening port (SO_REUSEPORT). The request
@@ -139,9 +140,9 @@ class BackendServer {
   /// Counter snapshot, aggregated across shards (thread-safe).
   ServerStats stats() const;
 
-  /// Full metrics snapshot: shard registries merged, plus the ServerStats
-  /// counters under "backend.*" names. With shards > 1 each shard's series
-  /// also appear as "backend.shardK.*" (thread-safe).
+  /// Full metrics snapshot: shard registries merged, plus the loop counters
+  /// and the gauges computed at scrape time. With shards > 1 each shard's
+  /// series also appear as "backend.shardK.*" (thread-safe).
   obs::MetricsSnapshot metrics_snapshot() const;
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
@@ -217,6 +218,28 @@ class BackendServer {
     /// Connections that asked for kHotKeyReport pushes (front ends).
     std::vector<ConnId> hot_subs;
     std::atomic<std::uint32_t> peers_up{0};
+
+    obs::MetricsRegistry registry;
+    // Handles into `registry`, taken in start().
+    obs::Counter* requests = nullptr;
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* redirects = nullptr;
+    obs::Counter* puts = nullptr;
+    obs::Counter* deletes = nullptr;
+    obs::Counter* replications = nullptr;
+    obs::Counter* quorum_gets = nullptr;
+    obs::Counter* quorum_failures = nullptr;
+    obs::Counter* read_repairs = nullptr;
+    obs::Counter* rebalanced_keys = nullptr;
+    // config.detect only.
+    obs::Counter* hot_observed = nullptr;
+    obs::Counter* hot_reports_sent = nullptr;
+    obs::Counter* hot_reports_received = nullptr;
+    obs::Counter* hot_flagged = nullptr;
+    obs::Timer* service_us = nullptr;
+    obs::Timer* write_us = nullptr;
+    obs::Timer* quorum_read_us = nullptr;
   };
 
   void preload();
@@ -268,9 +291,9 @@ class BackendServer {
   /// absorb it locally, gossip it to alive peers and post it to every
   /// shard's subscribers. One-way frames — no reply bookkeeping anywhere.
   void hot_tick();
-  void handle_hot_report(const Message& message);
+  void handle_hot_report(Shard& shard, const Message& message);
   /// Merges a report (own or gossiped) into this node's aggregated view.
-  void absorb_hot_report(const detect::HotKeyReport& report);
+  void absorb_hot_report(Shard& shard, const detect::HotKeyReport& report);
   static double now_s() {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -283,13 +306,10 @@ class BackendServer {
   StorageEngine storage_;
   mutable std::shared_mutex storage_mutex_;
   ReactorPool pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // One registry per shard so the hot path never shares a cache line across
+  // unique_ptr: Shard holds an atomic and a registry, neither movable. One
+  // registry per shard so the hot path never shares a cache line across
   // reactors; scrapes merge them (merge_shard_snapshots).
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> registries_;
-  std::vector<obs::Timer*> service_us_;  // empty = instrumentation off
-  std::vector<obs::Timer*> write_us_;
-  std::vector<obs::Timer*> quorum_read_us_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;
 
   /// Hot-key detection state. The sketch is guarded by its own mutex: every
@@ -310,22 +330,6 @@ class BackendServer {
   std::atomic<bool> stopping_{false};
   /// Mesh connections each shard should establish (for wait_peers_up).
   std::atomic<std::uint32_t> peer_target_{0};
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> redirects_{0};
-  std::atomic<std::uint64_t> puts_{0};
-  std::atomic<std::uint64_t> deletes_{0};
-  std::atomic<std::uint64_t> replications_{0};
-  std::atomic<std::uint64_t> quorum_gets_{0};
-  std::atomic<std::uint64_t> quorum_failures_{0};
-  std::atomic<std::uint64_t> read_repairs_{0};
-  std::atomic<std::uint64_t> rebalanced_keys_{0};
-  std::atomic<std::uint64_t> hot_observed_{0};
-  std::atomic<std::uint64_t> hot_reports_sent_{0};
-  std::atomic<std::uint64_t> hot_reports_received_{0};
-  std::atomic<std::uint64_t> hot_flagged_{0};
 };
 
 }  // namespace scp::net

@@ -16,8 +16,6 @@ namespace {
 /// within one sweep period, which is plenty for RetryPolicy's default 500 ms
 /// budget.
 constexpr double kSweepIntervalS = 0.020;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
 
 }  // namespace
 
@@ -62,8 +60,6 @@ bool FrontendServer::start() {
     return false;
   }
   if (config_.fleet_size == 0) config_.fleet_size = 1;
-  // A kBatchGet frame cannot carry more keys than the decoder accepts.
-  config_.batch_max = std::min(config_.batch_max, kMaxBatchEntries);
   if (config_.fleet_index >= config_.fleet_size) {
     SCP_LOG_ERROR << "scp_frontend: fleet index " << config_.fleet_index
                   << " out of range for fleet size " << config_.fleet_size;
@@ -119,33 +115,47 @@ bool FrontendServer::start() {
       on_conn_connect(*s, conn, ok);
     };
     s->loop->set_callbacks(std::move(callbacks));
-    if (config_.batch_max > 1) {
-      // Flush every backend's queued GET forwards right before the reactor's
-      // gathered write, so batch frames ride the same sendmsg as the
-      // wakeup's replies. batch_max <= 1 never queues, so no hook: the
-      // unbatched serving path stays byte-identical to PR 9.
-      s->loop->set_before_flush([this, s] { flush_forward_queues(*s); });
-    }
+    // Flush every backend's queued GET forwards right before the reactor's
+    // gathered write, so batch frames ride the same sendmsg as the wakeup's
+    // replies.
+    s->loop->set_before_flush([this, s] { flush_forward_queues(*s); });
 
-    if (config_.metrics) {
-      s->cache_lookup_ns = &s->registry.timer("frontend.cache_lookup_ns");
-      s->request_us = &s->registry.timer("frontend.request_us");
-      s->forward_rtt_us = &s->registry.timer("frontend.forward_rtt_us");
-      s->attempts_hist = &s->registry.timer("frontend.attempts");
-      s->values_entries = &s->registry.gauge("frontend.values_entries");
-      s->values_entries_peak =
-          &s->registry.gauge("frontend.values_entries_peak");
-      s->dirty_keys = &s->registry.gauge("frontend.dirty_keys");
-      if (config_.detect) {
-        s->hot_keys = &s->registry.gauge("detect.hot_keys");
-      }
-      s->node_rtt_us.resize(config_.nodes);
-      for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-        s->node_rtt_us[node] = &s->registry.timer(
-            "frontend.forward_rtt_us.node" + std::to_string(node));
-      }
-      s->loop->set_metrics(&s->registry);
+    obs::MetricsRegistry& r = s->registry;
+    s->requests = &r.counter("frontend.requests");
+    s->hits = &r.counter("frontend.hits");
+    s->misses = &r.counter("frontend.misses");
+    s->redirects = &r.counter("frontend.redirects");
+    s->fleet_redirects = &r.counter("frontend.fleet_redirects");
+    s->forwarded = &r.counter("frontend.forwarded");
+    s->coalesced = &r.counter("frontend.coalesced");
+    s->retries = &r.counter("frontend.retries");
+    s->failures = &r.counter("frontend.failures");
+    s->attempts = &r.counter("frontend.attempts_total");
+    s->batch_frames = &r.counter("frontend.batch_frames");
+    s->batch_keys = &r.counter("frontend.batch_keys");
+    s->puts = &r.counter("frontend.puts");
+    s->deletes = &r.counter("frontend.deletes");
+    s->invalidations = &r.counter("frontend.invalidations");
+    if (config_.detect) {
+      s->hot_reports = &r.counter("detect.reports_received");
+      s->hot_flagged_total = &r.counter("detect.flagged_keys");
+      s->hot_prefetches = &r.counter("detect.prefetches");
+      s->hot_reprovisioned = &r.counter("detect.reprovisioned");
+      s->hot_keys = &r.gauge("detect.hot_keys");
     }
+    s->cache_lookup_ns = &r.timer("frontend.cache_lookup_ns");
+    s->request_us = &r.timer("frontend.request_us");
+    s->forward_rtt_us = &r.timer("frontend.forward_rtt_us");
+    s->attempts_hist = &r.timer("frontend.attempts");
+    s->values_entries = &r.gauge("frontend.values_entries");
+    s->values_entries_peak = &r.gauge("frontend.values_entries_peak");
+    s->dirty_keys = &r.gauge("frontend.dirty_keys");
+    s->node_rtt_us.resize(config_.nodes);
+    for (std::uint32_t node = 0; node < config_.nodes; ++node) {
+      s->node_rtt_us[node] =
+          &r.timer("frontend.forward_rtt_us.node" + std::to_string(node));
+    }
+    s->loop->set_metrics(&r);
     shards_.push_back(std::move(shard));
   }
 
@@ -225,19 +235,18 @@ bool FrontendServer::wait_backends_up(double timeout_s) const {
 ServerStats FrontendServer::stats() const {
   ServerStats stats;
   for (const auto& shard : shards_) {
-    stats.requests += shard->requests.load(std::memory_order_relaxed);
-    stats.hits += shard->hits.load(std::memory_order_relaxed);
-    stats.misses += shard->misses.load(std::memory_order_relaxed);
-    stats.redirects += shard->redirects.load(std::memory_order_relaxed);
-    stats.forwarded += shard->forwarded.load(std::memory_order_relaxed);
-    stats.coalesced += shard->coalesced.load(std::memory_order_relaxed);
-    stats.retries += shard->retries.load(std::memory_order_relaxed);
-    stats.failures += shard->failures.load(std::memory_order_relaxed);
-    stats.attempts += shard->attempts.load(std::memory_order_relaxed);
-    stats.puts += shard->puts.load(std::memory_order_relaxed);
-    stats.deletes += shard->deletes.load(std::memory_order_relaxed);
-    stats.invalidations +=
-        shard->invalidations.load(std::memory_order_relaxed);
+    stats.requests += shard->requests->value();
+    stats.hits += shard->hits->value();
+    stats.misses += shard->misses->value();
+    stats.redirects += shard->redirects->value();
+    stats.forwarded += shard->forwarded->value();
+    stats.coalesced += shard->coalesced->value();
+    stats.retries += shard->retries->value();
+    stats.failures += shard->failures->value();
+    stats.attempts += shard->attempts->value();
+    stats.puts += shard->puts->value();
+    stats.deletes += shard->deletes->value();
+    stats.invalidations += shard->invalidations->value();
   }
   return stats;
 }
@@ -247,57 +256,9 @@ obs::MetricsSnapshot FrontendServer::metrics_snapshot() const {
   per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     obs::MetricsSnapshot snap = shard->registry.snapshot();
-    snap.counters["frontend.requests"] =
-        shard->requests.load(std::memory_order_relaxed);
-    snap.counters["frontend.hits"] =
-        shard->hits.load(std::memory_order_relaxed);
-    snap.counters["frontend.misses"] =
-        shard->misses.load(std::memory_order_relaxed);
-    snap.counters["frontend.redirects"] =
-        shard->redirects.load(std::memory_order_relaxed);
-    snap.counters["frontend.fleet_redirects"] =
-        shard->fleet_redirects.load(std::memory_order_relaxed);
-    snap.counters["frontend.forwarded"] =
-        shard->forwarded.load(std::memory_order_relaxed);
-    snap.counters["frontend.coalesced"] =
-        shard->coalesced.load(std::memory_order_relaxed);
-    snap.counters["frontend.batch_frames"] =
-        shard->batch_frames.load(std::memory_order_relaxed);
-    snap.counters["frontend.batch_keys"] =
-        shard->batch_keys.load(std::memory_order_relaxed);
-    snap.counters["frontend.retries"] =
-        shard->retries.load(std::memory_order_relaxed);
-    snap.counters["frontend.failures"] =
-        shard->failures.load(std::memory_order_relaxed);
-    snap.counters["frontend.attempts_total"] =
-        shard->attempts.load(std::memory_order_relaxed);
-    snap.counters["frontend.puts"] =
-        shard->puts.load(std::memory_order_relaxed);
-    snap.counters["frontend.deletes"] =
-        shard->deletes.load(std::memory_order_relaxed);
-    snap.counters["frontend.invalidations"] =
-        shard->invalidations.load(std::memory_order_relaxed);
-    if (config_.detect) {
-      snap.counters["detect.reports_received"] =
-          shard->hot_reports.load(std::memory_order_relaxed);
-      snap.counters["detect.flagged_keys"] =
-          shard->hot_flagged_total.load(std::memory_order_relaxed);
-      snap.counters["detect.prefetches"] =
-          shard->hot_prefetches.load(std::memory_order_relaxed);
-      snap.counters["detect.reprovisioned"] =
-          shard->hot_reprovisioned.load(std::memory_order_relaxed);
-    }
     snap.gauges["frontend.backends_up"] = static_cast<std::int64_t>(
         shard->backends_up.load(std::memory_order_relaxed));
-    const ReactorCounters& loop = shard->loop->counters();
-    snap.counters["loop.syscalls"] =
-        loop.syscalls.load(std::memory_order_relaxed);
-    snap.counters["loop.wakeups"] =
-        loop.wakeups.load(std::memory_order_relaxed);
-    snap.counters["loop.frames_in"] =
-        loop.frames_in.load(std::memory_order_relaxed);
-    snap.counters["loop.frames_out"] =
-        loop.frames_out.load(std::memory_order_relaxed);
+    shard->loop->counters().export_to(snap);
     per_shard.push_back(std::move(snap));
   }
   obs::MetricsSnapshot snap = merge_shard_snapshots("frontend", per_shard);
@@ -329,22 +290,17 @@ void FrontendServer::handle(Shard& shard, ConnId conn, Message&& message) {
 void FrontendServer::handle_client(Shard& shard, ConnId conn,
                                    Message&& message) {
   switch (message.type) {
-    case MsgType::kGet: {
-      const std::uint64_t start_ns =
-          shard.request_us != nullptr ? obs::now_ns() : 0;
-      serve_get(shard, {conn, message.id}, message.key, start_ns);
+    case MsgType::kGet:
+      serve_get(shard, {conn, message.id}, message.key, obs::now_ns());
       return;
-    }
     case MsgType::kBatchGet: {
       // Router-batched dispatch: serve every key in the frame. Key i is
       // answered with a frame of its own carrying id b+i, as soon as it
       // settles (hits overtake forwards); the reactor's gathered flush
       // amortizes the frames into one writev anyway.
       for (std::size_t i = 0; i < message.batch_keys.size(); ++i) {
-        const std::uint64_t start_ns =
-            shard.request_us != nullptr ? obs::now_ns() : 0;
         serve_get(shard, {conn, message.id + static_cast<std::uint32_t>(i)},
-                  message.batch_keys[i], start_ns);
+                  message.batch_keys[i], obs::now_ns());
       }
       return;
     }
@@ -356,12 +312,10 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
       // Consistency path: relayed to a backend coordinator verbatim, never
       // answered from (or admitted into) the FE cache — the client asked
       // for an R-replica quorum answer, not a cached one.
-      const std::uint64_t start_ns =
-          shard.request_us != nullptr ? obs::now_ns() : 0;
-      shard.requests.fetch_add(1, std::memory_order_relaxed);
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
+      shard.requests->inc();
+      shard.misses->inc();
       forward(shard, {conn, message.id}, message.key, /*attempts=*/0,
-              start_ns, MsgType::kQuorumGet);
+              obs::now_ns(), MsgType::kQuorumGet);
       return;
     }
     case MsgType::kMetricsRequest: {
@@ -390,13 +344,13 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
 
 void FrontendServer::serve_get(Shard& shard, ReplyTo client,
                                std::uint64_t key, std::uint64_t start_ns) {
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
+  shard.requests->inc();
   if (config_.fleet_size > 1 && !fleet_owns(key)) {
     if (fleet_redirect_needed(key)) {
       // A sibling owns this key's cache slot: bounce the caller to it
       // (the REDIRECT node field carries the *fleet index*; the edge
       // router maps it back to an endpoint). Never cached here.
-      shard.fleet_redirects.fetch_add(1, std::memory_order_relaxed);
+      shard.fleet_redirects->inc();
       Message reply;
       reply.type = MsgType::kRedirect;
       reply.key = key;
@@ -408,7 +362,7 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
     // Globally uncached under the perfect oracle: any member can serve
     // the forward, and the router's power-of-two-choices sent it here
     // to balance exactly this load. Skip the cache entirely.
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    shard.misses->inc();
     forward_get(shard, client, key, start_ns);
     return;
   }
@@ -416,7 +370,7 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
   const bool hit = cache_lookup(shard, key, value);
   obs::record_elapsed(shard.cache_lookup_ns, start_ns);
   if (hit) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    shard.hits->inc();
     Message reply;
     reply.type = MsgType::kValue;
     reply.key = key;
@@ -425,42 +379,37 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
     obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
     return;
   }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  shard.misses->inc();
   forward_get(shard, client, key, start_ns);
 }
 
 void FrontendServer::forward_get(Shard& shard, ReplyTo client,
                                  std::uint64_t key, std::uint64_t start_ns) {
-  if (config_.coalesce) {
-    auto [it, inserted] = shard.inflight.try_emplace(key);
-    if (!inserted) {
-      // Single-flight: a forward for this key is already on the wire (or
-      // retrying); park here and let its one reply answer everyone.
-      it->second.push_back({client, start_ns});
-      return;
-    }
-    // Lead request: owns the inflight entry until finish_waiters /
-    // fail_waiters settles it.
+  auto [it, inserted] = shard.inflight.try_emplace(key);
+  if (!inserted) {
+    // Single-flight: a forward for this key is already on the wire (or
+    // retrying); park here and let its one reply answer everyone.
+    it->second.push_back({client, start_ns});
+    return;
   }
+  // Lead request: owns the inflight entry until finish_waiters /
+  // fail_waiters settles it.
   forward(shard, client, key, /*attempts=*/0, start_ns);
 }
 
 void FrontendServer::handle_write(Shard& shard, ConnId conn,
                                   Message&& message) {
-  const std::uint64_t start_ns =
-      shard.request_us != nullptr ? obs::now_ns() : 0;
+  const std::uint64_t start_ns = obs::now_ns();
   const ReplyTo client{conn, message.id};
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
-  const bool is_delete = message.type == MsgType::kDelete;
-  (is_delete ? shard.deletes : shard.puts)
-      .fetch_add(1, std::memory_order_relaxed);
+  shard.requests->inc();
+  (message.type == MsgType::kDelete ? shard.deletes : shard.puts)->inc();
 
   if (config_.fleet_size > 1 && !fleet_owns(message.key) &&
       fleet_redirect_needed(message.key)) {
     // The sibling owning this key's cache slot must see the write to
     // invalidate it; bounce the writer there (node = fleet index, as on the
     // read path) and let the edge router re-dispatch.
-    shard.fleet_redirects.fetch_add(1, std::memory_order_relaxed);
+    shard.fleet_redirects->inc();
     Message reply;
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
@@ -549,10 +498,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
         if (!shard.dirty.empty() && shard.dirty.count(request.key) != 0 &&
             payload == make_value(request.key, config_.value_bytes)) {
           shard.dirty.erase(request.key);
-          if (shard.dirty_keys != nullptr) {
-            shard.dirty_keys->set(
-                static_cast<std::int64_t>(shard.dirty.size()));
-          }
+          shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
         }
       }
       complete_request(shard, request, node);
@@ -578,10 +524,8 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
         // forever. The oracle resumes synthesizing afterwards — Assumption
         // 2 models cache capacity, not deletions, and the regression test
         // pins that trade.
-        if (!shard.dirty.empty() && shard.dirty.erase(request.key) != 0 &&
-            shard.dirty_keys != nullptr) {
-          shard.dirty_keys->set(
-              static_cast<std::int64_t>(shard.dirty.size()));
+        if (!shard.dirty.empty() && shard.dirty.erase(request.key) != 0) {
+          shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
         }
       }
       complete_request(shard, request, node);
@@ -608,7 +552,7 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       // Seeds agree across the tier, so this indicates misconfiguration;
       // follow the hint once per attempt budget anyway. The coalescing
       // entry (and its parked waiters) stays put — only the lead moves.
-      shard.redirects.fetch_add(1, std::memory_order_relaxed);
+      shard.redirects->inc();
       if (redirect_node < config_.nodes &&
           request.attempts + 1 < config_.retry.max_attempts()) {
         forward_to(shard, redirect_node, request.client, request.key,
@@ -632,8 +576,8 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
   if (it == shard.inflight.end()) return;
   const std::vector<Waiter> waiters = std::move(it->second);
   shard.inflight.erase(it);
-  const std::uint64_t now =
-      shard.request_us != nullptr && !waiters.empty() ? obs::now_ns() : 0;
+  if (waiters.empty()) return;
+  const std::uint64_t now = obs::now_ns();
   for (const Waiter& waiter : waiters) {
     if (waiter.client.conn == kInvalidConn) {
       // A hot-key warm fetch that coalesced onto this forward: the bytes
@@ -646,15 +590,13 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
     // attempts histograms — no wire RTT of its own was measured, and
     // double-recording the lead's would skew per-node latency and the
     // attempts distribution. Only the end-to-end request timer ticks.
-    shard.coalesced.fetch_add(1, std::memory_order_relaxed);
+    shard.coalesced->inc();
     Message reply;
     reply.type = type;
     reply.key = key;
     if (type == MsgType::kValue) reply.payload = payload;
     send_reply(*shard.loop, waiter.client, reply);
-    if (now != 0 && waiter.start_ns != 0) {
-      shard.request_us->record((now - waiter.start_ns) / 1'000);
-    }
+    shard.request_us->record((now - waiter.start_ns) / 1'000);
   }
 }
 
@@ -670,7 +612,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
     }
     // The lead exhausted its attempt budget for everyone parked behind it:
     // each waiter is its own failed request in the ledger.
-    shard.failures.fetch_add(1, std::memory_order_relaxed);
+    shard.failures->inc();
     Message reply;
     reply.type = MsgType::kError;
     reply.key = key;
@@ -681,7 +623,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
 
 void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
   if (shard.hot_agg == nullptr) return;  // push without --detect: ignore
-  shard.hot_reports.fetch_add(1, std::memory_order_relaxed);
+  shard.hot_reports->inc();
   shard.hot_agg->update(message.hot);
 
   // Mitigation pass over the *whole* current hot set, not just the newly
@@ -693,7 +635,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     if (!owns(shard, key)) continue;
     if (config_.fleet_size > 1 && !fleet_owns(key)) continue;
     if (shard.hot_flagged.insert(key).second) {
-      shard.hot_flagged_total.fetch_add(1, std::memory_order_relaxed);
+      shard.hot_flagged_total->inc();
     }
     if (shard.cache == nullptr) {
       // Perfect provision has no policy cache to train; mitigation instead
@@ -706,7 +648,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
             config_.cache_capacity - shard.hot_extra.size();
         if (key >= prefix) {
           shard.hot_extra.insert(key);
-          shard.hot_reprovisioned.fetch_add(1, std::memory_order_relaxed);
+          shard.hot_reprovisioned->inc();
         }
       }
       continue;
@@ -720,7 +662,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     // is a harmless no-op).
     shard.cache->access(key);
     if (!shard.hot_prefetching.insert(key).second) continue;  // in flight
-    shard.hot_prefetches.fetch_add(1, std::memory_order_relaxed);
+    shard.hot_prefetches->inc();
     // Via the single-flight table: if a client's fetch for this key is
     // already in flight, the warm fetch parks on it instead of doubling it.
     forward_get(shard, ReplyTo{}, key, /*start_ns=*/0);
@@ -735,9 +677,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     it = shard.hot_agg->hot().count(*it) == 0 ? shard.hot_extra.erase(it)
                                               : std::next(it);
   }
-  if (shard.hot_keys != nullptr) {
-    shard.hot_keys->set(static_cast<std::int64_t>(shard.hot_flagged.size()));
-  }
+  shard.hot_keys->set(static_cast<std::int64_t>(shard.hot_flagged.size()));
 }
 
 /// A pending request was answered by backend `node` (kValue or kMiss):
@@ -752,19 +692,12 @@ void FrontendServer::complete_request(Shard& shard,
     shard.hot_prefetching.erase(request.key);
     return;
   }
-  shard.forwarded.fetch_add(1, std::memory_order_relaxed);
-  if (shard.request_us == nullptr) return;
+  shard.forwarded->inc();
   const std::uint64_t now = obs::now_ns();
-  if (request.sent_ns != 0) {
-    const std::uint64_t rtt_us = (now - request.sent_ns) / 1'000;
-    shard.forward_rtt_us->record(rtt_us);
-    if (node < shard.node_rtt_us.size()) {
-      shard.node_rtt_us[node]->record(rtt_us);
-    }
-  }
-  if (request.start_ns != 0) {
-    shard.request_us->record((now - request.start_ns) / 1'000);
-  }
+  const std::uint64_t rtt_us = (now - request.sent_ns) / 1'000;
+  shard.forward_rtt_us->record(rtt_us);
+  shard.node_rtt_us[node]->record(rtt_us);
+  shard.request_us->record((now - request.start_ns) / 1'000);
   shard.attempts_hist->record(request.attempts + 1);
 }
 
@@ -823,11 +756,7 @@ void FrontendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
 void FrontendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
   if (stopping_.load()) return;
   BackendState& backend = shard.backends[node];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(1u << std::min(
-                                     backend.connect_attempts, 10u)),
-               kReconnectCapS);
-  backend.connect_attempts++;
+  const double delay = reconnect_delay_s(backend.connect_attempts++);
   Shard* s = &shard;
   shard.loop->run_after(delay, [this, s, node] {
     if (stopping_.load()) return;
@@ -897,13 +826,11 @@ void FrontendServer::admit(Shard& shard, std::uint64_t key,
                                             : shard.values.erase(it);
     }
   }
-  if (shard.values_entries != nullptr) {
-    const auto entries = static_cast<std::int64_t>(shard.values.size());
-    shard.values_entries->set(entries);
-    if (entries > shard.values_peak) {
-      shard.values_peak = entries;
-      shard.values_entries_peak->set(entries);
-    }
+  const auto entries = static_cast<std::int64_t>(shard.values.size());
+  shard.values_entries->set(entries);
+  if (entries > shard.values_peak) {
+    shard.values_peak = entries;
+    shard.values_entries_peak->set(entries);
   }
 }
 
@@ -911,9 +838,7 @@ void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
   if (shard.cache == nullptr) return;
   shard.cache->invalidate(key);
   shard.values.erase(key);
-  if (shard.values_entries != nullptr) {
-    shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
-  }
+  shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
 }
 
 void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
@@ -926,13 +851,11 @@ void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
   const auto apply = [this, key, is_perfect](Shard& target) {
     if (is_perfect) {
       if (!target.dirty.insert(key).second) return;  // already dirty
-      if (target.dirty_keys != nullptr) {
-        target.dirty_keys->set(static_cast<std::int64_t>(target.dirty.size()));
-      }
+      target.dirty_keys->set(static_cast<std::int64_t>(target.dirty.size()));
     } else {
       drop_cached(target, key);
     }
-    target.invalidations.fetch_add(1, std::memory_order_relaxed);
+    target.invalidations->inc();
   };
   if (&owner == &shard) {
     apply(shard);
@@ -1010,7 +933,7 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
     forward(shard, client, key, attempts, start_ns, op, payload);
     return;
   }
-  if (op == MsgType::kGet && config_.batch_max > 1) {
+  if (op == MsgType::kGet) {
     // Batched forwarding: GETs accumulate here and flush as one kBatchGet
     // at the reactor's before-flush hook (sooner if the queue fills). The
     // wire send, pending entry and attempt counters all happen at flush,
@@ -1019,7 +942,7 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
     backend.queued.push_back({.client = client, .key = key,
                               .attempts = attempts, .start_ns = start_ns});
     pending_total_.fetch_add(1, std::memory_order_relaxed);
-    if (backend.queued.size() >= config_.batch_max) {
+    if (backend.queued.size() >= kBatchFlushKeys) {
       flush_backend_queue(shard, node);
     }
     return;
@@ -1036,8 +959,8 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
   // One wire send. `forwarded` is only counted when a backend answers the
   // request (in complete_request), so requests == hits + forwarded +
   // failures holds; `attempts` counts sends, `retries` the re-sends.
-  shard.attempts.fetch_add(1, std::memory_order_relaxed);
-  if (attempts > 0) shard.retries.fetch_add(1, std::memory_order_relaxed);
+  shard.attempts->inc();
+  if (attempts > 0) shard.retries->inc();
   shard.loads[node] += 1.0;
 
   PendingRequest pending;
@@ -1047,7 +970,7 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
   if (op == MsgType::kPut) pending.payload = payload;
   pending.attempts = attempts;
   pending.start_ns = start_ns;
-  pending.sent_ns = shard.request_us != nullptr ? obs::now_ns() : 0;
+  pending.sent_ns = obs::now_ns();
   pending.deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -1103,8 +1026,8 @@ void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
     }
     sent = shard.loop->send(backend.conn, request);
     if (sent) {
-      shard.batch_frames.fetch_add(1, std::memory_order_relaxed);
-      shard.batch_keys.fetch_add(queued.size(), std::memory_order_relaxed);
+      shard.batch_frames->inc();
+      shard.batch_keys->inc(queued.size());
     }
   }
   if (!sent) {
@@ -1117,17 +1040,14 @@ void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
   // holding — the backend counts batch keys individually too), `retries`
   // the re-sent keys, and the router's load signal moves one unit per key.
   // Adding the entries in queue order gives key i the frame's id + i.
-  const std::uint64_t sent_ns =
-      shard.request_us != nullptr ? obs::now_ns() : 0;
+  const std::uint64_t sent_ns = obs::now_ns();
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.retry.timeout_s));
   for (PendingRequest& pending : queued) {
-    shard.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (pending.attempts > 0) {
-      shard.retries.fetch_add(1, std::memory_order_relaxed);
-    }
+    shard.attempts->inc();
+    if (pending.attempts > 0) shard.retries->inc();
     shard.loads[node] += 1.0;
     pending.sent_ns = sent_ns;
     pending.deadline = deadline;
@@ -1174,7 +1094,7 @@ void FrontendServer::fail_request(Shard& shard, ReplyTo client,
     shard.hot_prefetching.erase(key);
     return;
   }
-  shard.failures.fetch_add(1, std::memory_order_relaxed);
+  shard.failures->inc();
   Message reply;
   reply.type = MsgType::kError;
   reply.key = key;

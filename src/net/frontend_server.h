@@ -33,6 +33,18 @@
 // pins keys and tracks loads from its own forwards). shards == 1 is
 // byte-identical to the unsharded server.
 //
+// Forward path: a GET miss for a key that already has a forward in flight
+// parks on that forward (single-flight coalescing, counted as
+// frontend.coalesced); the one backend reply answers every parked client,
+// so an x-key miss flood costs at most x upstream fetches per RTT. GET
+// forwards queue per backend during one reactor wakeup and leave as one
+// kBatchGet at the before-flush hook (sooner at kBatchFlushKeys keys); a
+// queue of one leaves as a plain kGet. Writes and quorum reads forward
+// unbatched.
+//
+// Counters live only in each shard's metrics registry; stats(),
+// batch_totals() and metrics_snapshot() all read them back.
+//
 // Fleet mode (config.fleet_size = N > 1): this process is one member of a
 // distributed front-end tier (DistCache-style). The aggregate cache budget
 // c is partitioned across the N members by the independent fleet hash
@@ -93,21 +105,6 @@ struct FrontendConfig {
   RetryPolicy retry;
   std::uint64_t seed = 1;  ///< tie-breaks, random routing
 
-  /// Single-flight coalescing: a GET miss for a key that already has a
-  /// forward in flight parks the client on that forward instead of emitting
-  /// another frame; the one backend reply fans out to every parked waiter.
-  /// Turns an x-key miss flood into at most x upstream fetches per RTT.
-  bool coalesce = true;
-  /// Max keys per kBatchGet forward frame. GET forwards accumulate in a
-  /// per-backend queue during one reactor wakeup and flush as one batch
-  /// frame (sooner when the queue reaches this cap). <= 1 disables
-  /// batching: every forward is its own kGet frame, byte-identical to the
-  /// unbatched wire traffic. Clamped to kMaxBatchEntries.
-  std::uint32_t batch_max = 64;
-
-  /// Hot-path instrumentation (lookup/RTT/request histograms). Off leaves
-  /// only the ServerStats atomics — the overhead A/B baseline.
-  bool metrics = true;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;
   /// Reactor shards (see file comment). Each shard holds its own backend
@@ -161,9 +158,9 @@ class FrontendServer {
   /// Counter snapshot, aggregated across shards (thread-safe).
   ServerStats stats() const;
 
-  /// Full metrics snapshot: shard registries merged, plus the ServerStats
-  /// counters under "frontend.*" names. With shards > 1 each shard's series
-  /// also appear as "frontend.shardK.*" (thread-safe).
+  /// Full metrics snapshot: shard registries merged, plus the loop counters
+  /// and the gauges computed at scrape time. With shards > 1 each shard's
+  /// series also appear as "frontend.shardK.*" (thread-safe).
   obs::MetricsSnapshot metrics_snapshot() const;
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
@@ -179,8 +176,8 @@ class FrontendServer {
     std::uint64_t frames = 0;
     std::uint64_t keys = 0;
     for (const auto& shard : shards_) {
-      frames += shard->batch_frames.load(std::memory_order_relaxed);
-      keys += shard->batch_keys.load(std::memory_order_relaxed);
+      frames += shard->batch_frames->value();
+      keys += shard->batch_keys->value();
     }
     return {frames, keys};
   }
@@ -197,9 +194,8 @@ class FrontendServer {
   static constexpr std::uint32_t kNoBackend = UINT32_MAX;
 
   /// A forwarded request: sent and pending by id, or a GET queued for the
-  /// wakeup's batch flush (batch_max > 1), which sends it, stamps sent_ns
-  /// and deadline, and makes it pending, so a batch's keys get consecutive
-  /// ids.
+  /// wakeup's batch flush, which sends it, stamps sent_ns and deadline, and
+  /// makes it pending, so a batch's keys get consecutive ids.
   struct PendingRequest {
     ReplyTo client;
     std::uint64_t key = 0;
@@ -232,8 +228,8 @@ class FrontendServer {
   };
 
   /// Everything one reactor touches on the request path. Owned by the shard
-  /// loop's thread after start(); the only cross-thread reads are the stat
-  /// atomics and the registry (scrapes).
+  /// loop's thread after start(); the only cross-thread reads are
+  /// backends_up and the registry (scrapes).
   struct Shard {
     std::size_t index = 0;
     Reactor* loop = nullptr;
@@ -261,29 +257,6 @@ class FrontendServer {
     std::vector<NodeId> group;       // replica-group scratch
     std::vector<NodeId> candidates;  // live-members scratch
 
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> redirects{0};
-    /// Fleet mode only: kRedirect replies sent for keys a sibling owns. In
-    /// fleet mode requests == hits + forwarded + failures + fleet_redirects.
-    std::atomic<std::uint64_t> fleet_redirects{0};
-    std::atomic<std::uint64_t> forwarded{0};
-    /// Misses answered by parking on an already in-flight forward for the
-    /// same key: requests == hits + forwarded + coalesced + failures
-    /// (+ fleet_redirects in fleet mode).
-    std::atomic<std::uint64_t> coalesced{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> failures{0};
-    std::atomic<std::uint64_t> attempts{0};
-    /// Batched forwarding: kBatchGet frames sent and the keys they carried
-    /// (batch_keys / batch_frames = mean batch fill).
-    std::atomic<std::uint64_t> batch_frames{0};
-    std::atomic<std::uint64_t> batch_keys{0};
-    std::atomic<std::uint64_t> puts{0};
-    std::atomic<std::uint64_t> deletes{0};
-    /// Cache entries dropped/dirtied because a write touched their key.
-    std::atomic<std::uint64_t> invalidations{0};
     std::atomic<std::uint32_t> backends_up{0};
 
     /// Hot-key mitigation state (config.detect; loop-thread only). Each
@@ -296,16 +269,40 @@ class FrontendServer {
     /// set, each displacing one oracle-prefix tail slot (see cache_lookup).
     std::unordered_set<std::uint64_t> hot_extra;
     std::unordered_set<std::uint64_t> hot_prefetching;  ///< warm-fetch in flight
-    std::atomic<std::uint64_t> hot_reports{0};
-    std::atomic<std::uint64_t> hot_flagged_total{0};
-    std::atomic<std::uint64_t> hot_reprovisioned{0};
-    std::atomic<std::uint64_t> hot_prefetches{0};
     /// frontend.values_entries high-watermark (loop-thread shadow of the
     /// gauge, so the peak survives reconcile shrinks).
     std::int64_t values_peak = 0;
 
     obs::MetricsRegistry registry;
-    // Cached metric handles; all null when config.metrics is off.
+    // Handles into `registry`, taken in start().
+    obs::Counter* requests = nullptr;
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* redirects = nullptr;
+    /// Fleet mode only: kRedirect replies sent for keys a sibling owns.
+    obs::Counter* fleet_redirects = nullptr;
+    obs::Counter* forwarded = nullptr;
+    /// Misses answered by parking on an already in-flight forward for the
+    /// same key: requests == hits + forwarded + coalesced + failures
+    /// (+ fleet_redirects in fleet mode).
+    obs::Counter* coalesced = nullptr;
+    obs::Counter* retries = nullptr;
+    obs::Counter* failures = nullptr;
+    obs::Counter* attempts = nullptr;
+    /// kBatchGet frames sent and the keys they carried (batch_keys /
+    /// batch_frames = mean batch fill).
+    obs::Counter* batch_frames = nullptr;
+    obs::Counter* batch_keys = nullptr;
+    obs::Counter* puts = nullptr;
+    obs::Counter* deletes = nullptr;
+    /// Cache entries dropped/dirtied because a write touched their key.
+    obs::Counter* invalidations = nullptr;
+    // config.detect only.
+    obs::Counter* hot_reports = nullptr;
+    obs::Counter* hot_flagged_total = nullptr;
+    obs::Counter* hot_reprovisioned = nullptr;
+    obs::Counter* hot_prefetches = nullptr;
+    obs::Gauge* hot_keys = nullptr;
     obs::Timer* cache_lookup_ns = nullptr;
     obs::Timer* request_us = nullptr;
     obs::Timer* forward_rtt_us = nullptr;
@@ -313,7 +310,6 @@ class FrontendServer {
     obs::Gauge* values_entries = nullptr;
     obs::Gauge* values_entries_peak = nullptr;
     obs::Gauge* dirty_keys = nullptr;
-    obs::Gauge* hot_keys = nullptr;  // config.detect only
     std::vector<obs::Timer*> node_rtt_us;  // per-backend forward RTT
   };
 
@@ -356,7 +352,7 @@ class FrontendServer {
   void serve_get(Shard& shard, ReplyTo client, std::uint64_t key,
                  std::uint64_t start_ns);
   /// Single-flight entry point for GET misses: parks on an existing
-  /// in-flight forward for `key` when coalescing allows, else forwards.
+  /// in-flight forward for `key`, else forwards.
   void forward_get(Shard& shard, ReplyTo client, std::uint64_t key,
                    std::uint64_t start_ns);
   /// Settles one forwarded request with its backend verdict (shared by the
@@ -399,7 +395,7 @@ class FrontendServer {
   FrontendConfig config_;
   std::unique_ptr<ReplicaPartitioner> partitioner_;
   ReactorPool pool_;
-  // unique_ptr: Shard holds atomics and a registry, neither movable.
+  // unique_ptr: Shard holds an atomic and a registry, neither movable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> pending_total_{0};

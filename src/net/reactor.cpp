@@ -30,6 +30,24 @@ bool make_wake_pipe(Socket& read_end, Socket& write_end) {
 
 }  // namespace
 
+void ReactorCounters::export_to(obs::MetricsSnapshot& snap) const {
+  snap.counters["loop.accepted"] = accepted.load(std::memory_order_relaxed);
+  snap.counters["loop.frames_in"] = frames_in.load(std::memory_order_relaxed);
+  snap.counters["loop.frames_out"] =
+      frames_out.load(std::memory_order_relaxed);
+  snap.counters["loop.protocol_errors"] =
+      protocol_errors.load(std::memory_order_relaxed);
+  snap.counters["loop.syscalls"] = syscalls.load(std::memory_order_relaxed);
+  snap.counters["loop.wakeups"] = wakeups.load(std::memory_order_relaxed);
+}
+
+double reconnect_delay_s(std::uint32_t failures) noexcept {
+  constexpr double kBaseS = 0.050;
+  constexpr double kCapS = 1.0;
+  return std::min(
+      kBaseS * static_cast<double>(1u << std::min(failures, 10u)), kCapS);
+}
+
 Reactor::Reactor() { make_wake_pipe(wake_read_, wake_write_); }
 
 Reactor::~Reactor() = default;

@@ -49,7 +49,20 @@ struct ReactorCounters {
   /// Blocking waits returned (loop iterations). frames/wakeup =
   /// (frames_in + frames_out) / wakeups.
   std::atomic<std::uint64_t> wakeups{0};
+
+  /// Writes all six counters into `snap` as "loop.<name>" (the servers'
+  /// scrape path; a reactor has no registry of its own).
+  void export_to(obs::MetricsSnapshot& snap) const;
 };
+
+/// Delay before re-dialing an outbound connection after `failures`
+/// consecutive failed attempts: 50 ms, doubling per failure, capped at 1 s.
+double reconnect_delay_s(std::uint32_t failures) noexcept;
+
+/// GETs a front end or router queues for one peer before sending them as a
+/// kBatchGet early, ahead of the wakeup's before-flush hook.
+inline constexpr std::uint32_t kBatchFlushKeys = 64;
+static_assert(kBatchFlushKeys <= kMaxBatchEntries);
 
 class Reactor {
  public:

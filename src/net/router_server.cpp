@@ -11,8 +11,6 @@ namespace scp::net {
 namespace {
 
 constexpr double kSweepIntervalS = 0.020;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
 
 }  // namespace
 
@@ -31,8 +29,6 @@ bool RouterServer::start() {
     return false;
   }
   if (config_.max_hops == 0) config_.max_hops = 1;
-  // A kBatchGet frame cannot carry more keys than the decoder accepts.
-  config_.batch_max = std::min(config_.batch_max, kMaxBatchEntries);
 
   members_.resize(config_.frontends.size());
   for (std::size_t i = 0; i < config_.frontends.size(); ++i) {
@@ -51,23 +47,27 @@ bool RouterServer::start() {
     on_conn_connect(conn, ok);
   };
   loop_->set_callbacks(std::move(callbacks));
-  if (config_.batch_max > 1) {
-    // Flush queued GET dispatches right before the reactor's gathered
-    // write; batch_max <= 1 never queues, keeping the unbatched dispatch
-    // path byte-identical.
-    loop_->set_before_flush([this] { flush_member_queues(); });
-  }
+  // Flush queued GET dispatches right before the reactor's gathered write.
+  loop_->set_before_flush([this] { flush_member_queues(); });
 
-  if (config_.metrics) {
-    request_us_ = &registry_.timer("router.request_us");
-    member_rtt_us_ = &registry_.timer("router.fe_rtt_us");
-    member_dispatches_.resize(members_.size());
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      member_dispatches_[i] =
-          &registry_.counter("router.dispatches.fe" + std::to_string(i));
-    }
-    loop_->set_metrics(&registry_);
+  requests_ = &registry_.counter("router.requests");
+  forwarded_ = &registry_.counter("router.forwarded");
+  redirects_ = &registry_.counter("router.redirects_followed");
+  retries_ = &registry_.counter("router.retries");
+  failures_ = &registry_.counter("router.failures");
+  attempts_ = &registry_.counter("router.attempts_total");
+  batch_frames_ = &registry_.counter("router.batch_frames");
+  batch_keys_ = &registry_.counter("router.batch_keys");
+  scrapes_ = &registry_.counter("router.scrapes");
+  member_dispatches_.resize(members_.size());
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    member_dispatches_[i] =
+        &registry_.counter("router.dispatches.fe" + std::to_string(i));
   }
+  request_us_ = &registry_.timer("router.request_us");
+  // Registered for scrapers that read it; nothing records into it yet.
+  registry_.timer("router.fe_rtt_us");
+  loop_->set_metrics(&registry_);
 
   if (!loop_->listen(config_.address, config_.port)) return false;
   if (config_.metrics_port >= 0) {
@@ -130,33 +130,18 @@ bool RouterServer::wait_frontends_up(double timeout_s) const {
 
 ServerStats RouterServer::stats() const {
   ServerStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.forwarded = forwarded_.load(std::memory_order_relaxed);
-  stats.redirects = redirects_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.failures = failures_.load(std::memory_order_relaxed);
-  stats.attempts = attempts_.load(std::memory_order_relaxed);
+  if (requests_ == nullptr) return stats;  // before start()
+  stats.requests = requests_->value();
+  stats.forwarded = forwarded_->value();
+  stats.redirects = redirects_->value();
+  stats.retries = retries_->value();
+  stats.failures = failures_->value();
+  stats.attempts = attempts_->value();
   return stats;
 }
 
 obs::MetricsSnapshot RouterServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
-  snap.counters["router.requests"] =
-      requests_.load(std::memory_order_relaxed);
-  snap.counters["router.forwarded"] =
-      forwarded_.load(std::memory_order_relaxed);
-  snap.counters["router.redirects_followed"] =
-      redirects_.load(std::memory_order_relaxed);
-  snap.counters["router.retries"] = retries_.load(std::memory_order_relaxed);
-  snap.counters["router.failures"] =
-      failures_.load(std::memory_order_relaxed);
-  snap.counters["router.attempts_total"] =
-      attempts_.load(std::memory_order_relaxed);
-  snap.counters["router.batch_frames"] =
-      batch_frames_.load(std::memory_order_relaxed);
-  snap.counters["router.batch_keys"] =
-      batch_keys_.load(std::memory_order_relaxed);
-  snap.counters["router.scrapes"] = scrapes_.load(std::memory_order_relaxed);
   snap.gauges["router.scrape_ms"] =
       static_cast<std::int64_t>(config_.scrape_interval_s * 1000.0);
   snap.gauges["router.frontends_up"] = static_cast<std::int64_t>(
@@ -165,14 +150,7 @@ obs::MetricsSnapshot RouterServer::metrics_snapshot() const {
       static_cast<std::int64_t>(members_.size());
   snap.gauges["router.pending_requests"] = static_cast<std::int64_t>(
       pending_total_.load(std::memory_order_relaxed));
-  const ReactorCounters& loop = loop_->counters();
-  snap.counters["loop.syscalls"] =
-      loop.syscalls.load(std::memory_order_relaxed);
-  snap.counters["loop.wakeups"] = loop.wakeups.load(std::memory_order_relaxed);
-  snap.counters["loop.frames_in"] =
-      loop.frames_in.load(std::memory_order_relaxed);
-  snap.counters["loop.frames_out"] =
-      loop.frames_out.load(std::memory_order_relaxed);
+  loop_->counters().export_to(snap);
   return snap;
 }
 
@@ -191,13 +169,10 @@ void RouterServer::handle(ConnId conn, Message&& message) {
 
 void RouterServer::handle_client(ConnId conn, Message&& message) {
   switch (message.type) {
-    case MsgType::kGet: {
-      const std::uint64_t start_ns =
-          request_us_ != nullptr ? obs::now_ns() : 0;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch({conn, message.id}, message.key, /*hops=*/0, start_ns);
+    case MsgType::kGet:
+      requests_->inc();
+      dispatch({conn, message.id}, message.key, /*hops=*/0, obs::now_ns());
       return;
-    }
     case MsgType::kPut:
     case MsgType::kDelete:
     case MsgType::kQuorumGet: {
@@ -205,10 +180,8 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       // serves them (invalidating its cache slice on the way) or answers
       // kRedirect toward the owner, which handle_member replays with the
       // same op and payload.
-      const std::uint64_t start_ns =
-          request_us_ != nullptr ? obs::now_ns() : 0;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch({conn, message.id}, message.key, /*hops=*/0, start_ns,
+      requests_->inc();
+      dispatch({conn, message.id}, message.key, /*hops=*/0, obs::now_ns(),
                message.type, message.payload);
       return;
     }
@@ -265,7 +238,7 @@ void RouterServer::handle_member(std::uint32_t member, Message&& message) {
   if (message.type == MsgType::kRedirect) {
     // A cached key landed on the non-owner: follow the hop to the owner
     // (message.node is a *fleet index*). Transparent to the client.
-    redirects_.fetch_add(1, std::memory_order_relaxed);
+    redirects_->inc();
     const std::uint32_t owner = static_cast<std::uint32_t>(message.node);
     if (owner < members_.size() && request.hops < config_.max_hops &&
         dispatch_to(owner, request.client, request.key, request.hops,
@@ -286,17 +259,8 @@ void RouterServer::handle_member(std::uint32_t member, Message&& message) {
   // kValue / kMiss / kError relay verbatim; the client sees exactly what
   // the fleet member answered. An error still counts as a failure (not a
   // forward) so requests == forwarded + failures holds at the router too.
-  if (message.type == MsgType::kError) {
-    failures_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    forwarded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (request_us_ != nullptr) {
-    const std::uint64_t now = obs::now_ns();
-    if (request.start_ns != 0) {
-      request_us_->record((now - request.start_ns) / 1'000);
-    }
-  }
+  (message.type == MsgType::kError ? failures_ : forwarded_)->inc();
+  obs::record_elapsed(request_us_, request.start_ns, /*divisor=*/1'000);
   send_reply(*loop_, request.client, message);
 }
 
@@ -359,11 +323,7 @@ void RouterServer::on_conn_connect(ConnId conn, bool ok) {
 void RouterServer::schedule_reconnect(std::uint32_t member) {
   if (stopping_.load()) return;
   MemberState& fe = members_[member];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(
-                                     1u << std::min(fe.connect_attempts, 10u)),
-               kReconnectCapS);
-  fe.connect_attempts++;
+  const double delay = reconnect_delay_s(fe.connect_attempts++);
   loop_->run_after(delay, [this, member] {
     if (stopping_.load()) return;
     MemberState& target = members_[member];
@@ -379,7 +339,7 @@ bool RouterServer::dispatch_to(std::uint32_t member, ReplyTo client,
                                const std::string& payload) {
   MemberState& fe = members_[member];
   if (!fe.up) return false;
-  if (op == MsgType::kGet && config_.batch_max > 1) {
+  if (op == MsgType::kGet) {
     // Batched dispatch: GETs for this member accumulate and flush as one
     // kBatchGet at the reactor's before-flush hook (sooner if the queue
     // fills). The load delta is counted now so power-of-two-choices sees
@@ -389,7 +349,7 @@ bool RouterServer::dispatch_to(std::uint32_t member, ReplyTo client,
         {.client = client, .key = key, .hops = hops, .start_ns = start_ns});
     pending_total_.fetch_add(1, std::memory_order_relaxed);
     router_.on_dispatch(member);
-    if (fe.queued.size() >= config_.batch_max) {
+    if (fe.queued.size() >= kBatchFlushKeys) {
       flush_member_queue(member);
     }
     return true;
@@ -400,13 +360,10 @@ bool RouterServer::dispatch_to(std::uint32_t member, ReplyTo client,
   request.key = key;
   if (op == MsgType::kPut) request.payload = payload;
   if (!loop_->send(fe.conn, request)) return false;
-  attempts_.fetch_add(1, std::memory_order_relaxed);
-  if (hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+  attempts_->inc();
+  if (hops > 0) retries_->inc();
   router_.on_dispatch(member);
-  if (member < member_dispatches_.size() &&
-      member_dispatches_[member] != nullptr) {
-    member_dispatches_[member]->inc();
-  }
+  member_dispatches_[member]->inc();
 
   PendingRequest pending;
   pending.client = client;
@@ -471,8 +428,8 @@ void RouterServer::flush_member_queue(std::uint32_t member) {
     }
     sent = loop_->send(fe.conn, request);
     if (sent) {
-      batch_frames_.fetch_add(1, std::memory_order_relaxed);
-      batch_keys_.fetch_add(queued.size(), std::memory_order_relaxed);
+      batch_frames_->inc();
+      batch_keys_->inc(queued.size());
     }
   }
   if (!sent) {
@@ -488,12 +445,9 @@ void RouterServer::flush_member_queue(std::uint32_t member) {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.timeout_s));
   for (PendingRequest& pending : queued) {
-    attempts_.fetch_add(1, std::memory_order_relaxed);
-    if (pending.hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    if (member < member_dispatches_.size() &&
-        member_dispatches_[member] != nullptr) {
-      member_dispatches_[member]->inc();
-    }
+    attempts_->inc();
+    if (pending.hops > 0) retries_->inc();
+    member_dispatches_[member]->inc();
     ++pending.hops;
     pending.deadline = deadline;
     // pending_total_ and router_.on_dispatch were counted at queue time.
@@ -526,7 +480,7 @@ void RouterServer::dispatch(ReplyTo client, std::uint64_t key,
 }
 
 void RouterServer::fail_request(ReplyTo client, std::uint64_t key) {
-  failures_.fetch_add(1, std::memory_order_relaxed);
+  failures_->inc();
   Message reply;
   reply.type = MsgType::kError;
   reply.key = key;
@@ -536,7 +490,7 @@ void RouterServer::fail_request(ReplyTo client, std::uint64_t key) {
 
 void RouterServer::scrape_members() {
   if (stopping_.load()) return;
-  scrapes_.fetch_add(1, std::memory_order_relaxed);
+  scrapes_->inc();
   Message probe;
   probe.type = MsgType::kMetricsRequest;
   for (const MemberState& fe : members_) {

@@ -20,6 +20,13 @@
 // id. A member connection dying re-dispatches its in-flight requests to the
 // surviving candidate (or fails them after the hop budget).
 //
+// GET dispatches for one member queue during a reactor wakeup and leave as
+// one kBatchGet at the before-flush hook (sooner at kBatchFlushKeys keys);
+// with batch id b the member answers key i with its own reply frame
+// carrying id b+i. A queue of one leaves as a plain kGet; writes and quorum
+// reads dispatch unbatched. Counters live only in the router's metrics
+// registry; stats() and metrics_snapshot() read them back.
+//
 // The router is deliberately stateless beyond the fleet seed and endpoint
 // list — any number of router replicas can front the same fleet, so the
 // edge itself is not a new single point of failure.
@@ -57,14 +64,6 @@ struct RouterConfig {
   std::uint32_t max_hops = 3;
   /// Per-request deadline before the member connection is reset.
   double timeout_s = 0.500;
-  /// Max keys per kBatchGet dispatch frame. GET dispatches for one member
-  /// accumulate during a reactor wakeup and flush as one batch frame
-  /// (sooner when the queue reaches this cap); with batch id b the member
-  /// answers key i with its own reply frame carrying id b+i. <= 1 disables
-  /// batching (one kGet frame per dispatch, byte-identical to the unbatched
-  /// wire traffic). Clamped to kMaxBatchEntries.
-  std::uint32_t batch_max = 64;
-  bool metrics = true;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;
 };
@@ -96,7 +95,8 @@ class RouterServer {
   /// landed, requests == forwarded + failures.
   ServerStats stats() const;
 
-  /// Registry snapshot plus the counters under "router.*" (thread-safe).
+  /// Registry snapshot plus the loop counters and the gauges computed at
+  /// scrape time (thread-safe).
   obs::MetricsSnapshot metrics_snapshot() const;
 
   /// Bound Prometheus endpoint port, or 0 when config.metrics_port == -1.
@@ -104,7 +104,7 @@ class RouterServer {
 
  private:
   /// A dispatched request: sent and pending by id, or a GET queued for the
-  /// wakeup's batch flush (batch_max > 1). The member's load delta
+  /// wakeup's batch flush. The member's load delta
   /// (router_.on_dispatch) is counted at queue time so power-of-two-choices
   /// sees same-wakeup dispatches; the flush sends the batch, counts the
   /// hop and attempt, and makes each entry pending, so a batch's keys get
@@ -166,24 +166,24 @@ class RouterServer {
   std::vector<MemberState> members_;
   std::unordered_map<ConnId, std::uint32_t> member_by_conn_;
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> forwarded_{0};
-  std::atomic<std::uint64_t> redirects_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> attempts_{0};
-  /// kBatchGet frames dispatched and the keys they carried.
-  std::atomic<std::uint64_t> batch_frames_{0};
-  std::atomic<std::uint64_t> batch_keys_{0};
-  std::atomic<std::uint64_t> scrapes_{0};  ///< load-signal scrape rounds
   std::atomic<std::uint32_t> frontends_up_{0};
   std::atomic<std::uint64_t> pending_total_{0};
   std::atomic<bool> stopping_{false};
 
   obs::MetricsRegistry registry_;
-  obs::Timer* request_us_ = nullptr;
-  obs::Timer* member_rtt_us_ = nullptr;
+  // Handles into `registry_`, taken in start().
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* forwarded_ = nullptr;
+  obs::Counter* redirects_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Counter* failures_ = nullptr;
+  obs::Counter* attempts_ = nullptr;
+  /// kBatchGet frames dispatched and the keys they carried.
+  obs::Counter* batch_frames_ = nullptr;
+  obs::Counter* batch_keys_ = nullptr;
+  obs::Counter* scrapes_ = nullptr;  ///< load-signal scrape rounds
   std::vector<obs::Counter*> member_dispatches_;  ///< per fleet index
+  obs::Timer* request_us_ = nullptr;
 
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;
 };

@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
   flags.add_uint64("shards", &shards,
                    "reactor shards sharing the port via SO_REUSEPORT");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
-  flags.add_bool("metrics", &config.metrics,
-                 "hot-path histograms (service time, loop ticks)");
   flags.add_int64("metrics-port", &metrics_port,
                   "Prometheus /metrics port (-1 = off, 0 = kernel-assigned)");
   flags.add_string("peers", &peers,

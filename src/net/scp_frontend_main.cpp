@@ -61,8 +61,6 @@ int main(int argc, char** argv) {
   std::uint64_t items = config.items;
   std::uint64_t value_bytes = config.value_bytes;
   std::uint64_t max_retries = config.retry.max_retries;
-  std::uint64_t batch_max = config.batch_max;
-  bool no_coalesce = false;
   std::uint64_t shards = config.shards;
   std::uint64_t fleet = 1;
   std::uint64_t fleet_index = 0;
@@ -98,12 +96,6 @@ int main(int argc, char** argv) {
   flags.add_double("retry-timeout", &config.retry.timeout_s,
                    "per-request timeout (seconds)");
   flags.add_uint64("seed", &config.seed, "routing tie-break seed");
-  flags.add_uint64("batch-max", &batch_max,
-                   "max keys per kBatchGet forward frame; 1 disables "
-                   "batching (one kGet frame per forward)");
-  flags.add_bool("no-coalesce", &no_coalesce,
-                 "disable single-flight miss coalescing (every miss emits "
-                 "its own forward, even with one already in flight)");
   flags.add_uint64("shards", &shards,
                    "reactor shards sharing the port via SO_REUSEPORT; the "
                    "cache capacity c is split c/N across them");
@@ -116,8 +108,6 @@ int main(int argc, char** argv) {
   flags.add_uint64("fleet-seed", &config.fleet_seed,
                    "fleet hash seed (must match every member and router)");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
-  flags.add_bool("metrics", &config.metrics,
-                 "hot-path histograms (lookup, RTT, request latency)");
   flags.add_int64("metrics-port", &metrics_port,
                   "Prometheus /metrics port (-1 = off, 0 = kernel-assigned)");
   flags.add_bool("detect", &config.detect,
@@ -137,9 +127,6 @@ int main(int argc, char** argv) {
   config.items = items;
   config.value_bytes = static_cast<std::uint32_t>(value_bytes);
   config.retry.max_retries = static_cast<std::uint32_t>(max_retries);
-  config.batch_max =
-      static_cast<std::uint32_t>(batch_max == 0 ? 1 : batch_max);
-  config.coalesce = !no_coalesce;
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
   config.shards = static_cast<std::uint32_t>(shards == 0 ? 1 : shards);
   config.fleet_size = static_cast<std::uint32_t>(fleet == 0 ? 1 : fleet);

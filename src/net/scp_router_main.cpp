@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   RouterConfig config;
   std::uint64_t port = 0;
   std::uint64_t max_hops = config.max_hops;
-  std::uint64_t batch_max = config.batch_max;
   std::string frontends_list;
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
@@ -82,11 +81,7 @@ int main(int argc, char** argv) {
                    "follows + dead-member re-dispatches)");
   flags.add_double("timeout", &config.timeout_s,
                    "per-request deadline before a member connection reset");
-  flags.add_uint64("batch-max", &batch_max,
-                   "max keys per kBatchGet dispatch frame; 1 disables "
-                   "batching (one kGet frame per dispatch)");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
-  flags.add_bool("metrics", &config.metrics, "hot-path histograms");
   flags.add_int64("metrics-port", &metrics_port,
                   "Prometheus /metrics port (-1 = off, 0 = kernel-assigned)");
   if (!flags.parse(argc, argv)) return 2;
@@ -94,8 +89,6 @@ int main(int argc, char** argv) {
   config.port = static_cast<std::uint16_t>(port);
   if (scrape_ms > 0.0) config.scrape_interval_s = scrape_ms / 1000.0;
   config.max_hops = static_cast<std::uint32_t>(max_hops == 0 ? 1 : max_hops);
-  config.batch_max =
-      static_cast<std::uint32_t>(batch_max == 0 ? 1 : batch_max);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
   if (!parse_endpoints(frontends_list, config.frontends)) {
     std::fprintf(stderr, "scp_router: bad --frontends entry\n");

@@ -2,9 +2,10 @@
 // N concurrent misses for one cold key must reach the backend as exactly
 // one fetch, a kBatchReply mixing kValue/kMiss/kRedirect items must settle
 // each parked forward with its own outcome, a backend must answer a whole
-// kBatchGet in one reply frame, and --batch-max 1 must stay reply-for-reply
-// identical to the batched path. Backend-silence windows are made
-// deterministic with a scripted FakeBackend that replies only when told.
+// kBatchGet in one reply frame, and a client's kBatchGet of cold keys must
+// leave the front end as kBatchGet frames with every key answered by its
+// own bytes. Backend-silence windows are made deterministic with a
+// scripted FakeBackend that replies only when told.
 // Labeled slow — each case spins up servers on real sockets.
 #include <poll.h>
 #include <sys/socket.h>
@@ -391,12 +392,12 @@ TEST(BatchServing, BackendAnswersWholeBatchInOneReply) {
   server.stop(1.0);
 }
 
-// --batch-max 1 must be reply-for-reply identical to the batched default:
-// same per-key outcomes, same bytes — batching only changes how forwards
-// are framed, never what they return. Distinct keys keep coalescing out of
-// the comparison; the client's kBatchGet lands all keys in one FE wakeup,
-// which is what makes the batched side actually emit kBatchGet frames.
-TEST(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
+// Batching changes how forwards are framed, never what they return: every
+// key of a client kBatchGet comes back as its own kValue with its own bytes,
+// and the ledger balances. Distinct keys keep coalescing out of it; the
+// client's kBatchGet lands all keys in one FE wakeup, which is what makes
+// the front end emit kBatchGet frames.
+TEST(BatchServing, ClientBatchForwardsAsBatchFrames) {
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -416,59 +417,38 @@ TEST(BatchServing, BatchMaxOneIsReplyForReplyIdentical) {
     endpoints.emplace_back("127.0.0.1", backends.back()->port());
   }
 
-  const auto make_frontend = [&](std::uint32_t batch_max) {
-    FrontendConfig config;
-    config.nodes = kNodes;
-    config.replication = kReplication;
-    config.partition_seed = kPartitionSeed;
-    config.backends = endpoints;
-    config.cache_policy = "none";  // every GET forwards
-    config.batch_max = batch_max;
-    return std::make_unique<FrontendServer>(config);
-  };
-  auto batched = make_frontend(64);
-  auto unbatched = make_frontend(1);
-  ASSERT_TRUE(batched->start());
-  ASSERT_TRUE(unbatched->start());
-  ASSERT_TRUE(batched->wait_backends_up(5.0));
-  ASSERT_TRUE(unbatched->wait_backends_up(5.0));
+  FrontendConfig config;
+  config.nodes = kNodes;
+  config.replication = kReplication;
+  config.partition_seed = kPartitionSeed;
+  config.backends = endpoints;
+  config.cache_policy = "none";  // every GET forwards
+  FrontendServer frontend(config);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
 
   std::vector<std::uint64_t> keys;
   for (std::size_t i = 0; i < kKeys; ++i) keys.push_back(i * 3 + 1);
-  SyncClient batched_client;
-  SyncClient unbatched_client;
-  ASSERT_TRUE(batched_client.connect("127.0.0.1", batched->port()));
-  ASSERT_TRUE(unbatched_client.connect("127.0.0.1", unbatched->port()));
-  const auto batched_replies = batched_client.batch_get(keys, 5.0);
-  const auto unbatched_replies = unbatched_client.batch_get(keys, 5.0);
-  ASSERT_TRUE(batched_replies.has_value());
-  ASSERT_TRUE(unbatched_replies.has_value());
-  ASSERT_EQ(batched_replies->size(), kKeys);
-  ASSERT_EQ(unbatched_replies->size(), kKeys);
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  const auto replies = client.batch_get(keys, 5.0);
+  ASSERT_TRUE(replies.has_value());
+  ASSERT_EQ(replies->size(), kKeys);
   for (std::size_t i = 0; i < kKeys; ++i) {
-    EXPECT_EQ((*batched_replies)[i], (*unbatched_replies)[i]) << "key index "
-                                                              << i;
-    EXPECT_EQ((*batched_replies)[i].type, MsgType::kValue);
-    EXPECT_EQ((*batched_replies)[i].payload, make_value(keys[i], 64));
+    EXPECT_EQ((*replies)[i].type, MsgType::kValue) << "key index " << i;
+    EXPECT_EQ((*replies)[i].payload, make_value(keys[i], 64))
+        << "key index " << i;
   }
 
-  // The batched side really exercised the batch path; --batch-max 1 stayed
-  // byte-identical to the classic one-kGet-per-forward wire traffic.
-  const auto [batch_frames, batch_keys] = batched->batch_totals();
+  const auto [batch_frames, batch_keys] = frontend.batch_totals();
   EXPECT_GT(batch_frames, 0u);
   EXPECT_GT(batch_keys, batch_frames);  // at least one frame carried > 1 key
-  const auto [unbatched_frames, unbatched_keys] = unbatched->batch_totals();
-  EXPECT_EQ(unbatched_frames, 0u);
-  EXPECT_EQ(unbatched_keys, 0u);
-  for (const FrontendServer* frontend : {batched.get(), unbatched.get()}) {
-    const ServerStats stats = frontend->stats();
-    EXPECT_EQ(stats.requests, kKeys);
-    EXPECT_EQ(stats.failures, 0u);
-    EXPECT_EQ(stats.requests,
-              stats.hits + stats.forwarded + stats.coalesced + stats.failures);
-  }
-  batched->stop(1.0);
-  unbatched->stop(1.0);
+  const ServerStats stats = frontend.stats();
+  EXPECT_EQ(stats.requests, kKeys);
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(stats.requests,
+            stats.hits + stats.forwarded + stats.coalesced + stats.failures);
+  frontend.stop(1.0);
   for (auto& backend : backends) backend->stop(1.0);
 }
 

@@ -4,6 +4,7 @@
 // spins up servers and sleeps on real sockets.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "net/backend_server.h"
 #include "net/frame_loop.h"
 #include "net/frontend_server.h"
+#include "net/socket.h"
 #include "net/sync_client.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -134,6 +136,43 @@ TEST(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
 
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+// backend.keys is the live key count at scrape time: deleting a stored key
+// and writing a new one both move it.
+TEST(BackendLoopback, KeysGaugeFollowsWrites) {
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;  // d = n: node 0 owns every key
+  constexpr std::uint64_t kItems = 32;
+  BackendServer server(backend_config(0, kNodes, kReplication, kItems));
+  ASSERT_TRUE(server.start());
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  const auto keys_gauge = [&client]() -> std::int64_t {
+    Message request;
+    request.type = MsgType::kMetricsRequest;
+    const auto reply = client.call(request, 2.0);
+    if (!reply.has_value()) return -1;
+    const auto it = reply->metrics.gauges.find("backend.keys");
+    return it != reply->metrics.gauges.end() ? it->second : -1;
+  };
+  const auto write = [&client](MsgType type, std::uint64_t key) {
+    Message request;
+    request.type = type;
+    request.key = key;
+    if (type == MsgType::kPut) request.payload = "fresh";
+    const auto reply = client.call(request, 2.0);
+    return reply.has_value() && reply->type == MsgType::kWriteReply;
+  };
+  const auto items = static_cast<std::int64_t>(kItems);
+  EXPECT_EQ(keys_gauge(), items);
+  ASSERT_TRUE(write(MsgType::kDelete, 3));
+  EXPECT_EQ(keys_gauge(), items - 1);
+  ASSERT_TRUE(write(MsgType::kPut, kItems + 5));
+  EXPECT_EQ(keys_gauge(), items);
+
+  server.stop();
 }
 
 // The preload holds exactly the node's replica-group keys, each at the
@@ -579,11 +618,23 @@ TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
   ASSERT_EQ(reply->type, MsgType::kMetricsReply);
   const obs::MetricsSnapshot& m = reply->metrics;
 
-  // Counters mirror ServerStats.
+  // Counters mirror ServerStats, field by field.
   const ServerStats stats = frontend.stats();
   EXPECT_EQ(m.counters.at("frontend.requests"), stats.requests);
   EXPECT_EQ(m.counters.at("frontend.hits"), stats.hits);
+  EXPECT_EQ(m.counters.at("frontend.misses"), stats.misses);
+  EXPECT_EQ(m.counters.at("frontend.redirects"), stats.redirects);
   EXPECT_EQ(m.counters.at("frontend.forwarded"), stats.forwarded);
+  EXPECT_EQ(m.counters.at("frontend.coalesced"), stats.coalesced);
+  EXPECT_EQ(m.counters.at("frontend.retries"), stats.retries);
+  EXPECT_EQ(m.counters.at("frontend.failures"), stats.failures);
+  EXPECT_EQ(m.counters.at("frontend.attempts_total"), stats.attempts);
+  EXPECT_EQ(m.counters.at("frontend.puts"), stats.puts);
+  EXPECT_EQ(m.counters.at("frontend.deletes"), stats.deletes);
+  EXPECT_EQ(m.counters.at("frontend.invalidations"), stats.invalidations);
+  EXPECT_EQ(stats.requests, kItems);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.attempts, 0u);
   EXPECT_EQ(m.gauges.at("frontend.backends_up"),
             static_cast<std::int64_t>(kNodes));
 
@@ -607,6 +658,51 @@ TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
             fleet.backends[0]->stats().requests);
   EXPECT_EQ(be_reply->metrics.timers.at("backend.service_us").count(),
             fleet.backends[0]->stats().requests);
+
+  frontend.stop();
+  for (auto& backend : fleet.backends) backend->stop();
+}
+
+// A frame of an unknown type is a protocol error: the reactor drops the
+// connection, counts it, and the count is exported as loop.protocol_errors
+// next to loop.accepted.
+TEST(FrontendLoopback, ExportsProtocolErrorsAndAccepts) {
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 16;
+
+  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
+  FrontendServer frontend(
+      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/4));
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+
+  // Length 5, then type 0x7f (unassigned) and request id 0.
+  const std::uint8_t bad_frame[] = {0, 0, 0, 5, 0x7f, 0, 0, 0, 0};
+  Socket raw = connect_tcp("127.0.0.1", frontend.port(), 2.0);
+  ASSERT_TRUE(raw.valid());
+  ASSERT_EQ(::send(raw.fd(), bad_frame, sizeof(bad_frame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(bad_frame)));
+  // The server hangs up once it has counted the error.
+  pollfd pfd{raw.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
+  std::uint8_t byte = 0;
+  EXPECT_LE(::recv(raw.fd(), &byte, 1, 0), 0);
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  Message request;
+  request.type = MsgType::kMetricsRequest;
+  const auto reply = client.call(request, 2.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kMetricsReply);
+  const auto& counters = reply->metrics.counters;
+  ASSERT_EQ(counters.count("loop.protocol_errors"), 1u);
+  EXPECT_GE(counters.at("loop.protocol_errors"), 1u);
+  ASSERT_EQ(counters.count("loop.accepted"), 1u);
+  EXPECT_GE(counters.at("loop.accepted"), 2u);
+  EXPECT_EQ(counters.at("loop.protocol_errors"),
+            frontend.loop_totals().protocol_errors);
 
   frontend.stop();
   for (auto& backend : fleet.backends) backend->stop();

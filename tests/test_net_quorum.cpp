@@ -6,7 +6,8 @@
 // converges a restarted replica. The ReplyMatching cases race a PUT and a
 // GET for one key through the front end and the router: the backend acks
 // the PUT only after its quorum but answers the GET at once, so each hop
-// must match replies by request id, not by order or key.
+// must match replies by request id, not by order or key. The last case
+// checks that every tier's stats() reads the same counters it exports.
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -536,6 +537,101 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
       << "a cleaned key must be served from the cache again";
 
   frontend.stop(0.5);
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+// stats() and the metrics registry are one store read two ways; this pins
+// the name mapping on a backend and a router. GETs, a PUT and a DELETE go
+// through a router and a 2-member fleet to a meshed pair of backends.
+TEST(QuorumSuite, StatsAgreeWithTheRegistryOnBackendsAndRouter) {
+  constexpr std::uint64_t kItems = 32;
+  constexpr std::uint32_t kFleet = 2;
+  constexpr std::uint64_t kFleetSeed = 4242;
+  Mesh mesh = start_mesh(2, 2, kItems);
+
+  std::vector<std::unique_ptr<FrontendServer>> members;
+  std::vector<std::pair<std::string, std::uint16_t>> member_endpoints;
+  for (std::uint32_t member = 0; member < kFleet; ++member) {
+    FrontendConfig config;
+    config.nodes = 2;
+    config.replication = 2;
+    config.partition_seed = kPartitionSeed;
+    config.backends = mesh.endpoints;
+    config.cache_policy = "perfect";
+    config.cache_capacity = 8;
+    config.items = kItems;
+    config.fleet_size = kFleet;
+    config.fleet_index = member;
+    config.fleet_seed = kFleetSeed;
+    members.push_back(std::make_unique<FrontendServer>(config));
+    ASSERT_TRUE(members.back()->start());
+    ASSERT_TRUE(members.back()->wait_backends_up(5.0));
+    member_endpoints.emplace_back("127.0.0.1", members.back()->port());
+  }
+  RouterConfig router_config;
+  router_config.frontends = member_endpoints;
+  router_config.fleet_seed = kFleetSeed;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port()));
+  for (std::uint64_t key = 0; key < kItems; ++key) {
+    const auto reply = client.get(key, 3.0);
+    ASSERT_TRUE(reply.has_value()) << "key " << key;
+    ASSERT_EQ(reply->type, MsgType::kValue) << "key " << key;
+  }
+  const auto put_ack = client.call(make_put(5, "rewritten"), 3.0);
+  ASSERT_TRUE(put_ack.has_value());
+  ASSERT_EQ(put_ack->type, MsgType::kWriteReply) << put_ack->payload;
+  const auto delete_ack = client.call(make_req(MsgType::kDelete, 20), 3.0);
+  ASSERT_TRUE(delete_ack.has_value());
+  ASSERT_EQ(delete_ack->type, MsgType::kWriteReply) << delete_ack->payload;
+  const auto deleted = client.get(20, 3.0);
+  ASSERT_TRUE(deleted.has_value());
+  EXPECT_EQ(deleted->type, MsgType::kMiss);
+
+  const ServerStats router_stats = router.stats();
+  const obs::MetricsSnapshot router_snap = router.metrics_snapshot();
+  const auto& rc = router_snap.counters;
+  EXPECT_EQ(rc.at("router.requests"), router_stats.requests);
+  EXPECT_EQ(rc.at("router.forwarded"), router_stats.forwarded);
+  EXPECT_EQ(rc.at("router.redirects_followed"), router_stats.redirects);
+  EXPECT_EQ(rc.at("router.retries"), router_stats.retries);
+  EXPECT_EQ(rc.at("router.failures"), router_stats.failures);
+  EXPECT_EQ(rc.at("router.attempts_total"), router_stats.attempts);
+  EXPECT_EQ(router_stats.requests, kItems + 3);
+  EXPECT_EQ(router_stats.forwarded, router_stats.requests);
+
+  ServerStats fleet_total;
+  for (std::size_t node = 0; node < mesh.backends.size(); ++node) {
+    const BackendServer& backend = *mesh.backends[node];
+    const ServerStats stats = backend.stats();
+    const obs::MetricsSnapshot snap = backend.metrics_snapshot();
+    const auto& bc = snap.counters;
+    EXPECT_EQ(bc.at("backend.requests"), stats.requests) << "node " << node;
+    EXPECT_EQ(bc.at("backend.hits"), stats.hits) << "node " << node;
+    EXPECT_EQ(bc.at("backend.misses"), stats.misses) << "node " << node;
+    EXPECT_EQ(bc.at("backend.redirects"), stats.redirects) << "node " << node;
+    EXPECT_EQ(bc.at("backend.puts"), stats.puts) << "node " << node;
+    EXPECT_EQ(bc.at("backend.deletes"), stats.deletes) << "node " << node;
+    EXPECT_EQ(bc.at("backend.replications"), stats.replications)
+        << "node " << node;
+    fleet_total.requests += stats.requests;
+    fleet_total.misses += stats.misses;
+    fleet_total.puts += stats.puts;
+    fleet_total.deletes += stats.deletes;
+    fleet_total.replications += stats.replications;
+  }
+  EXPECT_GT(fleet_total.requests, 0u);
+  EXPECT_GE(fleet_total.misses, 1u);
+  EXPECT_EQ(fleet_total.puts, 1u);
+  EXPECT_EQ(fleet_total.deletes, 1u);
+  EXPECT_GE(fleet_total.replications, 2u);  // W = 2 of d = 2, per write
+
+  router.stop(0.5);
+  for (auto& member : members) member->stop(0.5);
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
