@@ -74,7 +74,6 @@ struct LiveFlags {
   double warmup = 0.5;           // unrecorded seconds before measuring
   std::uint64_t threads = 4;     // load generator threads
   std::string cache = "perfect";
-  std::string router = "pinned";
   std::string partitioner = "hash";
   std::uint64_t value_bytes = 64;
   std::uint64_t seed = 20130708;
@@ -94,11 +93,10 @@ struct LiveFlags {
   std::string json;
 };
 
-/// The rate simulator's counterpart of the live router: "pinned" realizes
-/// the same balls-into-bins placement the simulator models as least-loaded.
-std::string sim_selector(const std::string& router) {
-  return router == "pinned" ? "least-loaded" : router;
-}
+/// The live front end routes misses pinned; the rate simulator models that
+/// balls-into-bins placement as least-loaded.
+constexpr const char* kLiveSelector = "pinned";
+constexpr const char* kSimSelector = "least-loaded";
 
 /// Predicted attack gain (Definition 1) for this distribution against the
 /// exact partition the live cluster runs: same partitioner kind and seed.
@@ -108,7 +106,7 @@ double predict_gain(const LiveFlags& flags, const QueryDistribution& dist,
       flags.partitioner, static_cast<std::uint32_t>(flags.n),
       static_cast<std::uint32_t>(flags.d), partition_seed));
   PerfectCache cache(flags.c, dist);
-  auto selector = make_selector(sim_selector(flags.router));
+  auto selector = make_selector(kSimSelector);
   RateSimConfig config;
   config.query_rate = flags.rate;
   config.seed = sim_seed;
@@ -464,7 +462,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     fe_config.cache_capacity = flags.c;
     fe_config.items = flags.m;
     fe_config.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
-    fe_config.router = flags.router;
     // Member 0 keeps the single-frontend seed so --fe-fleet 1 reproduces
     // the classic run decision-for-decision.
     fe_config.seed = member == 0
@@ -958,8 +955,6 @@ int main(int argc, char** argv) {
   flag_set.add_uint64("threads", &flags.threads, "load generator threads");
   flag_set.add_string("cache", &flags.cache,
                       "front-end cache: perfect|none|lru|lfu|slru|tinylfu");
-  flag_set.add_string("router", &flags.router,
-                      "miss routing: pinned|least-loaded|random|round-robin");
   flag_set.add_string("partitioner", &flags.partitioner,
                       "replica partitioner: hash|ring|rendezvous");
   flag_set.add_uint64("value-bytes", &flags.value_bytes, "stored value size");
@@ -1049,7 +1044,7 @@ int main(int argc, char** argv) {
   common.seed = flags.seed;
   common.threads = flags.threads;
   common.partitioner = flags.partitioner;
-  common.selector = flags.router;
+  common.selector = kLiveSelector;
   common.csv = flags.csv;
   common.json = flags.json;
 
@@ -1085,7 +1080,7 @@ int main(int argc, char** argv) {
                   : "",
               flags.rate, flags.duration,
               static_cast<unsigned long long>(flags.threads),
-              flags.cache.c_str(), flags.router.c_str());
+              flags.cache.c_str(), kLiveSelector);
   std::printf("rate-sim prediction (same partition seed): gain=%.4f\n\n",
               predicted);
 

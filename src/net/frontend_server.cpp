@@ -10,14 +10,6 @@
 #include "net/fleet.h"
 
 namespace scp::net {
-namespace {
-
-/// Timeout sweep cadence. Coarse on purpose: a request deadline is enforced
-/// within one sweep period, which is plenty for RetryPolicy's default 500 ms
-/// budget.
-constexpr double kSweepIntervalS = 0.020;
-
-}  // namespace
 
 FrontendServer::FrontendServer(FrontendConfig config)
     : config_(std::move(config)),
@@ -96,29 +88,22 @@ bool FrontendServer::start() {
               .drop_ratio = 0.5,
               .min_samples = config_.detect_min_samples});
     }
-    shard->backends.resize(config_.nodes);
+    shard->upstream = std::make_unique<Upstream>(
+        *shard->loop, config_.backends, config_.retry.timeout_s, stopping_);
     shard->loads.assign(config_.nodes, 0.0);
     shard->group.resize(config_.replication);
     shard->candidates.resize(config_.replication);
-    for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-      shard->backends[node].address = config_.backends[node].first;
-      shard->backends[node].port = config_.backends[node].second;
-    }
 
     Shard* s = shard.get();
     Reactor::Callbacks callbacks;
     callbacks.on_message = [this, s](ConnId conn, Message&& message) {
       handle(*s, conn, std::move(message));
     };
-    callbacks.on_close = [this, s](ConnId conn) { on_conn_close(*s, conn); };
-    callbacks.on_connect = [this, s](ConnId conn, bool ok) {
-      on_conn_connect(*s, conn, ok);
+    callbacks.on_close = [s](ConnId conn) { s->upstream->on_close(conn); };
+    callbacks.on_connect = [s](ConnId conn, bool ok) {
+      s->upstream->on_connect(conn, ok);
     };
     s->loop->set_callbacks(std::move(callbacks));
-    // Flush every backend's queued GET forwards right before the reactor's
-    // gathered write, so batch frames ride the same sendmsg as the wakeup's
-    // replies.
-    s->loop->set_before_flush([this, s] { flush_forward_queues(*s); });
 
     obs::MetricsRegistry& r = s->registry;
     s->requests = &r.counter("frontend.requests");
@@ -128,11 +113,11 @@ bool FrontendServer::start() {
     s->fleet_redirects = &r.counter("frontend.fleet_redirects");
     s->forwarded = &r.counter("frontend.forwarded");
     s->coalesced = &r.counter("frontend.coalesced");
-    s->retries = &r.counter("frontend.retries");
+    s->sends.retries = &r.counter("frontend.retries");
     s->failures = &r.counter("frontend.failures");
-    s->attempts = &r.counter("frontend.attempts_total");
-    s->batch_frames = &r.counter("frontend.batch_frames");
-    s->batch_keys = &r.counter("frontend.batch_keys");
+    s->sends.attempts = &r.counter("frontend.attempts_total");
+    s->sends.batch_frames = &r.counter("frontend.batch_frames");
+    s->sends.batch_keys = &r.counter("frontend.batch_keys");
     s->puts = &r.counter("frontend.puts");
     s->deletes = &r.counter("frontend.deletes");
     s->invalidations = &r.counter("frontend.invalidations");
@@ -174,13 +159,34 @@ bool FrontendServer::start() {
   // Every shard keeps its own connection to every backend; forwards never
   // cross shard boundaries.
   for (auto& shard : shards_) {
-    for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-      BackendState& backend = shard->backends[node];
-      backend.conn = shard->loop->connect(backend.address, backend.port);
-      shard->backend_by_conn[backend.conn] = node;
-    }
     Shard* s = shard.get();
-    s->loop->run_after(kSweepIntervalS, [this, s] { sweep_timeouts(*s); });
+    Upstream::Hooks hooks;
+    if (config_.detect) {
+      hooks.on_up = [s](std::uint32_t node) {
+        // Ask for kHotKeyReport pushes. One-way (id 0): the backend never
+        // answers it, so nothing is pending.
+        Message subscribe;
+        subscribe.type = MsgType::kHotKeySubscribe;
+        s->upstream->send_unmatched(node, subscribe);
+      };
+    }
+    hooks.on_sent = [s](std::uint32_t node) { s->loads[node] += 1.0; };
+    hooks.on_reply = [this, s](std::uint32_t node, Forward&& request,
+                               Message&& reply) {
+      settle_forward(*s, node, request, std::move(reply));
+    };
+    hooks.on_dropped = [this, s](std::uint32_t, Forward&& request,
+                                 bool sent) {
+      if (sent) {
+        retry_or_fail(*s, request);
+      } else {
+        // Never hit the wire: re-route at the same attempt count instead of
+        // burning a retry.
+        forward(*s, request.client, request.key, request.attempts,
+                request.start_ns, request.op, request.payload);
+      }
+    };
+    s->upstream->start(s->sends, std::move(hooks));
   }
 
   if (!pool_.start()) return false;
@@ -188,7 +194,7 @@ bool FrontendServer::start() {
                << pool_.port() << " (n=" << config_.nodes
                << " d=" << config_.replication << " cache="
                << config_.cache_policy << "/" << config_.cache_capacity
-               << " router=" << config_.router << " shards=" << n_shards
+               << " shards=" << n_shards
                << (config_.fleet_size > 1
                        ? " fleet=" + std::to_string(config_.fleet_index) +
                              "/" + std::to_string(config_.fleet_size)
@@ -204,7 +210,7 @@ void FrontendServer::stop(double drain_s) {
                         std::chrono::duration_cast<
                             std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(drain_s));
-  while (pending_total_.load() > 0 &&
+  while (pending_requests() > 0 &&
          std::chrono::steady_clock::now() < deadline && pool_.running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -223,9 +229,7 @@ bool FrontendServer::wait_backends_up(double timeout_s) const {
                             std::chrono::duration<double>(timeout_s));
   while (true) {
     std::uint64_t up = 0;
-    for (const auto& shard : shards_) {
-      up += shard->backends_up.load(std::memory_order_relaxed);
-    }
+    for (const auto& shard : shards_) up += shard->upstream->up_count();
     if (up >= want) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -241,9 +245,9 @@ ServerStats FrontendServer::stats() const {
     stats.redirects += shard->redirects->value();
     stats.forwarded += shard->forwarded->value();
     stats.coalesced += shard->coalesced->value();
-    stats.retries += shard->retries->value();
+    stats.retries += shard->sends.retries->value();
     stats.failures += shard->failures->value();
-    stats.attempts += shard->attempts->value();
+    stats.attempts += shard->sends.attempts->value();
     stats.puts += shard->puts->value();
     stats.deletes += shard->deletes->value();
     stats.invalidations += shard->invalidations->value();
@@ -256,15 +260,15 @@ obs::MetricsSnapshot FrontendServer::metrics_snapshot() const {
   per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     obs::MetricsSnapshot snap = shard->registry.snapshot();
-    snap.gauges["frontend.backends_up"] = static_cast<std::int64_t>(
-        shard->backends_up.load(std::memory_order_relaxed));
+    snap.gauges["frontend.backends_up"] =
+        static_cast<std::int64_t>(shard->upstream->up_count());
     shard->loop->counters().export_to(snap);
     per_shard.push_back(std::move(snap));
   }
   obs::MetricsSnapshot snap = merge_shard_snapshots("frontend", per_shard);
   // Shared across shards, so only the aggregate carries it.
   snap.gauges["frontend.pending_requests"] =
-      static_cast<std::int64_t>(pending_total_.load(std::memory_order_relaxed));
+      static_cast<std::int64_t>(pending_requests());
   if (config_.fleet_size > 1) {
     snap.gauges["frontend.fleet_index"] =
         static_cast<std::int64_t>(config_.fleet_index);
@@ -278,12 +282,21 @@ std::uint16_t FrontendServer::metrics_http_port() const noexcept {
   return metrics_http_ != nullptr ? metrics_http_->port() : 0;
 }
 
+std::uint64_t FrontendServer::pending_requests() const {
+  std::uint64_t total = backoff_pending_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) total += shard->upstream->in_flight();
+  return total;
+}
+
 void FrontendServer::handle(Shard& shard, ConnId conn, Message&& message) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it != shard.backend_by_conn.end()) {
-    handle_backend(shard, it->second, std::move(message));
-  } else {
+  const std::uint32_t node = shard.upstream->link_of(conn);
+  if (node == Upstream::kNoLink) {
     handle_client(shard, conn, std::move(message));
+  } else if (message.type == MsgType::kHotKeyReport) {
+    // One-way push (we subscribed); answers no request.
+    handle_hot_report(shard, std::move(message));
+  } else {
+    shard.upstream->on_reply(node, std::move(message));
   }
 }
 
@@ -427,85 +440,24 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
           message.payload);
 }
 
-void FrontendServer::handle_backend(Shard& shard, std::uint32_t node,
-                                    Message&& message) {
-  if (message.type == MsgType::kHotKeyReport) {
-    // One-way push (we subscribed); answers no request.
-    handle_hot_report(shard, std::move(message));
-    return;
-  }
-  if (message.type == MsgType::kBatchReply) {
-    handle_batch_reply(shard, node, std::move(message));
-    return;
-  }
-  BackendState& backend = shard.backends[node];
-  const PendingRequest* sent = backend.pending.find(message.id);
-  if (sent == nullptr || sent->key != message.key) {
-    // Protocol error: drop the connection; on_conn_close requeues.
-    SCP_LOG_WARN << "scp_frontend: reply mismatch from backend " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(backend.conn);
-    return;
-  }
-  const PendingRequest request = *backend.pending.take(message.id);
-  pending_total_.fetch_sub(1, std::memory_order_relaxed);
-  settle_forward(shard, node, request, message.type,
-                 std::move(message.payload), message.node, message.version);
-}
-
-void FrontendServer::handle_batch_reply(Shard& shard, std::uint32_t node,
-                                        Message&& reply) {
-  BackendState& backend = shard.backends[node];
-  // Item i answers the GET sent with id reply.id + i. Check every item
-  // before settling any: a half-applied mismatched batch would answer
-  // clients with the wrong keys' verdicts.
-  bool matches = !reply.batch.empty();
-  for (std::size_t i = 0; matches && i < reply.batch.size(); ++i) {
-    const PendingRequest* sent =
-        backend.pending.find(reply.id + static_cast<std::uint32_t>(i));
-    matches = sent != nullptr && sent->key == reply.batch[i].key &&
-              sent->op == MsgType::kGet;
-  }
-  if (!matches) {
-    SCP_LOG_WARN << "scp_frontend: batch reply mismatch from backend " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(backend.conn);
-    return;
-  }
-  for (std::size_t i = 0; i < reply.batch.size(); ++i) {
-    BatchItem& item = reply.batch[i];
-    const PendingRequest request =
-        *backend.pending.take(reply.id + static_cast<std::uint32_t>(i));
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    settle_forward(shard, node, request, item.type, std::move(item.payload),
-                   item.node, /*version=*/0);
-  }
-}
-
-/// One forwarded request got its backend verdict. Shared by the single-frame
-/// and kBatchReply paths; kGet verdicts fan out to coalesced waiters.
+/// One forwarded request got its backend verdict, which goes back to the
+/// client as is (the upstream checked its key); kGet verdicts fan out to
+/// coalesced waiters.
 void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
-                                    const PendingRequest& request,
-                                    MsgType type, std::string&& payload,
-                                    std::uint32_t redirect_node,
-                                    std::uint64_t version) {
-  switch (type) {
+                                    const Forward& request, Message&& reply) {
+  switch (reply.type) {
     case MsgType::kValue: {
       if (request.op == MsgType::kGet) {
-        admit(shard, request.key, payload);
+        admit(shard, request.key, reply.payload);
         // A dirty perfect-oracle key becomes cacheable again once the
         // authoritative value matches what the oracle synthesizes.
         if (!shard.dirty.empty() && shard.dirty.count(request.key) != 0 &&
-            payload == make_value(request.key, config_.value_bytes)) {
+            reply.payload == make_value(request.key, config_.value_bytes)) {
           shard.dirty.erase(request.key);
           shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
         }
       }
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kValue;
-      reply.key = request.key;
-      reply.payload = std::move(payload);
       send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kValue, reply.payload);
@@ -529,40 +481,31 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
         }
       }
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kMiss;
-      reply.key = request.key;
       send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kMiss, std::string());
       }
       return;
     }
-    case MsgType::kWriteReply: {
+    case MsgType::kWriteReply:
       // Coordinator acked the quorum write; relay version and all.
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kWriteReply;
-      reply.key = request.key;
-      reply.version = version;
       send_reply(*shard.loop, request.client, reply);
       return;
-    }
-    case MsgType::kRedirect: {
+    case MsgType::kRedirect:
       // Seeds agree across the tier, so this indicates misconfiguration;
       // follow the hint once per attempt budget anyway. The coalescing
       // entry (and its parked waiters) stays put — only the lead moves.
       shard.redirects->inc();
-      if (redirect_node < config_.nodes &&
+      if (reply.node < config_.nodes &&
           request.attempts + 1 < config_.retry.max_attempts()) {
-        forward_to(shard, redirect_node, request.client, request.key,
+        forward_to(shard, reply.node, request.client, request.key,
                    request.attempts + 1, request.start_ns, request.op,
                    request.payload);
       } else {
         fail_request(shard, request.client, request.key, request.op);
       }
       return;
-    }
     default:
       fail_request(shard, request.client, request.key, request.op);
       return;
@@ -682,8 +625,7 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
 
 /// A pending request was answered by backend `node` (kValue or kMiss):
 /// count it as forwarded exactly once and record its latency decomposition.
-void FrontendServer::complete_request(Shard& shard,
-                                      const PendingRequest& request,
+void FrontendServer::complete_request(Shard& shard, const Forward& request,
                                       std::uint32_t node) {
   if (request.client.conn == kInvalidConn) {
     // Self-initiated hot-key warm fetch: no client behind it, so it stays
@@ -699,72 +641,6 @@ void FrontendServer::complete_request(Shard& shard,
   shard.node_rtt_us[node]->record(rtt_us);
   shard.request_us->record((now - request.start_ns) / 1'000);
   shard.attempts_hist->record(request.attempts + 1);
-}
-
-void FrontendServer::on_conn_close(Shard& shard, ConnId conn) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it == shard.backend_by_conn.end()) {
-    return;  // client hung up; their pending replies fail at send()
-  }
-  const std::uint32_t node = it->second;
-  shard.backend_by_conn.erase(it);
-  BackendState& backend = shard.backends[node];
-  if (backend.up) {
-    backend.up = false;
-    shard.backends_up.fetch_sub(1, std::memory_order_relaxed);
-  }
-  backend.conn = kInvalidConn;
-
-  for (const PendingRequest& request : backend.pending.drain()) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    retry_or_fail(shard, request);
-  }
-  // Queued forwards never hit the wire, so they re-route at the same
-  // attempt count instead of burning a retry.
-  std::vector<PendingRequest> queued;
-  queued.swap(backend.queued);
-  for (const PendingRequest& q : queued) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    forward(shard, q.client, q.key, q.attempts, q.start_ns);
-  }
-  schedule_reconnect(shard, node);
-}
-
-void FrontendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it == shard.backend_by_conn.end()) return;
-  const std::uint32_t node = it->second;
-  BackendState& backend = shard.backends[node];
-  if (ok) {
-    backend.up = true;
-    backend.connect_attempts = 0;
-    shard.backends_up.fetch_add(1, std::memory_order_relaxed);
-    if (config_.detect) {
-      // Ask for kHotKeyReport pushes. One-way (id 0): the backend never
-      // answers it, so nothing is pending.
-      Message subscribe;
-      subscribe.type = MsgType::kHotKeySubscribe;
-      shard.loop->send(backend.conn, subscribe);
-    }
-    return;
-  }
-  shard.backend_by_conn.erase(it);
-  backend.conn = kInvalidConn;
-  schedule_reconnect(shard, node);
-}
-
-void FrontendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
-  if (stopping_.load()) return;
-  BackendState& backend = shard.backends[node];
-  const double delay = reconnect_delay_s(backend.connect_attempts++);
-  Shard* s = &shard;
-  shard.loop->run_after(delay, [this, s, node] {
-    if (stopping_.load()) return;
-    BackendState& target = s->backends[node];
-    if (target.conn != kInvalidConn) return;  // already reconnecting
-    target.conn = s->loop->connect(target.address, target.port);
-    s->backend_by_conn[target.conn] = node;
-  });
 }
 
 bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
@@ -870,31 +746,19 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   partitioner_->replica_group(key, shard.group);
   shard.candidates.clear();
   for (NodeId node : shard.group) {
-    if (shard.backends[node].up) shard.candidates.push_back(node);
+    if (shard.upstream->up(node)) shard.candidates.push_back(node);
   }
   if (shard.candidates.empty()) return kNoBackend;
-
-  const std::string& kind = config_.router;
-  if (kind == "pinned") {
-    auto it = shard.pins.find(key);
-    if (it != shard.pins.end() && shard.backends[it->second].up) {
-      return it->second;
-    }
-    const std::size_t pick =
-        least_loaded_pick(shard.candidates, shard.loads, shard.rng);
-    shard.pins[key] = shard.candidates[pick];
-    return shard.candidates[pick];
+  // Pinned: a key keeps the live replica it was first sent to, chosen as
+  // the least-loaded candidate at that moment (the paper's model).
+  auto it = shard.pins.find(key);
+  if (it != shard.pins.end() && shard.upstream->up(it->second)) {
+    return it->second;
   }
-  if (kind == "least-loaded") {
-    return shard.candidates[least_loaded_pick(shard.candidates, shard.loads,
-                                              shard.rng)];
-  }
-  if (kind == "random") {
-    return shard.candidates[shard.rng.uniform_u64(shard.candidates.size())];
-  }
-  // round-robin over the live members
-  const std::uint32_t turn = shard.rr[key]++;
-  return shard.candidates[turn % shard.candidates.size()];
+  const std::size_t pick =
+      least_loaded_pick(shard.candidates, shard.loads, shard.rng);
+  shard.pins[key] = shard.candidates[pick];
+  return shard.candidates[pick];
 }
 
 void FrontendServer::forward(Shard& shard, ReplyTo client, std::uint64_t key,
@@ -904,15 +768,15 @@ void FrontendServer::forward(Shard& shard, ReplyTo client, std::uint64_t key,
   if (node == kNoBackend) {
     // No live replica right now; treat like a failed attempt and back off.
     // While stopping, fail immediately: the loop's timers never fire again,
-    // so a scheduled retry would pin pending_total_ above zero and make
+    // so a scheduled retry would pin the pending count above zero and make
     // stop() burn its whole drain budget.
     if (attempts + 1 < config_.retry.max_attempts() && !stopping_.load()) {
-      pending_total_.fetch_add(1, std::memory_order_relaxed);
+      backoff_pending_.fetch_add(1, std::memory_order_relaxed);
       Shard* s = &shard;
       shard.loop->run_after(
           config_.retry.backoff_s(attempts),
           [this, s, client, key, attempts, start_ns, op, payload] {
-            pending_total_.fetch_sub(1, std::memory_order_relaxed);
+            backoff_pending_.fetch_sub(1, std::memory_order_relaxed);
             forward(*s, client, key, attempts + 1, start_ns, op, payload);
           });
     } else {
@@ -928,136 +792,18 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
                                 std::uint32_t attempts,
                                 std::uint64_t start_ns, MsgType op,
                                 const std::string& payload) {
-  BackendState& backend = shard.backends[node];
-  if (!backend.up) {
-    forward(shard, client, key, attempts, start_ns, op, payload);
-    return;
-  }
-  if (op == MsgType::kGet) {
-    // Batched forwarding: GETs accumulate here and flush as one kBatchGet
-    // at the reactor's before-flush hook (sooner if the queue fills). The
-    // wire send, pending entry and attempt counters all happen at flush,
-    // so the batch's keys get consecutive ids; pending_total_ is counted
-    // now so stop()'s drain sees queued forwards too.
-    backend.queued.push_back({.client = client, .key = key,
-                              .attempts = attempts, .start_ns = start_ns});
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
-    if (backend.queued.size() >= kBatchFlushKeys) {
-      flush_backend_queue(shard, node);
-    }
-    return;
-  }
-  Message request;
-  request.type = op;
-  request.id = backend.pending.next_id();
-  request.key = key;
+  // `forwarded` is only counted when a backend answers the request (in
+  // complete_request), so requests == hits + forwarded + failures holds;
+  // the upstream counts `attempts` per key sent and `retries` per re-send.
+  Forward request{.client = client, .key = key, .op = op,
+                  .attempts = attempts, .start_ns = start_ns};
   if (op == MsgType::kPut) request.payload = payload;
-  if (!shard.loop->send(backend.conn, request)) {
+  if (!shard.upstream->send(node, std::move(request))) {
     forward(shard, client, key, attempts, start_ns, op, payload);
-    return;
-  }
-  // One wire send. `forwarded` is only counted when a backend answers the
-  // request (in complete_request), so requests == hits + forwarded +
-  // failures holds; `attempts` counts sends, `retries` the re-sends.
-  shard.attempts->inc();
-  if (attempts > 0) shard.retries->inc();
-  shard.loads[node] += 1.0;
-
-  PendingRequest pending;
-  pending.client = client;
-  pending.key = key;
-  pending.op = op;
-  if (op == MsgType::kPut) pending.payload = payload;
-  pending.attempts = attempts;
-  pending.start_ns = start_ns;
-  pending.sent_ns = obs::now_ns();
-  pending.deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.retry.timeout_s));
-  backend.pending.add(std::move(pending));
-  pending_total_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FrontendServer::flush_forward_queues(Shard& shard) {
-  for (std::uint32_t node = 0;
-       node < static_cast<std::uint32_t>(shard.backends.size()); ++node) {
-    if (!shard.backends[node].queued.empty()) {
-      flush_backend_queue(shard, node);
-    }
   }
 }
 
-void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
-  BackendState& backend = shard.backends[node];
-  if (backend.queued.empty()) return;
-  std::vector<PendingRequest> queued;
-  queued.swap(backend.queued);
-
-  const auto requeue_all = [&] {
-    // The wire send never happened: re-route every forward at the same
-    // attempt count (forward re-counts pending_total_ on its way back in).
-    for (const PendingRequest& q : queued) {
-      pending_total_.fetch_sub(1, std::memory_order_relaxed);
-      forward(shard, q.client, q.key, q.attempts, q.start_ns);
-    }
-  };
-  if (!backend.up) {
-    requeue_all();
-    return;
-  }
-
-  bool sent = false;
-  if (queued.size() == 1) {
-    // A batch of one gains nothing over the plain frame; keep the wire
-    // identical to the unbatched path.
-    Message request;
-    request.type = MsgType::kGet;
-    request.id = backend.pending.next_id();
-    request.key = queued.front().key;
-    sent = shard.loop->send(backend.conn, request);
-  } else {
-    Message request;
-    request.type = MsgType::kBatchGet;
-    request.id = backend.pending.next_id();
-    request.batch_keys.reserve(queued.size());
-    for (const PendingRequest& q : queued) {
-      request.batch_keys.push_back(q.key);
-    }
-    sent = shard.loop->send(backend.conn, request);
-    if (sent) {
-      shard.batch_frames->inc();
-      shard.batch_keys->inc(queued.size());
-    }
-  }
-  if (!sent) {
-    requeue_all();
-    return;
-  }
-
-  // One wire send for the whole queue, but the ledger stays per key:
-  // `attempts` counts keys sent (so backend requests == attempts keeps
-  // holding — the backend counts batch keys individually too), `retries`
-  // the re-sent keys, and the router's load signal moves one unit per key.
-  // Adding the entries in queue order gives key i the frame's id + i.
-  const std::uint64_t sent_ns = obs::now_ns();
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.retry.timeout_s));
-  for (PendingRequest& pending : queued) {
-    shard.attempts->inc();
-    if (pending.attempts > 0) shard.retries->inc();
-    shard.loads[node] += 1.0;
-    pending.sent_ns = sent_ns;
-    pending.deadline = deadline;
-    // pending_total_ was counted when the forward was queued.
-    backend.pending.add(std::move(pending));
-  }
-}
-
-void FrontendServer::retry_or_fail(Shard& shard,
-                                   const PendingRequest& request) {
+void FrontendServer::retry_or_fail(Shard& shard, const Forward& request) {
   if (request.attempts + 1 < config_.retry.max_attempts() &&
       !stopping_.load()) {
     const double backoff = config_.retry.backoff_s(request.attempts);
@@ -1067,11 +813,11 @@ void FrontendServer::retry_or_fail(Shard& shard,
     const std::string payload = request.payload;
     const std::uint32_t next_attempt = request.attempts + 1;
     const std::uint64_t start_ns = request.start_ns;
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
+    backoff_pending_.fetch_add(1, std::memory_order_relaxed);
     Shard* s = &shard;
     shard.loop->run_after(
         backoff, [this, s, client, key, next_attempt, start_ns, op, payload] {
-          pending_total_.fetch_sub(1, std::memory_order_relaxed);
+          backoff_pending_.fetch_sub(1, std::memory_order_relaxed);
           forward(*s, client, key, next_attempt, start_ns, op, payload);
         });
   } else {
@@ -1100,22 +846,6 @@ void FrontendServer::fail_request(Shard& shard, ReplyTo client,
   reply.key = key;
   reply.payload = "no live replica";
   send_reply(*shard.loop, client, reply);
-}
-
-void FrontendServer::sweep_timeouts(Shard& shard) {
-  if (stopping_.load()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (BackendState& backend : shard.backends) {
-    const PendingRequest* oldest = backend.pending.oldest();
-    if (backend.conn != kInvalidConn && oldest != nullptr &&
-        oldest->deadline <= now) {
-      // The oldest request outlived its deadline: reset the connection;
-      // on_conn_close retries everything it carried elsewhere.
-      shard.loop->close_connection(backend.conn);
-    }
-  }
-  Shard* s = &shard;
-  shard.loop->run_after(kSweepIntervalS, [this, s] { sweep_timeouts(*s); });
 }
 
 }  // namespace scp::net

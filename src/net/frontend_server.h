@@ -2,19 +2,17 @@
 //
 // Serves client GETs from a front-end cache (perfect-prefix oracle or one
 // real policy cache per shard, from make_cache); misses are forwarded to a
-// backend chosen by the existing replica-selection machinery over the key's
-// replica group (power-of-d routing; "pinned" reproduces the paper's stable
-// key → serving-node balls-into-bins placement, with the cumulative
-// forwarded count per backend as the load signal). Dead backends are
-// handled with cluster::RetryPolicy: capped exponential backoff between
-// re-forwards, a per-request deadline enforced by a sweep timer, and
+// backend chosen from the key's replica group by a pinned, least-loaded
+// first pick (the paper's stable key → serving-node balls-into-bins
+// placement, with the cumulative forwarded count per backend as the load
+// signal). Dead backends are handled with cluster::RetryPolicy: capped
+// exponential backoff between re-forwards, a per-request deadline and
 // automatic reconnection.
 //
-// Request/reply matching is by request id on every backend connection
-// (inflight.h), so a backend may answer in any order (it acks a quorum
-// write after answering a later GET); an unknown id, or a reply whose key
-// differs from its request's, drops the connection. Client replies echo the
-// id the client sent.
+// Each shard's Upstream (upstream.h) owns its backend connections: it
+// dials them, batches GET forwards into kBatchGet frames, matches replies
+// by request id, enforces the deadlines and hands back the requests of a
+// dropped connection. Client replies echo the id the client sent.
 //
 // Sharding (config.shards = N > 1): a ReactorPool runs N reactors sharing
 // the listening port via SO_REUSEPORT, and every piece of per-request state
@@ -36,11 +34,7 @@
 // Forward path: a GET miss for a key that already has a forward in flight
 // parks on that forward (single-flight coalescing, counted as
 // frontend.coalesced); the one backend reply answers every parked client,
-// so an x-key miss flood costs at most x upstream fetches per RTT. GET
-// forwards queue per backend during one reactor wakeup and leave as one
-// kBatchGet at the before-flush hook (sooner at kBatchFlushKeys keys); a
-// queue of one leaves as a plain kGet. Writes and quorum reads forward
-// unbatched.
+// so an x-key miss flood costs at most x upstream fetches per RTT.
 //
 // Counters live only in each shard's metrics registry; stats(),
 // batch_totals() and metrics_snapshot() all read them back.
@@ -74,8 +68,8 @@
 #include "cluster/routing.h"
 #include "common/rng.h"
 #include "detect/hot_key.h"
-#include "net/inflight.h"
 #include "net/reactor_pool.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 
@@ -99,11 +93,8 @@ struct FrontendConfig {
   std::uint64_t items = 0;         ///< key space size m (perfect cache bound)
   std::uint32_t value_bytes = 64;  ///< perfect-cache value synthesis
 
-  /// Miss routing: pinned (paper model) | least-loaded | random |
-  /// round-robin.
-  std::string router = "pinned";
   RetryPolicy retry;
-  std::uint64_t seed = 1;  ///< tie-breaks, random routing
+  std::uint64_t seed = 1;  ///< routing tie-breaks
 
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;
@@ -176,48 +167,23 @@ class FrontendServer {
     std::uint64_t frames = 0;
     std::uint64_t keys = 0;
     for (const auto& shard : shards_) {
-      frames += shard->batch_frames->value();
-      keys += shard->batch_keys->value();
+      frames += shard->sends.batch_frames->value();
+      keys += shard->sends.batch_keys->value();
     }
     return {frames, keys};
   }
 
-  /// Introspection for tests: live backend_by_conn entries summed over
-  /// shards. Only stable while the shard loops are quiescent or stopped.
+  /// Introspection for tests: backend connection ids the shards' upstreams
+  /// map, summed over shards. Only stable while the shard loops are
+  /// quiescent or stopped.
   std::size_t backend_conn_entries() const noexcept {
     std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->backend_by_conn.size();
+    for (const auto& shard : shards_) total += shard->upstream->conn_entries();
     return total;
   }
 
  private:
   static constexpr std::uint32_t kNoBackend = UINT32_MAX;
-
-  /// A forwarded request: sent and pending by id, or a GET queued for the
-  /// wakeup's batch flush, which sends it, stamps sent_ns and deadline, and
-  /// makes it pending, so a batch's keys get consecutive ids.
-  struct PendingRequest {
-    ReplyTo client;
-    std::uint64_t key = 0;
-    /// What was forwarded: kGet, kQuorumGet, kPut or kDelete. Reads expect
-    /// kValue/kMiss back, writes expect kWriteReply.
-    MsgType op = MsgType::kGet;
-    std::string payload{};  ///< kPut only: the value (kept for retries)
-    std::chrono::steady_clock::time_point deadline{};
-    std::uint32_t attempts = 0;  ///< 0-based index of this attempt
-    std::uint64_t start_ns = 0;  ///< kGet arrival (carried across retries)
-    std::uint64_t sent_ns = 0;   ///< this attempt's wire send
-  };
-
-  struct BackendState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    std::uint32_t connect_attempts = 0;
-    InflightTable<PendingRequest> pending;  ///< sent, by request id
-    std::vector<PendingRequest> queued;     ///< GETs awaiting batch flush
-  };
 
   /// A client parked on another request's in-flight forward for the same
   /// key (single-flight coalescing). client.conn == kInvalidConn marks a
@@ -228,8 +194,8 @@ class FrontendServer {
   };
 
   /// Everything one reactor touches on the request path. Owned by the shard
-  /// loop's thread after start(); the only cross-thread reads are
-  /// backends_up and the registry (scrapes).
+  /// loop's thread after start(); the only cross-thread reads are the
+  /// upstream's counts and the registry (scrapes).
   struct Shard {
     std::size_t index = 0;
     Reactor* loop = nullptr;
@@ -244,20 +210,16 @@ class FrontendServer {
     std::unordered_set<std::uint64_t> dirty;
     Rng rng{1};
 
-    std::vector<BackendState> backends;
-    std::unordered_map<ConnId, std::uint32_t> backend_by_conn;
+    std::unique_ptr<Upstream> upstream;  ///< one link per backend node
     /// Single-flight table: key -> waiters parked on the one in-flight GET
     /// forward for that key (the lead request is pending on a backend
     /// connection as usual; retries and failover move the lead, never the
     /// waiters).
     std::unordered_map<std::uint64_t, std::vector<Waiter>> inflight;
-    std::vector<double> loads;  ///< forwarded count per backend (routing)
-    std::unordered_map<std::uint64_t, std::uint32_t> pins;  // pinned router
-    std::unordered_map<std::uint64_t, std::uint32_t> rr;    // round-robin
+    std::vector<double> loads;  ///< keys sent per backend (routing)
+    std::unordered_map<std::uint64_t, std::uint32_t> pins;  // key -> backend
     std::vector<NodeId> group;       // replica-group scratch
     std::vector<NodeId> candidates;  // live-members scratch
-
-    std::atomic<std::uint32_t> backends_up{0};
 
     /// Hot-key mitigation state (config.detect; loop-thread only). Each
     /// shard subscribes on its own backend connections, so its aggregator
@@ -286,13 +248,9 @@ class FrontendServer {
     /// same key: requests == hits + forwarded + coalesced + failures
     /// (+ fleet_redirects in fleet mode).
     obs::Counter* coalesced = nullptr;
-    obs::Counter* retries = nullptr;
     obs::Counter* failures = nullptr;
-    obs::Counter* attempts = nullptr;
-    /// kBatchGet frames sent and the keys they carried (batch_keys /
-    /// batch_frames = mean batch fill).
-    obs::Counter* batch_frames = nullptr;
-    obs::Counter* batch_keys = nullptr;
+    /// Bumped by the upstream; batch_keys / batch_frames = mean batch fill.
+    Upstream::Counters sends;
     obs::Counter* puts = nullptr;
     obs::Counter* deletes = nullptr;
     /// Cache entries dropped/dirtied because a write touched their key.
@@ -331,12 +289,9 @@ class FrontendServer {
   void handle(Shard& shard, ConnId conn, Message&& message);
   void handle_client(Shard& shard, ConnId conn, Message&& message);
   void handle_write(Shard& shard, ConnId conn, Message&& message);
-  void handle_backend(Shard& shard, std::uint32_t node, Message&& message);
   /// Absorbs a pushed kHotKeyReport into the shard's aggregator and runs
   /// the mitigation pass over the resulting hot set.
   void handle_hot_report(Shard& shard, Message&& message);
-  void on_conn_close(Shard& shard, ConnId conn);
-  void on_conn_connect(Shard& shard, ConnId conn, bool ok);
 
   bool cache_lookup(Shard& shard, std::uint64_t key, std::string& value);
   void admit(Shard& shard, std::uint64_t key, const std::string& value);
@@ -344,7 +299,7 @@ class FrontendServer {
   /// Write-path invalidation: drops/dirties `key`'s cache slot on whichever
   /// shard owns it (posted cross-shard when that isn't `shard`).
   void invalidate_cached(Shard& shard, std::uint64_t key);
-  void complete_request(Shard& shard, const PendingRequest& request,
+  void complete_request(Shard& shard, const Forward& request,
                         std::uint32_t node);
 
   /// One GET of a kGet / kBatchGet client frame: cache lookup, fleet
@@ -355,16 +310,10 @@ class FrontendServer {
   /// in-flight forward for `key`, else forwards.
   void forward_get(Shard& shard, ReplyTo client, std::uint64_t key,
                    std::uint64_t start_ns);
-  /// Settles one forwarded request with its backend verdict (shared by the
-  /// single-reply and kBatchReply paths); fans the result out to any
-  /// coalesced waiters on GETs.
+  /// Settles one forwarded request with its backend verdict; fans the
+  /// result out to any coalesced waiters on GETs.
   void settle_forward(Shard& shard, std::uint32_t node,
-                      const PendingRequest& request, MsgType type,
-                      std::string&& payload, std::uint32_t redirect_node,
-                      std::uint64_t version);
-  /// Settles item i with the request sent under id reply.id + i, after
-  /// checking every item's id and key.
-  void handle_batch_reply(Shard& shard, std::uint32_t node, Message&& reply);
+                      const Forward& request, Message&& reply);
   /// Completion fan-out: answers every waiter parked on `key` with the
   /// settled kValue/kMiss verdict and erases the in-flight entry.
   void finish_waiters(Shard& shard, std::uint64_t key, MsgType type,
@@ -379,26 +328,22 @@ class FrontendServer {
                   std::uint64_t key, std::uint32_t attempts,
                   std::uint64_t start_ns, MsgType op = MsgType::kGet,
                   const std::string& payload = {});
-  /// Reactor before-flush hook: flushes every backend's queued forwards so
-  /// the batch frames ride the same gathered write as the wakeup's replies.
-  void flush_forward_queues(Shard& shard);
-  /// Sends one backend's queued forwards: a single kBatchGet when > 1 is
-  /// queued, the plain kGet path for a queue of one.
-  void flush_backend_queue(Shard& shard, std::uint32_t node);
   std::uint32_t route(Shard& shard, std::uint64_t key);
-  void retry_or_fail(Shard& shard, const PendingRequest& request);
+  void retry_or_fail(Shard& shard, const Forward& request);
   void fail_request(Shard& shard, ReplyTo client, std::uint64_t key,
                     MsgType op);
-  void schedule_reconnect(Shard& shard, std::uint32_t node);
-  void sweep_timeouts(Shard& shard);
+  /// Forwards queued or awaiting a backend, plus re-forwards waiting out a
+  /// backoff, over every shard.
+  std::uint64_t pending_requests() const;
 
   FrontendConfig config_;
   std::unique_ptr<ReplicaPartitioner> partitioner_;
   ReactorPool pool_;
-  // unique_ptr: Shard holds an atomic and a registry, neither movable.
+  // unique_ptr: Shard holds a registry and an Upstream, neither movable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<std::uint64_t> pending_total_{0};
+  /// Re-forwards scheduled after a backoff and not yet run.
+  std::atomic<std::uint64_t> backoff_pending_{0};
   std::atomic<bool> stopping_{false};
 
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;

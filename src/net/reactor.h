@@ -59,11 +59,6 @@ struct ReactorCounters {
 /// consecutive failed attempts: 50 ms, doubling per failure, capped at 1 s.
 double reconnect_delay_s(std::uint32_t failures) noexcept;
 
-/// GETs a front end or router queues for one peer before sending them as a
-/// kBatchGet early, ahead of the wakeup's before-flush hook.
-inline constexpr std::uint32_t kBatchFlushKeys = 64;
-static_assert(kBatchFlushKeys <= kMaxBatchEntries);
-
 class Reactor {
  public:
   struct Callbacks {
@@ -149,10 +144,9 @@ class Reactor {
 
   /// Optional hook run on the loop thread once per wakeup, immediately
   /// before the loop's single flush point. Work that accumulates frames
-  /// across one dispatch round (the front end's per-backend forward queues,
-  /// the router's per-member dispatch queues) flushes here so everything it
-  /// emits rides the same gathered write as the round's other frames. Must
-  /// be set before start().
+  /// across one dispatch round (Upstream's per-link GET queues) flushes here
+  /// so everything it emits rides the same gathered write as the round's
+  /// other frames. Must be set before start().
   void set_before_flush(std::function<void()> hook) {
     before_flush_ = std::move(hook);
   }

@@ -11,21 +11,15 @@
 // (a cached key landed on the wrong member), the router follows the hop
 // transparently — the client never sees a REDIRECT.
 //
-// Request/reply matching is by request id on every fleet-member connection
-// (inflight.h): a member answers hits and redirects at once but forwards
-// only when its backend responds, so replies overtake one another, and a
-// GET and a PUT in flight for one key are told apart by id alone. Scrape
-// replies (kMetricsReply) are dispatched by type; an unknown id or a key
-// mismatch resets the connection. Relayed replies carry the client's own
-// id. A member connection dying re-dispatches its in-flight requests to the
-// surviving candidate (or fails them after the hop budget).
-//
-// GET dispatches for one member queue during a reactor wakeup and leave as
-// one kBatchGet at the before-flush hook (sooner at kBatchFlushKeys keys);
-// with batch id b the member answers key i with its own reply frame
-// carrying id b+i. A queue of one leaves as a plain kGet; writes and quorum
-// reads dispatch unbatched. Counters live only in the router's metrics
-// registry; stats() and metrics_snapshot() read them back.
+// The router's Upstream (upstream.h) owns the member connections: it dials
+// them, batches GET dispatches into kBatchGet frames (a member answers key
+// i of batch b with its own frame carrying id b+i), matches replies by
+// request id, enforces the deadline and hands back the requests of a
+// dropped connection, which the router re-dispatches to the surviving
+// candidate (or fails after the hop budget). Scrape replies
+// (kMetricsReply) are dispatched by type. Relayed replies carry the
+// client's own id. Counters live only in the router's metrics registry;
+// stats() and metrics_snapshot() read them back.
 //
 // The router is deliberately stateless beyond the fleet seed and endpoint
 // list — any number of router replicas can front the same fleet, so the
@@ -36,13 +30,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/fleet.h"
-#include "net/inflight.h"
 #include "net/reactor.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 
@@ -103,43 +96,16 @@ class RouterServer {
   std::uint16_t metrics_http_port() const noexcept;
 
  private:
-  /// A dispatched request: sent and pending by id, or a GET queued for the
-  /// wakeup's batch flush. The member's load delta
-  /// (router_.on_dispatch) is counted at queue time so power-of-two-choices
-  /// sees same-wakeup dispatches; the flush sends the batch, counts the
-  /// hop and attempt, and makes each entry pending, so a batch's keys get
-  /// consecutive ids.
-  struct PendingRequest {
-    ReplyTo client;
-    std::uint64_t key = 0;
-    /// Dispatched op: kGet, kQuorumGet, kPut or kDelete (writes redirect to
-    /// the fleet owner exactly like cached reads, so both need replaying).
-    MsgType op = MsgType::kGet;
-    std::string payload{};  ///< kPut only: the value (kept for re-dispatch)
-    std::chrono::steady_clock::time_point deadline{};
-    /// Dispatches so far (a sent one included; a queued one not yet).
-    std::uint32_t hops = 0;
-    std::uint64_t start_ns = 0;  ///< client kGet arrival
-  };
-
-  struct MemberState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    std::uint32_t connect_attempts = 0;
-    InflightTable<PendingRequest> pending;  ///< sent, by request id
-    std::vector<PendingRequest> queued;     ///< GETs awaiting batch flush
-  };
-
   void handle(ConnId conn, Message&& message);
   void handle_client(ConnId conn, Message&& message);
-  void handle_member(std::uint32_t member, Message&& message);
-  void on_conn_close(ConnId conn);
-  void on_conn_connect(ConnId conn, bool ok);
+  /// A member answered `request`: relay the verdict or follow a redirect.
+  void handle_member(std::uint32_t member, Forward&& request,
+                     Message&& reply);
+  /// A kMetricsReply scrape result: refresh the member's load base.
+  void handle_scrape(std::uint32_t member, const Message& reply);
 
-  /// Sends `key` to `member`, recording the pending entry. False when the
-  /// connection is down or the send fails (nothing recorded).
+  /// Hands `key` to `member`'s link (`hops` dispatches already made).
+  /// False when the link is down or the send fails (nothing recorded).
   bool dispatch_to(std::uint32_t member, ReplyTo client, std::uint64_t key,
                    std::uint32_t hops, std::uint64_t start_ns,
                    MsgType op = MsgType::kGet, const std::string& payload = {});
@@ -149,41 +115,26 @@ class RouterServer {
                 std::uint64_t start_ns, MsgType op = MsgType::kGet,
                 const std::string& payload = {});
   void fail_request(ReplyTo client, std::uint64_t key);
-  /// Reactor before-flush hook: sends every member's queued GET dispatches
-  /// (one kBatchGet each, plain kGet for a queue of one) so the batch frames
-  /// ride the wakeup's gathered write.
-  void flush_member_queues();
-  void flush_member_queue(std::uint32_t member);
-  void schedule_reconnect(std::uint32_t member);
   void scrape_members();
-  void sweep_timeouts();
 
   RouterConfig config_;
+  std::atomic<bool> stopping_{false};
   std::unique_ptr<Reactor> loop_;
+  Upstream upstream_;  ///< one link per fleet member
   FleetRouter router_;
   Rng rng_;
-
-  std::vector<MemberState> members_;
-  std::unordered_map<ConnId, std::uint32_t> member_by_conn_;
-
-  std::atomic<std::uint32_t> frontends_up_{0};
-  std::atomic<std::uint64_t> pending_total_{0};
-  std::atomic<bool> stopping_{false};
 
   obs::MetricsRegistry registry_;
   // Handles into `registry_`, taken in start().
   obs::Counter* requests_ = nullptr;
   obs::Counter* forwarded_ = nullptr;
   obs::Counter* redirects_ = nullptr;
-  obs::Counter* retries_ = nullptr;
   obs::Counter* failures_ = nullptr;
-  obs::Counter* attempts_ = nullptr;
-  /// kBatchGet frames dispatched and the keys they carried.
-  obs::Counter* batch_frames_ = nullptr;
-  obs::Counter* batch_keys_ = nullptr;
+  Upstream::Counters sends_;  ///< bumped by the upstream
   obs::Counter* scrapes_ = nullptr;  ///< load-signal scrape rounds
   std::vector<obs::Counter*> member_dispatches_;  ///< per fleet index
   obs::Timer* request_us_ = nullptr;
+  obs::Timer* fe_rtt_us_ = nullptr;  ///< dispatch to matched member reply
 
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;
 };

@@ -87,8 +87,6 @@ int main(int argc, char** argv) {
   flags.add_uint64("items", &items, "key space size m (perfect cache bound)");
   flags.add_uint64("value-bytes", &value_bytes,
                    "value size for perfect-cache synthesis");
-  flags.add_string("router", &config.router,
-                   "miss routing: pinned|least-loaded|random|round-robin");
   flags.add_uint64("max-retries", &max_retries,
                    "retries after the first attempt");
   flags.add_double("retry-backoff", &config.retry.backoff_base_s,

@@ -1,0 +1,178 @@
+// Upstream: one reactor's links to a fixed list of servers, and the only
+// code that knows how a forwarded request is sent, matched, timed out and
+// handed back when its link drops.
+//
+// A front-end shard holds one for its backends, the router one for its
+// fleet members. The owner decides where a request goes and what to do with
+// the answer; the module does the rest:
+//
+//   * Links. start() dials every endpoint; a failed dial or a closed link is
+//     re-dialed after reconnect_delay_s(). up() tracks each link, and
+//     up_count() is readable from any thread.
+//   * Sending. A GET is queued per link and leaves at the reactor's
+//     before-flush hook, so it rides the wakeup's gathered write (sooner
+//     once kBatchFlushKeys are queued). A queue of one leaves as a plain
+//     kGet; a larger one as one kBatchGet with id b, whose key i is request
+//     b+i. Any other op is sent at once under a fresh id. Every key sent
+//     stamps sent_ns and the deadline and counts one attempt (a retry when
+//     it had been sent before); a kBatchGet counts one batch frame.
+//   * Matching. A reply is matched by id and key (inflight.h), in whatever
+//     order the peer answers. A kBatchReply is checked as a whole before any
+//     item is settled. Any mismatch resets the link.
+//   * Deadlines. A sweep closes a link whose oldest request is past its
+//     deadline.
+//   * Hand-back. When a link closes, or a queued flush cannot be sent,
+//     every request it held goes back to the owner, which learns whether it
+//     had reached the wire.
+//
+// Loop-thread only, apart from up_count() and in_flight().
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "net/inflight.h"
+#include "net/reactor.h"
+#include "obs/metrics.h"
+
+namespace scp::net {
+
+/// GETs queued for one link before they leave as a kBatchGet early, ahead
+/// of the wakeup's before-flush hook.
+inline constexpr std::uint32_t kBatchFlushKeys = 64;
+static_assert(kBatchFlushKeys <= kMaxBatchEntries);
+
+/// A forwarded request: queued for its link's batch, or sent and awaiting
+/// its reply.
+struct Forward {
+  ReplyTo client;
+  std::uint64_t key = 0;
+  /// kGet, kQuorumGet, kPut or kDelete.
+  MsgType op = MsgType::kGet;
+  std::string payload{};  ///< kPut only: the value (kept for re-sends)
+  std::uint32_t attempts = 0;  ///< sends before this one
+  std::uint64_t start_ns = 0;  ///< client request arrival
+  std::uint64_t sent_ns = 0;   ///< this send, stamped by the module
+  std::chrono::steady_clock::time_point deadline{};
+};
+
+class Upstream {
+ public:
+  /// Counter handles the owner registers; the module bumps them.
+  struct Counters {
+    obs::Counter* attempts = nullptr;      ///< keys sent
+    obs::Counter* retries = nullptr;       ///< keys sent with attempts > 0
+    obs::Counter* batch_frames = nullptr;  ///< kBatchGet frames sent
+    obs::Counter* batch_keys = nullptr;    ///< keys those frames carried
+  };
+
+  /// The owner's policy, called on the loop thread. Only on_reply and
+  /// on_dropped are required.
+  struct Hooks {
+    /// `link` connected.
+    std::function<void(std::uint32_t link)> on_up;
+    /// `link` closed; called before its requests are handed back.
+    std::function<void(std::uint32_t link)> on_down;
+    /// One key reached `link`'s wire (once per key of a kBatchGet).
+    std::function<void(std::uint32_t link)> on_sent;
+    /// `reply` answered `request`; a kBatchReply item arrives as a reply
+    /// frame of its own.
+    std::function<void(std::uint32_t link, Forward&& request,
+                       Message&& reply)>
+        on_reply;
+    /// `request` will get no reply on `link`: the link closed, or the flush
+    /// of its queue could not be sent. `sent` says whether it was sent.
+    std::function<void(std::uint32_t link, Forward&& request, bool sent)>
+        on_dropped;
+  };
+
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+
+  /// `timeout_s` is each sent request's deadline. Once `stopping` is set no
+  /// link is re-dialed and the sweep stops.
+  Upstream(Reactor& loop,
+           const std::vector<std::pair<std::string, std::uint16_t>>& endpoints,
+           double timeout_s, const std::atomic<bool>& stopping);
+  Upstream(const Upstream&) = delete;
+  Upstream& operator=(const Upstream&) = delete;
+
+  /// Dials every link, arms the deadline sweep and takes the loop's
+  /// before-flush hook. Call once, before the loop starts.
+  void start(Counters counters, Hooks hooks);
+
+  /// Reactor callbacks; connections that are not links are ignored.
+  void on_connect(ConnId conn, bool ok);
+  void on_close(ConnId conn);
+
+  /// The link `conn` belongs to, or kNoLink.
+  std::uint32_t link_of(ConnId conn) const {
+    auto it = by_conn_.find(conn);
+    return it == by_conn_.end() ? kNoLink : it->second;
+  }
+
+  /// Matches a reply that arrived on `link` and hands it to on_reply.
+  void on_reply(std::uint32_t link, Message&& reply);
+
+  /// Takes `request` for `link`: a GET is queued, anything else is sent now.
+  /// False when the link is down or the send failed; nothing is kept then.
+  bool send(std::uint32_t link, Forward request);
+
+  /// Sends a frame that no reply is matched to (a subscription, a scrape).
+  /// False when the link is down.
+  bool send_unmatched(std::uint32_t link, const Message& message);
+
+  std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(links_.size());
+  }
+  bool up(std::uint32_t link) const { return links_[link].up; }
+  std::uint32_t up_count() const noexcept {
+    return up_count_.load(std::memory_order_relaxed);
+  }
+  /// Requests queued or sent and not yet answered or handed back.
+  std::uint64_t in_flight() const noexcept {
+    return in_flight_.load(std::memory_order_relaxed);
+  }
+  /// Connection ids currently mapped to a link (at most one per link).
+  std::size_t conn_entries() const noexcept { return by_conn_.size(); }
+
+ private:
+  struct Link {
+    std::string address;
+    std::uint16_t port = 0;
+    ConnId conn = kInvalidConn;
+    bool up = false;
+    std::uint32_t connect_failures = 0;
+    InflightTable<Forward> pending;  ///< sent, by request id
+    std::vector<Forward> queued;     ///< GETs awaiting the flush
+  };
+
+  void dial(std::uint32_t link);
+  void redial_later(std::uint32_t link);
+  /// Sends `link`'s queued GETs as one frame.
+  void flush(std::uint32_t link);
+  /// Counts one key sent, stamps it and makes it pending.
+  void add_pending(std::uint32_t link, Forward&& request, std::uint64_t sent_ns,
+                   std::chrono::steady_clock::time_point deadline);
+  void hand_back(std::uint32_t link, Forward&& request, bool sent);
+  void reset(std::uint32_t link, const char* why);
+  void sweep();
+  std::chrono::steady_clock::time_point deadline_from_now() const;
+
+  Reactor& loop_;
+  const std::atomic<bool>& stopping_;
+  const double timeout_s_;
+  Counters counters_;
+  Hooks hooks_;
+  std::vector<Link> links_;
+  std::unordered_map<ConnId, std::uint32_t> by_conn_;
+  std::atomic<std::uint32_t> up_count_{0};
+  std::atomic<std::uint64_t> in_flight_{0};
+};
+
+}  // namespace scp::net

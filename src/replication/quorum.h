@@ -80,7 +80,7 @@ struct ReadResponse {
   bool found = false;
   bool tombstone = false;
   std::uint64_t version = 0;
-  std::string value;
+  std::string value{};
 };
 
 class ReadQuorum {

@@ -92,6 +92,15 @@ KvClusterOptions small_options() {
   return options;
 }
 
+/// `prefix` followed by the key's digits. Appended rather than written as
+/// "literal" + std::to_string(key), for which GCC 12 reports a false
+/// -Wrestrict.
+std::string tagged(const char* prefix, KeyId key) {
+  std::string value = prefix;
+  value += std::to_string(key);
+  return value;
+}
+
 TEST(KvCluster, PutGetEraseLifecycle) {
   KvCluster kv(small_options());
   EXPECT_EQ(kv.get(7), std::nullopt);
@@ -130,7 +139,7 @@ TEST(KvCluster, WritesLandOnExactlyTheReplicaGroup) {
 TEST(KvCluster, ReplicasConvergeAfterWrite) {
   KvCluster kv(small_options());
   for (KeyId key = 0; key < 100; ++key) {
-    kv.put(key, "v" + std::to_string(key));
+    kv.put(key, tagged("v", key));
     EXPECT_TRUE(kv.replicas_converged(key)) << "key " << key;
   }
 }
@@ -175,7 +184,7 @@ TEST(KvCluster, RecoveredStaleNodeIsReadRepaired) {
 TEST(KvCluster, AntiEntropyConvergesWipedNode) {
   KvCluster kv(small_options());
   for (KeyId key = 0; key < 50; ++key) {
-    kv.put(key, "x" + std::to_string(key));
+    kv.put(key, tagged("x", key));
   }
   kv.wipe_node(2);
   kv.anti_entropy();
@@ -336,7 +345,7 @@ TEST(KvClusterHints, ManyKeysManyFailuresConvergeWithoutAntiEntropy) {
   const NodeId victim = 4;
   kv.fail_node(victim);
   for (KeyId key = 0; key < 200; ++key) {
-    kv.put(key, "x" + std::to_string(key));
+    kv.put(key, tagged("x", key));
   }
   kv.recover_node(victim);
   for (KeyId key = 0; key < 200; ++key) {

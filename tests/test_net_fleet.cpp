@@ -1,14 +1,23 @@
 // Distributed front-end fleet: fleet hashing, the cache partition law
 // (aggregate footprint exactly c, single-copy ownership, REDIRECT from
 // non-owners), the power-of-two-choices FleetRouter, and the edge router
-// end to end (clients never see a fleet REDIRECT). Labeled slow + net +
-// fleet — the serving cases spin up real TCP fleets.
+// end to end (clients never see a fleet REDIRECT, nor a member that dies or
+// stalls). Labeled slow + net + fleet — the serving cases spin up real TCP
+// fleets.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/partition.h"
@@ -18,6 +27,7 @@
 #include "net/fleet.h"
 #include "net/frontend_server.h"
 #include "net/router_server.h"
+#include "net/socket.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
@@ -485,6 +495,9 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   }
   // Conservation across the tier: the fleet saw every router dispatch.
   EXPECT_EQ(member_requests_total, router_stats.attempts);
+  // Every dispatch got a member reply, and each reply timed its round trip.
+  EXPECT_EQ(router.metrics_snapshot().timers.at("router.fe_rtt_us").count(),
+            router_stats.attempts);
 
   router.stop();
   for (auto& member : fe.members) member->stop();
@@ -534,6 +547,233 @@ TEST(FleetRouterE2E, RouterMetricsExposeDispatchSpread) {
 
   router.stop();
   for (auto& member : fe.members) member->stop();
+  for (auto& backend : backends.servers) backend->stop();
+}
+
+// ---------------------------------------------------------------------------
+// Edge router under member failure.
+
+/// Deadline-polls `predicate` every millisecond. False on timeout.
+bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_s));
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return predicate();
+}
+
+std::int64_t router_gauge(const RouterServer& router, const std::string& name) {
+  return router.metrics_snapshot().gauges.at(name);
+}
+
+std::uint64_t router_counter(const RouterServer& router,
+                             const std::string& name) {
+  return router.metrics_snapshot().counters.at(name);
+}
+
+/// A fleet member that accepts the router's connection, reads every frame
+/// and never answers: GETs sent to it stay in flight until the router's
+/// deadline resets the link. Counts accepted connections and GET keys.
+class SilentMember {
+ public:
+  ~SilentMember() { stop(); }
+
+  bool start() {
+    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
+    if (!listener_.valid()) return false;
+    thread_ = std::thread([this] { run(); });
+    return true;
+  }
+
+  void stop() {
+    stopping_.store(true);
+    if (thread_.joinable()) thread_.join();
+    listener_.reset();
+  }
+
+  std::uint16_t port() const noexcept { return port_; }
+  std::uint64_t accepted() const { return accepted_.load(); }
+  std::uint64_t get_keys() const { return get_keys_.load(); }
+
+ private:
+  void run() {
+    while (!stopping_.load()) {
+      pollfd pfd{listener_.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      Socket conn(::accept(listener_.fd(), nullptr, nullptr));
+      if (!conn.valid()) continue;
+      accepted_.fetch_add(1);
+      swallow(conn);
+    }
+  }
+
+  /// Reads and counts frames until the peer closes the connection.
+  void swallow(const Socket& conn) {
+    FrameReader reader;
+    std::uint8_t buffer[16384];
+    while (!stopping_.load()) {
+      pollfd pfd{conn.fd(), POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, 20);
+      if (ready < 0) return;
+      if (ready == 0) continue;
+      const ssize_t n = ::recv(conn.fd(), buffer, sizeof(buffer), 0);
+      if (n <= 0) return;
+      reader.append({buffer, static_cast<std::size_t>(n)});
+      while (auto payload = reader.next_payload()) {
+        const auto message = decode_payload(*payload);
+        if (!message.has_value()) return;
+        if (message->type == MsgType::kGet) get_keys_.fetch_add(1);
+        if (message->type == MsgType::kBatchGet) {
+          get_keys_.fetch_add(message->batch_keys.size());
+        }
+      }
+      if (reader.corrupted()) return;
+    }
+  }
+
+  Socket listener_;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+  std::atomic<bool> stopping_{false};
+  std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> get_keys_{0};
+};
+
+TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
+  // Two members with no cache, so either candidate can serve every key.
+  // Member 0 stops while clients keep GETs in flight: whatever it held goes
+  // back to the router, which re-dispatches to member 1, so no client sees
+  // anything but kValue. Restarted on the same port, it rejoins.
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 64;
+  constexpr std::uint32_t kFleet = 2;
+  constexpr int kClients = 3;
+
+  Backends backends = start_backends(kNodes, kReplication, kItems);
+  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
+                              /*cache=*/0, kFleet, "none");
+
+  RouterConfig router_config;
+  router_config.frontends = fe.endpoints;
+  router_config.fleet_seed = kFleetSeed;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      SyncClient client;
+      if (!client.connect("127.0.0.1", router.port(), 3.0)) {
+        wrong.fetch_add(1);
+        return;
+      }
+      for (std::uint64_t i = 0; !done.load(); ++i) {
+        const std::uint64_t key = (i * kClients + c) % kItems;
+        const auto reply = client.get(key, 5.0);
+        if (!reply.has_value() || reply->type != MsgType::kValue ||
+            reply->payload != make_value(key, 64)) {
+          wrong.fetch_add(1);
+          return;
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+
+  ASSERT_TRUE(poll_until(5.0, [&] { return answered.load() >= 200; }));
+  const std::uint16_t member0_port = fe.endpoints[0].second;
+  fe.members[0]->stop(0.0);
+  EXPECT_TRUE(poll_until(5.0, [&] {
+    return router_gauge(router, "router.frontends_up") == 1;
+  }));
+  const std::uint64_t before_down = answered.load();
+  EXPECT_TRUE(
+      poll_until(5.0, [&] { return answered.load() >= before_down + 200; }))
+      << "traffic must keep flowing through the surviving member";
+
+  FrontendConfig restarted = member_config(backends, kNodes, kReplication,
+                                           kItems, /*cache=*/0, kFleet, 0);
+  restarted.cache_policy = "none";
+  restarted.port = member0_port;
+  fe.members[0] = std::make_unique<FrontendServer>(restarted);
+  ASSERT_TRUE(fe.members[0]->start());
+  ASSERT_TRUE(fe.members[0]->wait_backends_up(5.0));
+  EXPECT_TRUE(router.wait_frontends_up(5.0));
+  EXPECT_EQ(router_gauge(router, "router.frontends_up"), 2);
+  const std::uint64_t fe0_before =
+      router_counter(router, "router.dispatches.fe0");
+  EXPECT_TRUE(poll_until(5.0, [&] {
+    return router_counter(router, "router.dispatches.fe0") > fe0_before;
+  })) << "dispatches must reach the restarted member";
+
+  done.store(true);
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(wrong.load(), 0u) << "every GET must be answered kValue";
+  EXPECT_EQ(router_counter(router, "router.failures"), 0u);
+
+  router.stop();
+  for (auto& member : fe.members) member->stop();
+  for (auto& backend : backends.servers) backend->stop();
+}
+
+TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
+  // Member 0 accepts and never replies. Its scraped load stays 0, so the
+  // router soon prefers it; a GET sent there outlives the router's
+  // deadline, the sweep resets the link, and the GET is re-dispatched to
+  // member 1, which answers kValue.
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 64;
+  constexpr std::uint32_t kFleet = 2;
+
+  Backends backends = start_backends(kNodes, kReplication, kItems);
+  SilentMember silent;
+  ASSERT_TRUE(silent.start());
+  FrontendConfig member = member_config(backends, kNodes, kReplication,
+                                        kItems, /*cache=*/0, kFleet, 1);
+  member.cache_policy = "none";
+  FrontendServer frontend(member);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+
+  RouterConfig router_config;
+  router_config.frontends = {{"127.0.0.1", silent.port()},
+                             {"127.0.0.1", frontend.port()}};
+  router_config.fleet_seed = kFleetSeed;
+  router_config.timeout_s = 0.2;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
+  for (std::uint64_t key = 0; key < kItems && silent.get_keys() == 0; ++key) {
+    const auto reply = client.get(key, 5.0);
+    ASSERT_TRUE(reply.has_value()) << "key " << key;
+    ASSERT_EQ(reply->type, MsgType::kValue) << "key " << key;
+    EXPECT_EQ(reply->payload, make_value(key, 64));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(silent.get_keys(), 0u)
+      << "no GET was dispatched to the silent member";
+
+  // The reset link is re-dialed, and the re-dispatch counted as a retry.
+  EXPECT_TRUE(poll_until(5.0, [&] { return silent.accepted() >= 2; }));
+  EXPECT_GE(router_counter(router, "router.retries"), 1u);
+  EXPECT_EQ(router_counter(router, "router.failures"), 0u);
+
+  router.stop();
+  frontend.stop();
+  silent.stop();
   for (auto& backend : backends.servers) backend->stop();
 }
 

@@ -1,13 +1,8 @@
-#include <unistd.h>
-
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "workload/stream.h"
-#include "workload/trace.h"
 
 namespace scp {
 namespace {
@@ -81,68 +76,6 @@ TEST(SampleKeyCounts, ZipfSkewShowsInCounts) {
   const auto counts = sample_key_counts(d, 50000, 5);
   EXPECT_GT(counts[0], counts[100]);
   EXPECT_GT(counts[0], 1000u);
-}
-
-TEST(Trace, RoundTripsQueries) {
-  const auto d = QueryDistribution::uniform(20);
-  QueryStream stream(d, 1000.0, 6);
-  const auto queries = stream.generate(0.5);
-  const std::string path = ::testing::TempDir() + "/scp_trace_test.bin";
-  ASSERT_TRUE(write_trace(path, queries));
-  std::vector<Query> loaded;
-  ASSERT_TRUE(read_trace(path, loaded));
-  ASSERT_EQ(loaded.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded[i].time, queries[i].time);
-    EXPECT_EQ(loaded[i].key, queries[i].key);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Trace, EmptyTraceRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/scp_trace_empty.bin";
-  ASSERT_TRUE(write_trace(path, {}));
-  std::vector<Query> loaded = {{1.0, 2}};
-  ASSERT_TRUE(read_trace(path, loaded));
-  EXPECT_TRUE(loaded.empty());
-  std::remove(path.c_str());
-}
-
-TEST(Trace, MissingFileFails) {
-  std::vector<Query> loaded;
-  EXPECT_FALSE(read_trace("/nonexistent/dir/file.bin", loaded));
-  EXPECT_TRUE(loaded.empty());
-}
-
-TEST(Trace, CorruptMagicFails) {
-  const std::string path = ::testing::TempDir() + "/scp_trace_bad.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char garbage[32] = "not a trace file at all";
-  std::fwrite(garbage, 1, sizeof garbage, f);
-  std::fclose(f);
-  std::vector<Query> loaded;
-  EXPECT_FALSE(read_trace(path, loaded));
-  std::remove(path.c_str());
-}
-
-TEST(Trace, TruncatedFileFails) {
-  const auto d = QueryDistribution::uniform(5);
-  QueryStream stream(d, 1000.0, 8);
-  const auto queries = stream.generate(0.1);
-  const std::string path = ::testing::TempDir() + "/scp_trace_trunc.bin";
-  ASSERT_TRUE(write_trace(path, queries));
-  // Truncate the file to cut the last record in half.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size - 7), 0);
-  std::vector<Query> loaded;
-  EXPECT_FALSE(read_trace(path, loaded));
-  EXPECT_TRUE(loaded.empty());
-  std::remove(path.c_str());
 }
 
 }  // namespace
