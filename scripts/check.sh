@@ -22,6 +22,9 @@
 # 7. Full mode only: smoke hot-key detection — bench/live_serving with
 #    --attack adaptive --detect must flag and re-provision keys with a
 #    finite detection latency.
+# 8. Full mode only: the end-to-end benchmark's smoke — every workload of
+#    bench/e2e/run.sh --smoke must start, run and exit 0, and every run must
+#    pass CI's correctness guard (scripts/check_smoke_runs.py).
 #
 # All failure paths (including an interrupted ctest) propagate a nonzero
 # exit: the EXIT trap re-raises the first failing status after killing any
@@ -437,6 +440,10 @@ finally:
             proc.kill()
 EOF
   echo "check.sh: quorum write smoke OK"
+
+  bash bench/e2e/run.sh --smoke
+  python3 scripts/check_smoke_runs.py build/e2e/runs/*.txt
+  echo "check.sh: benchmark smoke OK"
 fi
 
 echo "check.sh: OK (tests green, smoke bench JSON validated)"

@@ -1,7 +1,6 @@
 #include "net/backend_server.h"
 
 #include <algorithm>
-#include <charconv>
 #include <functional>
 #include <span>
 #include <thread>
@@ -15,28 +14,10 @@
 namespace scp::net {
 namespace {
 
-constexpr double kSweepIntervalS = 0.050;
-/// Repair/handoff frames deferred while a peer connection establishes; a
-/// peer that stays down longer than this buffer's worth is healed later by
-/// read-repair instead.
-constexpr std::size_t kMaxQueuedPerPeer = 65536;
-
-bool parse_endpoint(const std::string& text, std::string& host,
-                    std::uint16_t& port) {
-  const auto colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return false;
-  }
-  unsigned value = 0;
-  const char* begin = text.data() + colon + 1;
-  const char* end = text.data() + text.size();
-  const auto result = std::from_chars(begin, end, value);
-  if (result.ec != std::errc() || result.ptr != end || value > 65535) {
-    return false;
-  }
-  host = text.substr(0, colon);
-  port = static_cast<std::uint16_t>(value);
-  return true;
+std::chrono::steady_clock::time_point deadline_after(double seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -130,17 +111,33 @@ bool BackendServer::start() {
     shard->index = k;
     shard->loop = &pool_.shard(k);
     shard->group.resize(config_.replication);
+    // Peers get their links in set_peers() and kJoin, once they are known.
+    shard->upstream = std::make_unique<Upstream>(
+        *shard->loop, std::vector<Endpoint>{}, config_.op_timeout_s,
+        stopping_);
 
     Shard* s = shard.get();
     Reactor::Callbacks callbacks;
     callbacks.on_message = [this, s](ConnId conn, Message&& message) {
       handle(*s, conn, std::move(message));
     };
-    callbacks.on_close = [this, s](ConnId conn) { on_conn_close(*s, conn); };
-    callbacks.on_connect = [this, s](ConnId conn, bool ok) {
-      on_conn_connect(*s, conn, ok);
+    callbacks.on_close = [s](ConnId conn) {
+      if (!s->hot_subs.empty()) std::erase(s->hot_subs, conn);
+      s->upstream->on_close(conn);
+    };
+    callbacks.on_connect = [s](ConnId conn, bool ok) {
+      s->upstream->on_connect(conn, ok);
     };
     s->loop->set_callbacks(std::move(callbacks));
+    Upstream::Hooks hooks;
+    hooks.on_reply = [this, s](std::uint32_t node, Forward&& request,
+                               Message&& reply) {
+      handle_peer_reply(*s, node, std::move(request), std::move(reply));
+    };
+    hooks.on_dropped = [this, s](std::uint32_t, Forward&& request, bool) {
+      apply_peer_loss(*s, request.quorum_op);
+    };
+    s->upstream->start(Upstream::Counters{}, std::move(hooks));
 
     obs::MetricsRegistry& r = s->registry;
     s->requests = &r.counter("backend.requests");
@@ -164,7 +161,6 @@ bool BackendServer::start() {
     s->write_us = &r.timer("backend.write_quorum_us");
     s->quorum_read_us = &r.timer("backend.read_quorum_us");
     s->loop->set_metrics(&r);
-    s->loop->run_after(kSweepIntervalS, [this, s] { sweep_ops(*s); });
     if (config_.detect && k == 0) {
       s->loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
     }
@@ -209,38 +205,25 @@ void BackendServer::set_peers(
     config_.peers = std::move(endpoints);
     return;
   }
+  // Peers are the named nodes other than this one; an empty slot names none.
+  if (config_.node_id < endpoints.size()) endpoints[config_.node_id] = {};
   std::uint32_t targets = 0;
+  membership_.add_node(config_.node_id);
   for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-    if (node == config_.node_id || endpoints[node].first.empty()) continue;
+    if (endpoints[node].first.empty()) continue;
     ++targets;
+    membership_.add_node(node);
   }
   peers_configured_.store(targets > 0, std::memory_order_release);
   peer_target_ = targets;
 
-  membership_.add_node(config_.node_id);
-  for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-    if (node == config_.node_id || endpoints[node].first.empty()) continue;
-    membership_.add_node(node);
-  }
-
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    s->loop->post([this, s, endpoints] {
+    s->loop->post([s, endpoints] {
       for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-        if (node == config_.node_id || endpoints[node].first.empty()) continue;
-        if (s->peers.size() <= node) s->peers.resize(node + 1);
-        PeerState& peer = s->peers[node];
-        if (peer.conn != kInvalidConn && peer.address == endpoints[node].first &&
-            peer.port == endpoints[node].second) {
-          continue;  // already wired
-        }
-        peer.address = endpoints[node].first;
-        peer.port = endpoints[node].second;
-        peer.left = false;
-        if (peer.conn == kInvalidConn) {
-          peer.conn = s->loop->connect(peer.address, peer.port);
-          s->peer_by_conn[peer.conn] = node;
-        }
+        if (endpoints[node].first.empty()) continue;
+        s->upstream->set_endpoint(node, endpoints[node].first,
+                                  endpoints[node].second);
       }
     });
   }
@@ -248,7 +231,7 @@ void BackendServer::set_peers(
   Shard* s0 = shards_[0].get();
   s0->loop->post([this, endpoints] {
     for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-      if (node == config_.node_id || endpoints[node].first.empty()) continue;
+      if (endpoints[node].first.empty()) continue;
       if (!detector_.tracks(node)) detector_.add_node(node, now_s());
     }
     if (!detector_running_.exchange(true)) {
@@ -260,15 +243,10 @@ void BackendServer::set_peers(
 bool BackendServer::wait_peers_up(double timeout_s) const {
   const std::uint64_t want =
       static_cast<std::uint64_t>(peer_target_) * shards_.size();
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = deadline_after(timeout_s);
   while (true) {
     std::uint64_t up = 0;
-    for (const auto& shard : shards_) {
-      up += shard->peers_up.load(std::memory_order_relaxed);
-    }
+    for (const auto& shard : shards_) up += shard->upstream->up_count();
     if (up >= want) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -335,9 +313,9 @@ std::optional<StorageEngine::Entry> BackendServer::storage_entry(
 }
 
 void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
-  auto it = shard.peer_by_conn.find(conn);
-  if (it != shard.peer_by_conn.end()) {
-    handle_peer_reply(shard, it->second, std::move(message));
+  const std::uint32_t node = shard.upstream->link_of(conn);
+  if (node != Upstream::kNoLink) {
+    shard.upstream->on_reply(node, std::move(message));
     return;
   }
   switch (message.type) {
@@ -553,19 +531,17 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
 
   const std::uint64_t op_id = shard.next_op++;
   if (meshed) {
-    Message replicate;
-    replicate.type = MsgType::kReplicate;
-    replicate.key = message.key;
-    replicate.version = version;
-    replicate.flags = is_delete ? kFlagTombstone : 0;
-    replicate.payload = message.payload;
+    const Forward replicate{
+        .key = message.key,
+        .op = MsgType::kReplicate,
+        .flags = is_delete ? kFlagTombstone : std::uint8_t{0},
+        .version = version,
+        .payload = message.payload,
+        .quorum_op = op_id};
     for (const NodeId node : shard.group) {
       if (node == config_.node_id) continue;
       if (!membership_.alive(node)) continue;
-      if (send_to_peer(shard, node, replicate, Expect::kRepAck, op_id,
-                       /*queue_if_down=*/false)) {
-        ++outstanding;
-      }
+      if (shard.upstream->send(node, replicate)) ++outstanding;
     }
   }
 
@@ -577,21 +553,8 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
   op.start_ns = start_ns;
   op.write.emplace(write_quorum_need(), outstanding);
   for (std::uint32_t i = 0; i < acked; ++i) op.write->on_ack();
-
-  switch (op.write->state()) {
-    case replication::QuorumState::kDone:
-      resolve_write(shard, op_id, op);
-      return;
-    case replication::QuorumState::kFailed:
-      fail_op(shard, op, "write quorum unavailable");
-      return;
-    case replication::QuorumState::kPending:
-      op.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.op_timeout_s));
-      shard.ops.emplace(op_id, std::move(op));
-      return;
+  if (!conclude(shard, op, op.write->state())) {
+    shard.ops.emplace(op_id, std::move(op));
   }
 }
 
@@ -620,16 +583,12 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
   std::uint32_t outstanding = self_in ? 1 : 0;
   const std::uint64_t op_id = shard.next_op++;
   if (meshed) {
-    Message probe;
-    probe.type = MsgType::kVerRead;
-    probe.key = message.key;
+    const Forward probe{
+        .key = message.key, .op = MsgType::kVerRead, .quorum_op = op_id};
     for (const NodeId node : shard.group) {
       if (node == config_.node_id) continue;
       if (!membership_.alive(node)) continue;
-      if (send_to_peer(shard, node, probe, Expect::kVerValue, op_id,
-                       /*queue_if_down=*/false)) {
-        ++outstanding;
-      }
+      if (shard.upstream->send(node, probe)) ++outstanding;
     }
   }
 
@@ -651,21 +610,8 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     }
     op.read->on_response(std::move(response));
   }
-
-  switch (op.read->state()) {
-    case replication::QuorumState::kDone:
-      resolve_read(shard, op_id, op);
-      return;
-    case replication::QuorumState::kFailed:
-      fail_op(shard, op, "read quorum unavailable");
-      return;
-    case replication::QuorumState::kPending:
-      op.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.op_timeout_s));
-      shard.ops.emplace(op_id, std::move(op));
-      return;
+  if (!conclude(shard, op, op.read->state())) {
+    shard.ops.emplace(op_id, std::move(op));
   }
 }
 
@@ -709,162 +655,83 @@ void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
   send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
-bool BackendServer::send_to_peer(Shard& shard, std::uint32_t node,
-                                 Message& message, Expect expect,
-                                 std::uint64_t op, bool queue_if_down) {
-  if (node >= shard.peers.size()) return false;
-  PeerState& peer = shard.peers[node];
-  if (peer.left || peer.address.empty()) return false;
-  if (peer.up) {
-    message.id = peer.expected.next_id();
-    if (!shard.loop->send(peer.conn, message)) return false;
-    peer.expected.add({op, expect, message.key});
-    return true;
-  }
-  if (queue_if_down && peer.queued.size() < kMaxQueuedPerPeer) {
-    peer.queued.push_back(message);
-    return true;
-  }
-  return false;
-}
-
 void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
-                                      Message&& message) {
-  PeerState& peer = shard.peers[node];
-  const std::optional<ExpectedReply> owed = peer.expected.take(message.id);
-  if (!owed.has_value()) {
-    SCP_LOG_WARN << "scp_backend: unsolicited reply from peer " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(peer.conn);
+                                      Forward&& request, Message&& reply) {
+  // The upstream matched the reply's id and key; its kind must answer the
+  // frame sent, or the link is reset.
+  const auto mismatch = [&] {
+    apply_peer_loss(shard, request.quorum_op);
+    shard.upstream->reset(node, "reply kind mismatch");
+  };
+  if (request.op == MsgType::kPing) {
+    if (reply.type != MsgType::kPong) return mismatch();
+    if (shard.index == 0 && detector_running_.load() &&
+        detector_.record_pong(node, now_s()) ==
+            replication::PingFailureDetector::Transition::kRecovered) {
+      membership_.set_state(node, replication::NodeState::kUp);
+    }
     return;
   }
-  const ExpectedReply& expected = *owed;
-
-  const auto protocol_error = [&] {
-    SCP_LOG_WARN << "scp_backend: reply mismatch from peer " << node
-                 << "; resetting connection";
-    apply_peer_loss(shard, expected);
-    shard.loop->close_connection(peer.conn);
-  };
-
-  switch (expected.kind) {
-    case Expect::kPong: {
-      if (message.type != MsgType::kPong) {
-        protocol_error();
-        return;
-      }
-      if (shard.index == 0 && detector_running_.load()) {
-        if (detector_.record_pong(node, now_s()) ==
-            replication::PingFailureDetector::Transition::kRecovered) {
-          membership_.set_state(node, replication::NodeState::kUp);
-        }
-      }
-      return;
-    }
-    case Expect::kRepairAck: {
-      if (message.type == MsgType::kError) return;  // healed later by repair
-      if (message.type != MsgType::kRepAck || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
-      clock_.observe(message.version);
-      return;
-    }
-    case Expect::kRepAck: {
-      if (message.type == MsgType::kError) {
-        apply_peer_loss(shard, expected);
-        return;
-      }
-      if (message.type != MsgType::kRepAck || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
-      clock_.observe(message.version);
-      auto it = shard.ops.find(expected.op);
-      if (it == shard.ops.end()) return;  // already resolved or swept
-      Op& op = it->second;
-      if (!op.write.has_value()) return;
-      switch (op.write->on_ack()) {
-        case replication::QuorumState::kDone:
-          resolve_write(shard, it->first, op);
-          shard.ops.erase(it);
-          return;
-        case replication::QuorumState::kFailed:
-          fail_op(shard, op, "write quorum unavailable");
-          shard.ops.erase(it);
-          return;
-        case replication::QuorumState::kPending:
-          return;
-      }
-      return;
-    }
-    case Expect::kVerValue: {
-      if (message.type == MsgType::kError) {
-        apply_peer_loss(shard, expected);
-        return;
-      }
-      if (message.type != MsgType::kVerValue || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
-      clock_.observe(message.version);
-      auto it = shard.ops.find(expected.op);
-      if (it == shard.ops.end()) return;
-      Op& op = it->second;
-      if (!op.read.has_value()) return;
-      replication::ReadResponse response;
-      response.node = node;
-      response.found = (message.flags & kFlagFound) != 0;
-      response.tombstone = (message.flags & kFlagTombstone) != 0;
-      response.version = message.version;
-      response.value = std::move(message.payload);
-      switch (op.read->on_response(std::move(response))) {
-        case replication::QuorumState::kDone:
-          resolve_read(shard, it->first, op);
-          shard.ops.erase(it);
-          return;
-        case replication::QuorumState::kFailed:
-          fail_op(shard, op, "read quorum unavailable");
-          shard.ops.erase(it);
-          return;
-        case replication::QuorumState::kPending:
-          return;
-      }
-      return;
-    }
+  // A peer's kError loses its reply; a lost repair or handoff is healed by
+  // a later read-repair.
+  if (reply.type == MsgType::kError) {
+    return apply_peer_loss(shard, request.quorum_op);
   }
+  const MsgType expected = request.op == MsgType::kVerRead
+                               ? MsgType::kVerValue
+                               : MsgType::kRepAck;
+  if (reply.type != expected) return mismatch();
+  clock_.observe(reply.version);
+  auto it = shard.ops.find(request.quorum_op);
+  if (it == shard.ops.end()) return;  // a repair, or already resolved
+  Op& op = it->second;
+  replication::QuorumState state;
+  if (request.op == MsgType::kVerRead) {
+    replication::ReadResponse response;
+    response.node = node;
+    response.found = (reply.flags & kFlagFound) != 0;
+    response.tombstone = (reply.flags & kFlagTombstone) != 0;
+    response.version = reply.version;
+    response.value = std::move(reply.payload);
+    state = op.read->on_response(std::move(response));
+  } else {
+    state = op.write->on_ack();
+  }
+  if (conclude(shard, op, state)) shard.ops.erase(it);
 }
 
-void BackendServer::apply_peer_loss(Shard& shard,
-                                    const ExpectedReply& expected) {
-  if (expected.op == 0) return;
-  auto it = shard.ops.find(expected.op);
+void BackendServer::apply_peer_loss(Shard& shard, std::uint64_t op_id) {
+  if (op_id == 0) return;
+  auto it = shard.ops.find(op_id);
   if (it == shard.ops.end()) return;
   Op& op = it->second;
   const replication::QuorumState state =
       op.write.has_value() ? op.write->on_lost() : op.read->on_lost();
+  if (conclude(shard, op, state)) shard.ops.erase(it);
+}
+
+bool BackendServer::conclude(Shard& shard, Op& op,
+                             replication::QuorumState state) {
   switch (state) {
     case replication::QuorumState::kDone:
       if (op.write.has_value()) {
-        resolve_write(shard, it->first, op);
+        resolve_write(shard, op);
       } else {
-        resolve_read(shard, it->first, op);
+        resolve_read(shard, op);
       }
-      shard.ops.erase(it);
-      return;
+      return true;
     case replication::QuorumState::kFailed:
       fail_op(shard, op,
               op.write.has_value() ? "write quorum unavailable"
                                    : "read quorum unavailable");
-      shard.ops.erase(it);
-      return;
+      return true;
     case replication::QuorumState::kPending:
-      return;
+      return false;
   }
+  return false;
 }
 
-void BackendServer::resolve_write(Shard& shard, std::uint64_t /*op_id*/,
-                                  Op& op) {
+void BackendServer::resolve_write(Shard& shard, Op& op) {
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.key = op.key;
@@ -873,8 +740,7 @@ void BackendServer::resolve_write(Shard& shard, std::uint64_t /*op_id*/,
   obs::record_elapsed(shard.write_us, op.start_ns, /*divisor=*/1'000);
 }
 
-void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
-                                 Op& op) {
+void BackendServer::resolve_read(Shard& shard, Op& op) {
   const replication::ReadResponse* winner = op.read->newest();
   Message reply;
   reply.key = op.key;
@@ -890,12 +756,12 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
   if (winner == nullptr) return;
   // Read-repair: push the winner to every responder that answered with an
   // older version (idempotent LWW apply — duplicates are no-ops).
-  Message repair;
-  repair.type = MsgType::kReplicate;
-  repair.key = op.key;
-  repair.version = winner->version;
-  repair.flags = winner->tombstone ? kFlagTombstone : 0;
-  repair.payload = winner->value;
+  const Forward repair{
+      .key = op.key,
+      .op = MsgType::kReplicate,
+      .flags = winner->tombstone ? kFlagTombstone : std::uint8_t{0},
+      .version = winner->version,
+      .payload = winner->value};
   for (const NodeId node : op.read->stale_nodes()) {
     shard.read_repairs->inc();
     if (node == config_.node_id) {
@@ -906,8 +772,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
         storage_.apply_put(op.key, winner->value, winner->version);
       }
     } else {
-      send_to_peer(shard, node, repair, Expect::kRepairAck, 0,
-                   /*queue_if_down=*/true);
+      shard.upstream->send(node, repair, /*deferrable=*/true);
     }
   }
 }
@@ -919,83 +784,6 @@ void BackendServer::fail_op(Shard& shard, Op& op, const char* reason) {
   reply.key = op.key;
   reply.payload = reason;
   send_reply(*shard.loop, op.client, reply);
-}
-
-void BackendServer::sweep_ops(Shard& shard) {
-  if (stopping_.load()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = shard.ops.begin(); it != shard.ops.end();) {
-    if (it->second.deadline <= now) {
-      fail_op(shard, it->second, "quorum op timed out");
-      it = shard.ops.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  Shard* s = &shard;
-  shard.loop->run_after(kSweepIntervalS, [this, s] { sweep_ops(*s); });
-}
-
-void BackendServer::on_conn_close(Shard& shard, ConnId conn) {
-  if (!shard.hot_subs.empty()) {
-    std::erase(shard.hot_subs, conn);
-  }
-  auto it = shard.peer_by_conn.find(conn);
-  if (it == shard.peer_by_conn.end()) {
-    return;  // client hung up; their pending replies fail at send()
-  }
-  const std::uint32_t node = it->second;
-  shard.peer_by_conn.erase(it);
-  PeerState& peer = shard.peers[node];
-  if (peer.up) {
-    peer.up = false;
-    shard.peers_up.fetch_sub(1, std::memory_order_relaxed);
-  }
-  peer.conn = kInvalidConn;
-
-  for (const ExpectedReply& expected : peer.expected.drain()) {
-    apply_peer_loss(shard, expected);
-  }
-  if (!peer.left) schedule_reconnect(shard, node);
-}
-
-void BackendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
-  auto it = shard.peer_by_conn.find(conn);
-  if (it == shard.peer_by_conn.end()) return;
-  const std::uint32_t node = it->second;
-  PeerState& peer = shard.peers[node];
-  if (!ok) {
-    shard.peer_by_conn.erase(it);
-    peer.conn = kInvalidConn;
-    if (!peer.left) schedule_reconnect(shard, node);
-    return;
-  }
-  peer.up = true;
-  peer.connect_attempts = 0;
-  shard.peers_up.fetch_add(1, std::memory_order_relaxed);
-  // Flush deferred repair/handoff frames in order.
-  std::vector<Message> queued;
-  queued.swap(peer.queued);
-  for (Message& message : queued) {
-    message.id = peer.expected.next_id();
-    if (!shard.loop->send(peer.conn, message)) break;
-    peer.expected.add({0, Expect::kRepairAck, message.key});
-  }
-}
-
-void BackendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
-  if (stopping_.load()) return;
-  PeerState& peer = shard.peers[node];
-  const double delay = reconnect_delay_s(peer.connect_attempts++);
-  Shard* s = &shard;
-  shard.loop->run_after(delay, [this, s, node] {
-    if (stopping_.load()) return;
-    if (node >= s->peers.size()) return;
-    PeerState& target = s->peers[node];
-    if (target.left || target.conn != kInvalidConn) return;
-    target.conn = s->loop->connect(target.address, target.port);
-    s->peer_by_conn[target.conn] = node;
-  });
 }
 
 void BackendServer::detector_tick() {
@@ -1014,10 +802,8 @@ void BackendServer::detector_tick() {
         break;
     }
   }
-  Message ping;
-  ping.type = MsgType::kPing;
   for (const NodeId node : to_ping) {
-    send_to_peer(shard, node, ping, Expect::kPong, 0, /*queue_if_down=*/false);
+    shard.upstream->send(node, Forward{.op = MsgType::kPing});
   }
   shard.loop->run_after(config_.fd_interval_s, [this] { detector_tick(); });
 }
@@ -1041,25 +827,20 @@ void BackendServer::hot_tick() {
     message.hot = std::move(report);
     // Gossip to alive mesh peers. One-way (id 0): no reply is owed, so
     // nothing is registered.
-    for (std::uint32_t node = 0; node < shard.peers.size(); ++node) {
-      const PeerState& peer = shard.peers[node];
-      if (!peer.up || peer.left) continue;
-      if (!membership_.alive(node)) continue;
-      if (shard.loop->send(peer.conn, message)) shard.hot_reports_sent->inc();
+    for (std::uint32_t node = 0; node < shard.upstream->size(); ++node) {
+      if (!shard.upstream->up(node) || !membership_.alive(node)) continue;
+      if (shard.upstream->send_unmatched(node, message)) {
+        shard.hot_reports_sent->inc();
+      }
     }
     // Push to subscribed front ends; subscriptions live per shard.
     for (auto& other : shards_) {
       Shard* s = other.get();
-      auto push = [s, message] {
+      run_on(shard, *s, [s, message] {
         for (const ConnId conn : s->hot_subs) {
           if (s->loop->send(conn, message)) s->hot_reports_sent->inc();
         }
-      };
-      if (s == &shard) {
-        push();
-      } else {
-        s->loop->post(std::move(push));
-      }
+      });
     }
   }
   shard.loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
@@ -1102,23 +883,23 @@ void BackendServer::stream_handoff(
   for (const replication::HandoffItem& item : plan) {
     std::optional<StorageEngine::Entry> entry = storage_entry(item.key);
     if (!entry.has_value()) continue;
-    Message replicate;
-    replicate.type = MsgType::kReplicate;
-    replicate.key = item.key;
-    replicate.version = entry->version;
-    replicate.flags = entry->tombstone ? kFlagTombstone : 0;
+    Forward replicate{
+        .key = item.key,
+        .op = MsgType::kReplicate,
+        .flags = entry->tombstone ? kFlagTombstone : std::uint8_t{0},
+        .version = entry->version};
     if (!entry->tombstone) replicate.payload = std::move(entry->value);
-    send_to_peer(shard, item.target, replicate, Expect::kRepairAck, 0,
-                 /*queue_if_down=*/true);
+    shard.upstream->send(item.target, std::move(replicate),
+                         /*deferrable=*/true);
   }
   shard.rebalanced_keys->inc(plan.size());
 }
 
 void BackendServer::handle_join(Shard& shard, ConnId conn,
                                 const Message& message) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!parse_endpoint(message.payload, host, port)) {
+  const auto endpoints = parse_endpoints(message.payload);
+  if (!endpoints.has_value() || endpoints->size() != 1 ||
+      endpoints->front().first.empty()) {
     Message reply;
     reply.type = MsgType::kError;
     reply.payload = "join: bad endpoint (want host:port)";
@@ -1145,40 +926,16 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
   }
 
   membership_.add_node(node);
+  const auto [host, port] = endpoints->front();
   for (auto& other : shards_) {
     Shard* s = other.get();
-    auto wire = [this, s, node, host, port] {
-      if (s->peers.size() <= node) s->peers.resize(node + 1);
-      PeerState& peer = s->peers[node];
-      peer.left = false;
-      if (peer.conn != kInvalidConn && peer.address == host &&
-          peer.port == port) {
-        return;
-      }
-      peer.address = host;
-      peer.port = port;
-      if (peer.conn == kInvalidConn) {
-        peer.conn = s->loop->connect(peer.address, peer.port);
-        s->peer_by_conn[peer.conn] = node;
-      }
-    };
-    if (s == &shard) {
-      wire();
-    } else {
-      s->loop->post(wire);
-    }
+    run_on(shard, *s, [s, node, host, port] {
+      s->upstream->set_endpoint(node, host, port);
+    });
   }
-  {
-    Shard* s0 = shards_[0].get();
-    auto track = [this, node] {
-      if (!detector_.tracks(node)) detector_.add_node(node, now_s());
-    };
-    if (s0 == &shard) {
-      track();
-    } else {
-      s0->loop->post(track);
-    }
-  }
+  run_on(shard, *shards_[0], [this, node] {
+    if (!detector_.tracks(node)) detector_.add_node(node, now_s());
+  });
   peers_configured_.store(true, std::memory_order_release);
 
   if (old_ring != nullptr) {
@@ -1224,29 +981,9 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   membership_.remove_node(node);
   for (auto& other : shards_) {
     Shard* s = other.get();
-    auto unwire = [this, s, node] {
-      if (node >= s->peers.size()) return;
-      PeerState& peer = s->peers[node];
-      peer.left = true;
-      if (peer.conn != kInvalidConn) {
-        s->loop->close_connection(peer.conn);  // on_close drops its queue
-      }
-    };
-    if (s == &shard) {
-      unwire();
-    } else {
-      s->loop->post(unwire);
-    }
+    run_on(shard, *s, [s, node] { s->upstream->retire(node); });
   }
-  {
-    Shard* s0 = shards_[0].get();
-    auto untrack = [this, node] { detector_.remove_node(node); };
-    if (s0 == &shard) {
-      untrack();
-    } else {
-      s0->loop->post(untrack);
-    }
-  }
+  run_on(shard, *shards_[0], [this, node] { detector_.remove_node(node); });
 
   if (old_ring != nullptr) {
     stream_handoff(shard, [old_ring](KeyId key, std::span<NodeId> out) {
@@ -1257,6 +994,15 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   reply.type = MsgType::kWriteReply;
   reply.version = membership_.epoch();
   send_reply(*shard.loop, {conn, message.id}, reply);
+}
+
+void BackendServer::run_on(Shard& current, Shard& target,
+                           std::function<void()> fn) {
+  if (&target == &current) {
+    fn();
+  } else {
+    target.loop->post(std::move(fn));
+  }
 }
 
 }  // namespace scp::net

@@ -25,10 +25,15 @@
 // key (first alive old holder) and streams handoff as idempotent
 // kReplicate applies — old holders keep serving while keys move.
 //
-// Peer replies are matched by request id (inflight.h), as on every hop; an
-// unknown id or a key mismatch drops the connection like the front end
-// does. Client replies echo the client's id: a quorum write is acked only
-// once W replicas confirmed, after replies to requests sent later.
+// Each shard drives its peers through one Upstream (upstream.h), the link
+// module the front end and the router use too: it dials and re-dials,
+// matches replies by request id, defers read-repair and handoff frames
+// while a peer is down, and resets a peer that stays connected but owes a
+// reply and answers nothing for op_timeout_s. That reset is a quorum op's
+// only deadline: it hands the peer's frames back as lost, which decides
+// every op waiting on them. Client replies echo the client's id: a quorum
+// write is acked only once W replicas confirmed, after replies to requests
+// sent later.
 //
 // Counters live only in each shard's metrics registry, bumped by the shard
 // whose loop runs the code (gossip and handoff included); stats() and
@@ -52,8 +57,8 @@
 #include "cluster/partitioner.h"
 #include "detect/hot_key.h"
 #include "kvstore/storage_engine.h"
-#include "net/inflight.h"
 #include "net/reactor_pool.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "replication/failure_detector.h"
@@ -95,7 +100,10 @@ struct BackendConfig {
   double fd_interval_s = 0.1;
   double fd_suspect_s = 0.25;
   double fd_timeout_s = 0.5;
-  /// Deadline for an in-flight quorum op; a sweep fails it with kError.
+  /// The peer link deadline: a peer that owes a reply and has answered
+  /// nothing for this long has its connection reset and re-dialed. The
+  /// quorum ops waiting on it count its replies lost, and one left short of
+  /// its quorum fails with kError.
   double op_timeout_s = 1.0;
 
   /// Hot-key detection (src/detect): maintain a SpaceSaving sketch over the
@@ -165,22 +173,6 @@ class BackendServer {
   const BackendConfig& config() const noexcept { return config_; }
 
  private:
-  static constexpr std::uint32_t kNoNode = UINT32_MAX;
-
-  /// Reply kinds owed on a peer connection.
-  enum class Expect : std::uint8_t {
-    kRepAck,    ///< kReplicate sent for a client write (op != 0)
-    kVerValue,  ///< kVerRead sent for a quorum read (op != 0)
-    kRepairAck, ///< fire-and-forget kReplicate (read-repair / handoff)
-    kPong,      ///< failure-detector ping
-  };
-
-  struct ExpectedReply {
-    std::uint64_t op = 0;  ///< ops entry, 0 = none
-    Expect kind = Expect::kRepairAck;
-    std::uint64_t key = 0;
-  };
-
   /// An in-flight coordinated operation (write or quorum read).
   struct Op {
     ReplyTo client;
@@ -190,34 +182,20 @@ class BackendServer {
     std::optional<replication::WriteQuorum> write;
     std::optional<replication::ReadQuorum> read;
     std::uint64_t start_ns = 0;
-    std::chrono::steady_clock::time_point deadline;
-  };
-
-  struct PeerState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    bool left = false;  ///< administratively removed; never redialed
-    std::uint32_t connect_attempts = 0;
-    InflightTable<ExpectedReply> expected;  ///< sent, by request id
-    /// Repair/handoff frames deferred until the connection establishes
-    /// (a just-joined node is dialed asynchronously). Bounded.
-    std::vector<Message> queued;
   };
 
   /// Per-reactor mutable state, touched only by that shard's loop thread.
   struct Shard {
     std::size_t index = 0;
     Reactor* loop = nullptr;
-    std::vector<PeerState> peers;  ///< index = NodeId
-    std::unordered_map<ConnId, std::uint32_t> peer_by_conn;
+    std::unique_ptr<Upstream> upstream;  ///< link i = peer NodeId i
+    /// Coordinated ops awaiting peer replies, by id, until their quorum is
+    /// decided.
     std::unordered_map<std::uint64_t, Op> ops;
     std::uint64_t next_op = 1;
     std::vector<NodeId> group;  ///< replica-group scratch
     /// Connections that asked for kHotKeyReport pushes (front ends).
     std::vector<ConnId> hot_subs;
-    std::atomic<std::uint32_t> peers_up{0};
 
     obs::MetricsRegistry registry;
     // Handles into `registry`, taken in start().
@@ -248,10 +226,9 @@ class BackendServer {
   bool in_group(const std::vector<NodeId>& group) const noexcept;
 
   void handle(Shard& shard, ConnId conn, Message&& message);
-  void handle_peer_reply(Shard& shard, std::uint32_t node, Message&& message);
-  void on_conn_close(Shard& shard, ConnId conn);
-  void on_conn_connect(Shard& shard, ConnId conn, bool ok);
-  void schedule_reconnect(Shard& shard, std::uint32_t node);
+  /// `reply` answered the frame `request` sent to peer `node`.
+  void handle_peer_reply(Shard& shard, std::uint32_t node, Forward&& request,
+                         Message&& reply);
 
   void handle_get(Shard& shard, ConnId conn, const Message& message);
   /// Serves a whole kBatchGet in one pass — one partitioner lock, one
@@ -265,20 +242,20 @@ class BackendServer {
   void handle_join(Shard& shard, ConnId conn, const Message& message);
   void handle_leave(Shard& shard, ConnId conn, const Message& message);
 
-  /// Sends on the shard's mesh connection to `node` under a fresh id,
-  /// registering the owed reply. With `queue_if_down` an unconnected (but
-  /// not left) peer defers the frame until it connects. False = unreachable.
-  bool send_to_peer(Shard& shard, std::uint32_t node, Message& message,
-                    Expect expect, std::uint64_t op, bool queue_if_down);
+  /// Counts a lost peer reply (closed link, kError) against op `op_id`'s
+  /// quorum, resolving or failing it when that tips the balance. 0 = none.
+  void apply_peer_loss(Shard& shard, std::uint64_t op_id);
 
-  /// Counts a lost in-flight reply (closed connection, kError) against the
-  /// op's quorum, resolving or failing it when that tips the balance.
-  void apply_peer_loss(Shard& shard, const ExpectedReply& expected);
-
-  void resolve_write(Shard& shard, std::uint64_t op_id, Op& op);
-  void resolve_read(Shard& shard, std::uint64_t op_id, Op& op);
+  /// Answers `op`'s client once `state` decides its quorum; false while it
+  /// is pending.
+  bool conclude(Shard& shard, Op& op, replication::QuorumState state);
+  void resolve_write(Shard& shard, Op& op);
+  void resolve_read(Shard& shard, Op& op);
   void fail_op(Shard& shard, Op& op, const char* reason);
-  void sweep_ops(Shard& shard);
+
+  /// Runs `fn` on `target`'s loop: now when that is `current`'s, else
+  /// posted.
+  static void run_on(Shard& current, Shard& target, std::function<void()> fn);
 
   /// Streams handoff for a ring change this node is the elected streamer
   /// of. `old_group_of` must reflect the ring before the change.
@@ -306,7 +283,7 @@ class BackendServer {
   StorageEngine storage_;
   mutable std::shared_mutex storage_mutex_;
   ReactorPool pool_;
-  // unique_ptr: Shard holds an atomic and a registry, neither movable. One
+  // unique_ptr: Shard holds a registry and an Upstream, neither movable. One
   // registry per shard so the hot path never shares a cache line across
   // reactors; scrapes merge them (merge_shard_snapshots).
   std::vector<std::unique_ptr<Shard>> shards_;

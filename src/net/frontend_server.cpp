@@ -135,6 +135,7 @@ bool FrontendServer::start() {
     s->values_entries = &r.gauge("frontend.values_entries");
     s->values_entries_peak = &r.gauge("frontend.values_entries_peak");
     s->dirty_keys = &r.gauge("frontend.dirty_keys");
+    s->pin_count = &r.gauge("frontend.pins");
     s->node_rtt_us.resize(config_.nodes);
     for (std::uint32_t node = 0; node < config_.nodes; ++node) {
       s->node_rtt_us[node] =
@@ -480,6 +481,11 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
           shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
         }
       }
+      // An absent key keeps no pin: a flood of distinct absent keys would
+      // otherwise grow the table without bound.
+      if (shard.pins.erase(request.key) != 0) {
+        shard.pin_count->set(static_cast<std::int64_t>(shard.pins.size()));
+      }
       complete_request(shard, request, node);
       send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
@@ -758,6 +764,7 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   const std::size_t pick =
       least_loaded_pick(shard.candidates, shard.loads, shard.rng);
   shard.pins[key] = shard.candidates[pick];
+  shard.pin_count->set(static_cast<std::int64_t>(shard.pins.size()));
   return shard.candidates[pick];
 }
 

@@ -217,7 +217,9 @@ class FrontendServer {
     /// waiters).
     std::unordered_map<std::uint64_t, std::vector<Waiter>> inflight;
     std::vector<double> loads;  ///< keys sent per backend (routing)
-    std::unordered_map<std::uint64_t, std::uint32_t> pins;  // key -> backend
+    /// key -> backend it was first sent to; a key that settles kMiss drops
+    /// its pin, so pins stay bounded by the keys the backends hold.
+    std::unordered_map<std::uint64_t, std::uint32_t> pins;
     std::vector<NodeId> group;       // replica-group scratch
     std::vector<NodeId> candidates;  // live-members scratch
 
@@ -268,6 +270,7 @@ class FrontendServer {
     obs::Gauge* values_entries = nullptr;
     obs::Gauge* values_entries_peak = nullptr;
     obs::Gauge* dirty_keys = nullptr;
+    obs::Gauge* pin_count = nullptr;  ///< frontend.pins: pins.size()
     std::vector<obs::Timer*> node_rtt_us;  // per-backend forward RTT
   };
 

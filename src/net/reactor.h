@@ -146,7 +146,7 @@ class Reactor {
   /// before the loop's single flush point. Work that accumulates frames
   /// across one dispatch round (Upstream's per-link GET queues) flushes here
   /// so everything it emits rides the same gathered write as the round's
-  /// other frames. Must be set before start().
+  /// other frames. Set before start() or on the loop thread.
   void set_before_flush(std::function<void()> hook) {
     before_flush_ = std::move(hook);
   }

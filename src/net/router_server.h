@@ -55,7 +55,8 @@ struct RouterConfig {
   /// Dispatch budget per request: the initial send plus redirect follows
   /// and dead-member re-dispatches.
   std::uint32_t max_hops = 3;
-  /// Per-request deadline before the member connection is reset.
+  /// Per-request deadline: a member that owes a reply past it and has
+  /// answered nothing for as long has its connection reset.
   double timeout_s = 0.500;
   /// Prometheus endpoint: -1 = none, 0 = kernel-assigned, else fixed port.
   std::int32_t metrics_port = -1;

@@ -5,7 +5,6 @@
 // SIGTERM, draining in-flight replies before exiting.
 #include <csignal>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,34 +12,13 @@
 
 #include "common/flags.h"
 #include "net/backend_server.h"
+#include "net/socket.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
-
-// "host:port,host:port,..." — index = NodeId; an empty slot skips that id.
-bool parse_peers(const std::string& text,
-                 std::vector<std::pair<std::string, std::uint16_t>>* out) {
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) {
-      out->emplace_back("", 0);
-      continue;
-    }
-    const auto colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return false;
-    }
-    const int port = std::atoi(item.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return false;
-    out->emplace_back(item.substr(0, colon),
-                      static_cast<std::uint16_t>(port));
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -100,7 +78,9 @@ int main(int argc, char** argv) {
   flags.add_double("fd-timeout-ms", &fd_timeout_ms,
                    "silence before a peer is declared down");
   flags.add_double("op-timeout-ms", &op_timeout_ms,
-                   "deadline for an in-flight quorum write/read");
+                   "peer link deadline: a peer owing a reply that answers "
+                   "nothing this long is reset, failing the quorum ops it "
+                   "leaves short");
   flags.add_bool("detect", &config.detect,
                  "hot-key detection: sketch served GETs, gossip kHotKeyReport "
                  "to mesh peers and subscribed front ends");
@@ -128,10 +108,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scp_backend: need 0 <= node < nodes and 0 < d <= n\n");
     return 2;
   }
-  if (!parse_peers(peers, &config.peers)) {
+  auto peer_list = parse_endpoints(peers);
+  if (!peer_list.has_value()) {
     std::fprintf(stderr, "scp_backend: bad --peers '%s'\n", peers.c_str());
     return 2;
   }
+  config.peers = std::move(*peer_list);
   config.write_quorum = static_cast<std::uint32_t>(write_quorum);
   config.read_quorum = static_cast<std::uint32_t>(read_quorum);
   config.fd_interval_s = fd_interval_ms / 1000.0;

@@ -4,48 +4,20 @@
 // stdout, connects to every backend named by --backends, and serves client
 // GETs (cache hits locally, misses forwarded with power-of-d routing and
 // RetryPolicy failover) until SIGINT or SIGTERM.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <thread>
 
 #include "common/flags.h"
 #include "net/frontend_server.h"
+#include "net/socket.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
-
-/// Parses "host:port,host:port,…" (or bare "port" entries, defaulting the
-/// host to 127.0.0.1). Returns false on a malformed entry.
-bool parse_backends(
-    const std::string& list,
-    std::vector<std::pair<std::string, std::uint16_t>>& backends) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string entry = list.substr(start, comma - start);
-    start = comma + 1;
-    if (entry.empty()) continue;
-    std::string host = "127.0.0.1";
-    std::string port_text = entry;
-    const std::size_t colon = entry.rfind(':');
-    if (colon != std::string::npos) {
-      host = entry.substr(0, colon);
-      port_text = entry.substr(colon + 1);
-    }
-    try {
-      const unsigned long port = std::stoul(port_text);
-      if (port == 0 || port > 65535) return false;
-      backends.emplace_back(host, static_cast<std::uint16_t>(port));
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -136,10 +108,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned>(config.fleet_size));
     return 2;
   }
-  if (!parse_backends(backends_list, config.backends)) {
+  if (config.replication == 0 || config.replication > config.nodes) {
+    std::fprintf(stderr, "scp_frontend: need 0 < d <= n\n");
+    return 2;
+  }
+  // Entry i is node i's backend, so an empty slot is an error too.
+  auto backends = parse_endpoints(backends_list);
+  if (!backends.has_value() ||
+      std::ranges::any_of(*backends, [](const Endpoint& endpoint) {
+        return endpoint.first.empty();
+      })) {
     std::fprintf(stderr, "scp_frontend: bad --backends entry\n");
     return 2;
   }
+  config.backends = std::move(*backends);
   if (config.backends.size() != config.nodes) {
     std::fprintf(stderr,
                  "scp_frontend: --backends names %zu endpoints but --nodes=%u\n",

@@ -4,48 +4,20 @@
 // stdout, connects to every fleet member named by --frontends (list order =
 // fleet index order; it must match each member's --fleet-index), and routes
 // client GETs by power-of-two-choices on live load until SIGINT or SIGTERM.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <thread>
 
 #include "common/flags.h"
 #include "net/router_server.h"
+#include "net/socket.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
-
-/// Parses "host:port,host:port,…" (or bare "port" entries, defaulting the
-/// host to 127.0.0.1). Returns false on a malformed entry.
-bool parse_endpoints(
-    const std::string& list,
-    std::vector<std::pair<std::string, std::uint16_t>>& endpoints) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string entry = list.substr(start, comma - start);
-    start = comma + 1;
-    if (entry.empty()) continue;
-    std::string host = "127.0.0.1";
-    std::string port_text = entry;
-    const std::size_t colon = entry.rfind(':');
-    if (colon != std::string::npos) {
-      host = entry.substr(0, colon);
-      port_text = entry.substr(colon + 1);
-    }
-    try {
-      const unsigned long port = std::stoul(port_text);
-      if (port == 0 || port > 65535) return false;
-      endpoints.emplace_back(host, static_cast<std::uint16_t>(port));
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -90,10 +62,16 @@ int main(int argc, char** argv) {
   if (scrape_ms > 0.0) config.scrape_interval_s = scrape_ms / 1000.0;
   config.max_hops = static_cast<std::uint32_t>(max_hops == 0 ? 1 : max_hops);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
-  if (!parse_endpoints(frontends_list, config.frontends)) {
+  // Entry i is fleet member i, so an empty slot is an error too.
+  auto frontends = parse_endpoints(frontends_list);
+  if (!frontends.has_value() ||
+      std::ranges::any_of(*frontends, [](const Endpoint& endpoint) {
+        return endpoint.first.empty();
+      })) {
     std::fprintf(stderr, "scp_router: bad --frontends entry\n");
     return 2;
   }
+  config.frontends = std::move(*frontends);
   if (config.frontends.empty()) {
     std::fprintf(stderr, "scp_router: --frontends is required\n");
     return 2;

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include "common/log.h"
@@ -141,6 +142,36 @@ Socket connect_tcp(const std::string& address, std::uint16_t port,
     ::fcntl(sock.fd(), F_SETFL, flags & ~O_NONBLOCK);
   }
   return sock;
+}
+
+std::optional<std::vector<Endpoint>> parse_endpoints(std::string_view text) {
+  std::vector<Endpoint> endpoints;
+  if (text.empty()) return endpoints;
+  while (true) {
+    const std::size_t comma = text.find(',');
+    const std::string_view entry = text.substr(0, comma);
+    if (entry.empty()) {
+      endpoints.emplace_back();
+    } else {
+      const std::size_t colon = entry.rfind(':');
+      const bool bare = colon == std::string_view::npos;
+      const std::string_view host =
+          bare ? std::string_view("127.0.0.1") : entry.substr(0, colon);
+      const std::string_view port_text =
+          bare ? entry : entry.substr(colon + 1);
+      unsigned port = 0;
+      const char* end = port_text.data() + port_text.size();
+      const auto [ptr, ec] = std::from_chars(port_text.data(), end, port);
+      if (host.empty() || ec != std::errc() || ptr != end || port == 0 ||
+          port > 65535) {
+        return std::nullopt;
+      }
+      endpoints.emplace_back(std::string(host),
+                             static_cast<std::uint16_t>(port));
+    }
+    if (comma == std::string_view::npos) return endpoints;
+    text.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace scp::net

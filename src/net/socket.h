@@ -2,11 +2,15 @@
 // kernel-assigned ports (--port 0), and blocking/non-blocking connects.
 // Everything returns a plain invalid Socket on failure and logs the errno —
 // the serving tier treats socket failure as "peer is down", never as a
-// crash.
+// crash. parse_endpoints() is the one parser of endpoint lists.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace scp::net {
 
@@ -70,5 +74,13 @@ Socket connect_tcp_nonblocking(const std::string& address, std::uint16_t port,
 /// timeout. The returned socket is left in blocking mode.
 Socket connect_tcp(const std::string& address, std::uint16_t port,
                    double timeout_s);
+
+using Endpoint = std::pair<std::string, std::uint16_t>;
+
+/// Parses a comma-separated endpoint list. An entry is "host:port", or a
+/// bare "port" on 127.0.0.1; the port is the whole rest of the entry, in
+/// 1..65535. An empty entry keeps its index as an empty slot ({"", 0}), and
+/// an empty text is an empty list. nullopt when any entry is malformed.
+std::optional<std::vector<Endpoint>> parse_endpoints(std::string_view text);
 
 }  // namespace scp::net

@@ -15,7 +15,9 @@ Upstream::Upstream(
     Reactor& loop,
     const std::vector<std::pair<std::string, std::uint16_t>>& endpoints,
     double timeout_s, const std::atomic<bool>& stopping)
-    : loop_(loop), stopping_(stopping), timeout_s_(timeout_s),
+    : loop_(loop), stopping_(stopping),
+      timeout_(std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_s))),
       links_(endpoints.size()) {
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     links_[i].address = endpoints[i].first;
@@ -26,27 +28,53 @@ Upstream::Upstream(
 void Upstream::start(Counters counters, Hooks hooks) {
   counters_ = counters;
   hooks_ = std::move(hooks);
+  for (std::uint32_t link = 0; link < size(); ++link) {
+    if (!links_[link].address.empty()) dial(link);
+  }
+}
+
+void Upstream::arm() {
+  if (armed_) return;
+  armed_ = true;
   loop_.set_before_flush([this] {
     for (std::uint32_t link = 0; link < size(); ++link) {
       if (!links_[link].queued.empty()) flush(link);
     }
   });
-  for (std::uint32_t link = 0; link < size(); ++link) dial(link);
   loop_.run_after(kSweepIntervalS, [this] { sweep(); });
 }
 
+void Upstream::set_endpoint(std::uint32_t link, std::string address,
+                            std::uint16_t port) {
+  if (link >= size()) links_.resize(link + 1);
+  Link& l = links_[link];
+  l.address = std::move(address);
+  l.port = port;
+  if (l.conn == kInvalidConn) dial(link);
+}
+
+void Upstream::retire(std::uint32_t link) {
+  if (link >= size()) return;
+  Link& l = links_[link];
+  l.address.clear();
+  if (l.conn != kInvalidConn) loop_.close_connection(l.conn);
+  drop_deferred(link);
+}
+
 void Upstream::dial(std::uint32_t link) {
+  arm();
   Link& l = links_[link];
   l.conn = loop_.connect(l.address, l.port);
   by_conn_[l.conn] = link;
 }
 
 void Upstream::redial_later(std::uint32_t link) {
-  if (stopping_.load()) return;
+  if (stopping_.load() || links_[link].address.empty()) return;
   const double delay = reconnect_delay_s(links_[link].connect_failures++);
   loop_.run_after(delay, [this, link] {
     if (stopping_.load()) return;
-    if (links_[link].conn != kInvalidConn) return;  // already re-dialed
+    const Link& l = links_[link];
+    if (l.conn != kInvalidConn || l.address.empty()) return;
     dial(link);
   });
 }
@@ -60,6 +88,14 @@ void Upstream::on_connect(ConnId conn, bool ok) {
     l.connect_failures = 0;
     up_count_.fetch_add(1, std::memory_order_relaxed);
     if (hooks_.on_up) hooks_.on_up(link);
+    // Deferred sends leave in order; any that cannot go back unsent.
+    std::vector<Forward> deferred;
+    deferred.swap(links_[link].deferred);
+    for (Forward& request : deferred) {
+      if (!transmit(link, request)) {
+        hand_back(link, std::move(request), /*sent=*/false);
+      }
+    }
     return;
   }
   by_conn_.erase(conn);
@@ -94,6 +130,14 @@ void Upstream::hand_back(std::uint32_t link, Forward&& request, bool sent) {
   hooks_.on_dropped(link, std::move(request), sent);
 }
 
+void Upstream::drop_deferred(std::uint32_t link) {
+  std::vector<Forward> deferred;
+  deferred.swap(links_[link].deferred);
+  for (Forward& request : deferred) {
+    hand_back(link, std::move(request), /*sent=*/false);
+  }
+}
+
 void Upstream::reset(std::uint32_t link, const char* why) {
   const Link& l = links_[link];
   SCP_LOG_WARN << "upstream " << l.address << ":" << l.port << ": " << why
@@ -103,6 +147,7 @@ void Upstream::reset(std::uint32_t link, const char* why) {
 
 void Upstream::on_reply(std::uint32_t link, Message&& reply) {
   Link& l = links_[link];
+  ++l.replies;
   if (reply.type == MsgType::kBatchReply) {
     // Item i answers the GET sent with id reply.id + i. Check every item
     // before settling any: a half-applied mismatched batch would answer
@@ -126,7 +171,7 @@ void Upstream::on_reply(std::uint32_t link, Message&& reply) {
       answer.key = item.key;
       answer.node = item.node;
       answer.payload = std::move(item.payload);
-      auto request = l.pending.take(answer.id);
+      auto request = links_[link].pending.take(answer.id);
       if (!request.has_value()) continue;  // handed back by a hook's close
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
       hooks_.on_reply(link, std::move(*request), std::move(answer));
@@ -143,9 +188,18 @@ void Upstream::on_reply(std::uint32_t link, Message&& reply) {
   hooks_.on_reply(link, std::move(request), std::move(reply));
 }
 
-bool Upstream::send(std::uint32_t link, Forward request) {
+bool Upstream::send(std::uint32_t link, Forward request, bool deferrable) {
+  if (link >= size()) return false;
   Link& l = links_[link];
-  if (!l.up) return false;
+  if (!l.up) {
+    if (!deferrable || l.address.empty() ||
+        l.deferred.size() >= kMaxDeferred) {
+      return false;
+    }
+    l.deferred.push_back(std::move(request));
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
   if (request.op == MsgType::kGet) {
     // The id, stamps and counters are assigned at flush, so a batch's keys
     // get consecutive ids; in_flight counts it now so a draining owner
@@ -155,14 +209,27 @@ bool Upstream::send(std::uint32_t link, Forward request) {
     if (l.queued.size() >= kBatchFlushKeys) flush(link);
     return true;
   }
+  if (!transmit(link, request)) return false;
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool Upstream::transmit(std::uint32_t link, Forward& request) {
+  Link& l = links_[link];
   Message message;
   message.type = request.op;
   message.id = l.pending.next_id();
   message.key = request.key;
-  if (request.op == MsgType::kPut) message.payload = request.payload;
-  if (!loop_.send(l.conn, message)) return false;
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  add_pending(link, std::move(request), obs::now_ns(), deadline_from_now());
+  message.version = request.version;
+  message.flags = request.flags;
+  // Lent to the frame for encoding and taken back, so the request keeps its
+  // payload for a re-send without a copy.
+  message.payload = std::move(request.payload);
+  const bool sent = loop_.send(l.conn, message);
+  request.payload = std::move(message.payload);
+  if (!sent) return false;
+  add_pending(link, std::move(request), obs::now_ns(),
+              std::chrono::steady_clock::now() + timeout_);
   return true;
 }
 
@@ -191,7 +258,7 @@ void Upstream::flush(std::uint32_t link) {
       }
     }
     sent = loop_.send(l.conn, message);
-    if (sent && queued.size() > 1) {
+    if (sent && queued.size() > 1 && counters_.batch_frames != nullptr) {
       counters_.batch_frames->inc();
       counters_.batch_keys->inc(queued.size());
     }
@@ -206,7 +273,7 @@ void Upstream::flush(std::uint32_t link) {
   // the peer counts batch keys individually too. Adding the entries in
   // queue order gives key i the frame's id + i.
   const std::uint64_t sent_ns = obs::now_ns();
-  const auto deadline = deadline_from_now();
+  const auto deadline = std::chrono::steady_clock::now() + timeout_;
   for (Forward& request : queued) {
     add_pending(link, std::move(request), sent_ns, deadline);
   }
@@ -215,27 +282,30 @@ void Upstream::flush(std::uint32_t link) {
 void Upstream::add_pending(std::uint32_t link, Forward&& request,
                            std::uint64_t sent_ns,
                            std::chrono::steady_clock::time_point deadline) {
-  counters_.attempts->inc();
-  if (request.attempts > 0) counters_.retries->inc();
+  if (counters_.attempts != nullptr) counters_.attempts->inc();
+  if (request.attempts > 0 && counters_.retries != nullptr) {
+    counters_.retries->inc();
+  }
   if (hooks_.on_sent) hooks_.on_sent(link);
   request.sent_ns = sent_ns;
   request.deadline = deadline;
   links_[link].pending.add(std::move(request));
 }
 
-std::chrono::steady_clock::time_point Upstream::deadline_from_now() const {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(timeout_s_));
-}
-
 void Upstream::sweep() {
   if (stopping_.load()) return;
   const auto now = std::chrono::steady_clock::now();
-  for (const Link& l : links_) {
+  for (Link& l : links_) {
+    if (l.replies != l.replies_swept) {
+      l.replies_swept = l.replies;
+      l.answered = now;
+    }
+    // Overdue and silent: the peer is hung. Overdue but answering: it is
+    // still working through what it was sent (a handoff burst), and a reset
+    // would discard the rest of that burst unsent.
     const Forward* oldest = l.pending.oldest();
     if (l.conn != kInvalidConn && oldest != nullptr &&
-        oldest->deadline <= now) {
+        oldest->deadline <= now && l.answered + timeout_ <= now) {
       // on_close hands everything the link carried back to the owner.
       loop_.close_connection(l.conn);
     }

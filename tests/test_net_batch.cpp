@@ -4,7 +4,8 @@
 // each parked forward with its own outcome, a backend must answer a whole
 // kBatchGet in one reply frame, and a client's kBatchGet of cold keys must
 // leave the front end as kBatchGet frames with every key answered by its
-// own bytes. Backend-silence windows are made deterministic with a
+// own bytes, and a key every backend answers kMiss for must leave no
+// routing pin behind. Backend-silence windows are made deterministic with a
 // scripted FakeBackend that replies only when told.
 // Labeled slow — each case spins up servers on real sockets.
 #include <poll.h>
@@ -448,6 +449,73 @@ TEST(BatchServing, ClientBatchForwardsAsBatchFrames) {
   EXPECT_EQ(stats.failures, 0u);
   EXPECT_EQ(stats.requests,
             stats.hits + stats.forwarded + stats.coalesced + stats.failures);
+  frontend.stop(1.0);
+  for (auto& backend : backends) backend->stop(1.0);
+}
+
+// A key no backend holds keeps no pin. The front end pins each forwarded
+// key to the replica it first went to; were a kMiss to leave its pin, every
+// distinct absent key a client sends would cost the front end memory for
+// good (the paper's adversary with x -> infinity).
+TEST(BatchServing, AbsentKeysLeaveNoPins) {
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 4096;
+  constexpr std::uint64_t kAbsentKeys = 4096;
+  constexpr std::uint64_t kBatch = 256;
+
+  std::vector<std::unique_ptr<BackendServer>> backends;
+  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    BackendConfig config;
+    config.node_id = node;
+    config.nodes = kNodes;
+    config.replication = kReplication;
+    config.partition_seed = kPartitionSeed;
+    config.items = kItems;
+    backends.push_back(std::make_unique<BackendServer>(config));
+    ASSERT_TRUE(backends.back()->start());
+    endpoints.emplace_back("127.0.0.1", backends.back()->port());
+  }
+  FrontendConfig config;
+  config.nodes = kNodes;
+  config.replication = kReplication;
+  config.partition_seed = kPartitionSeed;
+  config.backends = endpoints;
+  config.cache_policy = "none";  // every GET forwards
+  config.items = kItems;
+  FrontendServer frontend(config);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  const auto pins = [&]() -> std::optional<std::int64_t> {
+    const obs::MetricsSnapshot snap = frontend.metrics_snapshot();
+    const auto it = snap.gauges.find("frontend.pins");
+    if (it == snap.gauges.end()) return std::nullopt;
+    return it->second;
+  };
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  for (std::uint64_t first = kItems; first < kItems + kAbsentKeys;
+       first += kBatch) {
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t key = first; key < first + kBatch; ++key) {
+      keys.push_back(key);
+    }
+    const auto replies = client.batch_get(keys, 5.0);
+    ASSERT_TRUE(replies.has_value()) << "batch at key " << first;
+    for (const Message& reply : *replies) {
+      ASSERT_EQ(reply.type, MsgType::kMiss) << "key " << reply.key;
+    }
+  }
+  EXPECT_EQ(pins(), std::optional<std::int64_t>(0));
+
+  // A key that exists keeps its pin, so the gauge is live.
+  const auto present = client.get(1, 5.0);
+  ASSERT_TRUE(present.has_value());
+  EXPECT_EQ(present->type, MsgType::kValue);
+  EXPECT_EQ(pins(), std::optional<std::int64_t>(1));
+
   frontend.stop(1.0);
   for (auto& backend : backends) backend->stop(1.0);
 }

@@ -6,7 +6,10 @@
 // converges a restarted replica. The ReplyMatching cases race a PUT and a
 // GET for one key through the front end and the router: the backend acks
 // the PUT only after its quorum but answers the GET at once, so each hop
-// must match replies by request id, not by order or key. The last case
+// must match replies by request id, not by order or key. The mesh cases
+// pin the peer links: sharded backends, a left peer that is never
+// re-dialed, a hung peer that the link deadline resets (failing a write it
+// leaves short of W), and a slow joiner that it does not. The last case
 // checks that every tier's stats() reads the same counters it exports.
 #include <poll.h>
 #include <sys/socket.h>
@@ -14,8 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -364,6 +370,384 @@ TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
   EXPECT_GT(checked, 0u) << "leave moved nothing; enlarge the key set";
 
   for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+std::uint64_t counter(const obs::MetricsSnapshot& snap,
+                      const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it != snap.counters.end() ? it->second : 0;
+}
+
+TEST(QuorumSuite, ShardedMeshWritesThroughEveryShardAndReadsThroughEveryNode) {
+  // Each backend shard holds its own link to every peer, so a write lands
+  // on whichever shard accepted its connection and must reach W from there.
+  constexpr std::uint32_t kNodes = 3;
+  constexpr std::uint64_t kWrites = 40;
+  Mesh mesh;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    BackendConfig config = quorum_config(node, kNodes, kNodes, /*items=*/0);
+    config.shards = 2;
+    auto backend = std::make_unique<BackendServer>(config);
+    ASSERT_TRUE(backend->start());
+    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
+    mesh.backends.push_back(std::move(backend));
+  }
+  mesh.rewire();
+  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+
+  const auto value_of = [](std::uint64_t key) {
+    return "sharded value " + std::to_string(key);
+  };
+  for (std::uint64_t key = 0; key < kWrites; ++key) {
+    SyncClient writer;  // a fresh connection, so both shards coordinate
+    ASSERT_TRUE(writer.connect("127.0.0.1", mesh.backends[0]->port()));
+    const auto ack = writer.call(make_put(key, value_of(key)), 3.0);
+    ASSERT_TRUE(ack.has_value()) << "key " << key;
+    ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
+  }
+  const obs::MetricsSnapshot coordinator = mesh.backends[0]->metrics_snapshot();
+  EXPECT_GT(counter(coordinator, "backend.shard0.puts"), 0u);
+  EXPECT_GT(counter(coordinator, "backend.shard1.puts"), 0u);
+
+  for (std::uint32_t node = 1; node < kNodes; ++node) {
+    for (std::uint64_t key = 0; key < kWrites; ++key) {
+      SyncClient reader;
+      ASSERT_TRUE(reader.connect("127.0.0.1", mesh.backends[node]->port()));
+      const auto reply = reader.call(make_req(MsgType::kQuorumGet, key), 3.0);
+      ASSERT_TRUE(reply.has_value()) << "node " << node << " key " << key;
+      ASSERT_EQ(reply->type, MsgType::kValue) << reply->payload;
+      EXPECT_EQ(reply->payload, value_of(key));
+    }
+  }
+
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+TEST(QuorumSuite, LeftPeerIsNeverRedialed) {
+  // Once every member has acked a kLeave for node 3, no member dials it
+  // again: its accept count stays put for 10x the first reconnect delay.
+  constexpr std::uint32_t kNodes = 4;
+  constexpr std::uint32_t kLeaver = 3;
+  Mesh mesh;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    BackendConfig config = quorum_config(node, kNodes, 2, /*items=*/64);
+    config.partitioner = "ring";
+    auto backend = std::make_unique<BackendServer>(config);
+    ASSERT_TRUE(backend->start());
+    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
+    mesh.backends.push_back(std::move(backend));
+  }
+  mesh.rewire();
+  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+
+  Message leave;
+  leave.type = MsgType::kLeave;
+  leave.node = kLeaver;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    SyncClient admin;
+    ASSERT_TRUE(admin.connect("127.0.0.1", mesh.backends[node]->port()));
+    const auto ack = admin.call(leave, 3.0);
+    ASSERT_TRUE(ack.has_value()) << "member " << node;
+    ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
+  }
+  const auto accepted = [&] {
+    return counter(mesh.backends[kLeaver]->metrics_snapshot(), "loop.accepted");
+  };
+  const std::uint64_t before = accepted();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(accepted(), before) << "a member re-dialed the node that left";
+
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+/// A replica stand-in: it accepts every connection and decodes every frame.
+/// Hung (a zero pace), it never replies. Slow, it answers each connection's
+/// frames in order, one every `pace`: kRepAck, kPong, or an empty kVerValue.
+/// Records when each connection arrived and when the first bytes did, and
+/// the key of every kReplicate it answered.
+class FakePeer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit FakePeer(std::chrono::milliseconds pace = {}) : pace_(pace) {}
+  ~FakePeer() { stop(); }
+
+  bool start() {
+    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
+    if (!listener_.valid()) return false;
+    thread_ = std::thread([this] { run(); });
+    return true;
+  }
+
+  void stop() {
+    stopping_.store(true, std::memory_order_relaxed);
+    if (thread_.joinable()) thread_.join();
+  }
+
+  std::uint16_t port() const noexcept { return port_; }
+
+  std::vector<Clock::time_point> accepts() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return accepts_;
+  }
+
+  std::optional<Clock::time_point> first_bytes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return first_bytes_;
+  }
+
+  std::vector<KeyId> acked() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return acked_;
+  }
+
+ private:
+  struct Conn {
+    Socket socket;
+    FrameReader reader;
+    std::deque<Message> owed;
+  };
+
+  static Message answer(const Message& request) {
+    Message reply;
+    reply.id = request.id;
+    reply.key = request.key;
+    if (request.type == MsgType::kReplicate) {
+      reply.type = MsgType::kRepAck;
+      reply.version = request.version;
+      reply.flags = kFlagApplied;
+    } else if (request.type == MsgType::kPing) {
+      reply.type = MsgType::kPong;
+    } else {
+      reply.type = MsgType::kVerValue;
+    }
+    return reply;
+  }
+
+  /// Reads what `conn` has; false once it is closed or corrupt.
+  bool receive(Conn& conn) {
+    std::uint8_t buffer[16384];
+    const ssize_t n = ::recv(conn.socket.fd(), buffer, sizeof(buffer), 0);
+    if (n <= 0) return false;
+    conn.reader.append({buffer, static_cast<std::size_t>(n)});
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!first_bytes_.has_value()) first_bytes_ = Clock::now();
+    }
+    while (auto payload = conn.reader.next_payload()) {
+      auto message = decode_payload(*payload);
+      if (!message.has_value()) return false;
+      if (pace_.count() > 0) conn.owed.push_back(std::move(*message));
+    }
+    return !conn.reader.corrupted();
+  }
+
+  void run() {
+    std::vector<Conn> conns;
+    Clock::time_point next_reply = Clock::now();
+    while (!stopping_.load(std::memory_order_relaxed)) {
+      std::vector<pollfd> fds{{listener_.fd(), POLLIN, 0}};
+      for (const Conn& conn : conns) {
+        fds.push_back({conn.socket.fd(), POLLIN, 0});
+      }
+      ::poll(fds.data(), fds.size(), 1);
+      if ((fds[0].revents & POLLIN) != 0) {
+        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+        if (fd >= 0) {
+          conns.push_back(Conn{Socket(fd), FrameReader(), {}});
+          std::lock_guard<std::mutex> lock(mutex_);
+          accepts_.push_back(Clock::now());
+        }
+      }
+      // Backwards, so dropping a closed connection keeps the rest aligned
+      // with fds (fds[i] is conns[i - 1]).
+      for (std::size_t i = fds.size() - 1; i >= 1; --i) {
+        if (fds[i].revents == 0 || receive(conns[i - 1])) continue;
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i - 1));
+      }
+      if (pace_.count() == 0 || Clock::now() < next_reply) continue;
+      next_reply = Clock::now() + pace_;
+      for (Conn& conn : conns) {
+        if (conn.owed.empty()) continue;
+        const Message& request = conn.owed.front();
+        const std::vector<std::uint8_t> frame = encode(answer(request));
+        // Replies are small; a short send only happens on a closing socket.
+        ::send(conn.socket.fd(), frame.data(), frame.size(), MSG_NOSIGNAL);
+        if (request.type == MsgType::kReplicate) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          acked_.push_back(request.key);
+        }
+        conn.owed.pop_front();
+      }
+    }
+  }
+
+  const std::chrono::milliseconds pace_;
+  Socket listener_;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::thread thread_;
+  mutable std::mutex mutex_;
+  std::vector<Clock::time_point> accepts_;
+  std::optional<Clock::time_point> first_bytes_;
+  std::vector<KeyId> acked_;
+};
+
+TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
+  // Nodes 0 and 1 are real; node 2 accepts and never replies. Each real
+  // node sees node 2 at its own FakePeer, so each one's re-dial is visible.
+  constexpr double kOpTimeoutS = 0.5;
+  constexpr double kSweepS = 0.020;  // upstream.cpp
+  // The oldest frame's deadline, three sweep periods (the reset, and the
+  // first reconnect delay from reactor.h), plus 250 ms for timer lateness
+  // and connect latency on a loaded host or under a sanitizer. The parent
+  // of this check never re-dialed a hung peer at all.
+  constexpr double kResetWithinS = kOpTimeoutS + 3 * kSweepS + 0.050 + 0.250;
+  FakePeer hung[2];
+  std::vector<std::unique_ptr<BackendServer>> backends;
+  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    ASSERT_TRUE(hung[node].start());
+    BackendConfig config = quorum_config(node, 3, 3, /*items=*/0);
+    config.op_timeout_s = kOpTimeoutS;
+    backends.push_back(std::make_unique<BackendServer>(config));
+    ASSERT_TRUE(backends.back()->start());
+    endpoints.emplace_back("127.0.0.1", backends.back()->port());
+  }
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    auto peers = endpoints;
+    peers.emplace_back("127.0.0.1", hung[node].port());
+    backends[node]->set_peers(peers);
+  }
+  for (auto& backend : backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+
+  SyncClient writer;
+  ASSERT_TRUE(writer.connect("127.0.0.1", backends[0]->port()));
+  for (std::uint64_t key = 0; key < 50; ++key) {
+    const auto ack = writer.call(make_put(key, "w=2 without node 2"), 3.0);
+    ASSERT_TRUE(ack.has_value()) << "key " << key;
+    ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
+  }
+
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    ASSERT_TRUE(eventually([&] { return hung[node].accepts().size() >= 2; }))
+        << "node " << node << " never re-dialed its hung peer";
+    const auto first_bytes = hung[node].first_bytes();
+    ASSERT_TRUE(first_bytes.has_value());
+    const double reset_after_s =
+        std::chrono::duration<double>(hung[node].accepts()[1] - *first_bytes)
+            .count();
+    EXPECT_LE(reset_after_s, kResetWithinS) << "node " << node;
+  }
+
+  for (auto& backend : backends) backend->stop(0.5);
+  for (FakePeer& peer : hung) peer.stop();
+}
+
+TEST(QuorumSuite, WriteShortOfWFailsOnceItsHungPeersAreReset) {
+  // Node 0 is real, nodes 1 and 2 hang (d = 3, W = 2). The link reset is a
+  // quorum op's only deadline: it hands both replicate frames back as lost,
+  // which leaves the write short of W, so the client gets kError instead of
+  // waiting forever.
+  constexpr double kOpTimeoutS = 0.3;
+  FakePeer hung[2];
+  std::vector<std::pair<std::string, std::uint16_t>> peers{{"", 0}};
+  for (FakePeer& peer : hung) {
+    ASSERT_TRUE(peer.start());
+    peers.emplace_back("127.0.0.1", peer.port());
+  }
+  BackendConfig config = quorum_config(0, 3, 3, /*items=*/0);
+  config.op_timeout_s = kOpTimeoutS;
+  BackendServer backend(config);
+  ASSERT_TRUE(backend.start());
+  backend.set_peers(peers);
+  ASSERT_TRUE(backend.wait_peers_up(5.0));
+
+  SyncClient writer;
+  ASSERT_TRUE(writer.connect("127.0.0.1", backend.port()));
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = writer.call(make_put(7, "never reaches W"), 5.0);
+  const double took_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(reply.has_value()) << "the write was never answered";
+  EXPECT_EQ(reply->type, MsgType::kError);
+  // A link is reset once its oldest frame (the write's, or an earlier
+  // detector ping's) is overdue: within the deadline, two sweep periods
+  // and 250 ms of slack for a loaded host or a sanitizer.
+  EXPECT_LE(took_s, kOpTimeoutS + 2 * 0.020 + 0.250);
+  EXPECT_EQ(counter(backend.metrics_snapshot(), "backend.quorum_failures"), 1u);
+
+  backend.stop(0.5);
+  for (FakePeer& peer : hung) peer.stop();
+}
+
+TEST(QuorumSuite, SlowJoinerGetsItsWholeHandoffOnOneConnection) {
+  // The joiner is a stand-in that answers each member's frames one every
+  // 2 ms, so acking a member's handoff burst takes several op_timeout_s. A
+  // peer still answering is behind, not hung: no member resets its link,
+  // which would hand back the unanswered rest of the burst (and discard
+  // what was still unsent), so every key the post-join ring gives the
+  // joiner reaches it and is acked on the first connection.
+  constexpr std::uint32_t kNodes = 3;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 600;
+  constexpr double kOpTimeoutS = 0.1;
+  FakePeer joiner(std::chrono::milliseconds(2));
+  ASSERT_TRUE(joiner.start());
+
+  Mesh mesh;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    BackendConfig config = quorum_config(node, kNodes, kReplication, kItems);
+    config.partitioner = "ring";
+    config.op_timeout_s = kOpTimeoutS;
+    auto backend = std::make_unique<BackendServer>(config);
+    ASSERT_TRUE(backend->start());
+    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
+    mesh.backends.push_back(std::move(backend));
+  }
+  mesh.rewire();
+  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+
+  ConsistentHashRing ring(kNodes + 1, kReplication, 64, kPartitionSeed);
+  std::vector<KeyId> moved;
+  std::vector<NodeId> group(kReplication);
+  for (KeyId key = 0; key < kItems; ++key) {
+    ring.replica_group(key, group);
+    if (std::find(group.begin(), group.end(), NodeId{kNodes}) != group.end()) {
+      moved.push_back(key);
+    }
+  }
+  // Spread over the three members, each one's burst still takes at least
+  // twice op_timeout_s to ack at 2 ms a frame.
+  ASSERT_GE(moved.size() * 0.002 / kNodes, 2 * kOpTimeoutS);
+
+  Message join;
+  join.type = MsgType::kJoin;
+  join.node = kNodes;
+  join.payload = "127.0.0.1:" + std::to_string(joiner.port());
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    SyncClient admin;
+    ASSERT_TRUE(admin.connect("127.0.0.1", mesh.backends[node]->port()));
+    const auto reply = admin.call(join, 3.0);
+    ASSERT_TRUE(reply.has_value()) << "member " << node;
+    ASSERT_EQ(reply->type, MsgType::kWriteReply) << reply->payload;
+  }
+
+  const auto acked_all = [&] {
+    std::vector<KeyId> got = joiner.acked();
+    std::sort(got.begin(), got.end());
+    return std::all_of(moved.begin(), moved.end(), [&](KeyId key) {
+      return std::binary_search(got.begin(), got.end(), key);
+    });
+  };
+  EXPECT_TRUE(eventually(acked_all, 5.0))
+      << "a moved key never reached the joiner";
+  EXPECT_EQ(joiner.accepts().size(), kNodes)
+      << "a member reset its link to a joiner that was still answering";
+
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+  joiner.stop();
 }
 
 /// A bare client connection: send() puts a frame on the wire without

@@ -1,6 +1,7 @@
 // Wire-protocol unit tests: encode/decode round trips for every message
-// type, strict rejection of malformed frames, and incremental FrameReader
-// extraction from fragmented streams.
+// type, strict rejection of malformed frames, incremental FrameReader
+// extraction from fragmented streams, and the endpoint-list parser every
+// CLI and kJoin share.
 #include "net/wire.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/histogram.h"
 #include "net/inflight.h"
+#include "net/socket.h"
 
 namespace scp::net {
 namespace {
@@ -748,6 +750,40 @@ TEST(Wire, MakeValueIsDeterministicAndSized) {
   EXPECT_EQ(make_value(3, 16).substr(0, 3), "v3:");
   // Long key ids may exceed a tiny requested size; content wins over size.
   EXPECT_EQ(make_value(123456789, 4).substr(0, 1), "v");
+}
+
+TEST(EndpointList, ParsesTheAcceptedForms) {
+  struct Case {
+    const char* text;
+    std::vector<Endpoint> want;
+  };
+  const Case cases[] = {
+      {"", {}},
+      {"7001", {{"127.0.0.1", 7001}}},
+      {"10.0.0.2:7001", {{"10.0.0.2", 7001}}},
+      {"127.0.0.1:1,2,10.0.0.3:65535",
+       {{"127.0.0.1", 1}, {"127.0.0.1", 2}, {"10.0.0.3", 65535}}},
+      // An empty entry keeps its index: entry i is always node i.
+      {",127.0.0.1:7002", {{"", 0}, {"127.0.0.1", 7002}}},
+      {"127.0.0.1:7001,,7003",
+       {{"127.0.0.1", 7001}, {"", 0}, {"127.0.0.1", 7003}}},
+      {"7001,", {{"127.0.0.1", 7001}, {"", 0}}},
+  };
+  for (const Case& c : cases) {
+    const auto parsed = parse_endpoints(c.text);
+    ASSERT_TRUE(parsed.has_value()) << "'" << c.text << "'";
+    EXPECT_EQ(*parsed, c.want) << "'" << c.text << "'";
+  }
+}
+
+TEST(EndpointList, RejectsMalformedEntries) {
+  // The port is the whole rest of the entry and lies in 1..65535.
+  for (const char* text :
+       {"7001junk", "7001x", "127.0.0.1:1,127.0.0.1:7002junk", "0",
+        "127.0.0.1:0", "65536", "127.0.0.1:99999", "-1", "+7001", " 7001",
+        "7001 ", "127.0.0.1:", ":7001", "host", "127.0.0.1:0x1b59"}) {
+    EXPECT_FALSE(parse_endpoints(text).has_value()) << "'" << text << "'";
+  }
 }
 
 }  // namespace
