@@ -23,12 +23,12 @@
 //
 // --fe-fleet N runs the front end as a DistCache-style *fleet*: N separate
 // FrontendServer instances (fleet hash-partitioning the aggregate cache c
-// across them, single-copy) behind an in-process RouterServer that spreads
-// clients by power-of-two-choices on live load and follows FE-to-FE
-// REDIRECTs. Clients talk to the router; the per-FE request/hit spread and
-// the backend best_gain land in the same table/JSON row (fe_fleet,
-// fe_requests, fe_hits columns). --fe-fleet 1 keeps the classic direct
-// single-frontend path, byte-identical to earlier revisions.
+// across them, single-copy) behind an in-process RouterServer that sends
+// each key to its owning member (its alternate while the owner is down)
+// and follows FE-to-FE REDIRECTs. Clients talk to the router; the per-FE
+// request/hit spread and the backend best_gain land in the same table/JSON
+// row (fe_fleet, fe_requests, fe_hits columns). --fe-fleet 1 keeps the
+// classic direct single-frontend path, byte-identical to earlier revisions.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -306,9 +306,8 @@ std::string shard_requests_cell(const obs::MetricsSnapshot& fe_metrics,
 }
 
 /// "a|b|c": one named counter per fleet member, in fleet index order, from
-/// the per-member scrapes — the row-level view of how power-of-two-choices
-/// spread client load (fe_requests) and where the cache slots live
-/// (fe_hits).
+/// the per-member scrapes — the row-level view of how key ownership spread
+/// client load (fe_requests) and where the cache slots live (fe_hits).
 std::string fleet_counter_cell(
     const std::vector<obs::MetricsSnapshot>& member_metrics,
     const std::string& name) {
@@ -498,7 +497,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     net::RouterConfig router_config;
     router_config.frontends = fe_endpoints;
     router_config.fleet_seed = fleet_seed;
-    router_config.seed = derive_seed(flags.seed, 6);
     router = std::make_unique<net::RouterServer>(router_config);
     if (!router->start()) {
       std::fprintf(stderr, "live_serving: router failed to start\n");

@@ -137,7 +137,8 @@ bool BackendServer::start() {
     hooks.on_dropped = [this, s](std::uint32_t, Forward&& request, bool) {
       apply_peer_loss(*s, request.quorum_op);
     };
-    s->upstream->start(Upstream::Counters{}, std::move(hooks));
+    s->upstream->start({.resets = &s->registry.counter("backend.link_resets")},
+                       std::move(hooks));
 
     obs::MetricsRegistry& r = s->registry;
     s->requests = &r.counter("backend.requests");

@@ -1,8 +1,7 @@
 #include "net/fleet.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
+#include "common/rng.h"
 
 namespace scp::net {
 namespace {
@@ -41,53 +40,6 @@ FleetCandidates fleet_candidates(std::uint64_t key, std::uint64_t fleet_seed,
       static_cast<std::uint32_t>(siphash24(sip, key) % (fleet_size - 1));
   candidates.alternate = (candidates.owner + 1 + step) % fleet_size;
   return candidates;
-}
-
-FleetRouter::FleetRouter(std::uint32_t fleet_size, std::uint64_t fleet_seed)
-    : fleet_seed_(fleet_seed),
-      members_(std::max<std::uint32_t>(fleet_size, 1)) {}
-
-std::uint32_t FleetRouter::pick(std::uint64_t key, Rng& rng) const {
-  const FleetCandidates candidates = candidates_of(key);
-  const bool owner_up = members_[candidates.owner].up;
-  const bool alternate_up = members_[candidates.alternate].up;
-  if (candidates.owner == candidates.alternate) {
-    return owner_up ? candidates.owner : kNoFleetMember;
-  }
-  if (!owner_up && !alternate_up) return kNoFleetMember;
-  if (!alternate_up) return candidates.owner;
-  if (!owner_up) return candidates.alternate;
-  const double owner_load = load(candidates.owner);
-  const double alternate_load = load(candidates.alternate);
-  if (owner_load < alternate_load) return candidates.owner;
-  if (alternate_load < owner_load) return candidates.alternate;
-  return rng.uniform_u64(2) == 0 ? candidates.owner : candidates.alternate;
-}
-
-void FleetRouter::set_scraped_load(std::uint32_t member, std::uint64_t load) {
-  Member& m = members_[member];
-  m.scraped = load;
-  m.outstanding = 0;
-}
-
-void FleetRouter::on_dispatch(std::uint32_t member) {
-  ++members_[member].outstanding;
-}
-
-void FleetRouter::on_complete(std::uint32_t member) {
-  // Completions for work dispatched before the last scrape would drive the
-  // delta negative; the scrape base already covers them.
-  if (members_[member].outstanding > 0) --members_[member].outstanding;
-}
-
-void FleetRouter::set_up(std::uint32_t member, bool up) {
-  members_[member].up = up;
-}
-
-double FleetRouter::load(std::uint32_t member) const {
-  const Member& m = members_[member];
-  return static_cast<double>(m.scraped) +
-         static_cast<double>(m.outstanding);
 }
 
 }  // namespace scp::net

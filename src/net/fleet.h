@@ -1,19 +1,24 @@
-// Distributed front-end fleet: hashing and replica choice (DistCache-style).
+// Distributed front-end fleet: hashing and member choice (DistCache-style).
 //
 // An N-process front-end tier splits the paper's cache budget c across its
 // members with an *independent* hash — independent of the backend
 // consistent-hash/replica partitioner in src/cluster (different keyed
 // SipHash streams) and of the intra-process reactor-shard split (unkeyed
-// mix64). DistCache proves that independent partitioning per cache layer
-// plus power-of-two-choices between cache nodes preserves the load-balance
-// guarantee; this header provides both halves:
+// mix64). Each key is cached on exactly one member, so the fleet's
+// footprint stays c:
 //
 //   * fleet_owner()      — which fleet member holds a key's cache slot (the
-//                          only member allowed to cache it, so the aggregate
-//                          footprint stays exactly c), and
-//   * fleet_candidates() — the key's two candidate front ends (owner plus a
-//                          distinct alternate from a second hash stream),
-//                          between which FleetRouter picks by live load.
+//                          only member allowed to cache it),
+//   * fleet_candidates() — the owner plus a distinct alternate from a
+//                          second hash stream, and
+//   * fleet_route()      — the router's choice between them: the owner
+//                          while its link is up, else the alternate.
+//
+// DistCache balances a key between two members because both hold a copy.
+// Here only the owner does: a cached key sent to the alternate comes back
+// as kRedirect to the owner, one more round trip for nothing. So the router
+// sends every key to its owner, and the alternate carries a key only while
+// its owner is down.
 //
 // The same functions run in the edge router (scp_router / RouterServer),
 // the fleet members themselves (a non-owner answers a cached key with
@@ -22,9 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "common/rng.h"
 
 namespace scp::net {
 
@@ -37,7 +39,7 @@ inline constexpr std::uint32_t kNoFleetMember = UINT32_MAX;
 std::uint32_t fleet_owner(std::uint64_t key, std::uint64_t fleet_seed,
                           std::uint32_t fleet_size) noexcept;
 
-/// A key's two candidate front ends for power-of-two-choices routing.
+/// A key's two candidate front ends.
 struct FleetCandidates {
   std::uint32_t owner = 0;      ///< cache owner (fleet_owner())
   std::uint32_t alternate = 0;  ///< distinct second choice (== owner iff N=1)
@@ -49,59 +51,16 @@ struct FleetCandidates {
 FleetCandidates fleet_candidates(std::uint64_t key, std::uint64_t fleet_seed,
                                  std::uint32_t fleet_size) noexcept;
 
-/// Power-of-two-choices over a key's candidate pair on a live load signal.
-///
-// Load per member is split into a scraped base (the member's own request
-// counter published through src/obs, refreshed by the router's scrape
-// timer) plus the locally tracked in-flight delta since that scrape — the
-// classic "least outstanding" correction that keeps the signal fresh
-// between scrapes. Not thread-safe: lives on one reactor thread (or inside
-// one load-generator worker).
-class FleetRouter {
- public:
-  FleetRouter(std::uint32_t fleet_size, std::uint64_t fleet_seed);
-
-  std::uint32_t size() const noexcept {
-    return static_cast<std::uint32_t>(members_.size());
-  }
-  std::uint64_t seed() const noexcept { return fleet_seed_; }
-
-  std::uint32_t owner_of(std::uint64_t key) const noexcept {
-    return fleet_owner(key, fleet_seed_, size());
-  }
-  FleetCandidates candidates_of(std::uint64_t key) const noexcept {
-    return fleet_candidates(key, fleet_seed_, size());
-  }
-
-  /// The less-loaded of the key's two live candidates (ties broken by
-  /// `rng`); the live one when only one is up; kNoFleetMember when neither
-  /// is. A single-member fleet always picks member 0 (when up).
-  std::uint32_t pick(std::uint64_t key, Rng& rng) const;
-
-  /// Scraped load base for `member` (e.g. its "frontend.requests" counter
-  /// plus its pending gauge from a kMetricsRequest scrape). Resets the
-  /// local outstanding delta: the scrape already reflects delivered work.
-  void set_scraped_load(std::uint32_t member, std::uint64_t load);
-
-  /// Local in-flight accounting between scrapes.
-  void on_dispatch(std::uint32_t member);
-  void on_complete(std::uint32_t member);
-
-  void set_up(std::uint32_t member, bool up);
-  bool up(std::uint32_t member) const { return members_[member].up; }
-
-  /// Current effective load (scraped base + local outstanding).
-  double load(std::uint32_t member) const;
-
- private:
-  struct Member {
-    std::uint64_t scraped = 0;   ///< last scraped request count
-    std::int64_t outstanding = 0;  ///< local dispatches since that scrape
-    bool up = true;
-  };
-
-  std::uint64_t fleet_seed_;
-  std::vector<Member> members_;
-};
+/// Where the edge router sends `key`: its owner while `up(owner)`, else its
+/// alternate while `up(alternate)`, else kNoFleetMember. Only the owner may
+/// cache the key, so routing to it costs no redirect hop; the alternate
+/// carries the key only while the owner is down. Reads nothing but the
+/// candidates and `up`, so every router replica routes alike.
+template <typename Up>
+std::uint32_t fleet_route(const FleetCandidates& candidates, Up&& up) {
+  if (up(candidates.owner)) return candidates.owner;
+  if (up(candidates.alternate)) return candidates.alternate;
+  return kNoFleetMember;
+}
 
 }  // namespace scp::net

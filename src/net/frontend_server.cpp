@@ -118,6 +118,7 @@ bool FrontendServer::start() {
     s->sends.attempts = &r.counter("frontend.attempts_total");
     s->sends.batch_frames = &r.counter("frontend.batch_frames");
     s->sends.batch_keys = &r.counter("frontend.batch_keys");
+    s->sends.resets = &r.counter("frontend.link_resets");
     s->puts = &r.counter("frontend.puts");
     s->deletes = &r.counter("frontend.deletes");
     s->invalidations = &r.counter("frontend.invalidations");
@@ -374,8 +375,8 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
       return;
     }
     // Globally uncached under the perfect oracle: any member can serve
-    // the forward, and the router's power-of-two-choices sent it here
-    // to balance exactly this load. Skip the cache entirely.
+    // the forward (the router sends it here while the owner is down).
+    // Skip the cache entirely.
     shard.misses->inc();
     forward_get(shard, client, key, start_ns);
     return;

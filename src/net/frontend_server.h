@@ -49,10 +49,11 @@
 // the *fleet index* of the owner (the edge router maps indices to
 // endpoints and re-dispatches) — with the perfect-oracle cache only when
 // the key is globally cached (rank < c); globally-uncached keys are
-// forwarded to a backend right here, which is what lets the router's
-// power-of-two-choices spread the forwarding load across members. Policy
-// caches redirect every non-owned key: only the owner knows its cache
-// contents. fleet_size == 1 disables all of this byte-for-byte.
+// forwarded to a backend right here. The router sends every key to its
+// owner, so a member answers kRedirect only to a direct client or while
+// the router routes around a down owner. Policy caches redirect every
+// non-owned key: only the owner knows its cache contents. fleet_size == 1
+// disables all of this byte-for-byte.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,5 @@
 #include "net/router_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -12,10 +11,7 @@ namespace scp::net {
 RouterServer::RouterServer(RouterConfig config)
     : config_(std::move(config)),
       loop_(std::make_unique<FrameLoop>()),
-      upstream_(*loop_, config_.frontends, config_.timeout_s, stopping_),
-      router_(static_cast<std::uint32_t>(config_.frontends.size()),
-              config_.fleet_seed),
-      rng_(config_.seed) {}
+      upstream_(*loop_, config_.frontends, config_.timeout_s, stopping_) {}
 
 RouterServer::~RouterServer() { stop(0.0); }
 
@@ -25,11 +21,6 @@ bool RouterServer::start() {
     return false;
   }
   if (config_.max_hops == 0) config_.max_hops = 1;
-
-  // Members start pessimistically down; the upstream's on_up flips them.
-  for (std::uint32_t member = 0; member < upstream_.size(); ++member) {
-    router_.set_up(member, false);
-  }
 
   Reactor::Callbacks callbacks;
   callbacks.on_message = [this](ConnId conn, Message&& message) {
@@ -49,7 +40,7 @@ bool RouterServer::start() {
   sends_.attempts = &registry_.counter("router.attempts_total");
   sends_.batch_frames = &registry_.counter("router.batch_frames");
   sends_.batch_keys = &registry_.counter("router.batch_keys");
-  scrapes_ = &registry_.counter("router.scrapes");
+  sends_.resets = &registry_.counter("router.link_resets");
   member_dispatches_.resize(upstream_.size());
   for (std::uint32_t member = 0; member < upstream_.size(); ++member) {
     member_dispatches_[member] =
@@ -72,33 +63,25 @@ bool RouterServer::start() {
   }
 
   Upstream::Hooks hooks;
-  hooks.on_up = [this](std::uint32_t member) { router_.set_up(member, true); };
-  hooks.on_down = [this](std::uint32_t member) {
-    router_.set_up(member, false);
-  };
   hooks.on_sent = [this](std::uint32_t member) {
     member_dispatches_[member]->inc();
   };
-  hooks.on_reply = [this](std::uint32_t member, Forward&& request,
+  hooks.on_reply = [this](std::uint32_t, Forward&& request,
                           Message&& reply) {
-    handle_member(member, std::move(request), std::move(reply));
+    handle_member(std::move(request), std::move(reply));
   };
-  hooks.on_dropped = [this](std::uint32_t member, Forward&& request,
-                            bool sent) {
-    // Route it again; the dead member is marked down, so pick() goes around
-    // it. One that reached the wire spent a hop, and dispatch() fails it
-    // once the hop budget is gone.
-    router_.on_complete(member);
+  hooks.on_dropped = [this](std::uint32_t, Forward&& request, bool sent) {
+    // Route it again: a closed link is already marked down, so an owner's
+    // key goes to its alternate. One that reached the wire spent a hop, and
+    // dispatch() fails it once the hop budget is gone.
     dispatch(request.client, request.key, request.attempts + (sent ? 1 : 0),
              request.start_ns, request.op, request.payload);
   };
   upstream_.start(sends_, std::move(hooks));
-  loop_->run_after(config_.scrape_interval_s, [this] { scrape_members(); });
 
   if (!loop_->start()) return false;
   SCP_LOG_INFO << "scp_router serving on " << config_.address << ":"
-               << loop_->port() << " (fleet=" << upstream_.size()
-               << " scrape=" << config_.scrape_interval_s << "s)";
+               << loop_->port() << " (fleet=" << upstream_.size() << ")";
   return true;
 }
 
@@ -148,8 +131,6 @@ ServerStats RouterServer::stats() const {
 
 obs::MetricsSnapshot RouterServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
-  snap.gauges["router.scrape_ms"] =
-      static_cast<std::int64_t>(config_.scrape_interval_s * 1000.0);
   snap.gauges["router.frontends_up"] =
       static_cast<std::int64_t>(upstream_.up_count());
   snap.gauges["router.fleet_size"] =
@@ -168,8 +149,6 @@ void RouterServer::handle(ConnId conn, Message&& message) {
   const std::uint32_t member = upstream_.link_of(conn);
   if (member == Upstream::kNoLink) {
     handle_client(conn, std::move(message));
-  } else if (message.type == MsgType::kMetricsReply) {
-    handle_scrape(member, message);
   } else {
     upstream_.on_reply(member, std::move(message));
   }
@@ -217,39 +196,24 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
   }
 }
 
-void RouterServer::handle_scrape(std::uint32_t member, const Message& reply) {
-  // Refresh this member's load base: its own request counter plus whatever
-  // it still has in flight toward the backends.
-  std::uint64_t load = 0;
-  auto counter = reply.metrics.counters.find("frontend.requests");
-  if (counter != reply.metrics.counters.end()) load = counter->second;
-  auto gauge = reply.metrics.gauges.find("frontend.pending_requests");
-  if (gauge != reply.metrics.gauges.end() && gauge->second > 0) {
-    load += static_cast<std::uint64_t>(gauge->second);
-  }
-  router_.set_scraped_load(member, load);
-}
-
-void RouterServer::handle_member(std::uint32_t member, Forward&& request,
-                                 Message&& reply) {
-  router_.on_complete(member);
+void RouterServer::handle_member(Forward&& request, Message&& reply) {
   obs::record_elapsed(fe_rtt_us_, request.sent_ns, /*divisor=*/1'000);
   const std::uint32_t hops = request.attempts + 1;
 
   if (reply.type == MsgType::kRedirect) {
-    // A cached key landed on the non-owner: follow the hop to the owner
-    // (reply.node is a *fleet index*). Transparent to the client.
-    redirects_->inc();
+    // The member does not own this cached key and names the owner's fleet
+    // index. Follow the hop to it, transparently to the client. An owner
+    // whose link is down cannot serve the key and no other member may, so
+    // the request fails now rather than bouncing off the members still up.
     const std::uint32_t owner = reply.node;
-    if (owner < upstream_.size() && hops < config_.max_hops &&
+    if (owner < upstream_.size() && upstream_.up(owner) &&
+        hops < config_.max_hops &&
         dispatch_to(owner, request.client, request.key, hops,
                     request.start_ns, request.op, request.payload)) {
+      redirects_->inc();
       return;
     }
-    // Owner down or hop budget spent: let the surviving candidate serve
-    // the forward path instead of failing outright.
-    dispatch(request.client, request.key, hops, request.start_ns, request.op,
-             request.payload);
+    fail_request(request.client, request.key);
     return;
   }
 
@@ -268,35 +232,19 @@ bool RouterServer::dispatch_to(std::uint32_t member, ReplyTo client,
   Forward request{.client = client, .key = key, .op = op,
                   .attempts = hops, .start_ns = start_ns};
   if (op == MsgType::kPut) request.payload = payload;
-  if (!upstream_.send(member, std::move(request))) return false;
-  // Counted as soon as the link takes it, so power-of-two-choices sees
-  // dispatches queued in this same wakeup.
-  router_.on_dispatch(member);
-  return true;
+  return upstream_.send(member, std::move(request));
 }
 
 void RouterServer::dispatch(ReplyTo client, std::uint64_t key,
                             std::uint32_t hops, std::uint64_t start_ns,
                             MsgType op, const std::string& payload) {
-  if (hops >= config_.max_hops) {
+  const std::uint32_t member = fleet_route(
+      fleet_candidates(key, config_.fleet_seed, upstream_.size()),
+      [this](std::uint32_t m) { return upstream_.up(m); });
+  if (hops >= config_.max_hops || member == kNoFleetMember ||
+      !dispatch_to(member, client, key, hops, start_ns, op, payload)) {
     fail_request(client, key);
-    return;
   }
-  const std::uint32_t member = router_.pick(key, rng_);
-  if (member != kNoFleetMember &&
-      dispatch_to(member, client, key, hops, start_ns, op, payload)) {
-    return;
-  }
-  // pick() chose a member whose send failed, or nothing is live: try the
-  // remaining candidate once before giving up.
-  const FleetCandidates candidates = router_.candidates_of(key);
-  const std::uint32_t other =
-      member == candidates.owner ? candidates.alternate : candidates.owner;
-  if (other != member && router_.up(other) &&
-      dispatch_to(other, client, key, hops, start_ns, op, payload)) {
-    return;
-  }
-  fail_request(client, key);
 }
 
 void RouterServer::fail_request(ReplyTo client, std::uint64_t key) {
@@ -306,17 +254,6 @@ void RouterServer::fail_request(ReplyTo client, std::uint64_t key) {
   reply.key = key;
   reply.payload = "no live front end";
   send_reply(*loop_, client, reply);
-}
-
-void RouterServer::scrape_members() {
-  if (stopping_.load()) return;
-  scrapes_->inc();
-  Message probe;
-  probe.type = MsgType::kMetricsRequest;
-  for (std::uint32_t member = 0; member < upstream_.size(); ++member) {
-    upstream_.send_unmatched(member, probe);
-  }
-  loop_->run_after(config_.scrape_interval_s, [this] { scrape_members(); });
 }
 
 }  // namespace scp::net

@@ -1,25 +1,25 @@
 // scp_router: the edge of a distributed front-end fleet.
 //
 // Clients speak the ordinary wire protocol to the router; the router owns
-// one connection per fleet member and dispatches every GET to one of the
-// key's two candidate front ends (src/net/fleet.h) by power-of-two-choices
-// on a live load signal: each member's own request counter scraped through
-// the existing src/obs metrics path (kMetricsRequest over the same
-// connection, on a periodic timer) plus the router's locally tracked
-// in-flight delta since that scrape. Replies are relayed back verbatim;
-// when a non-owning member answers kRedirect with the owner's fleet index
-// (a cached key landed on the wrong member), the router follows the hop
-// transparently — the client never sees a REDIRECT.
+// one connection per fleet member and sends every request to its key's
+// cache owner (src/net/fleet.h), or to the key's alternate while the
+// owner's link is down. Routing reads only the key, the fleet seed and
+// link state. Replies are relayed back verbatim. A member that does not
+// own a cached key answers kRedirect with the owner's fleet index (the
+// alternate during the owner's outage, or any member when the router's
+// fleet seed disagrees with the members'): the router follows the hop to
+// an owner whose link is up, within the hop budget, and fails the request
+// at once when the owner's link is down. The client never sees a
+// REDIRECT.
 //
-// The router's Upstream (upstream.h) owns the member connections: it dials
-// them, batches GET dispatches into kBatchGet frames (a member answers key
-// i of batch b with its own frame carrying id b+i), matches replies by
-// request id, enforces the deadline and hands back the requests of a
-// dropped connection, which the router re-dispatches to the surviving
-// candidate (or fails after the hop budget). Scrape replies
-// (kMetricsReply) are dispatched by type. Relayed replies carry the
-// client's own id. Counters live only in the router's metrics registry;
-// stats() and metrics_snapshot() read them back.
+// The router's Upstream (upstream.h) owns the member connections: it
+// dials them, batches GET dispatches into kBatchGet frames (a member
+// answers key i of batch b with its own frame carrying id b+i), matches
+// replies by request id, enforces the deadline and hands back the requests
+// of a dropped connection, which the router re-dispatches to the alternate
+// (or fails after the hop budget). Relayed replies carry the client's own
+// id. Counters live only in the router's metrics registry; stats() and
+// metrics_snapshot() read them back.
 //
 // The router is deliberately stateless beyond the fleet seed and endpoint
 // list — any number of router replicas can front the same fleet, so the
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "net/fleet.h"
 #include "net/reactor.h"
 #include "net/upstream.h"
@@ -49,9 +48,9 @@ struct RouterConfig {
   std::vector<std::pair<std::string, std::uint16_t>> frontends;
   /// Must match every member's fleet seed (the key -> owner mapping).
   std::uint64_t fleet_seed = 0;
-  std::uint64_t seed = 1;  ///< power-of-two tie-breaks
-  /// Cadence of the per-member obs scrape feeding the load signal.
-  double scrape_interval_s = 0.050;
+  /// Not read: routing depends only on the key, the fleet seed and link
+  /// state. Kept because bench/e2e/layers.cpp still sets it.
+  std::uint64_t seed = 1;
   /// Dispatch budget per request: the initial send plus redirect follows
   /// and dead-member re-dispatches.
   std::uint32_t max_hops = 3;
@@ -100,30 +99,25 @@ class RouterServer {
   void handle(ConnId conn, Message&& message);
   void handle_client(ConnId conn, Message&& message);
   /// A member answered `request`: relay the verdict or follow a redirect.
-  void handle_member(std::uint32_t member, Forward&& request,
-                     Message&& reply);
-  /// A kMetricsReply scrape result: refresh the member's load base.
-  void handle_scrape(std::uint32_t member, const Message& reply);
+  void handle_member(Forward&& request, Message&& reply);
 
   /// Hands `key` to `member`'s link (`hops` dispatches already made).
   /// False when the link is down or the send fails (nothing recorded).
   bool dispatch_to(std::uint32_t member, ReplyTo client, std::uint64_t key,
                    std::uint32_t hops, std::uint64_t start_ns,
                    MsgType op = MsgType::kGet, const std::string& payload = {});
-  /// Routes by power-of-two-choices and dispatches; fails the request when
-  /// no candidate is live or the hop budget is spent.
+  /// Sends to the key's owner, or its alternate while the owner's link is
+  /// down; fails the request when neither link is up or the hop budget is
+  /// spent.
   void dispatch(ReplyTo client, std::uint64_t key, std::uint32_t hops,
                 std::uint64_t start_ns, MsgType op = MsgType::kGet,
                 const std::string& payload = {});
   void fail_request(ReplyTo client, std::uint64_t key);
-  void scrape_members();
 
   RouterConfig config_;
   std::atomic<bool> stopping_{false};
   std::unique_ptr<Reactor> loop_;
   Upstream upstream_;  ///< one link per fleet member
-  FleetRouter router_;
-  Rng rng_;
 
   obs::MetricsRegistry registry_;
   // Handles into `registry_`, taken in start().
@@ -132,7 +126,6 @@ class RouterServer {
   obs::Counter* redirects_ = nullptr;
   obs::Counter* failures_ = nullptr;
   Upstream::Counters sends_;  ///< bumped by the upstream
-  obs::Counter* scrapes_ = nullptr;  ///< load-signal scrape rounds
   std::vector<obs::Counter*> member_dispatches_;  ///< per fleet index
   obs::Timer* request_us_ = nullptr;
   obs::Timer* fe_rtt_us_ = nullptr;  ///< dispatch to matched member reply

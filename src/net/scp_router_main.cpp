@@ -3,7 +3,8 @@
 // Binds (kernel-assigned port with --port 0), prints `PORT <port>` on
 // stdout, connects to every fleet member named by --frontends (list order =
 // fleet index order; it must match each member's --fleet-index), and routes
-// client GETs by power-of-two-choices on live load until SIGINT or SIGTERM.
+// each client request to its key's cache owner (the alternate while the
+// owner is down) until SIGINT or SIGTERM.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
 
-  FlagSet flags("scp_router: fleet edge router (power-of-two-choices)");
+  FlagSet flags("scp_router: fleet edge router (owner routing)");
   flags.add_string("address", &config.address, "bind address");
   flags.add_uint64("port", &port, "bind port (0 = kernel-assigned)");
   flags.add_string("frontends", &frontends_list,
@@ -40,14 +41,6 @@ int main(int argc, char** argv) {
                    "index order (must match each member's --fleet-index)");
   flags.add_uint64("fleet-seed", &config.fleet_seed,
                    "fleet hash seed (must match every member)");
-  flags.add_uint64("seed", &config.seed, "routing tie-break seed");
-  flags.add_double("scrape-interval", &config.scrape_interval_s,
-                   "load-signal scrape cadence (seconds)");
-  double scrape_ms = 0.0;
-  flags.add_double("scrape-ms", &scrape_ms,
-                   "load-signal scrape cadence in milliseconds "
-                   "(overrides --scrape-interval when > 0; surfaced as the "
-                   "router.scrape_ms gauge)");
   flags.add_uint64("max-hops", &max_hops,
                    "dispatch budget per request (initial send + redirect "
                    "follows + dead-member re-dispatches)");
@@ -59,7 +52,6 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 2;
 
   config.port = static_cast<std::uint16_t>(port);
-  if (scrape_ms > 0.0) config.scrape_interval_s = scrape_ms / 1000.0;
   config.max_hops = static_cast<std::uint32_t>(max_hops == 0 ? 1 : max_hops);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
   // Entry i is fleet member i, so an empty slot is an error too.

@@ -113,7 +113,6 @@ void Upstream::on_close(ConnId conn) {
     up_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   l.conn = kInvalidConn;
-  if (hooks_.on_down) hooks_.on_down(link);
   for (Forward& request : l.pending.drain()) {
     hand_back(link, std::move(request), /*sent=*/true);
   }
@@ -142,6 +141,7 @@ void Upstream::reset(std::uint32_t link, const char* why) {
   const Link& l = links_[link];
   SCP_LOG_WARN << "upstream " << l.address << ":" << l.port << ": " << why
                << "; resetting connection";
+  if (counters_.resets != nullptr) counters_.resets->inc();
   loop_.close_connection(l.conn);
 }
 
@@ -295,7 +295,8 @@ void Upstream::add_pending(std::uint32_t link, Forward&& request,
 void Upstream::sweep() {
   if (stopping_.load()) return;
   const auto now = std::chrono::steady_clock::now();
-  for (Link& l : links_) {
+  for (std::uint32_t link = 0; link < size(); ++link) {
+    Link& l = links_[link];
     if (l.replies != l.replies_swept) {
       l.replies_swept = l.replies;
       l.answered = now;
@@ -307,7 +308,7 @@ void Upstream::sweep() {
     if (l.conn != kInvalidConn && oldest != nullptr &&
         oldest->deadline <= now && l.answered + timeout_ <= now) {
       // on_close hands everything the link carried back to the owner.
-      loop_.close_connection(l.conn);
+      reset(link, "no reply within the deadline");
     }
   }
   loop_.run_after(kSweepIntervalS, [this] { sweep(); });

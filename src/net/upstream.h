@@ -29,7 +29,8 @@
 //   * Deadlines. A sweep resets a link whose oldest request is past its
 //     deadline and that has answered nothing for the timeout either, so a
 //     peer that stays connected but stops answering is re-dialed, while one
-//     still working through a long burst is left to finish it.
+//     still working through a long burst is left to finish it. Every reset
+//     is logged with its reason and counted.
 //   * Hand-back. When a link closes, or a queued flush cannot be sent,
 //     every request it held goes back to the owner, which learns whether it
 //     had reached the wire.
@@ -90,6 +91,7 @@ class Upstream {
     obs::Counter* retries = nullptr;       ///< keys sent with attempts > 0
     obs::Counter* batch_frames = nullptr;  ///< kBatchGet frames sent
     obs::Counter* batch_keys = nullptr;    ///< keys those frames carried
+    obs::Counter* resets = nullptr;        ///< links the module reset
   };
 
   /// The owner's policy, called on the loop thread. Only on_reply and
@@ -97,8 +99,6 @@ class Upstream {
   struct Hooks {
     /// `link` connected.
     std::function<void(std::uint32_t link)> on_up;
-    /// `link` closed; called before its requests are handed back.
-    std::function<void(std::uint32_t link)> on_down;
     /// One key reached `link`'s wire (once per key of a kBatchGet).
     std::function<void(std::uint32_t link)> on_sent;
     /// `reply` answered `request`; a kBatchReply item arrives as a reply
@@ -137,8 +137,9 @@ class Upstream {
   /// are handed back unsent, until set_endpoint() names it again.
   void retire(std::uint32_t link);
 
-  /// Logs `why` and closes `link`, which hands back what it carried and
-  /// re-dials (an owner's own reply check failed).
+  /// Logs `why`, counts the reset and closes `link`, which hands back what
+  /// it carried and re-dials. The module resets a link on a reply mismatch
+  /// and at the deadline; an owner, when its own reply check fails.
   void reset(std::uint32_t link, const char* why);
 
   /// Reactor callbacks; connections that are not links are ignored.
@@ -160,7 +161,7 @@ class Upstream {
   /// was neither sent nor kept.
   bool send(std::uint32_t link, Forward request, bool deferrable = false);
 
-  /// Sends a frame that no reply is matched to (a subscription, a scrape).
+  /// Sends a frame that no reply is matched to (a subscription, a report).
   /// False when the link is down.
   bool send_unmatched(std::uint32_t link, const Message& message);
 

@@ -1,7 +1,7 @@
 // Distributed front-end fleet: fleet hashing, the cache partition law
 // (aggregate footprint exactly c, single-copy ownership, REDIRECT from
-// non-owners), the power-of-two-choices FleetRouter, and the edge router
-// end to end (clients never see a fleet REDIRECT, nor a member that dies or
+// non-owners), the router's owner-first rule, and the edge router end to
+// end (clients never see a fleet REDIRECT, nor a member that dies or
 // stalls). Labeled slow + net + fleet — the serving cases spin up real TCP
 // fleets.
 #include <poll.h>
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -22,7 +23,6 @@
 
 #include "cache/partition.h"
 #include "common/hash.h"
-#include "common/rng.h"
 #include "net/backend_server.h"
 #include "net/fleet.h"
 #include "net/frontend_server.h"
@@ -127,7 +127,7 @@ TEST(FleetHash, CandidatesDistinctAndCoverTheFleet) {
     EXPECT_LT(candidates.owner, kFleet);
     EXPECT_LT(candidates.alternate, kFleet);
     EXPECT_NE(candidates.owner, candidates.alternate)
-        << "power-of-two needs two distinct choices (key " << key << ")";
+        << "the alternate must be another member (key " << key << ")";
     alternates_seen.insert(candidates.alternate);
   }
   EXPECT_EQ(alternates_seen.size(), kFleet) << "alternates must cover fleet";
@@ -136,49 +136,27 @@ TEST(FleetHash, CandidatesDistinctAndCoverTheFleet) {
   EXPECT_EQ(solo.owner, solo.alternate);
 }
 
-TEST(FleetRouterUnit, PicksLessLoadedLiveCandidate) {
-  FleetRouter router(4, kFleetSeed);
-  Rng rng(1);
-  const std::uint64_t key = 11;
-  const FleetCandidates candidates = router.candidates_of(key);
-
-  // Loaded owner loses to the idle alternate, and vice versa.
-  router.set_scraped_load(candidates.owner, 100);
-  router.set_scraped_load(candidates.alternate, 3);
-  EXPECT_EQ(router.pick(key, rng), candidates.alternate);
-  router.set_scraped_load(candidates.owner, 1);
-  EXPECT_EQ(router.pick(key, rng), candidates.owner);
-
-  // Local outstanding counts on top of the scrape base...
-  router.on_dispatch(candidates.owner);
-  router.on_dispatch(candidates.owner);
-  router.on_dispatch(candidates.owner);
-  EXPECT_EQ(router.pick(key, rng), candidates.alternate);
-  // ...and a fresh scrape resets the delta.
-  router.set_scraped_load(candidates.owner, 1);
-  EXPECT_EQ(router.pick(key, rng), candidates.owner);
-
-  // Completions drain the delta but never below the scrape base.
-  router.on_dispatch(candidates.alternate);
-  router.on_complete(candidates.alternate);
-  router.on_complete(candidates.alternate);
-  EXPECT_EQ(router.load(candidates.alternate), 3.0);
-}
-
 TEST(FleetRouterUnit, RoutesAroundDownMembers) {
-  FleetRouter router(3, kFleetSeed);
-  Rng rng(1);
-  const std::uint64_t key = 5;
-  const FleetCandidates candidates = router.candidates_of(key);
-  router.set_scraped_load(candidates.owner, 1000);  // loaded but alive
+  const FleetCandidates candidates = fleet_candidates(5, kFleetSeed, 3);
+  std::vector<bool> up(3, true);
+  const auto route = [&] {
+    return fleet_route(candidates, [&](std::uint32_t m) { return up[m]; });
+  };
+  EXPECT_EQ(route(), candidates.owner) << "a live owner takes its key";
 
-  router.set_up(candidates.alternate, false);
-  EXPECT_EQ(router.pick(key, rng), candidates.owner)
-      << "a loaded live member beats a dead idle one";
-  router.set_up(candidates.owner, false);
-  EXPECT_EQ(router.pick(key, rng), kNoFleetMember);
-  router.set_up(candidates.alternate, true);
-  EXPECT_EQ(router.pick(key, rng), candidates.alternate);
+  up[candidates.owner] = false;
+  EXPECT_EQ(route(), candidates.alternate) << "owner down: the alternate";
+  up[candidates.owner] = true;
+  up[candidates.alternate] = false;
+  EXPECT_EQ(route(), candidates.owner) << "alternate down: still the owner";
+  up[candidates.owner] = false;
+  EXPECT_EQ(route(), kNoFleetMember);
+
+  // A single-member fleet has one candidate.
+  const FleetCandidates solo = fleet_candidates(5, kFleetSeed, 1);
+  EXPECT_EQ(fleet_route(solo, [](std::uint32_t) { return true; }), 0u);
+  EXPECT_EQ(fleet_route(solo, [](std::uint32_t) { return false; }),
+            kNoFleetMember);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,9 +413,9 @@ TEST(FleetPartition, SingleMemberFleetMatchesPlainFrontendByteForByte) {
 
 TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   // Full stack: backends <- fleet of 3 front ends <- RouterServer <- client.
-  // The router must absorb every fleet REDIRECT (following it to the owner)
-  // and hand clients only kValue, while spreading uncached traffic across
-  // the members by power-of-two-choices.
+  // The router sends every key to its owner, so no member answers a fleet
+  // REDIRECT and no hop is spent on one; clients see only kValue, and each
+  // member serves the keys it owns.
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 96;
@@ -452,7 +430,6 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   RouterConfig router_config;
   router_config.frontends = fe.endpoints;
   router_config.fleet_seed = kFleetSeed;
-  router_config.seed = 9;
   RouterServer router(router_config);
   ASSERT_TRUE(router.start());
   ASSERT_TRUE(router.wait_frontends_up(5.0));
@@ -475,21 +452,20 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   EXPECT_EQ(router_stats.failures, 0u);
   EXPECT_EQ(router_stats.forwarded, router_stats.requests)
       << "every GET relayed exactly one terminal reply";
-  // attempts = first dispatches + followed redirect hops.
-  EXPECT_EQ(router_stats.attempts,
-            router_stats.requests + router_stats.redirects);
+  EXPECT_EQ(router_stats.redirects, 0u) << "every GET went to its owner";
+  EXPECT_EQ(router_stats.attempts, router_stats.requests);
 
-  // Power-of-two-choices must give every member traffic, and each member's
-  // fleet-mode invariant must hold.
+  // Each member owns some keys, so each gets traffic, answers no redirect
+  // and keeps its fleet-mode invariant.
   std::uint64_t member_requests_total = 0;
   for (std::uint32_t member = 0; member < kFleet; ++member) {
     const ServerStats stats = fe.members[member]->stats();
     EXPECT_GT(stats.requests, 0u) << "member " << member << " starved";
     const obs::MetricsSnapshot snap = fe.members[member]->metrics_snapshot();
+    EXPECT_EQ(snap.counters.at("frontend.fleet_redirects"), 0u)
+        << "member " << member;
     EXPECT_EQ(stats.requests,
-              stats.hits + stats.forwarded + stats.coalesced +
-                  stats.failures +
-                  snap.counters.at("frontend.fleet_redirects"))
+              stats.hits + stats.forwarded + stats.coalesced + stats.failures)
         << "member " << member;
     member_requests_total += stats.requests;
   }
@@ -726,10 +702,10 @@ TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
 }
 
 TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
-  // Member 0 accepts and never replies. Its scraped load stays 0, so the
-  // router soon prefers it; a GET sent there outlives the router's
-  // deadline, the sweep resets the link, and the GET is re-dispatched to
-  // member 1, which answers kValue.
+  // Member 0 accepts and never replies. The first GET for a key it owns
+  // outlives the router's deadline, the sweep resets the link, and the GET
+  // is re-dispatched to member 1, the key's alternate, which answers
+  // kValue.
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
@@ -766,14 +742,176 @@ TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
   ASSERT_GT(silent.get_keys(), 0u)
       << "no GET was dispatched to the silent member";
 
-  // The reset link is re-dialed, and the re-dispatch counted as a retry.
+  // The reset link is counted and re-dialed. Only the GET that reached the
+  // silent member waited out the deadline: it is the one re-dispatch.
   EXPECT_TRUE(poll_until(5.0, [&] { return silent.accepted() >= 2; }));
-  EXPECT_GE(router_counter(router, "router.retries"), 1u);
+  EXPECT_GE(router_counter(router, "router.link_resets"), 1u);
+  EXPECT_EQ(router_counter(router, "router.retries"), 1u);
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
 
   router.stop();
   frontend.stop();
   silent.stop();
+  for (auto& backend : backends.servers) backend->stop();
+}
+
+TEST(FleetRouterFailure, RestartedMemberGetsOnlyItsOwnKeys) {
+  // Two members with no cache, and a key cycle that alternates between the
+  // keys each one owns. After ~20k GETs member 0 stops and restarts on the
+  // same port. Routing reads only the key and link state, so from the
+  // moment its link is back the restarted member takes its own keys, half
+  // of every 100 ms window, and no history it lost in the restart.
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 256;
+  constexpr std::uint32_t kFleet = 2;
+  constexpr int kClients = 3;
+  constexpr std::uint64_t kGetsBeforeRestart = 20'000;
+  constexpr int kWindows = 10;
+
+  std::vector<std::uint64_t> owned[kFleet];
+  for (std::uint64_t key = 0; key < kItems; ++key) {
+    owned[fleet_owner(key, kFleetSeed, kFleet)].push_back(key);
+  }
+  std::vector<std::uint64_t> cycle;
+  for (std::size_t i = 0; i < std::min(owned[0].size(), owned[1].size());
+       ++i) {
+    cycle.push_back(owned[0][i]);
+    cycle.push_back(owned[1][i]);
+  }
+  ASSERT_GE(cycle.size(), 64u);
+
+  Backends backends = start_backends(kNodes, kReplication, kItems);
+  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
+                              /*cache=*/0, kFleet, "none");
+
+  RouterConfig router_config;
+  router_config.frontends = fe.endpoints;
+  router_config.fleet_seed = kFleetSeed;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      SyncClient client;
+      if (!client.connect("127.0.0.1", router.port(), 3.0)) {
+        wrong.fetch_add(1);
+        return;
+      }
+      for (std::size_t i = 7 * static_cast<std::size_t>(c); !done.load();
+           ++i) {
+        const std::uint64_t key = cycle[i % cycle.size()];
+        const auto reply = client.get(key, 5.0);
+        if (!reply.has_value() || reply->type != MsgType::kValue ||
+            reply->payload != make_value(key, 64)) {
+          wrong.fetch_add(1);
+          return;
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+
+  ASSERT_TRUE(poll_until(60.0, [&] {
+    return answered.load() >= kGetsBeforeRestart;
+  }));
+  const std::uint16_t member0_port = fe.endpoints[0].second;
+  fe.members[0]->stop(0.0);
+  ASSERT_TRUE(poll_until(5.0, [&] {
+    return router_gauge(router, "router.frontends_up") == 1;
+  }));
+  FrontendConfig restarted = member_config(backends, kNodes, kReplication,
+                                           kItems, /*cache=*/0, kFleet, 0);
+  restarted.cache_policy = "none";
+  restarted.port = member0_port;
+  fe.members[0] = std::make_unique<FrontendServer>(restarted);
+  ASSERT_TRUE(fe.members[0]->start());
+  ASSERT_TRUE(fe.members[0]->wait_backends_up(5.0));
+  ASSERT_TRUE(poll_until(5.0, [&] {
+    return router_gauge(router, "router.frontends_up") == 2;
+  }));
+
+  std::uint64_t fe0 = router_counter(router, "router.dispatches.fe0");
+  std::uint64_t fe1 = router_counter(router, "router.dispatches.fe1");
+  for (int window = 0; window < kWindows; ++window) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t now0 = router_counter(router, "router.dispatches.fe0");
+    const std::uint64_t now1 = router_counter(router, "router.dispatches.fe1");
+    const std::uint64_t total = (now0 - fe0) + (now1 - fe1);
+    ASSERT_GE(total, 20u) << "window " << window << ": too few dispatches";
+    const double share =
+        static_cast<double>(now0 - fe0) / static_cast<double>(total);
+    EXPECT_GE(share, 0.35) << "window " << window;
+    EXPECT_LE(share, 0.65) << "window " << window;
+    fe0 = now0;
+    fe1 = now1;
+  }
+
+  done.store(true);
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(wrong.load(), 0u) << "every GET must be answered kValue";
+  EXPECT_EQ(router_counter(router, "router.failures"), 0u);
+
+  router.stop();
+  for (auto& member : fe.members) member->stop();
+  for (auto& backend : backends.servers) backend->stop();
+}
+
+TEST(FleetRouterFailure, RedirectToDownOwnerFailsAtOnce) {
+  // A policy cache may hold only its owner's keys, so while the owner is
+  // down its alternate answers kRedirect toward it and nobody can serve the
+  // key. The router fails the GET on that first redirect instead of
+  // bouncing it off the surviving member until the hop budget is spent.
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 64;
+  constexpr std::uint32_t kFleet = 2;
+
+  Backends backends = start_backends(kNodes, kReplication, kItems);
+  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
+                              /*cache=*/32, kFleet, "lru");
+
+  RouterConfig router_config;
+  router_config.frontends = fe.endpoints;
+  router_config.fleet_seed = kFleetSeed;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  std::uint64_t key = kItems;
+  for (std::uint64_t k = 0; k < kItems; ++k) {
+    if (fleet_owner(k, kFleetSeed, kFleet) == 0) {
+      key = k;
+      break;
+    }
+  }
+  ASSERT_LT(key, kItems);
+  fe.members[0]->stop(0.0);
+  ASSERT_TRUE(poll_until(5.0, [&] {
+    return router_gauge(router, "router.frontends_up") == 1;
+  }));
+
+  const std::uint64_t attempts_before =
+      router_counter(router, "router.attempts_total");
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
+  const auto reply = client.get(key, 5.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kError);
+  EXPECT_EQ(reply->payload, "no live front end");
+  EXPECT_EQ(router_counter(router, "router.attempts_total"),
+            attempts_before + 1)
+      << "one dispatch to the alternate, and no redirect followed";
+  EXPECT_EQ(router_counter(router, "router.redirects_followed"), 0u);
+  EXPECT_EQ(router_counter(router, "router.failures"), 1u);
+
+  router.stop();
+  for (auto& member : fe.members) member->stop();
   for (auto& backend : backends.servers) backend->stop();
 }
 

@@ -638,6 +638,10 @@ TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
         std::chrono::duration<double>(hung[node].accepts()[1] - *first_bytes)
             .count();
     EXPECT_LE(reset_after_s, kResetWithinS) << "node " << node;
+    EXPECT_GE(counter(backends[node]->metrics_snapshot(),
+                      "backend.link_resets"),
+              1u)
+        << "node " << node;
   }
 
   for (auto& backend : backends) backend->stop(0.5);
