@@ -26,4 +26,8 @@ std::unique_ptr<FrontEndCache> make_cache(const std::string& kind,
   return nullptr;
 }
 
+bool is_cache_kind(const std::string& kind) {
+  return kind == "lru" || kind == "lfu" || kind == "slru" || kind == "tinylfu";
+}
+
 }  // namespace scp

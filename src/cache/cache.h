@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,12 +59,20 @@ class FrontEndCache {
     (void)key;
     return false;
   }
+
+  /// Eviction listener: LRU, LFU, SLRU and W-TinyLFU tell it every key
+  /// they drop to make room for another, never one dropped by invalidate()
+  /// or clear(). The simulators leave it unset.
+  std::function<void(KeyId)> on_evict;
 };
 
 /// Factory for the eviction policies usable in the event simulator:
 /// kind ∈ {"lru", "lfu", "slru", "tinylfu"}. (PerfectCache is constructed
-/// directly since it needs the true distribution.)
+/// directly since it needs the true distribution.) Aborts on another kind.
 std::unique_ptr<FrontEndCache> make_cache(const std::string& kind,
                                           std::size_t capacity);
+
+/// True for the kinds make_cache builds.
+bool is_cache_kind(const std::string& kind);
 
 }  // namespace scp

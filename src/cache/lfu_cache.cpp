@@ -36,11 +36,13 @@ bool LfuCache::access(KeyId key) {
     // Evict the least-recently-used key of the lowest-frequency bucket.
     Bucket& lowest = buckets_.front();
     SCP_DCHECK(!lowest.keys.empty());
-    entries_.erase(lowest.keys.back());
+    const KeyId victim = lowest.keys.back();
+    entries_.erase(victim);
     lowest.keys.pop_back();
     if (lowest.keys.empty()) {
       buckets_.pop_front();
     }
+    if (on_evict) on_evict(victim);
   }
   if (buckets_.empty() || buckets_.front().frequency != 1) {
     buckets_.push_front(Bucket{1, {}});

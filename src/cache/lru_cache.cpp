@@ -25,6 +25,7 @@ std::optional<KeyId> LruCache::insert(KeyId key) {
     evicted = order_.back();
     index_.erase(order_.back());
     order_.pop_back();
+    if (on_evict) on_evict(*evicted);
   }
   order_.push_front(key);
   index_.emplace(key, order_.begin());

@@ -28,8 +28,8 @@ class LruCache final : public FrontEndCache {
   bool touch(KeyId key);
 
   /// Inserts an absent key at the MRU position; returns the evicted LRU key
-  /// when the insert overflowed capacity. Requires !contains(key) and
-  /// capacity() > 0.
+  /// (also told to on_evict) when the insert overflowed capacity. Requires
+  /// !contains(key) and capacity() > 0.
   std::optional<KeyId> insert(KeyId key);
 
   bool invalidate(KeyId key) override;

@@ -88,13 +88,11 @@ KeyId SlruCache::eviction_victim() const {
 
 void SlruCache::evict_one() {
   SCP_CHECK_MSG(!index_.empty(), "cannot evict from an empty cache");
-  if (!probation_.empty()) {
-    index_.erase(probation_.back());
-    probation_.pop_back();
-  } else {
-    index_.erase(protected_.back());
-    protected_.pop_back();
-  }
+  std::list<KeyId>& segment = !probation_.empty() ? probation_ : protected_;
+  const KeyId victim = segment.back();
+  index_.erase(victim);
+  segment.pop_back();
+  if (on_evict) on_evict(victim);
 }
 
 void SlruCache::insert_probation(KeyId key) {

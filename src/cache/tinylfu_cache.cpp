@@ -74,18 +74,23 @@ bool TinyLfuCache::access(KeyId key) {
   // Miss: the key enters the window; the window's LRU victim (if any)
   // competes for admission to main on estimated frequency.
   const std::optional<KeyId> candidate = window_->insert(key);
-  if (!candidate.has_value() || main_->capacity() == 0) {
+  if (!candidate.has_value()) {
     return false;
   }
   if (main_->size() < main_->capacity()) {
     main_->insert_probation(*candidate);
     return false;
   }
-  const KeyId victim = main_->eviction_victim();
-  if (estimated_frequency(*candidate) > estimated_frequency(victim)) {
+  // Main is full (or has no slots): the loser leaves the cache.
+  KeyId loser = *candidate;
+  if (main_->capacity() > 0 &&
+      estimated_frequency(*candidate) >
+          estimated_frequency(main_->eviction_victim())) {
+    loser = main_->eviction_victim();
     main_->evict_one();
     main_->insert_probation(*candidate);
   }
+  if (on_evict) on_evict(loser);
   return false;
 }
 

@@ -156,7 +156,7 @@ bool BackendServer::start() {
       s->hot_observed = &r.counter("detect.observed");
       s->hot_reports_sent = &r.counter("detect.reports_sent");
       s->hot_reports_received = &r.counter("detect.reports_received");
-      s->hot_flagged = &r.counter("detect.flagged_keys");
+      s->hot_flagged_total = &r.counter("detect.flagged_keys");
     }
     s->service_us = &r.timer("backend.service_us");
     s->write_us = &r.timer("backend.write_quorum_us");
@@ -856,7 +856,7 @@ void BackendServer::handle_hot_report(Shard& shard, const Message& message) {
 void BackendServer::absorb_hot_report(Shard& shard,
                                       const detect::HotKeyReport& report) {
   std::lock_guard lock(hot_agg_mutex_);
-  shard.hot_flagged->inc(hot_agg_.update(report).size());
+  shard.hot_flagged_total->inc(hot_agg_.update(report).size());
 }
 
 void BackendServer::stream_handoff(

@@ -214,7 +214,7 @@ class BackendServer {
     obs::Counter* hot_observed = nullptr;
     obs::Counter* hot_reports_sent = nullptr;
     obs::Counter* hot_reports_received = nullptr;
-    obs::Counter* hot_flagged = nullptr;
+    obs::Counter* hot_flagged_total = nullptr;
     obs::Timer* service_us = nullptr;
     obs::Timer* write_us = nullptr;
     obs::Timer* quorum_read_us = nullptr;

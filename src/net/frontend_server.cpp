@@ -45,7 +45,15 @@ bool FrontendServer::fleet_redirect_needed(std::uint64_t key) const noexcept {
   return true;  // policy caches: only the owner knows its contents
 }
 
+bool known_cache_policy(const std::string& policy) {
+  return policy == "perfect" || policy == "none" || is_cache_kind(policy);
+}
+
 bool FrontendServer::start() {
+  if (!known_cache_policy(config_.cache_policy)) {
+    SCP_LOG_ERROR << "scp_frontend: unknown cache " << config_.cache_policy;
+    return false;
+  }
   if (config_.backends.size() != config_.nodes) {
     SCP_LOG_ERROR << "scp_frontend: " << config_.backends.size()
                   << " backend endpoints for " << config_.nodes << " nodes";
@@ -77,10 +85,9 @@ bool FrontendServer::start() {
     // across every member and shard sums to exactly the paper's c.
     const std::size_t member_capacity = slice_capacity(
         config_.cache_capacity, config_.fleet_size, config_.fleet_index);
-    shard->cache_capacity = slice_capacity(member_capacity, n_shards, k);
-    if (policy_cache && shard->cache_capacity > 0) {
-      shard->cache = make_cache(config_.cache_policy, shard->cache_capacity);
-    }
+    const std::size_t slice = slice_capacity(member_capacity, n_shards, k);
+    shard->oracle_end =
+        std::min<std::uint64_t>(config_.cache_capacity, config_.items);
     if (config_.detect) {
       shard->hot_agg = std::make_unique<detect::HotKeyAggregator>(
           detect::HotKeyAggregator::Options{
@@ -95,6 +102,13 @@ bool FrontendServer::start() {
     shard->candidates.resize(config_.replication);
 
     Shard* s = shard.get();
+    if (policy_cache && slice > 0) {
+      s->cache = make_cache(config_.cache_policy, slice);
+      s->cache->on_evict = [s](KeyId key) {  // the bytes leave with the slot
+        s->values.erase(key);
+        s->values_entries->set(static_cast<std::int64_t>(s->values.size()));
+      };
+    }
     Reactor::Callbacks callbacks;
     callbacks.on_message = [this, s](ConnId conn, Message&& message) {
       handle(*s, conn, std::move(message));
@@ -134,7 +148,6 @@ bool FrontendServer::start() {
     s->forward_rtt_us = &r.timer("frontend.forward_rtt_us");
     s->attempts_hist = &r.timer("frontend.attempts");
     s->values_entries = &r.gauge("frontend.values_entries");
-    s->values_entries_peak = &r.gauge("frontend.values_entries_peak");
     s->dirty_keys = &r.gauge("frontend.dirty_keys");
     s->pin_count = &r.gauge("frontend.pins");
     s->node_rtt_us.resize(config_.nodes);
@@ -377,29 +390,22 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
     // Globally uncached under the perfect oracle: any member can serve
     // the forward (the router sends it here while the owner is down).
     // Skip the cache entirely.
-    shard.misses->inc();
-    forward_get(shard, client, key, start_ns);
-    return;
-  }
-  std::string value;
-  const bool hit = cache_lookup(shard, key, value);
-  obs::record_elapsed(shard.cache_lookup_ns, start_ns);
-  if (hit) {
-    shard.hits->inc();
-    Message reply;
-    reply.type = MsgType::kValue;
-    reply.key = key;
-    reply.payload = std::move(value);
-    send_reply(*shard.loop, client, reply);
-    obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
-    return;
+  } else {
+    std::string value;
+    const bool hit = cache_lookup(shard, key, value);
+    obs::record_elapsed(shard.cache_lookup_ns, start_ns);
+    if (hit) {
+      shard.hits->inc();
+      Message reply;
+      reply.type = MsgType::kValue;
+      reply.key = key;
+      reply.payload = std::move(value);
+      send_reply(*shard.loop, client, reply);
+      obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
+      return;
+    }
   }
   shard.misses->inc();
-  forward_get(shard, client, key, start_ns);
-}
-
-void FrontendServer::forward_get(Shard& shard, ReplyTo client,
-                                 std::uint64_t key, std::uint64_t start_ns) {
   auto [it, inserted] = shard.inflight.try_emplace(key);
   if (!inserted) {
     // Single-flight: a forward for this key is already on the wire (or
@@ -407,8 +413,7 @@ void FrontendServer::forward_get(Shard& shard, ReplyTo client,
     it->second.push_back({client, start_ns});
     return;
   }
-  // Lead request: owns the inflight entry until finish_waiters /
-  // fail_waiters settles it.
+  // Lead request: owns the inflight entry until finish_waiters settles it.
   forward(shard, client, key, /*attempts=*/0, start_ns);
 }
 
@@ -529,44 +534,23 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
   if (waiters.empty()) return;
   const std::uint64_t now = obs::now_ns();
   for (const Waiter& waiter : waiters) {
-    if (waiter.client.conn == kInvalidConn) {
-      // A hot-key warm fetch that coalesced onto this forward: the bytes
-      // just got admitted by the lead's settle; nothing to send.
-      shard.hot_prefetching.erase(key);
-      continue;
+    if (type == MsgType::kError) {
+      // The lead exhausted its attempt budget for everyone parked behind
+      // it: each waiter is its own failed request in the ledger.
+      shard.failures->inc();
+    } else {
+      // Satellite of the lead's one forward: counted as coalesced, never as
+      // forwarded, and deliberately kept out of forward_rtt_us / node RTT /
+      // attempts histograms — no wire RTT of its own was measured, and
+      // double-recording the lead's would skew per-node latency and the
+      // attempts distribution. Only the end-to-end request timer ticks.
+      shard.coalesced->inc();
+      shard.request_us->record((now - waiter.start_ns) / 1'000);
     }
-    // Satellite of the lead's one forward: counted as coalesced, never as
-    // forwarded, and deliberately kept out of forward_rtt_us / node RTT /
-    // attempts histograms — no wire RTT of its own was measured, and
-    // double-recording the lead's would skew per-node latency and the
-    // attempts distribution. Only the end-to-end request timer ticks.
-    shard.coalesced->inc();
     Message reply;
     reply.type = type;
     reply.key = key;
-    if (type == MsgType::kValue) reply.payload = payload;
-    send_reply(*shard.loop, waiter.client, reply);
-    shard.request_us->record((now - waiter.start_ns) / 1'000);
-  }
-}
-
-void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
-  auto it = shard.inflight.find(key);
-  if (it == shard.inflight.end()) return;
-  const std::vector<Waiter> waiters = std::move(it->second);
-  shard.inflight.erase(it);
-  for (const Waiter& waiter : waiters) {
-    if (waiter.client.conn == kInvalidConn) {
-      shard.hot_prefetching.erase(key);
-      continue;
-    }
-    // The lead exhausted its attempt budget for everyone parked behind it:
-    // each waiter is its own failed request in the ledger.
-    shard.failures->inc();
-    Message reply;
-    reply.type = MsgType::kError;
-    reply.key = key;
-    reply.payload = "no live replica";
+    if (type != MsgType::kMiss) reply.payload = payload;
     send_reply(*shard.loop, waiter.client, reply);
   }
 }
@@ -574,60 +558,64 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
 void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
   if (shard.hot_agg == nullptr) return;  // push without --detect: ignore
   shard.hot_reports->inc();
-  shard.hot_agg->update(message.hot);
+  for (const std::uint64_t key : shard.hot_agg->update(message.hot)) {
+    if (holds(shard, key)) shard.hot_flagged_total->inc();
+  }
+  const auto& hot = shard.hot_agg->hot();
+
+  // A cooled re-provisioned key gives its slot back: the oracle prefix
+  // grows past the shard's next own key (the aggregator's exit hysteresis
+  // decides when a key has cooled).
+  const std::uint64_t oracle_limit =
+      std::min<std::uint64_t>(config_.cache_capacity, config_.items);
+  const std::size_t cooled = std::erase_if(
+      shard.hot_extra, [&](std::uint64_t key) { return hot.count(key) == 0; });
+  for (std::size_t i = 0; i < cooled; ++i) {
+    std::uint64_t& end = shard.oracle_end;
+    while (end < oracle_limit && !holds(shard, end)) ++end;
+    end = std::min(end + 1, oracle_limit);
+  }
 
   // Mitigation pass over the *whole* current hot set, not just the newly
   // flagged keys: an attack key evicted again between reports (the adaptive
   // adversary's whole game) must be re-admitted on the next report, and
   // against a shifted key set the aggregator's hysteresis retires the old
   // phase while this loop warms the new one.
-  for (const std::uint64_t key : shard.hot_agg->hot()) {
-    if (!owns(shard, key)) continue;
-    if (config_.fleet_size > 1 && !fleet_owns(key)) continue;
-    if (shard.hot_flagged.insert(key).second) {
-      shard.hot_flagged_total->inc();
-    }
+  std::int64_t hot_here = 0;
+  for (const std::uint64_t key : hot) {
+    if (!holds(shard, key)) continue;
+    ++hot_here;
     if (shard.cache == nullptr) {
       // Perfect provision has no policy cache to train; mitigation instead
-      // re-provisions the cached set, swapping oracle-prefix tail slots for
-      // the flagged keys (see cache_lookup). "none" stays classify-only.
-      if (config_.cache_policy == "perfect" && key < config_.items &&
-          shard.hot_extra.count(key) == 0 &&
-          shard.hot_extra.size() < config_.cache_capacity) {
-        const std::uint64_t prefix =
-            config_.cache_capacity - shard.hot_extra.size();
-        if (key >= prefix) {
-          shard.hot_extra.insert(key);
-          shard.hot_reprovisioned->inc();
-        }
+      // re-provisions the cached set: the flagged key takes the slot of
+      // the shard's largest own provisioned key, and a shard with none
+      // left re-provisions nothing. "none" stays classify-only.
+      if (config_.cache_policy != "perfect" || key >= config_.items ||
+          key < shard.oracle_end || shard.hot_extra.count(key) != 0) {
+        continue;
       }
+      std::uint64_t end = shard.oracle_end;
+      while (end > 0 && !holds(shard, end - 1)) --end;
+      if (end == 0) continue;
+      shard.oracle_end = end - 1;
+      shard.hot_extra.insert(key);
+      shard.hot_reprovisioned->inc();
       continue;
     }
-    if (shard.cache->contains(key) && shard.values.count(key) != 0) {
-      continue;  // already serving hits; nothing to fix
+    if (shard.values.count(key) != 0) {
+      continue;  // bytes held: already serving hits
     }
     // Globally hot at the backends and absent here — the miss-flood
     // signature. Force-admit the slot and warm its bytes with a
     // self-initiated fetch (no client connection; the reply's send to it
-    // is a harmless no-op).
+    // is a harmless no-op), unless a fetch for the key is already in
+    // flight, whose reply fills the slot anyway.
     shard.cache->access(key);
-    if (!shard.hot_prefetching.insert(key).second) continue;  // in flight
+    if (!shard.inflight.try_emplace(key).second) continue;
     shard.hot_prefetches->inc();
-    // Via the single-flight table: if a client's fetch for this key is
-    // already in flight, the warm fetch parks on it instead of doubling it.
-    forward_get(shard, ReplyTo{}, key, /*start_ns=*/0);
+    forward(shard, ReplyTo{}, key, /*attempts=*/0, /*start_ns=*/0);
   }
-  // Retire flags whose keys cooled off (the aggregator's exit hysteresis).
-  for (auto it = shard.hot_flagged.begin(); it != shard.hot_flagged.end();) {
-    it = shard.hot_agg->hot().count(*it) == 0 ? shard.hot_flagged.erase(it)
-                                              : std::next(it);
-  }
-  // Cooled re-provisioned slots hand their capacity back to the prefix.
-  for (auto it = shard.hot_extra.begin(); it != shard.hot_extra.end();) {
-    it = shard.hot_agg->hot().count(*it) == 0 ? shard.hot_extra.erase(it)
-                                              : std::next(it);
-  }
-  shard.hot_keys->set(static_cast<std::int64_t>(shard.hot_flagged.size()));
+  shard.hot_keys->set(hot_here);
 }
 
 /// A pending request was answered by backend `node` (kValue or kMiss):
@@ -638,7 +626,6 @@ void FrontendServer::complete_request(Shard& shard, const Forward& request,
     // Self-initiated hot-key warm fetch: no client behind it, so it stays
     // out of the request accounting (requests == hits + forwarded +
     // failures must keep holding for real traffic).
-    shard.hot_prefetching.erase(request.key);
     return;
   }
   shard.forwarded->inc();
@@ -656,22 +643,26 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
   // share cache state (see header). owns() is always true at shards == 1.
   if (!owns(shard, key)) return false;
   if (config_.cache_policy == "perfect") {
-    // Secure provision: the oracle prefix [0, c) is the *declared*
-    // distribution's top-c. When detection flags hot keys outside it (the
-    // shifted-attack signature), hot_extra re-provisions those slots — each
-    // extra key displaces one prefix tail slot so the cached set stays ≤ c.
-    const std::uint64_t extra = std::min<std::uint64_t>(
-        shard.hot_extra.size(), config_.cache_capacity);
-    const std::uint64_t prefix = config_.cache_capacity - extra;
+    // Secure provision: the shard's keys of the declared distribution's
+    // top-c prefix below oracle_end, plus the flagged keys detection
+    // re-provisioned in place of the rest (see Shard::oracle_end).
     const bool provisioned =
-        key < prefix || (extra != 0 && shard.hot_extra.count(key) != 0);
-    if (provisioned && key < config_.items && shard.dirty.count(key) == 0) {
+        key < shard.oracle_end ||
+        (!shard.hot_extra.empty() && shard.hot_extra.count(key) != 0);
+    if (provisioned && shard.dirty.count(key) == 0) {
       value = make_value(key, config_.value_bytes);
       return true;
     }
     return false;
   }
   if (shard.cache == nullptr) return false;
+  // Bytes held means the policy holds the key: a hit. Copy them out before
+  // access(), which may evict and so erase from `values`.
+  if (const auto it = shard.values.find(key); it != shard.values.end()) {
+    value = it->second;
+    shard.cache->access(key);  // refresh the policy's recency/frequency
+    return true;
+  }
   // Probe with the non-mutating contains() before touching the cache:
   // access() admits on miss AND refreshes recency on hit, so calling it for
   // a key whose bytes haven't arrived yet would let the very requests that
@@ -680,41 +671,18 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
   // attack request and real entries are evicted instead.
   if (!shard.cache->contains(key)) {
     shard.cache->access(key);  // miss: let the policy train and admit
-    return false;
   }
-  auto it = shard.values.find(key);
-  if (it == shard.values.end()) return false;  // admitted but not yet fetched
-  shard.cache->access(key);  // hit: refresh the policy's recency/frequency
-  value = it->second;
-  return true;
+  return false;
 }
 
 void FrontendServer::admit(Shard& shard, std::uint64_t key,
                            const std::string& value) {
   if (shard.cache == nullptr || !owns(shard, key)) return;
-  if (!shard.cache->contains(key)) return;  // the policy declined admission
+  // Bytes only for a slot the policy holds: it may have declined the key,
+  // or evicted it while the fetch was out.
+  if (!shard.cache->contains(key)) return;
   shard.values[key] = value;
-  // Reconcile the value side-map with cache membership once it outgrows the
-  // cache (policy evictions leave dead entries behind). Only entries the
-  // cache no longer holds are dropped — resident values must survive or
-  // their cache hits would find no bytes. Bound: capacity plus 1/8 slack
-  // (min 64) for churn between reconciles; the old 4c+64 bound let dead
-  // values carry ~4× the configured memory budget before the first sweep.
-  const std::size_t capacity = shard.cache->capacity();
-  const std::size_t bound =
-      capacity + std::max<std::size_t>(64, capacity / 8);
-  if (shard.values.size() > bound) {
-    for (auto it = shard.values.begin(); it != shard.values.end();) {
-      it = shard.cache->contains(it->first) ? std::next(it)
-                                            : shard.values.erase(it);
-    }
-  }
-  const auto entries = static_cast<std::int64_t>(shard.values.size());
-  shard.values_entries->set(entries);
-  if (entries > shard.values_peak) {
-    shard.values_peak = entries;
-    shard.values_entries_peak->set(entries);
-  }
+  shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
 }
 
 void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
@@ -727,7 +695,10 @@ void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
 void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
   if (config_.cache_policy == "none" || config_.cache_capacity == 0) return;
   const bool is_perfect = config_.cache_policy == "perfect";
-  if (is_perfect && (key >= config_.cache_capacity || key >= config_.items)) {
+  // The oracle serves keys below min(c, m), and with detection any key
+  // below m that it re-provisions, now or later.
+  if (is_perfect && (key >= config_.items ||
+                     (!config_.detect && key >= config_.cache_capacity))) {
     return;  // never cacheable, nothing to dirty
   }
   Shard& owner = *shards_[shards_.size() == 1 ? 0 : shard_of(key)];
@@ -775,21 +746,9 @@ void FrontendServer::forward(Shard& shard, ReplyTo client, std::uint64_t key,
   const std::uint32_t node = route(shard, key);
   if (node == kNoBackend) {
     // No live replica right now; treat like a failed attempt and back off.
-    // While stopping, fail immediately: the loop's timers never fire again,
-    // so a scheduled retry would pin the pending count above zero and make
-    // stop() burn its whole drain budget.
-    if (attempts + 1 < config_.retry.max_attempts() && !stopping_.load()) {
-      backoff_pending_.fetch_add(1, std::memory_order_relaxed);
-      Shard* s = &shard;
-      shard.loop->run_after(
-          config_.retry.backoff_s(attempts),
-          [this, s, client, key, attempts, start_ns, op, payload] {
-            backoff_pending_.fetch_sub(1, std::memory_order_relaxed);
-            forward(*s, client, key, attempts + 1, start_ns, op, payload);
-          });
-    } else {
-      fail_request(shard, client, key, op);
-    }
+    retry_or_fail(shard, {.client = client, .key = key, .op = op,
+                          .attempts = attempts, .payload = payload,
+                          .start_ns = start_ns});
     return;
   }
   forward_to(shard, node, client, key, attempts, start_ns, op, payload);
@@ -812,25 +771,22 @@ void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
 }
 
 void FrontendServer::retry_or_fail(Shard& shard, const Forward& request) {
-  if (request.attempts + 1 < config_.retry.max_attempts() &&
-      !stopping_.load()) {
-    const double backoff = config_.retry.backoff_s(request.attempts);
-    const ReplyTo client = request.client;
-    const std::uint64_t key = request.key;
-    const MsgType op = request.op;
-    const std::string payload = request.payload;
-    const std::uint32_t next_attempt = request.attempts + 1;
-    const std::uint64_t start_ns = request.start_ns;
-    backoff_pending_.fetch_add(1, std::memory_order_relaxed);
-    Shard* s = &shard;
-    shard.loop->run_after(
-        backoff, [this, s, client, key, next_attempt, start_ns, op, payload] {
-          backoff_pending_.fetch_sub(1, std::memory_order_relaxed);
-          forward(*s, client, key, next_attempt, start_ns, op, payload);
-        });
-  } else {
+  // While stopping, fail immediately: the loop's timers never fire again,
+  // so a scheduled retry would pin the pending count above zero and make
+  // stop() burn its whole drain budget.
+  if (request.attempts + 1 >= config_.retry.max_attempts() ||
+      stopping_.load()) {
     fail_request(shard, request.client, request.key, request.op);
+    return;
   }
+  backoff_pending_.fetch_add(1, std::memory_order_relaxed);
+  Shard* s = &shard;
+  const double backoff = config_.retry.backoff_s(request.attempts);
+  shard.loop->run_after(backoff, [this, s, request] {
+    backoff_pending_.fetch_sub(1, std::memory_order_relaxed);
+    forward(*s, request.client, request.key, request.attempts + 1,
+            request.start_ns, request.op, request.payload);
+  });
 }
 
 void FrontendServer::fail_request(Shard& shard, ReplyTo client,
@@ -841,11 +797,12 @@ void FrontendServer::fail_request(Shard& shard, ReplyTo client,
   // A failed GET lead takes its parked waiters down with it (before the
   // prefetch early-return below: a kInvalidConn lead can carry real
   // waiters). Failed writes never touch the GET single-flight table.
-  if (op == MsgType::kGet) fail_waiters(shard, key);
+  if (op == MsgType::kGet) {
+    finish_waiters(shard, key, MsgType::kError, "no live replica");
+  }
   if (client.conn == kInvalidConn) {
     // Failed hot-key warm fetch: the next report retriggers it; no client
     // to answer and no failure to count (see complete_request).
-    shard.hot_prefetching.erase(key);
     return;
   }
   shard.failures->inc();

@@ -31,6 +31,13 @@
 // pins keys and tracks loads from its own forwards). shards == 1 is
 // byte-identical to the unsharded server.
 //
+// Cache state: a policy shard holds bytes for exactly the keys its policy
+// holds (the policy's eviction listener erases a dropped key's bytes). An
+// oracle shard serves its own keys of the rank prefix [0, c); with
+// config.detect a key flagged hot at the backends takes the place of the
+// shard's largest own prefix key until it cools. Either way a shard never
+// holds more than its slice.
+//
 // Forward path: a GET miss for a key that already has a forward in flight
 // parks on that forward (single-flight coalescing, counted as
 // frontend.coalesced); the one backend reply answers every parked client,
@@ -119,14 +126,18 @@ struct FrontendConfig {
   /// miss-flood signature: force-admit it into the policy tier and warm its
   /// bytes with a self-initiated fetch, so the attack's own keys become
   /// cache hits and the backend gain excursion collapses. The perfect
-  /// oracle only flags (its contents are fixed by rank). Exported as
-  /// detect.* metrics.
+  /// oracle re-provisions the key within the shard's slice instead (see
+  /// the file comment). Exported as detect.* metrics.
   bool detect = false;
   /// Aggregator classification knobs (see detect::HotKeyAggregator);
   /// should match the backends' so both sides agree on what is hot.
   double detect_hot_fraction = 0.02;
   std::uint64_t detect_min_samples = 256;
 };
+
+/// True for a FrontendConfig::cache_policy the front end can run: perfect,
+/// none, or a make_cache kind.
+bool known_cache_policy(const std::string& policy);
 
 class FrontendServer {
  public:
@@ -187,8 +198,7 @@ class FrontendServer {
   static constexpr std::uint32_t kNoBackend = UINT32_MAX;
 
   /// A client parked on another request's in-flight forward for the same
-  /// key (single-flight coalescing). client.conn == kInvalidConn marks a
-  /// hot-key warm fetch riding along.
+  /// key (single-flight coalescing).
   struct Waiter {
     ReplyTo client;
     std::uint64_t start_ns = 0;
@@ -201,8 +211,10 @@ class FrontendServer {
     std::size_t index = 0;
     Reactor* loop = nullptr;
     std::unique_ptr<FrontEndCache> cache;  // null for perfect/none/empty slice
-    std::size_t cache_capacity = 0;        // this shard's slice of c
-    std::unordered_map<std::uint64_t, std::string> values;  // cache contents
+    /// Bytes of keys `cache` holds and of no other: its eviction listener
+    /// erases a dropped key's bytes, so values never outgrows the shard's
+    /// slice. A slot whose fetch is still out has no bytes yet.
+    std::unordered_map<std::uint64_t, std::string> values;
     /// Perfect-oracle keys invalidated by a write: served as misses until a
     /// backend refetch returns the oracle's synthesized value again. (The
     /// oracle can't hold arbitrary bytes, so a key written with foreign
@@ -227,16 +239,14 @@ class FrontendServer {
     /// Hot-key mitigation state (config.detect; loop-thread only). Each
     /// shard subscribes on its own backend connections, so its aggregator
     /// sees every backend's reports without cross-shard traffic; it only
-    /// acts on keys whose cache slice it owns.
+    /// acts on keys whose cache slice it holds.
     std::unique_ptr<detect::HotKeyAggregator> hot_agg;
-    std::unordered_set<std::uint64_t> hot_flagged;      ///< currently hot here
-    /// Perfect policy only: flagged keys re-provisioned into the cached
-    /// set, each displacing one oracle-prefix tail slot (see cache_lookup).
+    /// Perfect policy only: the oracle serves this shard's own keys below
+    /// oracle_end (min(c, m) at start) plus hot_extra. Each key entering
+    /// hot_extra moves oracle_end down past one own key and each cooled one
+    /// moves it back up, so the shard serves at most its slice of [0, c).
+    std::uint64_t oracle_end = 0;
     std::unordered_set<std::uint64_t> hot_extra;
-    std::unordered_set<std::uint64_t> hot_prefetching;  ///< warm-fetch in flight
-    /// frontend.values_entries high-watermark (loop-thread shadow of the
-    /// gauge, so the peak survives reconcile shrinks).
-    std::int64_t values_peak = 0;
 
     obs::MetricsRegistry registry;
     // Handles into `registry`, taken in start().
@@ -268,8 +278,7 @@ class FrontendServer {
     obs::Timer* request_us = nullptr;
     obs::Timer* forward_rtt_us = nullptr;
     obs::Timer* attempts_hist = nullptr;
-    obs::Gauge* values_entries = nullptr;
-    obs::Gauge* values_entries_peak = nullptr;
+    obs::Gauge* values_entries = nullptr;  ///< values.size()
     obs::Gauge* dirty_keys = nullptr;
     obs::Gauge* pin_count = nullptr;  ///< frontend.pins: pins.size()
     std::vector<obs::Timer*> node_rtt_us;  // per-backend forward RTT
@@ -285,6 +294,10 @@ class FrontendServer {
   /// Fleet-partition ownership: true when this process's member index owns
   /// `key`'s cache slot (always true outside fleet mode).
   bool fleet_owns(std::uint64_t key) const noexcept;
+  /// `key`'s cache slot is `shard`'s: owned by this member and this shard.
+  bool holds(const Shard& shard, std::uint64_t key) const noexcept {
+    return owns(shard, key) && fleet_owns(key);
+  }
   /// True when a non-owned key must bounce to its owner instead of being
   /// forwarded here: the key is globally cached under the perfect oracle,
   /// or the tier runs a policy cache (only the owner knows its contents).
@@ -307,23 +320,19 @@ class FrontendServer {
                         std::uint32_t node);
 
   /// One GET of a kGet / kBatchGet client frame: cache lookup, fleet
-  /// bounce, or miss forward. `start_ns` is the frame arrival time.
+  /// bounce, or a miss that parks on the in-flight forward for `key`
+  /// (single-flight), else forwards. `start_ns` is the frame arrival time.
   void serve_get(Shard& shard, ReplyTo client, std::uint64_t key,
                  std::uint64_t start_ns);
-  /// Single-flight entry point for GET misses: parks on an existing
-  /// in-flight forward for `key`, else forwards.
-  void forward_get(Shard& shard, ReplyTo client, std::uint64_t key,
-                   std::uint64_t start_ns);
   /// Settles one forwarded request with its backend verdict; fans the
   /// result out to any coalesced waiters on GETs.
   void settle_forward(Shard& shard, std::uint32_t node,
                       const Forward& request, Message&& reply);
   /// Completion fan-out: answers every waiter parked on `key` with the
-  /// settled kValue/kMiss verdict and erases the in-flight entry.
+  /// lead's verdict (kValue, kMiss or kError) and erases the in-flight
+  /// entry.
   void finish_waiters(Shard& shard, std::uint64_t key, MsgType type,
                       const std::string& payload);
-  /// Failure fan-out: kError to every waiter parked on `key`.
-  void fail_waiters(Shard& shard, std::uint64_t key);
 
   void forward(Shard& shard, ReplyTo client, std::uint64_t key,
                std::uint32_t attempts, std::uint64_t start_ns,

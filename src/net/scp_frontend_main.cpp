@@ -112,6 +112,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scp_frontend: need 0 < d <= n\n");
     return 2;
   }
+  if (!known_cache_policy(config.cache_policy)) {
+    std::fprintf(stderr, "scp_frontend: unknown --cache\n");
+    return 2;
+  }
   // Entry i is node i's backend, so an empty slot is an error too.
   auto backends = parse_endpoints(backends_list);
   if (!backends.has_value() ||

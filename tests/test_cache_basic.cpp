@@ -2,6 +2,7 @@
 // policies share.
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,9 @@
 #include "cache/cache.h"
 #include "cache/lfu_cache.h"
 #include "cache/lru_cache.h"
+#include "cache/tinylfu_cache.h"
+#include "workload/distribution.h"
+#include "workload/stream.h"
 
 namespace scp {
 namespace {
@@ -71,6 +75,54 @@ TEST_P(CacheContractTest, CapacityOneKeepsLastAdmittableKey) {
 
 TEST_P(CacheContractTest, NameIsNonEmpty) {
   EXPECT_FALSE(make(2)->name().empty());
+}
+
+// The eviction listener names exactly the keys the policy drops to make
+// room: a model kept from admissions and from the listener equals the
+// policy's contents after every access. Capacity 1 gives W-TinyLFU a main
+// cache with no slots, so every window victim is dropped.
+TEST_P(CacheContractTest, EvictionListenerTracksContents) {
+  for (const std::size_t capacity : {1, 2, 16, 100}) {
+    SCOPED_TRACE(capacity);
+    const auto cache = make(capacity);
+    std::unordered_set<KeyId> model;
+    std::size_t reported = 0;
+    cache->on_evict = [&](KeyId key) {
+      EXPECT_EQ(model.erase(key), 1u) << "reported uncached key " << key;
+      ++reported;
+    };
+    const auto access = [&](KeyId key) -> ::testing::AssertionResult {
+      if (!cache->access(key) && cache->contains(key)) model.insert(key);
+      if (cache->size() != model.size()) {
+        return ::testing::AssertionFailure()
+               << "size " << cache->size() << ", model " << model.size();
+      }
+      for (const KeyId held : model) {
+        if (!cache->contains(held)) {
+          return ::testing::AssertionFailure() << "lost " << held;
+        }
+      }
+      return ::testing::AssertionSuccess();
+    };
+
+    // A Zipf stream, then a scan of keys it never asked for.
+    QueryStream stream(QueryDistribution::zipf(1000, 1.0), 1000.0, 7);
+    for (int i = 0; i < 5000; ++i) {
+      const KeyId key = stream.next().key;
+      ASSERT_TRUE(access(key)) << "after key " << key;
+    }
+    for (KeyId key = 10'000; key < 10'000 + 3 * capacity; ++key) {
+      ASSERT_TRUE(access(key)) << "after scan key " << key;
+    }
+    EXPECT_GT(reported, 0u);
+
+    // Dropping a key on purpose is not an eviction.
+    const std::size_t evictions = reported;
+    ASSERT_FALSE(model.empty());
+    EXPECT_TRUE(cache->invalidate(*model.begin()));
+    cache->clear();
+    EXPECT_EQ(reported, evictions);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CacheContractTest,
@@ -189,6 +241,28 @@ TEST(LfuCache, NewKeysChurnAtFrequencyOne) {
 
 TEST(MakeCache, RejectsUnknownKind) {
   EXPECT_DEATH(make_cache("arc", 10), "unknown cache kind");
+  EXPECT_FALSE(is_cache_kind("arc"));
+  EXPECT_TRUE(is_cache_kind("tinylfu"));
+}
+
+// --- W-TinyLFU eviction reports -----------------------------------------------
+
+TEST(TinyLfuCache, CandidateThatLosesAdmissionIsReported) {
+  TinyLfuCache cache(10);  // a 1-slot window in front of a 9-slot main
+  std::vector<KeyId> reported;
+  cache.on_evict = [&](KeyId key) { reported.push_back(key); };
+  // Keys 0..8 seen five times each: 0..7 in main, 8 in the window.
+  for (int round = 0; round < 5; ++round) {
+    for (KeyId key = 0; key < 9; ++key) cache.access(key);
+  }
+  ASSERT_TRUE(reported.empty());
+  cache.access(100);  // 8 moves into main's last free slot
+  cache.access(101);  // window victim 100 (seen once) loses to main's victim
+  cache.access(102);  // and so does 101
+  EXPECT_EQ(reported, (std::vector<KeyId>{100, 101}));
+  for (KeyId key = 0; key < 9; ++key) EXPECT_TRUE(cache.contains(key)) << key;
+  EXPECT_TRUE(cache.contains(102));
+  EXPECT_EQ(cache.size(), 10u);
 }
 
 }  // namespace

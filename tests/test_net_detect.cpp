@@ -7,8 +7,11 @@
 //     exploits).
 //   * a forwarded MISS must settle a dirty perfect-oracle key, or deleted
 //     keys leak dirty entries and forward forever.
-//   * the values side-map reconcile bound must track the tier capacity,
-//     not 4× it.
+//   * the values side-map holds only the bytes of keys the policy holds
+//     (its eviction listener erases the rest), so it never outgrows c.
+//   * perfect-oracle re-provisioning swaps keys within each shard's slice
+//     of [0, c), so the shards together never serve more than c keys, and
+//     a write reaches a re-provisioned key.
 //   * the detection pipeline end to end: backends sketch their served GETs,
 //     gossip kHotKeyReports over the replica mesh, push them to subscribed
 //     front ends; the front end flags keys hot at the backends but absent
@@ -16,11 +19,12 @@
 //     set is re-detected and re-mitigated.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/partitioner.h"
@@ -96,6 +100,35 @@ std::uint64_t counter(const obs::MetricsSnapshot& snap,
 std::int64_t gauge(const obs::MetricsSnapshot& snap, const std::string& name) {
   const auto it = snap.gauges.find(name);
   return it != snap.gauges.end() ? it->second : 0;
+}
+
+/// Sends GETs for `keys` straight to their replicas for `seconds`: hot at
+/// the backends, never seen by the front end — the miss-flood signature
+/// the front-end mitigation keys on.
+void hammer_backends(const Fleet& fleet, std::uint32_t replication,
+                     const std::vector<std::uint64_t>& keys, double seconds) {
+  const auto nodes = static_cast<std::uint32_t>(fleet.backends.size());
+  auto partitioner =
+      make_partitioner("hash", nodes, replication, kPartitionSeed);
+  std::vector<NodeId> group(replication);
+  std::vector<SyncClient> to_backend(nodes);
+  for (std::uint32_t node = 0; node < nodes; ++node) {
+    ASSERT_TRUE(to_backend[node].connect("127.0.0.1",
+                                         fleet.backends[node]->port()));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds));
+  for (std::size_t turn = 0; std::chrono::steady_clock::now() < deadline;
+       ++turn) {
+    for (const std::uint64_t key : keys) {
+      partitioner->replica_group(key, group);
+      const auto reply = to_backend[group[turn % group.size()]].get(key, 2.0);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, MsgType::kValue);
+    }
+  }
 }
 
 void expect_consistent(const ServerStats& stats) {
@@ -252,7 +285,7 @@ TEST(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
   frontend.stop(0.0);
 }
 
-// --- regression: values side-map bound tracks the tier capacity -----------
+// --- regression: the values side-map holds only what the policy holds ------
 
 TEST(DetectLoopback, ValuesSideMapStaysBounded) {
   constexpr std::uint32_t kNodes = 2;
@@ -269,22 +302,21 @@ TEST(DetectLoopback, ValuesSideMapStaysBounded) {
   ASSERT_TRUE(frontend.start());
   ASSERT_TRUE(frontend.wait_backends_up(5.0));
 
+  // Every GET is a new key: once the LRU is full each one evicts a key,
+  // whose bytes must leave with it.
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  const auto entries = [&] {
+    return gauge(frontend.metrics_snapshot(), "frontend.values_entries");
+  };
   for (std::uint64_t key = 0; key < 200; ++key) {
     const auto reply = client.get(key, 2.0);
     ASSERT_TRUE(reply.has_value()) << "key " << key;
     ASSERT_EQ(reply->type, MsgType::kValue);
+    ASSERT_LE(entries(), static_cast<std::int64_t>(kCapacity))
+        << "after key " << key;
   }
-
-  // Reconcile bound: capacity + max(64, capacity/8). The old 4c+64 bound
-  // would have let the peak reach 128 entries for this 16-entry cache.
-  const std::int64_t bound = static_cast<std::int64_t>(
-      kCapacity + std::max<std::size_t>(64, kCapacity / 8));
-  const obs::MetricsSnapshot snap = frontend.metrics_snapshot();
-  EXPECT_GT(gauge(snap, "frontend.values_entries_peak"), 0);
-  EXPECT_LE(gauge(snap, "frontend.values_entries_peak"), bound);
-  EXPECT_LE(gauge(snap, "frontend.values_entries"), bound);
+  EXPECT_EQ(entries(), static_cast<std::int64_t>(kCapacity));
   frontend.stop(0.0);
 }
 
@@ -465,6 +497,118 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   }
   EXPECT_GT(frontend.stats().hits, hits_before)
       << "no flagged key was served from the re-provisioned set";
+  expect_consistent(frontend.stats());
+  frontend.stop(0.0);
+}
+
+// --- perfect provision: re-provisioning stays inside each shard's slice ---
+
+/// A perfect-oracle front end with detection over 3 meshed detecting
+/// backends (d = 2, m = 512, c = 8), as in
+/// PerfectCacheReprovisionsForFlaggedKeys.
+constexpr std::uint32_t kOracleNodes = 3;
+constexpr std::uint32_t kOracleReplication = 2;
+constexpr std::uint64_t kOracleItems = 512;
+constexpr std::uint64_t kOracleCapacity = 8;
+const std::vector<std::uint64_t> kOracleAttack = {100, 217, 350, 470};
+
+Fleet start_oracle_fleet() {
+  Fleet fleet = start_fleet(kOracleNodes, kOracleReplication, kOracleItems,
+                            /*detect=*/true, /*detect_interval_s=*/0.05,
+                            /*detect_min_samples=*/128);
+  mesh_fleet(fleet);
+  return fleet;
+}
+
+FrontendConfig oracle_config(const Fleet& fleet) {
+  FrontendConfig config = frontend_config(fleet, kOracleNodes,
+                                          kOracleReplication, kOracleItems);
+  config.cache_policy = "perfect";
+  config.cache_capacity = kOracleCapacity;
+  config.detect = true;
+  config.detect_min_samples = 128;
+  return config;
+}
+
+TEST(DetectLoopback, ReprovisioningStaysInsideEachShardsSlice) {
+  Fleet fleet = start_oracle_fleet();
+  FrontendConfig config = oracle_config(fleet);
+  config.shards = 2;
+  // The fallback acceptor round-robins connections: client i lands on
+  // shard i, so each client sees exactly one shard's cache.
+  config.force_fallback_accept = true;
+  FrontendServer frontend(config);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  std::vector<SyncClient> clients(2);
+  for (SyncClient& client : clients) {
+    ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  }
+
+  // Keys the two shards answer from cache: each client asks for every key.
+  const auto cached_keys = [&] {
+    const std::uint64_t before = frontend.stats().hits;
+    for (SyncClient& client : clients) {
+      for (std::uint64_t key = 0; key < kOracleItems; ++key) {
+        const auto reply = client.get(key, 2.0);
+        EXPECT_TRUE(reply.has_value() && reply->type == MsgType::kValue)
+            << "key " << key;
+      }
+    }
+    return frontend.stats().hits - before;
+  };
+  EXPECT_EQ(cached_keys(), kOracleCapacity);
+
+  hammer_backends(fleet, kOracleReplication, kOracleAttack, 0.6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_GT(counter(frontend.metrics_snapshot(), "detect.reprovisioned"), 0u);
+  EXPECT_LE(cached_keys(), kOracleCapacity)
+      << "re-provisioned keys were added to the cached set, not swapped in";
+  expect_consistent(frontend.stats());
+  frontend.stop(0.0);
+}
+
+TEST(DetectLoopback, WritesReachReprovisionedKeys) {
+  Fleet fleet = start_oracle_fleet();
+  FrontendServer frontend(oracle_config(fleet));
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  const auto put = [&](std::uint64_t key, const std::string& bytes) {
+    Message write;
+    write.type = MsgType::kPut;
+    write.key = key;
+    write.payload = bytes;
+    const auto reply = client.call(write, 2.0);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kWriteReply);
+  };
+
+  put(217, "written before it was flagged");
+  hammer_backends(fleet, kOracleReplication, kOracleAttack, 0.6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_GT(counter(frontend.metrics_snapshot(), "detect.reprovisioned"), 0u);
+  // An unwritten attack key is now served from the cache.
+  const std::uint64_t hits_before = frontend.stats().hits;
+  auto reply = client.get(350, 2.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kValue);
+  ASSERT_EQ(frontend.stats().hits, hits_before + 1)
+      << "key 350 was not re-provisioned";
+
+  put(100, "written after it was re-provisioned");
+  for (const auto& [key, bytes] :
+       {std::pair<std::uint64_t, std::string>{217,
+                                              "written before it was flagged"},
+        {100, "written after it was re-provisioned"}}) {
+    for (int i = 0; i < 3; ++i) {
+      reply = client.get(key, 2.0);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, MsgType::kValue);
+      EXPECT_EQ(reply->payload, bytes) << "key " << key << " GET " << i;
+    }
+  }
   expect_consistent(frontend.stats());
   frontend.stop(0.0);
 }

@@ -391,6 +391,23 @@ TEST(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   for (auto& backend : fleet.backends) backend->stop();
 }
 
+TEST(FrontendLoopback, StartRejectsAnUnknownCachePolicy) {
+  // Checked before anything binds or dials, whatever the capacity.
+  for (const std::size_t capacity : {0, 8}) {
+    FrontendConfig config;
+    config.nodes = 1;
+    config.replication = 1;
+    config.backends = {{"127.0.0.1", 1}};
+    config.cache_policy = "bogus";
+    config.cache_capacity = capacity;
+    FrontendServer frontend(config);
+    EXPECT_FALSE(frontend.start()) << "capacity " << capacity;
+  }
+  EXPECT_TRUE(known_cache_policy("perfect"));
+  EXPECT_TRUE(known_cache_policy("none"));
+  EXPECT_TRUE(known_cache_policy("slru"));
+}
+
 TEST(FrontendLoopback, CounterInvariantsUnderFailover) {
   // requests == hits + forwarded + coalesced + failures must hold through
   // replica death: orphaned in-flight requests are retried (attempts grows,
