@@ -346,10 +346,13 @@ EOF
   echo "check.sh: detect serving smoke OK"
 
   # Quorum write smoke: three meshed backends (N=3, R=W=2). A PUT through
-  # one coordinator must be readable through another, survive one replica
-  # being SIGKILLed, and the surviving pair must still accept writes. The
-  # python block owns the process lifecycle (spawn, kill, reap) so a failure
-  # mid-scenario cannot leak listeners.
+  # one coordinator must be readable through another. While one replica
+  # hangs (SIGSTOP), PUTs through a coordinator are still acked at once;
+  # resumed, it answers its peers' pings and is back in fan-out. Then the
+  # write must survive the replica being SIGKILLed, and the surviving pair
+  # must still accept writes. The python block owns the process lifecycle
+  # (spawn, stop, kill, reap) so a failure mid-scenario cannot leak
+  # listeners.
   PYTHONPATH=scripts python3 - "$BUILD_DIR/src/net/scp_backend" <<'EOF'
 import signal, socket, subprocess, sys, time
 import scp_wire
@@ -403,6 +406,37 @@ try:
     assert reply.type == scp_wire.VALUE, f"expected kValue, got {reply.type}"
     assert reply.value == value, reply.value
 
+    # Hang one replica. Nodes 0 and 1 still make W=2, so each PUT through
+    # node 0 is acked at once. The PUTs span 2 s: the replicates they leave
+    # on node 2's link outlive its 1 s deadline, which resets the link and
+    # keeps node 2 out of fan-out.
+    procs[2].send_signal(signal.SIGSTOP)
+    for i in range(5):
+        time.sleep(0.5 if i > 0 else 0.0)
+        start = time.time()
+        reply = put(ports[0], 100 + i, b"written while node 2 hangs")
+        took = time.time() - start
+        assert reply.type == scp_wire.WRITE_REPLY, \
+            f"PUT {i} while node 2 hangs: type {reply.type}"
+        assert took < 2.0, f"PUT {i} while node 2 hangs took {took:.2f} s"
+
+    # Resumed, node 2 answers the ping on node 0's re-dialed link and gets
+    # the next write's replicate.
+    procs[2].send_signal(signal.SIGCONT)
+    fresh = b"written after node 2 resumed"
+    deadline = time.time() + 10.0
+    while True:
+        try:
+            if put(ports[0], 9, fresh).type == scp_wire.WRITE_REPLY:
+                reply = scp_wire.roundtrip(ports[2], scp_wire.get(9))
+                if reply.type == scp_wire.VALUE and reply.value == fresh:
+                    break
+        except OSError:
+            pass
+        assert time.time() < deadline, \
+            "node 2 never got a write after it resumed"
+        time.sleep(0.1)
+
     # Crash one replica; R=2 over the survivors still answers...
     procs[2].send_signal(signal.SIGKILL)
     procs[2].wait()
@@ -428,10 +462,12 @@ try:
             pass
         assert time.time() < deadline, "PUT failed after one replica crash"
         time.sleep(0.1)
-    print("quorum smoke: write survived a replica crash (N=3, R=W=2)")
+    print("quorum smoke: writes survived a hung and a crashed replica "
+          "(N=3, R=W=2)")
 finally:
     for proc in procs:
         if proc.poll() is None:
+            proc.send_signal(signal.SIGCONT)
             proc.terminate()
     for proc in procs:
         try:

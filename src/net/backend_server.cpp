@@ -1,6 +1,7 @@
 #include "net/backend_server.h"
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <span>
 #include <thread>
@@ -30,11 +31,7 @@ BackendServer::BackendServer(BackendConfig config)
       pool_(ReactorPool::Options{
           .shards = config_.shards == 0 ? 1 : config_.shards,
           .force_fallback_accept = config_.force_fallback_accept}),
-      clock_(config_.node_id),
-      detector_(replication::FailureDetectorConfig{
-          .interval_s = config_.fd_interval_s,
-          .suspect_after_s = config_.fd_suspect_s,
-          .timeout_s = config_.fd_timeout_s}) {}
+      clock_(config_.node_id) {}
 
 BackendServer::~BackendServer() { stop(0.0); }
 
@@ -108,7 +105,6 @@ bool BackendServer::start() {
   shards_.clear();
   for (std::size_t k = 0; k < pool_.shards(); ++k) {
     auto shard = std::make_unique<Shard>();
-    shard->index = k;
     shard->loop = &pool_.shard(k);
     shard->group.resize(config_.replication);
     // Peers get their links in set_peers() and kJoin, once they are known.
@@ -209,11 +205,8 @@ void BackendServer::set_peers(
   // Peers are the named nodes other than this one; an empty slot names none.
   if (config_.node_id < endpoints.size()) endpoints[config_.node_id] = {};
   std::uint32_t targets = 0;
-  membership_.add_node(config_.node_id);
-  for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-    if (endpoints[node].first.empty()) continue;
-    ++targets;
-    membership_.add_node(node);
+  for (const auto& endpoint : endpoints) {
+    if (!endpoint.first.empty()) ++targets;
   }
   peers_configured_.store(targets > 0, std::memory_order_release);
   peer_target_ = targets;
@@ -228,17 +221,6 @@ void BackendServer::set_peers(
       }
     });
   }
-
-  Shard* s0 = shards_[0].get();
-  s0->loop->post([this, endpoints] {
-    for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
-      if (endpoints[node].first.empty()) continue;
-      if (!detector_.tracks(node)) detector_.add_node(node, now_s());
-    }
-    if (!detector_running_.exchange(true)) {
-      detector_tick();
-    }
-  });
 }
 
 bool BackendServer::wait_peers_up(double timeout_s) const {
@@ -284,10 +266,13 @@ obs::MetricsSnapshot BackendServer::metrics_snapshot() const {
         static_cast<std::int64_t>(storage_.live_count());
   }
   obs::MetricsSnapshot snap = merge_shard_snapshots("backend", per_shard);
+  // This node and the peers its shard-0 links reach; 0 without a mesh.
   snap.gauges["backend.peers_alive"] =
-      static_cast<std::int64_t>(membership_.alive_count());
+      peers_configured_.load(std::memory_order_acquire) && !shards_.empty()
+          ? 1 + static_cast<std::int64_t>(shards_[0]->upstream->up_count())
+          : 0;
   snap.gauges["backend.membership_epoch"] =
-      static_cast<std::int64_t>(membership_.epoch());
+      static_cast<std::int64_t>(ring_epoch_.load(std::memory_order_acquire));
   if (config_.detect) {
     {
       std::lock_guard lock(hot_agg_mutex_);
@@ -540,9 +525,9 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
         .payload = message.payload,
         .quorum_op = op_id};
     for (const NodeId node : shard.group) {
-      if (node == config_.node_id) continue;
-      if (!membership_.alive(node)) continue;
-      if (shard.upstream->send(node, replicate)) ++outstanding;
+      if (node != config_.node_id && shard.upstream->send(node, replicate)) {
+        ++outstanding;
+      }
     }
   }
 
@@ -587,9 +572,9 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     const Forward probe{
         .key = message.key, .op = MsgType::kVerRead, .quorum_op = op_id};
     for (const NodeId node : shard.group) {
-      if (node == config_.node_id) continue;
-      if (!membership_.alive(node)) continue;
-      if (shard.upstream->send(node, probe)) ++outstanding;
+      if (node != config_.node_id && shard.upstream->send(node, probe)) {
+        ++outstanding;
+      }
     }
   }
 
@@ -658,30 +643,21 @@ void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
 
 void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
                                       Forward&& request, Message&& reply) {
-  // The upstream matched the reply's id and key; its kind must answer the
-  // frame sent, or the link is reset.
-  const auto mismatch = [&] {
-    apply_peer_loss(shard, request.quorum_op);
-    shard.upstream->reset(node, "reply kind mismatch");
-  };
-  if (request.op == MsgType::kPing) {
-    if (reply.type != MsgType::kPong) return mismatch();
-    if (shard.index == 0 && detector_running_.load() &&
-        detector_.record_pong(node, now_s()) ==
-            replication::PingFailureDetector::Transition::kRecovered) {
-      membership_.set_state(node, replication::NodeState::kUp);
-    }
-    return;
-  }
   // A peer's kError loses its reply; a lost repair or handoff is healed by
   // a later read-repair.
   if (reply.type == MsgType::kError) {
     return apply_peer_loss(shard, request.quorum_op);
   }
+  // The upstream matched the reply's id and key; its kind must answer the
+  // frame sent, or the link is reset.
   const MsgType expected = request.op == MsgType::kVerRead
                                ? MsgType::kVerValue
                                : MsgType::kRepAck;
-  if (reply.type != expected) return mismatch();
+  if (reply.type != expected) {
+    apply_peer_loss(shard, request.quorum_op);
+    shard.upstream->reset(node, "reply kind mismatch");
+    return;
+  }
   clock_.observe(reply.version);
   auto it = shard.ops.find(request.quorum_op);
   if (it == shard.ops.end()) return;  // a repair, or already resolved
@@ -787,28 +763,6 @@ void BackendServer::fail_op(Shard& shard, Op& op, const char* reason) {
   send_reply(*shard.loop, op.client, reply);
 }
 
-void BackendServer::detector_tick() {
-  if (stopping_.load() || shards_.empty()) return;
-  Shard& shard = *shards_[0];
-  std::vector<NodeId> to_ping;
-  for (const auto& event : detector_.tick(now_s(), &to_ping)) {
-    switch (event.transition) {
-      case replication::PingFailureDetector::Transition::kSuspect:
-        membership_.set_state(event.node, replication::NodeState::kSuspect);
-        break;
-      case replication::PingFailureDetector::Transition::kDown:
-        membership_.set_state(event.node, replication::NodeState::kDown);
-        break;
-      default:
-        break;
-    }
-  }
-  for (const NodeId node : to_ping) {
-    shard.upstream->send(node, Forward{.op = MsgType::kPing});
-  }
-  shard.loop->run_after(config_.fd_interval_s, [this] { detector_tick(); });
-}
-
 void BackendServer::hot_tick() {
   if (stopping_.load() || shards_.empty() || hot_detector_ == nullptr) return;
   Shard& shard = *shards_[0];
@@ -826,10 +780,9 @@ void BackendServer::hot_tick() {
     Message message;
     message.type = MsgType::kHotKeyReport;
     message.hot = std::move(report);
-    // Gossip to alive mesh peers. One-way (id 0): no reply is owed, so
-    // nothing is registered.
+    // Gossip to the mesh peers whose links are up. One-way (id 0): no
+    // reply is owed, so nothing is registered.
     for (std::uint32_t node = 0; node < shard.upstream->size(); ++node) {
-      if (!shard.upstream->up(node) || !membership_.alive(node)) continue;
       if (shard.upstream->send_unmatched(node, message)) {
         shard.hot_reports_sent->inc();
       }
@@ -876,8 +829,8 @@ void BackendServer::stream_handoff(
     std::shared_lock lock(partitioner_mutex_);
     plan = replication::plan_handoff(
         old_group_of, *partitioner_, config_.node_id,
-        [this](NodeId node) {
-          return node == config_.node_id || membership_.alive(node);
+        [this, &shard](NodeId node) {
+          return node == config_.node_id || shard.upstream->up(node);
         },
         keys);
   }
@@ -923,10 +876,10 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
     if (!ring->contains_node(node)) {
       old_ring = std::make_shared<ConsistentHashRing>(*ring);
       ring->add_node(node);
+      ring_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 
-  membership_.add_node(node);
   const auto [host, port] = endpoints->front();
   for (auto& other : shards_) {
     Shard* s = other.get();
@@ -934,9 +887,6 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
       s->upstream->set_endpoint(node, host, port);
     });
   }
-  run_on(shard, *shards_[0], [this, node] {
-    if (!detector_.tracks(node)) detector_.add_node(node, now_s());
-  });
   peers_configured_.store(true, std::memory_order_release);
 
   if (old_ring != nullptr) {
@@ -946,7 +896,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
   }
   Message reply;
   reply.type = MsgType::kWriteReply;
-  reply.version = membership_.epoch();
+  reply.version = ring_epoch_.load(std::memory_order_acquire);
   send_reply(*shard.loop, {conn, message.id}, reply);
 }
 
@@ -976,15 +926,14 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
       }
       old_ring = std::make_shared<ConsistentHashRing>(*ring);
       ring->remove_node(node);
+      ring_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 
-  membership_.remove_node(node);
   for (auto& other : shards_) {
     Shard* s = other.get();
     run_on(shard, *s, [s, node] { s->upstream->retire(node); });
   }
-  run_on(shard, *shards_[0], [this, node] { detector_.remove_node(node); });
 
   if (old_ring != nullptr) {
     stream_handoff(shard, [old_ring](KeyId key, std::span<NodeId> out) {
@@ -993,7 +942,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   }
   Message reply;
   reply.type = MsgType::kWriteReply;
-  reply.version = membership_.epoch();
+  reply.version = ring_epoch_.load(std::memory_order_acquire);
   send_reply(*shard.loop, {conn, message.id}, reply);
 }
 

@@ -18,12 +18,17 @@
 // read-repairs stale replicas with the winner. With R+W>N a write acked by
 // any coordinator is readable through any coordinator with a replica down.
 //
-// Liveness: a ping-based failure detector runs on shard 0's loop over the
-// peer mesh, feeding the shared Membership table that coordinators consult
-// when choosing fan-out targets. kJoin/kLeave mutate the consistent-hash
-// ring live: each member re-plans ownership, elects one streamer per moved
-// key (first alive old holder) and streams handoff as idempotent
-// kReplicate applies — old holders keep serving while keys move.
+// Liveness: a peer is up exactly when the shard's Upstream link to it is
+// up (upstream.h), the rule the front end and the router route by too.
+// Write and quorum-read fan-out and hot-key gossip skip a peer whose link
+// is down (the send fails), so a hung peer leaves routing once a request to
+// it outlives op_timeout_s and returns only when it answers a ping. An
+// idle link to a peer that hangs is not noticed until the next request to
+// it. kJoin/kLeave mutate the consistent-hash ring live, bumping the ring
+// epoch: each member re-plans ownership, elects one streamer per moved key
+// (the first old holder that is this node or whose link is up) and streams
+// handoff as idempotent kReplicate applies — old holders keep serving while
+// keys move.
 //
 // Each shard drives its peers through one Upstream (upstream.h), the link
 // module the front end and the router use too: it dials and re-dials,
@@ -41,7 +46,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -61,8 +65,6 @@
 #include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "replication/failure_detector.h"
-#include "replication/membership.h"
 #include "replication/quorum.h"
 #include "replication/version.h"
 
@@ -96,22 +98,19 @@ struct BackendConfig {
   /// W and R. 0 = majority of d (d/2+1); both are clamped to [1, d].
   std::uint32_t write_quorum = 0;
   std::uint32_t read_quorum = 0;
-  /// Failure detector timing (see replication/failure_detector.h).
-  double fd_interval_s = 0.1;
-  double fd_suspect_s = 0.25;
-  double fd_timeout_s = 0.5;
   /// The peer link deadline: a peer that owes a reply and has answered
-  /// nothing for this long has its connection reset and re-dialed. The
-  /// quorum ops waiting on it count its replies lost, and one left short of
-  /// its quorum fails with kError.
+  /// nothing for this long has its connection reset and re-dialed, and stays
+  /// out of fan-out until it answers a ping. The quorum ops waiting on it
+  /// count its replies lost, and one left short of its quorum fails with
+  /// kError.
   double op_timeout_s = 1.0;
 
   /// Hot-key detection (src/detect): maintain a SpaceSaving sketch over the
   /// GETs this node serves, and every detect_interval_s gossip the top
-  /// detect_k as a kHotKeyReport to alive mesh peers and to connections
-  /// that sent kHotKeySubscribe (front ends). Received reports feed a
-  /// HotKeyAggregator whose globally-hot view is exported as detect.*
-  /// metrics — the backend-side view of a cache-miss flood.
+  /// detect_k as a kHotKeyReport to mesh peers whose links are up and to
+  /// connections that sent kHotKeySubscribe (front ends). Received reports
+  /// feed a HotKeyAggregator whose globally-hot view is exported as
+  /// detect.* metrics — the backend-side view of a cache-miss flood.
   bool detect = false;
   std::uint32_t detect_k = 16;      ///< entries per report
   std::size_t detect_capacity = 0;  ///< sketch monitor slots; 0 = 8×detect_k
@@ -164,10 +163,6 @@ class BackendServer {
   /// tests use to assert replica convergence while the server runs.
   std::optional<StorageEngine::Entry> storage_entry(KeyId key) const;
 
-  const replication::Membership& membership() const noexcept {
-    return membership_;
-  }
-
   /// Direct storage access for quiescent introspection only (no lock).
   const StorageEngine& storage() const noexcept { return storage_; }
   const BackendConfig& config() const noexcept { return config_; }
@@ -186,7 +181,6 @@ class BackendServer {
 
   /// Per-reactor mutable state, touched only by that shard's loop thread.
   struct Shard {
-    std::size_t index = 0;
     Reactor* loop = nullptr;
     std::unique_ptr<Upstream> upstream;  ///< link i = peer NodeId i
     /// Coordinated ops awaiting peer replies, by id, until their quorum is
@@ -263,19 +257,14 @@ class BackendServer {
       Shard& shard,
       const std::function<void(KeyId, std::span<NodeId>)>& old_group_of);
 
-  void detector_tick();
   /// Hot-key gossip tick (shard 0's loop): drain the sketch into a report,
-  /// absorb it locally, gossip it to alive peers and post it to every
-  /// shard's subscribers. One-way frames — no reply bookkeeping anywhere.
+  /// absorb it locally, gossip it to the peers whose links are up and post
+  /// it to every shard's subscribers. One-way frames — no reply bookkeeping
+  /// anywhere.
   void hot_tick();
   void handle_hot_report(Shard& shard, const Message& message);
   /// Merges a report (own or gossiped) into this node's aggregated view.
   void absorb_hot_report(Shard& shard, const detect::HotKeyReport& report);
-  static double now_s() {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
 
   BackendConfig config_;
   std::unique_ptr<ReplicaPartitioner> partitioner_;
@@ -299,11 +288,9 @@ class BackendServer {
   mutable std::mutex hot_agg_mutex_;
 
   replication::VersionClock clock_;
-  replication::Membership membership_;
-  /// Shard 0 loop thread only.
-  replication::PingFailureDetector detector_;
+  /// Ring changes applied by kJoin/kLeave; their acks carry it.
+  std::atomic<std::uint64_t> ring_epoch_{0};
   std::atomic<bool> peers_configured_{false};
-  std::atomic<bool> detector_running_{false};
   std::atomic<bool> stopping_{false};
   /// Mesh connections each shard should establish (for wait_peers_up).
   std::atomic<std::uint32_t> peer_target_{0};

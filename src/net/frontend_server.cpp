@@ -32,17 +32,24 @@ bool FrontendServer::fleet_owns(std::uint64_t key) const noexcept {
              config_.fleet_index;
 }
 
-bool FrontendServer::fleet_redirect_needed(std::uint64_t key) const noexcept {
+bool FrontendServer::may_cache(std::uint64_t key) const noexcept {
   if (config_.cache_policy == "none" || config_.cache_capacity == 0) {
-    return false;  // nothing is cached anywhere; serve the forward here
+    return false;  // nothing is cached anywhere
   }
   if (config_.cache_policy == "perfect") {
-    // Assumption-2 oracle: the fleet's aggregate cached set is the global
-    // rank prefix {key < c}, partitioned by owner. Only those keys have a
-    // cache slot worth bouncing to.
-    return key < config_.cache_capacity && key < config_.items;
+    return key < config_.items &&
+           (config_.detect || key < config_.cache_capacity);
   }
   return true;  // policy caches: only the owner knows its contents
+}
+
+bool FrontendServer::fleet_redirect_needed(std::uint64_t key) const noexcept {
+  // Assumption-2 oracle: the fleet's aggregate cached set is the global
+  // rank prefix {key < c}, partitioned by owner. Only those keys have a
+  // cache slot worth bouncing a GET to; a re-provisioned key's GET is
+  // forwarded here.
+  return may_cache(key) &&
+         (config_.cache_policy != "perfect" || key < config_.cache_capacity);
 }
 
 bool known_cache_policy(const std::string& policy) {
@@ -425,10 +432,11 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
   (message.type == MsgType::kDelete ? shard.deletes : shard.puts)->inc();
 
   if (config_.fleet_size > 1 && !fleet_owns(message.key) &&
-      fleet_redirect_needed(message.key)) {
+      may_cache(message.key)) {
     // The sibling owning this key's cache slot must see the write to
-    // invalidate it; bounce the writer there (node = fleet index, as on the
-    // read path) and let the edge router re-dispatch.
+    // invalidate it, even for a key it serves only once re-provisioned;
+    // bounce the writer there (node = fleet index, as on the read path) and
+    // let the edge router re-dispatch.
     shard.fleet_redirects->inc();
     Message reply;
     reply.type = MsgType::kRedirect;
@@ -693,14 +701,8 @@ void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
 }
 
 void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
-  if (config_.cache_policy == "none" || config_.cache_capacity == 0) return;
+  if (!may_cache(key)) return;  // never cacheable, nothing to dirty
   const bool is_perfect = config_.cache_policy == "perfect";
-  // The oracle serves keys below min(c, m), and with detection any key
-  // below m that it re-provisions, now or later.
-  if (is_perfect && (key >= config_.items ||
-                     (!config_.detect && key >= config_.cache_capacity))) {
-    return;  // never cacheable, nothing to dirty
-  }
   Shard& owner = *shards_[shards_.size() == 1 ? 0 : shard_of(key)];
   const auto apply = [this, key, is_perfect](Shard& target) {
     if (is_perfect) {

@@ -56,11 +56,13 @@
 // the *fleet index* of the owner (the edge router maps indices to
 // endpoints and re-dispatches) — with the perfect-oracle cache only when
 // the key is globally cached (rank < c); globally-uncached keys are
-// forwarded to a backend right here. The router sends every key to its
-// owner, so a member answers kRedirect only to a direct client or while
-// the router routes around a down owner. Policy caches redirect every
-// non-owned key: only the owner knows its cache contents. fleet_size == 1
-// disables all of this byte-for-byte.
+// forwarded to a backend right here. A write bounces whenever the owner may
+// cache its key (may_cache), which with detection is any key below m, so
+// the owner invalidates a re-provisioned slot. The router sends every key
+// to its owner, so a member answers kRedirect only to a direct client or
+// while the router routes around a down owner. Policy caches redirect
+// every non-owned key: only the owner knows its cache contents.
+// fleet_size == 1 disables all of this byte-for-byte.
 #pragma once
 
 #include <atomic>
@@ -298,9 +300,14 @@ class FrontendServer {
   bool holds(const Shard& shard, std::uint64_t key) const noexcept {
     return owns(shard, key) && fleet_owns(key);
   }
-  /// True when a non-owned key must bounce to its owner instead of being
-  /// forwarded here: the key is globally cached under the perfect oracle,
-  /// or the tier runs a policy cache (only the owner knows its contents).
+  /// True when the member owning `key` may cache it, now or later: any key
+  /// under a policy cache; under the perfect oracle a key below min(c, m),
+  /// or with detection any key below m (it may be re-provisioned). A write
+  /// to such a key must reach its owner, which invalidates the slot.
+  bool may_cache(std::uint64_t key) const noexcept;
+  /// True when a GET for a non-owned key must bounce to its owner instead
+  /// of being forwarded here: the owner may cache the key and, under the
+  /// perfect oracle, it is in the global rank prefix (key < c).
   bool fleet_redirect_needed(std::uint64_t key) const noexcept;
 
   void handle(Shard& shard, ConnId conn, Message&& message);

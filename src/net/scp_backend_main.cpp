@@ -39,9 +39,6 @@ int main(int argc, char** argv) {
   std::string peers;
   std::uint64_t write_quorum = 0;
   std::uint64_t read_quorum = 0;
-  double fd_interval_ms = 100.0;
-  double fd_suspect_ms = 250.0;
-  double fd_timeout_ms = 500.0;
   double op_timeout_ms = 1000.0;
   std::uint64_t detect_k = config.detect_k;
   std::uint64_t detect_capacity = 0;
@@ -71,16 +68,11 @@ int main(int argc, char** argv) {
                    "W replica acks per write (0 = majority of d)");
   flags.add_uint64("read-quorum", &read_quorum,
                    "R replica responses per quorum read (0 = majority of d)");
-  flags.add_double("fd-interval-ms", &fd_interval_ms,
-                   "failure-detector ping interval");
-  flags.add_double("fd-suspect-ms", &fd_suspect_ms,
-                   "silence before a peer is suspected");
-  flags.add_double("fd-timeout-ms", &fd_timeout_ms,
-                   "silence before a peer is declared down");
   flags.add_double("op-timeout-ms", &op_timeout_ms,
                    "peer link deadline: a peer owing a reply that answers "
                    "nothing this long is reset, failing the quorum ops it "
-                   "leaves short");
+                   "leaves short, and stays out of fan-out until it answers "
+                   "a ping");
   flags.add_bool("detect", &config.detect,
                  "hot-key detection: sketch served GETs, gossip kHotKeyReport "
                  "to mesh peers and subscribed front ends");
@@ -116,9 +108,6 @@ int main(int argc, char** argv) {
   config.peers = std::move(*peer_list);
   config.write_quorum = static_cast<std::uint32_t>(write_quorum);
   config.read_quorum = static_cast<std::uint32_t>(read_quorum);
-  config.fd_interval_s = fd_interval_ms / 1000.0;
-  config.fd_suspect_s = fd_suspect_ms / 1000.0;
-  config.fd_timeout_s = fd_timeout_ms / 1000.0;
   config.op_timeout_s = op_timeout_ms / 1000.0;
   config.detect_k = static_cast<std::uint32_t>(detect_k);
   config.detect_capacity = static_cast<std::size_t>(detect_capacity);

@@ -84,23 +84,44 @@ void Upstream::on_connect(ConnId conn, bool ok) {
   if (link == kNoLink) return;
   Link& l = links_[link];
   if (ok) {
-    l.up = true;
-    l.connect_failures = 0;
-    up_count_.fetch_add(1, std::memory_order_relaxed);
-    if (hooks_.on_up) hooks_.on_up(link);
-    // Deferred sends leave in order; any that cannot go back unsent.
-    std::vector<Forward> deferred;
-    deferred.swap(links_[link].deferred);
-    for (Forward& request : deferred) {
-      if (!transmit(link, request)) {
-        hand_back(link, std::move(request), /*sent=*/false);
-      }
+    if (l.probing) {
+      probe(link);
+    } else {
+      come_up(link);
     }
     return;
   }
   by_conn_.erase(conn);
   l.conn = kInvalidConn;
   redial_later(link);
+}
+
+void Upstream::come_up(std::uint32_t link) {
+  Link& l = links_[link];
+  l.up = true;
+  l.probing = false;
+  l.connect_failures = 0;
+  up_count_.fetch_add(1, std::memory_order_relaxed);
+  if (hooks_.on_up) hooks_.on_up(link);
+  // Deferred sends leave in order; any that cannot go back unsent.
+  std::vector<Forward> deferred;
+  deferred.swap(links_[link].deferred);
+  for (Forward& request : deferred) {
+    if (!transmit(link, request)) {
+      hand_back(link, std::move(request), /*sent=*/false);
+    }
+  }
+}
+
+void Upstream::probe(std::uint32_t link) {
+  Link& l = links_[link];
+  Message ping;
+  ping.type = MsgType::kPing;
+  ping.id = l.pending.next_id();
+  // Pending even if the send fails, so the sweep resets the link.
+  loop_.send(l.conn, ping);
+  const auto deadline = std::chrono::steady_clock::now() + timeout_;
+  l.pending.add(Forward{.op = MsgType::kPing, .deadline = deadline});
 }
 
 void Upstream::on_close(ConnId conn) {
@@ -114,6 +135,7 @@ void Upstream::on_close(ConnId conn) {
   }
   l.conn = kInvalidConn;
   for (Forward& request : l.pending.drain()) {
+    if (request.op == MsgType::kPing) continue;  // a probe is never handed back
     hand_back(link, std::move(request), /*sent=*/true);
   }
   std::vector<Forward> queued;
@@ -148,6 +170,16 @@ void Upstream::reset(std::uint32_t link, const char* why) {
 void Upstream::on_reply(std::uint32_t link, Message&& reply) {
   Link& l = links_[link];
   ++l.replies;
+  if (!l.up) {
+    // A link that is not up has sent nothing but its probe.
+    if (!l.pending.take(reply.id).has_value() ||
+        reply.type != MsgType::kPong) {
+      reset(link, "probe reply mismatch");
+      return;
+    }
+    come_up(link);
+    return;
+  }
   if (reply.type == MsgType::kBatchReply) {
     // Item i answers the GET sent with id reply.id + i. Check every item
     // before settling any: a half-applied mismatched batch would answer
@@ -307,8 +339,12 @@ void Upstream::sweep() {
     const Forward* oldest = l.pending.oldest();
     if (l.conn != kInvalidConn && oldest != nullptr &&
         oldest->deadline <= now && l.answered + timeout_ <= now) {
-      // on_close hands everything the link carried back to the owner.
-      reset(link, "no reply within the deadline");
+      // on_close hands everything the link carried back to the owner, and
+      // the link stays down until the peer answers a probe.
+      const char* why =
+          l.up ? "no reply within the deadline" : "no reply to the probe";
+      l.probing = true;
+      reset(link, why);
     }
   }
   loop_.run_after(kSweepIntervalS, [this] { sweep(); });

@@ -11,8 +11,15 @@
 //     re-dialed after reconnect_delay_s(). Endpoints are given at
 //     construction or set at runtime (set_endpoint), and retire() closes a
 //     link for good. A link without an endpoint stays idle, and a module
-//     with no endpoint at all arms nothing on its loop. up() tracks each
-//     link, and up_count() is readable from any thread.
+//     with no endpoint at all arms nothing on its loop. up() is the one
+//     answer to "is this peer up?" for every owner, and up_count() is
+//     readable from any thread. A link comes up when its dial connects,
+//     unless its last reset was for silence: then it first sends one kPing
+//     (the probe) and comes up only when the peer answers it, so a peer that
+//     accepts connections but answers nothing stays out of routing. The probe
+//     belongs to the module: it counts no attempt, fires no on_sent, is not
+//     in_flight() and is never handed back. The dial backoff restarts only
+//     when a link comes up, so re-dials to a hung peer slow to the 1 s cap.
 //   * Sending. A GET is queued per link and leaves at the reactor's
 //     before-flush hook, so it rides the wakeup's gathered write (sooner
 //     once kBatchFlushKeys are queued). A queue of one leaves as a plain
@@ -26,11 +33,11 @@
 //   * Matching. A reply is matched by id and key (inflight.h), in whatever
 //     order the peer answers. A kBatchReply is checked as a whole before any
 //     item is settled. Any mismatch resets the link.
-//   * Deadlines. A sweep resets a link whose oldest request is past its
-//     deadline and that has answered nothing for the timeout either, so a
-//     peer that stays connected but stops answering is re-dialed, while one
-//     still working through a long burst is left to finish it. Every reset
-//     is logged with its reason and counted.
+//   * Deadlines. A sweep resets a link whose oldest request (the probe
+//     included) is past its deadline and that has answered nothing for the
+//     timeout either, so a peer that stays connected but stops answering is
+//     re-dialed and probed, while one still working through a long burst is
+//     left to finish it. Every reset is logged with its reason and counted.
 //   * Hand-back. When a link closes, or a queued flush cannot be sent,
 //     every request it held goes back to the owner, which learns whether it
 //     had reached the wire.
@@ -69,7 +76,8 @@ struct Forward {
   ReplyTo client{};
   std::uint64_t key = 0;
   /// The frame type sent: kGet, kQuorumGet, kPut or kDelete from a front
-  /// end or the router; kReplicate, kVerRead or kPing from a backend.
+  /// end or the router; kReplicate or kVerRead from a backend; kPing only
+  /// for the module's own probe.
   MsgType op = MsgType::kGet;
   std::uint8_t flags = 0;      ///< kReplicate: kFlag* bits
   std::uint32_t attempts = 0;  ///< sends before this one
@@ -97,7 +105,7 @@ class Upstream {
   /// The owner's policy, called on the loop thread. Only on_reply and
   /// on_dropped are required.
   struct Hooks {
-    /// `link` connected.
+    /// `link` came up: it connected, and answered the probe if it sent one.
     std::function<void(std::uint32_t link)> on_up;
     /// One key reached `link`'s wire (once per key of a kBatchGet).
     std::function<void(std::uint32_t link)> on_sent;
@@ -185,6 +193,8 @@ class Upstream {
     std::uint16_t port = 0;
     ConnId conn = kInvalidConn;
     bool up = false;
+    /// Reset for silence: the next connection probes before it comes up.
+    bool probing = false;
     std::uint32_t connect_failures = 0;
     InflightTable<Forward> pending;  ///< sent, by request id
     std::vector<Forward> queued;     ///< GETs awaiting the flush
@@ -200,6 +210,10 @@ class Upstream {
   void arm();
   void dial(std::uint32_t link);
   void redial_later(std::uint32_t link);
+  /// Marks `link` up, fires on_up and sends its deferred requests.
+  void come_up(std::uint32_t link);
+  /// Sends the probe on `link`'s new connection, pending like any frame.
+  void probe(std::uint32_t link);
   /// Sends `link`'s queued GETs as one frame.
   void flush(std::uint32_t link);
   /// Sends a non-GET `request` now; it is consumed only on success.

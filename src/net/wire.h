@@ -44,7 +44,7 @@ enum class MsgType : std::uint8_t {
   kMiss = 3,       ///< reply: `key` absent on the serving node
   kRedirect = 4,   ///< reply: `key` not owned here; try node `node`
   // 5 and 6 are unassigned; decode rejects them.
-  kPing = 7,       ///< request: liveness probe
+  kPing = 7,       ///< request: liveness probe (upstream.h)
   kPong = 8,       ///< reply to kPing
   kError = 9,      ///< reply: request failed, human-readable reason attached
   kMetricsRequest = 10,  ///< request: full metrics snapshot
@@ -54,7 +54,7 @@ enum class MsgType : std::uint8_t {
                     ///< the version; a client-supplied one is ignored)
   kDelete = 13,     ///< request: tombstone `key`
   kWriteReply = 14, ///< reply: write committed at `version` (also acks
-                    ///< kJoin/kLeave, with `version` = membership epoch)
+                    ///< kJoin/kLeave, with `version` = ring epoch)
   kQuorumGet = 15,  ///< request: R-quorum versioned read via this coordinator
   kVerRead = 16,    ///< internal: local version probe of `key` (no fan-out)
   kVerValue = 17,   ///< reply: version + flags (+ value when kFlagFound)

@@ -11,7 +11,8 @@
 //     (its eviction listener erases the rest), so it never outgrows c.
 //   * perfect-oracle re-provisioning swaps keys within each shard's slice
 //     of [0, c), so the shards together never serve more than c keys, and
-//     a write reaches a re-provisioned key.
+//     a write reaches a re-provisioned key, in a fleet too: a member that
+//     does not own it bounces the write to the owner.
 //   * the detection pipeline end to end: backends sketch their served GETs,
 //     gossip kHotKeyReports over the replica mesh, push them to subscribed
 //     front ends; the front end flags keys hot at the backends but absent
@@ -29,7 +30,9 @@
 
 #include "cluster/partitioner.h"
 #include "net/backend_server.h"
+#include "net/fleet.h"
 #include "net/frontend_server.h"
+#include "net/router_server.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
@@ -611,6 +614,87 @@ TEST(DetectLoopback, WritesReachReprovisionedKeys) {
   }
   expect_consistent(frontend.stats());
   frontend.stop(0.0);
+}
+
+TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
+  // Two oracle members split c = 8. Member 0 re-provisions hot keys >= c
+  // that it owns, so a write to one must reach member 0, which dirties the
+  // slot: member 1 bounces it there instead of forwarding it itself.
+  constexpr std::uint64_t kFleetSeed = 4242;
+  constexpr std::uint32_t kMembers = 2;
+  Fleet fleet = start_oracle_fleet();
+  std::vector<std::unique_ptr<FrontendServer>> members;
+  std::vector<std::pair<std::string, std::uint16_t>> member_endpoints;
+  for (std::uint32_t index = 0; index < kMembers; ++index) {
+    FrontendConfig config = oracle_config(fleet);
+    config.fleet_size = kMembers;
+    config.fleet_index = index;
+    config.fleet_seed = kFleetSeed;
+    members.push_back(std::make_unique<FrontendServer>(config));
+    ASSERT_TRUE(members.back()->start());
+    ASSERT_TRUE(members.back()->wait_backends_up(5.0));
+    member_endpoints.emplace_back("127.0.0.1", members.back()->port());
+  }
+  std::vector<std::uint64_t> attack;
+  for (std::uint64_t key = 100; attack.size() < kOracleAttack.size(); ++key) {
+    if (fleet_owner(key, kFleetSeed, kMembers) == 0) attack.push_back(key);
+  }
+  hammer_backends(fleet, kOracleReplication, attack, 0.6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_GT(counter(members[0]->metrics_snapshot(), "detect.reprovisioned"),
+            0u);
+
+  // A key member 0 now answers from its cache.
+  SyncClient to_owner;
+  ASSERT_TRUE(to_owner.connect("127.0.0.1", members[0]->port()));
+  std::optional<std::uint64_t> cached;
+  for (const std::uint64_t key : attack) {
+    const std::uint64_t hits_before = members[0]->stats().hits;
+    const auto reply = to_owner.get(key, 2.0);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kValue);
+    if (members[0]->stats().hits == hits_before + 1) {
+      cached = key;
+      break;
+    }
+  }
+  ASSERT_TRUE(cached.has_value()) << "member 0 re-provisioned no attack key";
+
+  Message write;
+  write.type = MsgType::kPut;
+  write.key = *cached;
+  write.payload = "written while re-provisioned";
+  SyncClient to_other;
+  ASSERT_TRUE(to_other.connect("127.0.0.1", members[1]->port()));
+  auto reply = to_other.call(write, 2.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kRedirect)
+      << "member 1 took a write for a key member 0 may cache";
+  EXPECT_EQ(reply->node, 0u);
+
+  // Through a router the write reaches member 0, whose GETs then see it.
+  RouterConfig router_config;
+  router_config.frontends = member_endpoints;
+  router_config.fleet_seed = kFleetSeed;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  SyncClient via_router;
+  ASSERT_TRUE(via_router.connect("127.0.0.1", router.port()));
+  reply = via_router.call(write, 2.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kWriteReply) << reply->payload;
+  for (int i = 0; i < 3; ++i) {
+    reply = to_owner.get(*cached, 2.0);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kValue);
+    EXPECT_EQ(reply->payload, write.payload) << "GET " << i;
+  }
+  router.stop();
+  expect_consistent(members[0]->stats());
+  EXPECT_EQ(counter(members[1]->metrics_snapshot(), "frontend.fleet_redirects"),
+            1u);
+  for (auto& member : members) member->stop(0.0);
 }
 
 // --- benign traffic: zero false positives ---------------------------------

@@ -2,11 +2,9 @@
 // (aggregate footprint exactly c, single-copy ownership, REDIRECT from
 // non-owners), the router's owner-first rule, and the edge router end to
 // end (clients never see a fleet REDIRECT, nor a member that dies or
-// stalls). Labeled slow + net + fleet — the serving cases spin up real TCP
+// stalls, and a stalled member stays out of routing until it answers a
+// ping). Labeled slow + net + fleet — the serving cases spin up real TCP
 // fleets.
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,11 +20,11 @@
 
 #include "cache/partition.h"
 #include "common/hash.h"
+#include "fake_peer.h"
 #include "net/backend_server.h"
 #include "net/fleet.h"
 #include "net/frontend_server.h"
 #include "net/router_server.h"
-#include "net/socket.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
@@ -551,74 +548,6 @@ std::uint64_t router_counter(const RouterServer& router,
   return router.metrics_snapshot().counters.at(name);
 }
 
-/// A fleet member that accepts the router's connection, reads every frame
-/// and never answers: GETs sent to it stay in flight until the router's
-/// deadline resets the link. Counts accepted connections and GET keys.
-class SilentMember {
- public:
-  ~SilentMember() { stop(); }
-
-  bool start() {
-    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
-    if (!listener_.valid()) return false;
-    thread_ = std::thread([this] { run(); });
-    return true;
-  }
-
-  void stop() {
-    stopping_.store(true);
-    if (thread_.joinable()) thread_.join();
-    listener_.reset();
-  }
-
-  std::uint16_t port() const noexcept { return port_; }
-  std::uint64_t accepted() const { return accepted_.load(); }
-  std::uint64_t get_keys() const { return get_keys_.load(); }
-
- private:
-  void run() {
-    while (!stopping_.load()) {
-      pollfd pfd{listener_.fd(), POLLIN, 0};
-      if (::poll(&pfd, 1, 20) <= 0) continue;
-      Socket conn(::accept(listener_.fd(), nullptr, nullptr));
-      if (!conn.valid()) continue;
-      accepted_.fetch_add(1);
-      swallow(conn);
-    }
-  }
-
-  /// Reads and counts frames until the peer closes the connection.
-  void swallow(const Socket& conn) {
-    FrameReader reader;
-    std::uint8_t buffer[16384];
-    while (!stopping_.load()) {
-      pollfd pfd{conn.fd(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 20);
-      if (ready < 0) return;
-      if (ready == 0) continue;
-      const ssize_t n = ::recv(conn.fd(), buffer, sizeof(buffer), 0);
-      if (n <= 0) return;
-      reader.append({buffer, static_cast<std::size_t>(n)});
-      while (auto payload = reader.next_payload()) {
-        const auto message = decode_payload(*payload);
-        if (!message.has_value()) return;
-        if (message->type == MsgType::kGet) get_keys_.fetch_add(1);
-        if (message->type == MsgType::kBatchGet) {
-          get_keys_.fetch_add(message->batch_keys.size());
-        }
-      }
-      if (reader.corrupted()) return;
-    }
-  }
-
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> get_keys_{0};
-};
-
 TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
   // Two members with no cache, so either candidate can serve every key.
   // Member 0 stops while clients keep GETs in flight: whatever it held goes
@@ -712,7 +641,7 @@ TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
   constexpr std::uint32_t kFleet = 2;
 
   Backends backends = start_backends(kNodes, kReplication, kItems);
-  SilentMember silent;
+  FakePeer silent;
   ASSERT_TRUE(silent.start());
   FrontendConfig member = member_config(backends, kNodes, kReplication,
                                         kItems, /*cache=*/0, kFleet, 1);
@@ -744,9 +673,73 @@ TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
 
   // The reset link is counted and re-dialed. Only the GET that reached the
   // silent member waited out the deadline: it is the one re-dispatch.
-  EXPECT_TRUE(poll_until(5.0, [&] { return silent.accepted() >= 2; }));
+  EXPECT_TRUE(poll_until(5.0, [&] { return silent.accepts().size() >= 2; }));
   EXPECT_GE(router_counter(router, "router.link_resets"), 1u);
   EXPECT_EQ(router_counter(router, "router.retries"), 1u);
+  EXPECT_EQ(router_counter(router, "router.failures"), 0u);
+
+  router.stop();
+  frontend.stop();
+  silent.stop();
+  for (auto& backend : backends.servers) backend->stop();
+}
+
+TEST(FleetRouterFailure, SilentMemberStaysOutOfRoutingUntilItAnswers) {
+  // Member 0 accepts and never replies. The first GET sent to it waits out
+  // the deadline; its link is then reset and re-dialed, but stays down
+  // until member 0 answers a ping, so no other GET waits on it. The probes
+  // are the link module's own: they count no attempt and no dispatch.
+  constexpr std::uint32_t kNodes = 2;
+  constexpr std::uint32_t kReplication = 2;
+  constexpr std::uint64_t kItems = 64;
+  constexpr std::uint32_t kFleet = 2;
+  constexpr double kTimeoutS = 0.2;
+  constexpr double kRunS = 1.5;
+
+  Backends backends = start_backends(kNodes, kReplication, kItems);
+  FakePeer silent;
+  ASSERT_TRUE(silent.start());
+  FrontendConfig member = member_config(backends, kNodes, kReplication,
+                                        kItems, /*cache=*/0, kFleet, 1);
+  member.cache_policy = "none";
+  FrontendServer frontend(member);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+
+  RouterConfig router_config;
+  router_config.frontends = {{"127.0.0.1", silent.port()},
+                             {"127.0.0.1", frontend.port()}};
+  router_config.fleet_seed = kFleetSeed;
+  router_config.timeout_s = kTimeoutS;
+  RouterServer router(router_config);
+  ASSERT_TRUE(router.start());
+  ASSERT_TRUE(router.wait_frontends_up(5.0));
+
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
+  using Clock = std::chrono::steady_clock;
+  const auto end = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                      std::chrono::duration<double>(kRunS));
+  int slow = 0;
+  for (std::uint64_t i = 0; Clock::now() < end; ++i) {
+    const std::uint64_t key = i % kItems;
+    const auto sent = Clock::now();
+    const auto reply = client.get(key, 5.0);
+    ASSERT_TRUE(reply.has_value()) << "key " << key;
+    ASSERT_EQ(reply->type, MsgType::kValue) << "key " << key;
+    EXPECT_EQ(reply->payload, make_value(key, 64));
+    if (std::chrono::duration<double>(Clock::now() - sent).count() >=
+        kTimeoutS) {
+      ++slow;
+    }
+  }
+  EXPECT_LE(slow, 1) << "GETs that waited out the deadline";
+  EXPECT_EQ(silent.get_keys(), 1u) << "GETs sent to the silent member";
+  EXPECT_GE(silent.accepts().size(), 2u) << "the reset link was never re-dialed";
+  EXPECT_EQ(router_gauge(router, "router.frontends_up"), 1);
+  EXPECT_EQ(router_counter(router, "router.attempts_total"),
+            router_counter(router, "router.dispatches.fe0") +
+                router_counter(router, "router.dispatches.fe1"));
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
 
   router.stop();

@@ -1,7 +1,9 @@
 // Loopback integration tests for the live serving tier: real TCP servers on
 // kernel-assigned ports, driven by the blocking SyncClient, plus the bare
-// FrameLoop reactor echoing raw frame streams. Labeled slow — each case
-// spins up servers and sleeps on real sockets.
+// FrameLoop reactor echoing raw frame streams. The silent-backend cases pin
+// the front end's liveness rule: a backend reset for silence gets no
+// forward until it answers a ping. Labeled slow — each case spins up
+// servers and sleeps on real sockets.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -10,11 +12,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "cluster/partitioner.h"
+#include "fake_peer.h"
 #include "net/backend_server.h"
 #include "net/frame_loop.h"
 #include "net/frontend_server.h"
@@ -71,6 +75,19 @@ FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
   config.cache_capacity = cache_capacity;
   config.items = items;
   return config;
+}
+
+/// Polls `pred` every 10 ms until it holds or `timeout_s` passes.
+bool eventually(const std::function<bool()>& pred, double timeout_s = 5.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration_cast<
+                            std::chrono::steady_clock::duration>(
+                            std::chrono::duration<double>(timeout_s));
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return pred();
 }
 
 TEST(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
@@ -606,6 +623,138 @@ TEST(FrontendLoopback, ReconnectAfterFlappingBackend) {
 
   frontend.stop();
   for (auto& backend : fleet.backends) backend->stop();
+}
+
+/// A d = n = 2 tier whose node 0 is silent and node 1 a real backend, in
+/// front of it a front end without a cache and with a 0.2 s deadline.
+constexpr std::uint64_t kSilentTierItems = 4096;
+constexpr double kSilentTierTimeoutS = 0.2;
+
+struct SilentTier {
+  FakePeer silent;
+  std::unique_ptr<BackendServer> live;
+  std::unique_ptr<FrontendServer> frontend;
+
+  std::int64_t backends_up() const {
+    return frontend->metrics_snapshot().gauges.at("frontend.backends_up");
+  }
+};
+
+void start_silent_tier(SilentTier& tier) {
+  ASSERT_TRUE(tier.silent.start());
+  tier.live = std::make_unique<BackendServer>(
+      backend_config(1, 2, 2, kSilentTierItems));
+  ASSERT_TRUE(tier.live->start());
+  Fleet endpoints;
+  endpoints.endpoints = {{"127.0.0.1", tier.silent.port()},
+                         {"127.0.0.1", tier.live->port()}};
+  FrontendConfig config =
+      frontend_config(endpoints, 2, 2, kSilentTierItems, /*cache=*/0);
+  config.retry.timeout_s = kSilentTierTimeoutS;
+  tier.frontend = std::make_unique<FrontendServer>(config);
+  ASSERT_TRUE(tier.frontend->start());
+  ASSERT_TRUE(tier.frontend->wait_backends_up(5.0));
+}
+
+/// GETs keys first, first+1, ... through `client` until `done()` holds,
+/// each answered kValue; returns how many waited out the deadline.
+int get_until(SyncClient& client, std::uint64_t first,
+              const std::function<bool()>& done) {
+  using Clock = std::chrono::steady_clock;
+  int slow = 0;
+  for (std::uint64_t key = first; !done(); ++key) {
+    const auto sent = Clock::now();
+    const auto reply = client.get(key % kSilentTierItems, 5.0);
+    EXPECT_TRUE(reply.has_value() && reply->type == MsgType::kValue)
+        << "key " << key % kSilentTierItems;
+    if (std::chrono::duration<double>(Clock::now() - sent).count() >=
+        kSilentTierTimeoutS) {
+      ++slow;
+    }
+  }
+  return slow;
+}
+
+TEST(FrontendLoopback, SilentBackendStaysOutOfRoutingUntilItAnswers) {
+  // Backend 0 accepts and never replies. The first fresh key pinned to it
+  // waits out the deadline; its link is then reset and re-dialed, but stays
+  // down until backend 0 answers a ping. So the least-loaded pick, which
+  // would favour the backend that got the fewest forwards, never sends it
+  // another key.
+  SilentTier tier;
+  ASSERT_NO_FATAL_FAILURE(start_silent_tier(tier));
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", tier.frontend->port()));
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  const int slow = get_until(client, 0, [&] {
+    return std::chrono::steady_clock::now() >= end;
+  });
+  EXPECT_LE(slow, 1) << "GETs that waited out the deadline";
+  EXPECT_EQ(tier.silent.get_keys(), 1u) << "keys sent to the silent backend";
+  EXPECT_GE(tier.silent.pings(), 1u) << "the reset link was never probed";
+  EXPECT_EQ(tier.backends_up(), 1);
+  EXPECT_EQ(tier.frontend->stats().failures, 0u);
+  tier.frontend->stop();
+}
+
+TEST(FrontendLoopback, SilentBackendRejoinsOnceABackendAnswersOnItsPort) {
+  SilentTier tier;
+  ASSERT_NO_FATAL_FAILURE(start_silent_tier(tier));
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", tier.frontend->port()));
+  get_until(client, 0, [&] { return tier.silent.get_keys() > 0; });
+  ASSERT_TRUE(eventually([&] { return tier.silent.pings() > 0; }))
+      << "the reset link was never probed";
+  EXPECT_EQ(tier.backends_up(), 1);
+
+  // A real backend 0 takes over the silent one's port and answers the next
+  // probe: the link comes up, and fresh keys are forwarded to it again.
+  const std::uint16_t port = tier.silent.port();
+  tier.silent.stop();
+  BackendConfig config = backend_config(0, 2, 2, kSilentTierItems);
+  config.port = port;
+  BackendServer revived(config);
+  ASSERT_TRUE(revived.start());
+  EXPECT_TRUE(eventually([&] { return tier.backends_up() == 2; }));
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  get_until(client, kSilentTierItems / 2, [&] {
+    return revived.stats().requests > 0 ||
+           std::chrono::steady_clock::now() >= end;
+  });
+  EXPECT_GT(revived.stats().requests, 0u) << "no forward reached node 0";
+  EXPECT_EQ(tier.frontend->stats().failures, 0u);
+  tier.frontend->stop();
+  revived.stop();
+}
+
+TEST(FrontendLoopback, ProbesAreNeverPendingAndStopDoesNotWaitOnThem) {
+  // A probe belongs to the link module: it is not a pending request, so
+  // neither the gauge nor a draining stop() ever waits on one.
+  SilentTier tier;
+  ASSERT_NO_FATAL_FAILURE(start_silent_tier(tier));
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", tier.frontend->port()));
+  get_until(client, 0, [&] { return tier.silent.get_keys() > 0; });
+  const auto pending = [&] {
+    return tier.frontend->metrics_snapshot().gauges.at(
+        "frontend.pending_requests");
+  };
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  while (std::chrono::steady_clock::now() < end) {
+    ASSERT_EQ(pending(), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Stop right after a probe went out, while it awaits its reply.
+  const std::uint64_t pings = tier.silent.pings();
+  ASSERT_GE(pings, 1u) << "the reset link was never probed";
+  ASSERT_TRUE(eventually([&] { return tier.silent.pings() > pings; }));
+  const auto start = std::chrono::steady_clock::now();
+  tier.frontend->stop(/*drain_s=*/5.0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
 }
 
 TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {

@@ -9,25 +9,24 @@
 // must match replies by request id, not by order or key. The mesh cases
 // pin the peer links: sharded backends, a left peer that is never
 // re-dialed, a hung peer that the link deadline resets (failing a write it
-// leaves short of W), and a slow joiner that it does not. The last case
-// checks that every tier's stats() reads the same counters it exports.
+// leaves short of W) and keeps out of fan-out until it answers a ping, and
+// a slow joiner that it does not reset. The last case checks that every
+// tier's stats() reads the same counters it exports.
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/partitioner.h"
+#include "fake_peer.h"
 #include "net/backend_server.h"
 #include "net/frontend_server.h"
 #include "net/router_server.h"
@@ -460,142 +459,11 @@ TEST(QuorumSuite, LeftPeerIsNeverRedialed) {
   for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
-/// A replica stand-in: it accepts every connection and decodes every frame.
-/// Hung (a zero pace), it never replies. Slow, it answers each connection's
-/// frames in order, one every `pace`: kRepAck, kPong, or an empty kVerValue.
-/// Records when each connection arrived and when the first bytes did, and
-/// the key of every kReplicate it answered.
-class FakePeer {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  explicit FakePeer(std::chrono::milliseconds pace = {}) : pace_(pace) {}
-  ~FakePeer() { stop(); }
-
-  bool start() {
-    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
-    if (!listener_.valid()) return false;
-    thread_ = std::thread([this] { run(); });
-    return true;
-  }
-
-  void stop() {
-    stopping_.store(true, std::memory_order_relaxed);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  std::uint16_t port() const noexcept { return port_; }
-
-  std::vector<Clock::time_point> accepts() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return accepts_;
-  }
-
-  std::optional<Clock::time_point> first_bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return first_bytes_;
-  }
-
-  std::vector<KeyId> acked() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return acked_;
-  }
-
- private:
-  struct Conn {
-    Socket socket;
-    FrameReader reader;
-    std::deque<Message> owed;
-  };
-
-  static Message answer(const Message& request) {
-    Message reply;
-    reply.id = request.id;
-    reply.key = request.key;
-    if (request.type == MsgType::kReplicate) {
-      reply.type = MsgType::kRepAck;
-      reply.version = request.version;
-      reply.flags = kFlagApplied;
-    } else if (request.type == MsgType::kPing) {
-      reply.type = MsgType::kPong;
-    } else {
-      reply.type = MsgType::kVerValue;
-    }
-    return reply;
-  }
-
-  /// Reads what `conn` has; false once it is closed or corrupt.
-  bool receive(Conn& conn) {
-    std::uint8_t buffer[16384];
-    const ssize_t n = ::recv(conn.socket.fd(), buffer, sizeof(buffer), 0);
-    if (n <= 0) return false;
-    conn.reader.append({buffer, static_cast<std::size_t>(n)});
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_bytes_.has_value()) first_bytes_ = Clock::now();
-    }
-    while (auto payload = conn.reader.next_payload()) {
-      auto message = decode_payload(*payload);
-      if (!message.has_value()) return false;
-      if (pace_.count() > 0) conn.owed.push_back(std::move(*message));
-    }
-    return !conn.reader.corrupted();
-  }
-
-  void run() {
-    std::vector<Conn> conns;
-    Clock::time_point next_reply = Clock::now();
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      std::vector<pollfd> fds{{listener_.fd(), POLLIN, 0}};
-      for (const Conn& conn : conns) {
-        fds.push_back({conn.socket.fd(), POLLIN, 0});
-      }
-      ::poll(fds.data(), fds.size(), 1);
-      if ((fds[0].revents & POLLIN) != 0) {
-        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-        if (fd >= 0) {
-          conns.push_back(Conn{Socket(fd), FrameReader(), {}});
-          std::lock_guard<std::mutex> lock(mutex_);
-          accepts_.push_back(Clock::now());
-        }
-      }
-      // Backwards, so dropping a closed connection keeps the rest aligned
-      // with fds (fds[i] is conns[i - 1]).
-      for (std::size_t i = fds.size() - 1; i >= 1; --i) {
-        if (fds[i].revents == 0 || receive(conns[i - 1])) continue;
-        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i - 1));
-      }
-      if (pace_.count() == 0 || Clock::now() < next_reply) continue;
-      next_reply = Clock::now() + pace_;
-      for (Conn& conn : conns) {
-        if (conn.owed.empty()) continue;
-        const Message& request = conn.owed.front();
-        const std::vector<std::uint8_t> frame = encode(answer(request));
-        // Replies are small; a short send only happens on a closing socket.
-        ::send(conn.socket.fd(), frame.data(), frame.size(), MSG_NOSIGNAL);
-        if (request.type == MsgType::kReplicate) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          acked_.push_back(request.key);
-        }
-        conn.owed.pop_front();
-      }
-    }
-  }
-
-  const std::chrono::milliseconds pace_;
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
-  mutable std::mutex mutex_;
-  std::vector<Clock::time_point> accepts_;
-  std::optional<Clock::time_point> first_bytes_;
-  std::vector<KeyId> acked_;
-};
-
 TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
   // Nodes 0 and 1 are real; node 2 accepts and never replies. Each real
   // node sees node 2 at its own FakePeer, so each one's re-dial is visible.
+  // Both real nodes coordinate writes: a peer link is reset only when a
+  // frame on it goes unanswered, and nothing else is sent to an idle peer.
   constexpr double kOpTimeoutS = 0.5;
   constexpr double kSweepS = 0.020;  // upstream.cpp
   // The oldest frame's deadline, three sweep periods (the reset, and the
@@ -621,10 +489,13 @@ TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
   }
   for (auto& backend : backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
 
-  SyncClient writer;
-  ASSERT_TRUE(writer.connect("127.0.0.1", backends[0]->port()));
+  SyncClient writers[2];
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    ASSERT_TRUE(writers[node].connect("127.0.0.1", backends[node]->port()));
+  }
   for (std::uint64_t key = 0; key < 50; ++key) {
-    const auto ack = writer.call(make_put(key, "w=2 without node 2"), 3.0);
+    const auto ack =
+        writers[key % 2].call(make_put(key, "w=2 without node 2"), 3.0);
     ASSERT_TRUE(ack.has_value()) << "key " << key;
     ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
   }
@@ -641,6 +512,11 @@ TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
     EXPECT_GE(counter(backends[node]->metrics_snapshot(),
                       "backend.link_resets"),
               1u)
+        << "node " << node;
+    // Re-dialed but silent, node 2 stays down: this node and node 1 are up.
+    EXPECT_EQ(backends[node]->metrics_snapshot().gauges.at(
+                  "backend.peers_alive"),
+              2)
         << "node " << node;
   }
 
@@ -676,9 +552,9 @@ TEST(QuorumSuite, WriteShortOfWFailsOnceItsHungPeersAreReset) {
           .count();
   ASSERT_TRUE(reply.has_value()) << "the write was never answered";
   EXPECT_EQ(reply->type, MsgType::kError);
-  // A link is reset once its oldest frame (the write's, or an earlier
-  // detector ping's) is overdue: within the deadline, two sweep periods
-  // and 250 ms of slack for a loaded host or a sanitizer.
+  // A link is reset once its oldest frame, the write's, is overdue: within
+  // the deadline, two sweep periods and 250 ms of slack for a loaded host or
+  // a sanitizer.
   EXPECT_LE(took_s, kOpTimeoutS + 2 * 0.020 + 0.250);
   EXPECT_EQ(counter(backend.metrics_snapshot(), "backend.quorum_failures"), 1u);
 

@@ -1,8 +1,7 @@
 // Unit tests for the replication layer's pure state machines: version
-// clocks, live membership, the ping failure detector (synthetic time),
-// quorum accounting, and rebalance handoff planning. No sockets, no
-// threads — the loopback suite (test_net_quorum) proves the same invariants
-// over real connections.
+// clocks, quorum accounting, and rebalance handoff planning. No sockets —
+// the loopback suite (test_net_quorum) proves the same invariants over real
+// connections, where a peer's liveness is its link state (net/upstream.h).
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -16,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/partitioner.h"
-#include "replication/failure_detector.h"
-#include "replication/membership.h"
 #include "replication/quorum.h"
 #include "replication/rebalance.h"
 #include "replication/version.h"
@@ -85,143 +82,6 @@ TEST(VersionClock, ConcurrentMintsNeverCollide) {
   std::set<std::uint64_t> unique;
   for (const auto& batch : minted) unique.insert(batch.begin(), batch.end());
   EXPECT_EQ(unique.size(), static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-// --- Membership -----------------------------------------------------------
-
-TEST(Membership, UnknownNodesAreLeftAndDead) {
-  Membership membership;
-  EXPECT_EQ(membership.state(9), NodeState::kLeft);
-  EXPECT_FALSE(membership.alive(9));
-  EXPECT_EQ(membership.alive_count(), 0u);
-  EXPECT_EQ(membership.epoch(), 0u);
-}
-
-TEST(Membership, AddSetStateRemoveDriveAlivenessAndEpoch) {
-  Membership membership;
-  membership.add_node(1);
-  membership.add_node(2);
-  const std::uint64_t after_add = membership.epoch();
-  EXPECT_GT(after_add, 0u);
-  EXPECT_TRUE(membership.alive(1));
-  EXPECT_TRUE(membership.alive(2));
-  EXPECT_EQ(membership.alive_count(), 2u);
-
-  // Suspect still counts toward sloppy quorums.
-  EXPECT_TRUE(membership.set_state(1, NodeState::kSuspect));
-  EXPECT_TRUE(membership.alive(1));
-  EXPECT_EQ(membership.alive_count(), 2u);
-  // A repeated transition to the same state is a no-op.
-  EXPECT_FALSE(membership.set_state(1, NodeState::kSuspect));
-
-  EXPECT_TRUE(membership.set_state(1, NodeState::kDown));
-  EXPECT_FALSE(membership.alive(1));
-  EXPECT_EQ(membership.alive_count(), 1u);
-
-  membership.remove_node(2);
-  EXPECT_EQ(membership.state(2), NodeState::kLeft);
-  EXPECT_FALSE(membership.alive(2));
-  EXPECT_EQ(membership.alive_count(), 0u);
-  EXPECT_GT(membership.epoch(), after_add);
-}
-
-TEST(Membership, ReAddRevivesDownAndLeftNodes) {
-  Membership membership;
-  membership.add_node(5);
-  membership.set_state(5, NodeState::kDown);
-  membership.add_node(5);
-  EXPECT_EQ(membership.state(5), NodeState::kUp);
-
-  membership.remove_node(5);
-  membership.add_node(5);
-  EXPECT_EQ(membership.state(5), NodeState::kUp);
-  EXPECT_EQ(membership.snapshot().size(), 1u);  // revived, not duplicated
-}
-
-// --- PingFailureDetector --------------------------------------------------
-
-TEST(FailureDetector, FreshNodeGetsGracePeriodAndPings) {
-  PingFailureDetector detector(
-      {.interval_s = 0.1, .suspect_after_s = 0.25, .timeout_s = 0.5});
-  detector.add_node(1, /*now_s=*/100.0);
-  EXPECT_TRUE(detector.tracks(1));
-  EXPECT_FALSE(detector.suspect(1));
-  EXPECT_FALSE(detector.down(1));
-
-  // First tick pings immediately; a tick inside the interval does not.
-  std::vector<NodeId> to_ping;
-  EXPECT_TRUE(detector.tick(100.0, &to_ping).empty());
-  EXPECT_EQ(to_ping, std::vector<NodeId>{1});
-  to_ping.clear();
-  detector.tick(100.05, &to_ping);
-  EXPECT_TRUE(to_ping.empty());
-  detector.tick(100.11, &to_ping);
-  EXPECT_EQ(to_ping, std::vector<NodeId>{1});
-}
-
-TEST(FailureDetector, SilenceEscalatesSuspectThenDown) {
-  PingFailureDetector detector(
-      {.interval_s = 0.1, .suspect_after_s = 0.25, .timeout_s = 0.5});
-  detector.add_node(1, 0.0);
-
-  auto events = detector.tick(0.2, nullptr);
-  EXPECT_TRUE(events.empty());
-
-  events = detector.tick(0.3, nullptr);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0],
-            (PingFailureDetector::Event{
-                1, PingFailureDetector::Transition::kSuspect}));
-  EXPECT_TRUE(detector.suspect(1));
-  EXPECT_FALSE(detector.down(1));
-  // The transition fires once, not on every tick.
-  EXPECT_TRUE(detector.tick(0.35, nullptr).empty());
-
-  events = detector.tick(0.6, nullptr);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0], (PingFailureDetector::Event{
-                           1, PingFailureDetector::Transition::kDown}));
-  EXPECT_TRUE(detector.down(1));
-  EXPECT_TRUE(detector.tick(0.7, nullptr).empty());
-}
-
-TEST(FailureDetector, PongKeepsNodeUpAndRevivesTheDead) {
-  PingFailureDetector detector(
-      {.interval_s = 0.1, .suspect_after_s = 0.25, .timeout_s = 0.5});
-  detector.add_node(1, 0.0);
-
-  // Regular pongs: never suspect.
-  for (double now = 0.1; now < 2.0; now += 0.1) {
-    EXPECT_EQ(detector.record_pong(1, now),
-              PingFailureDetector::Transition::kNone);
-    EXPECT_TRUE(detector.tick(now, nullptr).empty());
-  }
-  EXPECT_FALSE(detector.suspect(1));
-
-  // Silence until down, then a late pong revives.
-  detector.tick(3.0, nullptr);
-  ASSERT_TRUE(detector.down(1));
-  EXPECT_EQ(detector.record_pong(1, 3.1),
-            PingFailureDetector::Transition::kRecovered);
-  EXPECT_FALSE(detector.down(1));
-  EXPECT_FALSE(detector.suspect(1));
-  EXPECT_TRUE(detector.tick(3.15, nullptr).empty());
-}
-
-TEST(FailureDetector, RemoveNodeStopsTracking) {
-  PingFailureDetector detector;
-  detector.add_node(1, 0.0);
-  detector.add_node(2, 0.0);
-  detector.remove_node(1);
-  EXPECT_FALSE(detector.tracks(1));
-  EXPECT_TRUE(detector.tracks(2));
-  // A removed node never produces transitions or pings.
-  std::vector<NodeId> to_ping;
-  auto events = detector.tick(100.0, &to_ping);
-  for (const auto& event : events) EXPECT_NE(event.node, 1u);
-  EXPECT_EQ(std::count(to_ping.begin(), to_ping.end(), 1u), 0);
-  EXPECT_EQ(detector.record_pong(1, 100.0),
-            PingFailureDetector::Transition::kNone);
 }
 
 // --- WriteQuorum ----------------------------------------------------------
