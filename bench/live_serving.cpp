@@ -417,8 +417,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     config.read_quorum = static_cast<std::uint32_t>(flags.read_quorum);
     config.detect = flags.detect;
     config.detect_interval_s = flags.detect_interval_ms / 1000.0;
-    config.detect_hot_fraction = flags.detect_threshold;
-    config.detect_min_samples = flags.detect_min_samples;
     auto backend = std::make_unique<net::BackendServer>(config);
     if (!backend->start()) {
       std::fprintf(stderr, "live_serving: backend %u failed to start\n", node);
@@ -427,12 +425,10 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
     endpoints.emplace_back("127.0.0.1", backend->port());
     backends.push_back(std::move(backend));
   }
-  // Writes need the replica mesh (quorum fan-out between backends), and so
-  // does hot-key gossip (kHotKeyReport rides the same peer connections).
-  // Ports are kernel-assigned, so the mesh is wired after every node is up.
-  // Plain read-only runs skip it to stay byte-identical to earlier
-  // revisions.
-  if (flags.write_frac > 0.0 || flags.detect) {
+  // Writes need the replica mesh (quorum fan-out between backends). Ports
+  // are kernel-assigned, so the mesh is wired after every node is up.
+  // Read-only runs skip it to stay byte-identical to earlier revisions.
+  if (flags.write_frac > 0.0) {
     for (auto& backend : backends) backend->set_peers(endpoints);
     for (auto& backend : backends) {
       if (!backend->wait_peers_up(5.0)) {
@@ -978,9 +974,9 @@ int main(int argc, char** argv) {
   flag_set.add_double("shift-period", &flags.shift_period,
                       "adaptive attack: seconds between key-set shifts");
   flag_set.add_bool("detect", &flags.detect,
-                    "hot-key detection: backends sketch + gossip "
-                    "kHotKeyReport over the replica mesh, the FE subscribes "
-                    "and mitigates (force-admit / re-provision)");
+                    "hot-key detection: backends sketch served GETs and push "
+                    "kHotKeyReport to the subscribed FE, which merges them, "
+                    "classifies and mitigates (force-admit / re-provision)");
   flag_set.add_double("detect-interval-ms", &flags.detect_interval_ms,
                       "backend report + sketch-aging cadence");
   flag_set.add_double("detect-threshold", &flags.detect_threshold,

@@ -1,18 +1,18 @@
 // Hot-key detection: per-backend heavy-hitter tracking and the cross-node
-// aggregation that turns gossiped top-k reports into a global hot set.
+// aggregation that turns the backends' top-k reports into a global hot set.
 //
 // The attack this detects (per the gossip-DoS paper in PAPERS.md) is a
 // cache-miss flood: an adversary queries a small key set chosen to miss the
 // front-end cache, so every request lands on the keys' d replicas. Each
 // backend only sees its own slice of that flood; the signature — a few keys
 // carrying a large fraction of the *cluster-wide* backend request stream —
-// only appears once nodes exchange their observations. Hence the split:
+// only appears once every backend's observation is merged in one place, a
+// front end. Hence the split:
 //
 //   HotKeyDetector   — wraps a SpaceSaving sketch on one backend's serve
 //                      path and periodically drains it into a HotKeyReport
 //                      (the payload of the kHotKeyReport wire frame).
-//   HotKeyAggregator — merges the latest report per node (a backend's own
-//                      plus everything gossiped to it, or everything a
+//   HotKeyAggregator — merges the latest report per node (everything a
 //                      subscribed front end receives) and classifies keys
 //                      whose aggregated share of the backend request stream
 //                      crosses a threshold, with hysteresis so borderline

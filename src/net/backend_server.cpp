@@ -15,6 +15,10 @@
 namespace scp::net {
 namespace {
 
+/// Entries per hot-key report. The sketch has 8× as many monitor slots, so
+/// every key above 1/128 of a report window is guaranteed monitored.
+constexpr std::size_t kHotReportEntries = 16;
+
 std::chrono::steady_clock::time_point deadline_after(double seconds) {
   return std::chrono::steady_clock::now() +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -91,16 +95,8 @@ bool BackendServer::in_group(const std::vector<NodeId>& group) const noexcept {
 bool BackendServer::start() {
   preload();
   if (config_.detect) {
-    if (config_.detect_k == 0) config_.detect_k = 16;
-    const std::size_t slots = config_.detect_capacity != 0
-                                  ? config_.detect_capacity
-                                  : std::size_t{8} * config_.detect_k;
-    hot_detector_ =
-        std::make_unique<detect::HotKeyDetector>(slots, config_.detect_k);
-    hot_agg_ = detect::HotKeyAggregator(detect::HotKeyAggregator::Options{
-        .hot_fraction = config_.detect_hot_fraction,
-        .drop_ratio = 0.5,
-        .min_samples = config_.detect_min_samples});
+    hot_detector_ = std::make_unique<detect::HotKeyDetector>(
+        8 * kHotReportEntries, kHotReportEntries);
   }
   shards_.clear();
   for (std::size_t k = 0; k < pool_.shards(); ++k) {
@@ -151,8 +147,6 @@ bool BackendServer::start() {
     if (config_.detect) {
       s->hot_observed = &r.counter("detect.observed");
       s->hot_reports_sent = &r.counter("detect.reports_sent");
-      s->hot_reports_received = &r.counter("detect.reports_received");
-      s->hot_flagged_total = &r.counter("detect.flagged_keys");
     }
     s->service_us = &r.timer("backend.service_us");
     s->write_us = &r.timer("backend.write_quorum_us");
@@ -273,17 +267,10 @@ obs::MetricsSnapshot BackendServer::metrics_snapshot() const {
           : 0;
   snap.gauges["backend.membership_epoch"] =
       static_cast<std::int64_t>(ring_epoch_.load(std::memory_order_acquire));
-  if (config_.detect) {
-    {
-      std::lock_guard lock(hot_agg_mutex_);
-      snap.gauges["detect.hot_keys"] =
-          static_cast<std::int64_t>(hot_agg_.hot().size());
-    }
-    if (hot_detector_ != nullptr) {
-      std::lock_guard lock(hot_mutex_);
-      snap.gauges["detect.sketch_keys"] =
-          static_cast<std::int64_t>(hot_detector_->monitored_keys());
-    }
+  if (hot_detector_ != nullptr) {
+    std::lock_guard lock(hot_mutex_);
+    snap.gauges["detect.sketch_keys"] =
+        static_cast<std::int64_t>(hot_detector_->monitored_keys());
   }
   return snap;
 }
@@ -329,11 +316,6 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       return;
     case MsgType::kLeave:
       handle_leave(shard, conn, message);
-      return;
-    case MsgType::kHotKeyReport:
-      // Gossip from a peer, on the connection the peer dialed to us.
-      // One-way: no reply.
-      handle_hot_report(shard, message);
       return;
     case MsgType::kHotKeySubscribe:
       // One-way (see wire.h): no reply.
@@ -776,17 +758,10 @@ void BackendServer::hot_tick() {
     hot_detector_->age();
   }
   if (report.total > 0) {
-    absorb_hot_report(shard, report);
+    // One-way (id 0): no reply is owed, so nothing is registered.
     Message message;
     message.type = MsgType::kHotKeyReport;
     message.hot = std::move(report);
-    // Gossip to the mesh peers whose links are up. One-way (id 0): no
-    // reply is owed, so nothing is registered.
-    for (std::uint32_t node = 0; node < shard.upstream->size(); ++node) {
-      if (shard.upstream->send_unmatched(node, message)) {
-        shard.hot_reports_sent->inc();
-      }
-    }
     // Push to subscribed front ends; subscriptions live per shard.
     for (auto& other : shards_) {
       Shard* s = other.get();
@@ -798,18 +773,6 @@ void BackendServer::hot_tick() {
     }
   }
   shard.loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
-}
-
-void BackendServer::handle_hot_report(Shard& shard, const Message& message) {
-  if (!config_.detect) return;  // peer detects, we don't: drop silently
-  shard.hot_reports_received->inc();
-  absorb_hot_report(shard, message.hot);
-}
-
-void BackendServer::absorb_hot_report(Shard& shard,
-                                      const detect::HotKeyReport& report) {
-  std::lock_guard lock(hot_agg_mutex_);
-  shard.hot_flagged_total->inc(hot_agg_.update(report).size());
 }
 
 void BackendServer::stream_handoff(

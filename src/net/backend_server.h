@@ -20,15 +20,15 @@
 //
 // Liveness: a peer is up exactly when the shard's Upstream link to it is
 // up (upstream.h), the rule the front end and the router route by too.
-// Write and quorum-read fan-out and hot-key gossip skip a peer whose link
-// is down (the send fails), so a hung peer leaves routing once a request to
-// it outlives op_timeout_s and returns only when it answers a ping. An
-// idle link to a peer that hangs is not noticed until the next request to
-// it. kJoin/kLeave mutate the consistent-hash ring live, bumping the ring
-// epoch: each member re-plans ownership, elects one streamer per moved key
-// (the first old holder that is this node or whose link is up) and streams
-// handoff as idempotent kReplicate applies — old holders keep serving while
-// keys move.
+// Write and quorum-read fan-out skip a peer whose link is down (the send
+// fails), so a hung peer leaves routing once a request to it outlives
+// op_timeout_s and returns only when it answers a ping. An idle link to a
+// peer that hangs is not noticed until the next request to it. kJoin/kLeave
+// mutate the consistent-hash ring live, bumping the ring epoch: each member
+// re-plans ownership, elects one streamer per moved key (the first old
+// holder that is this node or whose link is up) and streams handoff as
+// idempotent kReplicate applies — old holders keep serving while keys
+// move.
 //
 // Each shard drives its peers through one Upstream (upstream.h), the link
 // module the front end and the router use too: it dials and re-dials,
@@ -40,9 +40,16 @@
 // write is acked only once W replicas confirmed, after replies to requests
 // sent later.
 //
+// Hot-key detection (config.detect): every served GET feeds one
+// SpaceSaving sketch shared by the shards. Every detect_interval_s shard 0
+// drains it into a kHotKeyReport, ages it and pushes the report to the
+// connections that sent kHotKeySubscribe (front ends). The front ends merge
+// every backend's reports and decide what is hot; a backend keeps no hot
+// set of its own, so detection needs no replica mesh.
+//
 // Counters live only in each shard's metrics registry, bumped by the shard
-// whose loop runs the code (gossip and handoff included); stats() and
-// metrics_snapshot() read them back.
+// whose loop runs the code (report pushes and handoff included); stats()
+// and metrics_snapshot() read them back.
 #pragma once
 
 #include <atomic>
@@ -105,19 +112,12 @@ struct BackendConfig {
   /// kError.
   double op_timeout_s = 1.0;
 
-  /// Hot-key detection (src/detect): maintain a SpaceSaving sketch over the
-  /// GETs this node serves, and every detect_interval_s gossip the top
-  /// detect_k as a kHotKeyReport to mesh peers whose links are up and to
-  /// connections that sent kHotKeySubscribe (front ends). Received reports
-  /// feed a HotKeyAggregator whose globally-hot view is exported as
-  /// detect.* metrics — the backend-side view of a cache-miss flood.
+  /// Hot-key detection (src/detect): sketch the GETs this node serves and
+  /// every detect_interval_s push the sketch's top keys as a kHotKeyReport
+  /// to the connections that sent kHotKeySubscribe (front ends), which
+  /// classify. Exported as detect.observed / .reports_sent / .sketch_keys.
   bool detect = false;
-  std::uint32_t detect_k = 16;      ///< entries per report
-  std::size_t detect_capacity = 0;  ///< sketch monitor slots; 0 = 8×detect_k
   double detect_interval_s = 0.25;  ///< report + sketch-aging cadence
-  /// Aggregator classification knobs (see detect::HotKeyAggregator).
-  double detect_hot_fraction = 0.02;
-  std::uint64_t detect_min_samples = 256;
 };
 
 class BackendServer {
@@ -207,8 +207,6 @@ class BackendServer {
     // config.detect only.
     obs::Counter* hot_observed = nullptr;
     obs::Counter* hot_reports_sent = nullptr;
-    obs::Counter* hot_reports_received = nullptr;
-    obs::Counter* hot_flagged_total = nullptr;
     obs::Timer* service_us = nullptr;
     obs::Timer* write_us = nullptr;
     obs::Timer* quorum_read_us = nullptr;
@@ -257,14 +255,10 @@ class BackendServer {
       Shard& shard,
       const std::function<void(KeyId, std::span<NodeId>)>& old_group_of);
 
-  /// Hot-key gossip tick (shard 0's loop): drain the sketch into a report,
-  /// absorb it locally, gossip it to the peers whose links are up and post
-  /// it to every shard's subscribers. One-way frames — no reply bookkeeping
-  /// anywhere.
+  /// Hot-key report tick (shard 0's loop): drain the sketch into a report,
+  /// age it and post the report to every shard's subscribers. One-way
+  /// frames — no reply bookkeeping anywhere.
   void hot_tick();
-  void handle_hot_report(Shard& shard, const Message& message);
-  /// Merges a report (own or gossiped) into this node's aggregated view.
-  void absorb_hot_report(Shard& shard, const detect::HotKeyReport& report);
 
   BackendConfig config_;
   std::unique_ptr<ReplicaPartitioner> partitioner_;
@@ -281,11 +275,9 @@ class BackendServer {
   /// Hot-key detection state. The sketch is guarded by its own mutex: every
   /// shard's serve path observes into it (~20 ns uncontended, in line with
   /// the shared storage locks already on that path) and shard 0's tick
-  /// drains it. The aggregator is touched by any shard receiving gossip.
+  /// drains it.
   std::unique_ptr<detect::HotKeyDetector> hot_detector_;
   mutable std::mutex hot_mutex_;
-  detect::HotKeyAggregator hot_agg_;
-  mutable std::mutex hot_agg_mutex_;
 
   replication::VersionClock clock_;
   /// Ring changes applied by kJoin/kLeave; their acks carry it.

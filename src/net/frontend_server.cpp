@@ -413,11 +413,16 @@ void FrontendServer::serve_get(Shard& shard, ReplyTo client,
     }
   }
   shard.misses->inc();
+  fetch(shard, client, key, start_ns);
+}
+
+void FrontendServer::fetch(Shard& shard, ReplyTo client, std::uint64_t key,
+                           std::uint64_t start_ns) {
   auto [it, inserted] = shard.inflight.try_emplace(key);
   if (!inserted) {
     // Single-flight: a forward for this key is already on the wire (or
     // retrying); park here and let its one reply answer everyone.
-    it->second.push_back({client, start_ns});
+    it->second.waiters.push_back({client, start_ns, !it->second.fills});
     return;
   }
   // Lead request: owns the inflight entry until finish_waiters settles it.
@@ -462,7 +467,9 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
                                     const Forward& request, Message&& reply) {
   switch (reply.type) {
     case MsgType::kValue: {
-      if (request.op == MsgType::kGet) {
+      const auto it = shard.inflight.find(request.key);
+      if (request.op == MsgType::kGet &&
+          (it == shard.inflight.end() || it->second.fills)) {
         admit(shard, request.key, reply.payload);
         // A dirty perfect-oracle key becomes cacheable again once the
         // authoritative value matches what the oracle synthesizes.
@@ -485,15 +492,6 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       // turning future hits into forwards.
       if (request.op == MsgType::kGet) {
         drop_cached(shard, request.key);
-        // A relayed MISS settles a dirty oracle key too: the backends are
-        // authoritative, so the dirty marker has done its job. Keeping it
-        // would leak an entry per deleted key and forward that key's GETs
-        // forever. The oracle resumes synthesizing afterwards — Assumption
-        // 2 models cache capacity, not deletions, and the regression test
-        // pins that trade.
-        if (!shard.dirty.empty() && shard.dirty.erase(request.key) != 0) {
-          shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
-        }
       }
       // An absent key keeps no pin: a flood of distinct absent keys would
       // otherwise grow the table without bound.
@@ -537,11 +535,17 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
                                     const std::string& payload) {
   auto it = shard.inflight.find(key);
   if (it == shard.inflight.end()) return;
-  const std::vector<Waiter> waiters = std::move(it->second);
+  const std::vector<Waiter> waiters = std::move(it->second.waiters);
   shard.inflight.erase(it);
   if (waiters.empty()) return;
   const std::uint64_t now = obs::now_ns();
   for (const Waiter& waiter : waiters) {
+    if (waiter.refetch) {
+      // Its GET came after a write the lead's verdict may predate: it leads
+      // (or parks on) a fetch of its own, and is counted when that settles.
+      fetch(shard, waiter.client, key, waiter.start_ns);
+      continue;
+    }
     if (type == MsgType::kError) {
       // The lead exhausted its attempt budget for everyone parked behind
       // it: each waiter is its own failed request in the ledger.
@@ -705,6 +709,11 @@ void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
   const bool is_perfect = config_.cache_policy == "perfect";
   Shard& owner = *shards_[shards_.size() == 1 ? 0 : shard_of(key)];
   const auto apply = [this, key, is_perfect](Shard& target) {
+    // A fetch already out may answer with pre-write bytes: detach it.
+    if (const auto it = target.inflight.find(key);
+        it != target.inflight.end()) {
+      it->second.fills = false;
+    }
     if (is_perfect) {
       if (!target.dirty.insert(key).second) return;  // already dirty
       target.dirty_keys->set(static_cast<std::int64_t>(target.dirty.size()));

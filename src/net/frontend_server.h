@@ -131,8 +131,8 @@ struct FrontendConfig {
   /// oracle re-provisions the key within the shard's slice instead (see
   /// the file comment). Exported as detect.* metrics.
   bool detect = false;
-  /// Aggregator classification knobs (see detect::HotKeyAggregator);
-  /// should match the backends' so both sides agree on what is hot.
+  /// Aggregator classification knobs (see detect::HotKeyAggregator), the
+  /// tier's only ones: backends report what they served, front ends decide.
   double detect_hot_fraction = 0.02;
   std::uint64_t detect_min_samples = 256;
 };
@@ -204,6 +204,17 @@ class FrontendServer {
   struct Waiter {
     ReplyTo client;
     std::uint64_t start_ns = 0;
+    /// Parked after a write detached the fetch, whose verdict may predate
+    /// the write: fetched again when the fetch settles, not answered by it.
+    bool refetch = false;
+  };
+
+  /// The one in-flight GET forward for a key and the clients parked on it.
+  struct Inflight {
+    std::vector<Waiter> waiters;
+    /// False once a write to the key reached this shard after the fetch was
+    /// sent: its reply neither fills the slot nor clears a dirty mark.
+    bool fills = true;
   };
 
   /// Everything one reactor touches on the request path. Owned by the shard
@@ -220,17 +231,16 @@ class FrontendServer {
     /// Perfect-oracle keys invalidated by a write: served as misses until a
     /// backend refetch returns the oracle's synthesized value again. (The
     /// oracle can't hold arbitrary bytes, so a key written with foreign
-    /// bytes stays dirty and is served by forwarding — still correct, just
-    /// uncached.)
+    /// bytes, or deleted, stays dirty and is served by forwarding — still
+    /// correct, just uncached.) Bounded by the keys the oracle may serve.
     std::unordered_set<std::uint64_t> dirty;
     Rng rng{1};
 
     std::unique_ptr<Upstream> upstream;  ///< one link per backend node
-    /// Single-flight table: key -> waiters parked on the one in-flight GET
-    /// forward for that key (the lead request is pending on a backend
-    /// connection as usual; retries and failover move the lead, never the
-    /// waiters).
-    std::unordered_map<std::uint64_t, std::vector<Waiter>> inflight;
+    /// Single-flight table: key -> the one in-flight GET forward for that
+    /// key (the lead request is pending on a backend connection as usual;
+    /// retries and failover move the lead, never the waiters).
+    std::unordered_map<std::uint64_t, Inflight> inflight;
     std::vector<double> loads;  ///< keys sent per backend (routing)
     /// key -> backend it was first sent to; a key that settles kMiss drops
     /// its pin, so pins stay bounded by the keys the backends hold.
@@ -327,17 +337,20 @@ class FrontendServer {
                         std::uint32_t node);
 
   /// One GET of a kGet / kBatchGet client frame: cache lookup, fleet
-  /// bounce, or a miss that parks on the in-flight forward for `key`
-  /// (single-flight), else forwards. `start_ns` is the frame arrival time.
+  /// bounce, or a miss that fetches. `start_ns` is the frame arrival time.
   void serve_get(Shard& shard, ReplyTo client, std::uint64_t key,
                  std::uint64_t start_ns);
+  /// A GET miss: parks on the in-flight forward for `key` (single-flight),
+  /// else forwards as its lead.
+  void fetch(Shard& shard, ReplyTo client, std::uint64_t key,
+             std::uint64_t start_ns);
   /// Settles one forwarded request with its backend verdict; fans the
   /// result out to any coalesced waiters on GETs.
   void settle_forward(Shard& shard, std::uint32_t node,
                       const Forward& request, Message&& reply);
-  /// Completion fan-out: answers every waiter parked on `key` with the
-  /// lead's verdict (kValue, kMiss or kError) and erases the in-flight
-  /// entry.
+  /// Completion fan-out: erases `key`'s in-flight entry and answers every
+  /// waiter parked on it with the lead's verdict (kValue, kMiss or kError),
+  /// but fetches a waiter marked refetch again.
   void finish_waiters(Shard& shard, std::uint64_t key, MsgType type,
                       const std::string& payload);
 

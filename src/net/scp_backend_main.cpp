@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   std::uint64_t write_quorum = 0;
   std::uint64_t read_quorum = 0;
   double op_timeout_ms = 1000.0;
-  std::uint64_t detect_k = config.detect_k;
-  std::uint64_t detect_capacity = 0;
   double detect_interval_ms = 250.0;
 
   FlagSet flags("scp_backend: replica-group member serving GETs over TCP");
@@ -74,17 +72,10 @@ int main(int argc, char** argv) {
                    "leaves short, and stays out of fan-out until it answers "
                    "a ping");
   flags.add_bool("detect", &config.detect,
-                 "hot-key detection: sketch served GETs, gossip kHotKeyReport "
-                 "to mesh peers and subscribed front ends");
-  flags.add_uint64("detect-k", &detect_k, "top-k entries per hot-key report");
-  flags.add_uint64("detect-capacity", &detect_capacity,
-                   "SpaceSaving monitor slots (0 = 8 x detect-k)");
+                 "hot-key detection: sketch served GETs and push kHotKeyReport "
+                 "to subscribed front ends");
   flags.add_double("detect-interval-ms", &detect_interval_ms,
                    "hot-key report + sketch-aging cadence");
-  flags.add_double("detect-threshold", &config.detect_hot_fraction,
-                   "aggregated share of the backend stream that flags a key");
-  flags.add_uint64("detect-min-samples", &config.detect_min_samples,
-                   "no hot-key classification below this aggregated total");
   if (!flags.parse(argc, argv)) return 2;
 
   config.port = static_cast<std::uint16_t>(port);
@@ -109,8 +100,6 @@ int main(int argc, char** argv) {
   config.write_quorum = static_cast<std::uint32_t>(write_quorum);
   config.read_quorum = static_cast<std::uint32_t>(read_quorum);
   config.op_timeout_s = op_timeout_ms / 1000.0;
-  config.detect_k = static_cast<std::uint32_t>(detect_k);
-  config.detect_capacity = static_cast<std::size_t>(detect_capacity);
   config.detect_interval_s = detect_interval_ms / 1000.0;
 
   BackendServer server(config);

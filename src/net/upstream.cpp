@@ -41,6 +41,11 @@ void Upstream::arm() {
       if (!links_[link].queued.empty()) flush(link);
     }
   });
+}
+
+void Upstream::sweep_soon() {
+  if (sweeping_) return;
+  sweeping_ = true;
   loop_.run_after(kSweepIntervalS, [this] { sweep(); });
 }
 
@@ -122,6 +127,7 @@ void Upstream::probe(std::uint32_t link) {
   loop_.send(l.conn, ping);
   const auto deadline = std::chrono::steady_clock::now() + timeout_;
   l.pending.add(Forward{.op = MsgType::kPing, .deadline = deadline});
+  sweep_soon();
 }
 
 void Upstream::on_close(ConnId conn) {
@@ -322,9 +328,11 @@ void Upstream::add_pending(std::uint32_t link, Forward&& request,
   request.sent_ns = sent_ns;
   request.deadline = deadline;
   links_[link].pending.add(std::move(request));
+  sweep_soon();
 }
 
 void Upstream::sweep() {
+  sweeping_ = false;
   if (stopping_.load()) return;
   const auto now = std::chrono::steady_clock::now();
   for (std::uint32_t link = 0; link < size(); ++link) {
@@ -346,8 +354,9 @@ void Upstream::sweep() {
       l.probing = true;
       reset(link, why);
     }
+    // Only a pending request has a deadline: an idle module sleeps.
+    if (l.pending.oldest() != nullptr) sweep_soon();
   }
-  loop_.run_after(kSweepIntervalS, [this] { sweep(); });
 }
 
 }  // namespace scp::net

@@ -38,6 +38,8 @@
 //     timeout either, so a peer that stays connected but stops answering is
 //     re-dialed and probed, while one still working through a long burst is
 //     left to finish it. Every reset is logged with its reason and counted.
+//     The sweep runs only while a request is pending, so an idle module
+//     sets no timer.
 //   * Hand-back. When a link closes, or a queued flush cannot be sent,
 //     every request it held goes back to the owner, which learns whether it
 //     had reached the wire.
@@ -132,8 +134,8 @@ class Upstream {
   Upstream& operator=(const Upstream&) = delete;
 
   /// Dials every link that has an endpoint. Call once, before the loop
-  /// starts. The first endpoint, here or in set_endpoint(), arms the
-  /// deadline sweep and takes the loop's before-flush hook.
+  /// starts. The first endpoint, here or in set_endpoint(), takes the
+  /// loop's before-flush hook.
   void start(Counters counters, Hooks hooks);
 
   /// Points `link` at address:port, adding links up to it, and dials it
@@ -169,8 +171,8 @@ class Upstream {
   /// was neither sent nor kept.
   bool send(std::uint32_t link, Forward request, bool deferrable = false);
 
-  /// Sends a frame that no reply is matched to (a subscription, a report).
-  /// False when the link is down.
+  /// Sends a frame that no reply is matched to (a subscription). False when
+  /// the link is down.
   bool send_unmatched(std::uint32_t link, const Message& message);
 
   std::uint32_t size() const noexcept {
@@ -206,8 +208,10 @@ class Upstream {
     std::chrono::steady_clock::time_point answered{};
   };
 
-  /// Sweeps and flushes from the first endpoint on; idempotent.
+  /// Flushes from the first endpoint on; idempotent.
   void arm();
+  /// Schedules the next sweep unless one is scheduled.
+  void sweep_soon();
   void dial(std::uint32_t link);
   void redial_later(std::uint32_t link);
   /// Marks `link` up, fires on_up and sends its deferred requests.
@@ -230,6 +234,7 @@ class Upstream {
   const std::atomic<bool>& stopping_;
   const std::chrono::steady_clock::duration timeout_;
   bool armed_ = false;
+  bool sweeping_ = false;  ///< a sweep is scheduled
   Counters counters_;
   Hooks hooks_;
   std::vector<Link> links_;

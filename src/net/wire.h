@@ -65,11 +65,10 @@ enum class MsgType : std::uint8_t {
   kJoin = 20,       ///< admin: node `node` joins at endpoint payload
                     ///< ("host:port"); triggers ring rebalance
   kLeave = 21,      ///< admin: node `node` leaves the ring
-  // --- hot-key detection gossip -----------------------------------------
+  // --- hot-key detection reports ----------------------------------------
   kHotKeyReport = 22,    ///< one-way: node `hot.node`'s windowed top-k
-                         ///< observation (gossiped between backends and
-                         ///< pushed to subscribed front ends; never
-                         ///< answered)
+                         ///< observation (a backend pushes it to subscribed
+                         ///< front ends; never answered)
   kHotKeySubscribe = 23, ///< one-way: push future kHotKeyReports down this
                          ///< connection (front ends send it after connect;
                          ///< never answered)

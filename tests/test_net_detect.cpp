@@ -5,26 +5,39 @@
 //     pre-fix, every request for an in-flight key kept its empty slot
 //     maximally fresh, evicting real entries (exactly what a miss-flood
 //     exploits).
-//   * a forwarded MISS must settle a dirty perfect-oracle key, or deleted
-//     keys leak dirty entries and forward forever.
+//   * a deleted perfect-oracle key stays deleted: it stays dirty and every
+//     GET forwards, so the oracle never serves its old bytes again.
+//   * a write detaches the fetch already in flight for its key: that
+//     fetch's pre-write bytes fill no slot, and a GET parked on it after
+//     the write is fetched again.
 //   * the values side-map holds only the bytes of keys the policy holds
 //     (its eviction listener erases the rest), so it never outgrows c.
 //   * perfect-oracle re-provisioning swaps keys within each shard's slice
 //     of [0, c), so the shards together never serve more than c keys, and
 //     a write reaches a re-provisioned key, in a fleet too: a member that
 //     does not own it bounces the write to the owner.
-//   * the detection pipeline end to end: backends sketch their served GETs,
-//     gossip kHotKeyReports over the replica mesh, push them to subscribed
-//     front ends; the front end flags keys hot at the backends but absent
-//     from its cache and warms them; an adaptive shift of the attacked key
-//     set is re-detected and re-mitigated.
+//   * the detection pipeline end to end, with no replica mesh: backends
+//     sketch their served GETs and push kHotKeyReports to subscribed front
+//     ends, which merge them into the only hot set; the front end flags
+//     keys hot at the backends but absent from its cache and warms them; an
+//     adaptive shift of the attacked key set is re-detected and
+//     re-mitigated.
+//
+// Every case checks the front end's request ledger on its scrape:
+// requests == hits + forwarded + coalesced + failures + fleet_redirects.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,6 +46,7 @@
 #include "net/fleet.h"
 #include "net/frontend_server.h"
 #include "net/router_server.h"
+#include "net/socket.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
@@ -59,14 +73,12 @@ struct Fleet {
 
 Fleet start_fleet(std::uint32_t nodes, std::uint32_t replication,
                   std::uint64_t items, bool detect = false,
-                  double detect_interval_s = 0.05,
-                  std::uint64_t detect_min_samples = 256) {
+                  double detect_interval_s = 0.05) {
   Fleet fleet;
   for (std::uint32_t node = 0; node < nodes; ++node) {
     BackendConfig config = backend_config(node, nodes, replication, items);
     config.detect = detect;
     config.detect_interval_s = detect_interval_s;
-    config.detect_min_samples = detect_min_samples;
     auto backend = std::make_unique<BackendServer>(config);
     EXPECT_TRUE(backend->start());
     fleet.endpoints.emplace_back("127.0.0.1", backend->port());
@@ -75,6 +87,7 @@ Fleet start_fleet(std::uint32_t nodes, std::uint32_t replication,
   return fleet;
 }
 
+/// Wires the replica mesh, which writes need (detection does not).
 void mesh_fleet(Fleet& fleet) {
   for (auto& backend : fleet.backends) backend->set_peers(fleet.endpoints);
   for (auto& backend : fleet.backends) {
@@ -134,12 +147,20 @@ void hammer_backends(const Fleet& fleet, std::uint32_t replication,
   }
 }
 
-void expect_consistent(const ServerStats& stats) {
-  EXPECT_EQ(stats.requests, stats.hits + stats.forwarded + stats.coalesced +
-                                stats.failures)
-      << "requests=" << stats.requests << " hits=" << stats.hits
-      << " forwarded=" << stats.forwarded << " coalesced=" << stats.coalesced
-      << " failures=" << stats.failures;
+/// The request ledger on the front end's scrape: every request is a hit,
+/// a forward, a coalesced miss, a failure or a fleet redirect.
+void expect_consistent(const FrontendServer& frontend) {
+  const obs::MetricsSnapshot snap = frontend.metrics_snapshot();
+  const auto get = [&](const std::string& name) {
+    return counter(snap, "frontend." + name);
+  };
+  EXPECT_EQ(get("requests"), get("hits") + get("forwarded") +
+                                 get("coalesced") + get("failures") +
+                                 get("fleet_redirects"))
+      << "requests=" << get("requests") << " hits=" << get("hits")
+      << " forwarded=" << get("forwarded") << " coalesced="
+      << get("coalesced") << " failures=" << get("failures")
+      << " fleet_redirects=" << get("fleet_redirects");
 }
 
 // --- regression: lookup must not refresh a value-less slot ----------------
@@ -234,9 +255,9 @@ TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   frontend.stop(0.0);
 }
 
-// --- regression: forwarded MISS settles a dirty oracle key ----------------
+// --- regression: a deleted oracle key stays deleted -----------------------
 
-TEST(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
+TEST(DetectLoopback, DeletedOracleKeyStaysDeleted) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 64;
@@ -264,28 +285,202 @@ TEST(DetectLoopback, ForwardedMissCleansDirtyOracleKey) {
   reply = client.call(erase, 2.0);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, MsgType::kWriteReply);
+
+  // The delete dirtied the oracle slot, and a relayed MISS leaves it dirty:
+  // the oracle would otherwise serve the deleted key's bytes again.
+  for (int i = 0; i < 5; ++i) {
+    reply = client.get(key, 2.0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, MsgType::kMiss) << "GET " << i;
+  }
   EXPECT_EQ(gauge(frontend.metrics_snapshot(), "frontend.dirty_keys"), 1);
 
-  // The delete dirtied the oracle slot; the fetch relays the backend's
-  // authoritative MISS — which must also settle the dirty marker.
-  reply = client.get(key, 2.0);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, MsgType::kMiss);
-  EXPECT_EQ(gauge(frontend.metrics_snapshot(), "frontend.dirty_keys"), 0)
-      << "forwarded MISS left the key dirty forever";
-
-  // Pinned semantics of the trade: once settled, the oracle synthesizes
-  // again (Assumption 2 models capacity, not deletions).
-  reply = client.get(key, 2.0);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, MsgType::kValue);
-  EXPECT_EQ(reply->payload, make_value(key, 64));
-
+  expect_consistent(frontend);
   const ServerStats stats = frontend.stats();
-  expect_consistent(stats);
-  EXPECT_EQ(stats.hits, 2u);       // first and last GET
-  EXPECT_EQ(stats.forwarded, 2u);  // the DELETE and the MISS fetch
+  EXPECT_EQ(stats.hits, 1u);       // the GET before the DELETE
+  EXPECT_EQ(stats.forwarded, 6u);  // the DELETE and every GET after it
   frontend.stop(0.0);
+}
+
+// --- regression: a write detaches the key's in-flight fetch ---------------
+
+/// A one-node stand-in backend that keeps values: it applies and acks each
+/// kPut at once, and answers each kGet `lag` late with the value it held
+/// when the GET arrived, so a GET sent before a write is answered after the
+/// write's ack, with the bytes the write replaced.
+class LaggingStore {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit LaggingStore(std::chrono::milliseconds lag) : lag_(lag) {}
+  LaggingStore(const LaggingStore&) = delete;
+  LaggingStore& operator=(const LaggingStore&) = delete;
+  ~LaggingStore() { stop(); }
+
+  bool start() {
+    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
+    if (!listener_.valid()) return false;
+    thread_ = std::thread([this] { run(); });
+    return true;
+  }
+
+  void stop() {
+    stopping_.store(true, std::memory_order_relaxed);
+    if (thread_.joinable()) thread_.join();
+    listener_.reset();
+  }
+
+  std::uint16_t port() const noexcept { return port_; }
+  /// kGet frames read so far.
+  std::uint64_t gets() const { return gets_.load(); }
+
+ private:
+  struct Conn {
+    Socket socket;
+    FrameReader reader;
+  };
+  struct Owed {
+    int fd = -1;
+    Clock::time_point due;
+    Message reply;
+  };
+
+  static void send_frame(int fd, const Message& reply) {
+    const std::vector<std::uint8_t> frame = encode(reply);
+    ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+  }
+
+  /// Answers what `conn` sent; false once it is closed or corrupt.
+  bool receive(Conn& conn, std::deque<Owed>& owed) {
+    std::uint8_t buffer[16384];
+    const ssize_t n = ::recv(conn.socket.fd(), buffer, sizeof(buffer), 0);
+    if (n <= 0) return false;
+    conn.reader.append({buffer, static_cast<std::size_t>(n)});
+    while (auto payload = conn.reader.next_payload()) {
+      const auto request = decode_payload(*payload);
+      if (!request.has_value()) return false;
+      Message reply;
+      reply.id = request->id;
+      reply.key = request->key;
+      if (request->type == MsgType::kPut) {
+        values_[request->key] = request->payload;
+        reply.type = MsgType::kWriteReply;
+        send_frame(conn.socket.fd(), reply);
+      } else if (request->type == MsgType::kGet) {
+        gets_.fetch_add(1);
+        const auto it = values_.find(request->key);
+        reply.type = it == values_.end() ? MsgType::kMiss : MsgType::kValue;
+        if (it != values_.end()) reply.payload = it->second;
+        owed.push_back({conn.socket.fd(), Clock::now() + lag_, reply});
+      } else {
+        reply.type = MsgType::kError;
+        send_frame(conn.socket.fd(), reply);
+      }
+    }
+    return !conn.reader.corrupted();
+  }
+
+  void run() {
+    std::vector<Conn> conns;
+    std::deque<Owed> owed;  // every GET waits the same lag: due in order
+    while (!stopping_.load(std::memory_order_relaxed)) {
+      std::vector<pollfd> fds{{listener_.fd(), POLLIN, 0}};
+      for (const Conn& conn : conns) {
+        fds.push_back({conn.socket.fd(), POLLIN, 0});
+      }
+      ::poll(fds.data(), fds.size(), 1);
+      if ((fds[0].revents & POLLIN) != 0) {
+        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+        if (fd >= 0) conns.push_back(Conn{Socket(fd), FrameReader()});
+      }
+      // Backwards, so dropping a closed connection keeps the rest aligned
+      // with fds (fds[i] is conns[i - 1]).
+      for (std::size_t i = fds.size() - 1; i >= 1; --i) {
+        if (fds[i].revents == 0 || receive(conns[i - 1], owed)) continue;
+        std::erase_if(owed, [&](const Owed& o) { return o.fd == fds[i].fd; });
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i - 1));
+      }
+      while (!owed.empty() && owed.front().due <= Clock::now()) {
+        send_frame(owed.front().fd, owed.front().reply);
+        owed.pop_front();
+      }
+    }
+  }
+
+  const std::chrono::milliseconds lag_;
+  Socket listener_;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::unordered_map<std::uint64_t, std::string> values_;  ///< run() only
+  std::atomic<std::uint64_t> gets_{0};
+  std::thread thread_;
+};
+
+/// PUT v1; a GET that is forwarded and held; PUT v2, acked while the held
+/// GET is out; then 3 GETs. The held GET may answer v1 (it came first), but
+/// its bytes must not fill the slot, and the GET that parks on it after
+/// v2's ack must be fetched again.
+void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
+  LaggingStore store(std::chrono::milliseconds(200));
+  ASSERT_TRUE(store.start());
+  FrontendConfig config;
+  config.nodes = 1;
+  config.replication = 1;
+  config.backends = {{"127.0.0.1", store.port()}};
+  config.cache_policy = cache;
+  config.cache_capacity = 8;
+  config.items = 64;
+  FrontendServer frontend(config);
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+
+  constexpr std::uint64_t kKey = 3;  // < c: oracle-cached
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  const auto put = [&](const std::string& bytes) {
+    Message write;
+    write.type = MsgType::kPut;
+    write.key = kKey;
+    write.payload = bytes;
+    const auto reply = client.call(write, 2.0);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kWriteReply);
+  };
+  put("v1");
+  std::optional<Message> held;
+  {
+    std::jthread reader([&] {
+      SyncClient other;
+      if (other.connect("127.0.0.1", frontend.port())) {
+        held = other.get(kKey, 2.0);
+      }
+    });
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(2);
+    while (store.gets() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(store.gets(), 1u) << "the first GET was never forwarded";
+    put("v2");
+    for (int i = 0; i < 3; ++i) {
+      const auto reply = client.get(kKey, 2.0);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, MsgType::kValue);
+      EXPECT_EQ(reply->payload, "v2") << cache << " GET " << i;
+    }
+  }
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->payload, "v1") << "the held GET was not held across v2";
+  expect_consistent(frontend);
+  frontend.stop(0.0);
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchUnderLru) {
+  expect_no_get_after_a_write_sees_its_old_bytes("lru");
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchUnderTheOracle) {
+  expect_no_get_after_a_write_sees_its_old_bytes("perfect");
 }
 
 // --- regression: the values side-map holds only what the policy holds ------
@@ -330,10 +525,7 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 512;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true,
-                            /*detect_interval_s=*/0.05,
-                            /*detect_min_samples=*/128);
-  mesh_fleet(fleet);
+  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
 
   FrontendConfig config =
       frontend_config(fleet, kNodes, kReplication, kItems);
@@ -381,18 +573,20 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   hammer(phase1, 0.6);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  // Backends: every node sketched its slice, gossiped it, aggregated the
-  // cluster view and flagged the attack keys.
+  // Backends: every node sketched its slice and pushed it to the front
+  // end. Only the front end merges reports and flags keys.
   const obs::MetricsSnapshot be = fleet.backends[0]->metrics_snapshot();
   EXPECT_GT(counter(be, "detect.observed"), 0u);
   EXPECT_GT(counter(be, "detect.reports_sent"), 0u);
-  EXPECT_GT(counter(be, "detect.reports_received"), 0u);
-  EXPECT_GT(counter(be, "detect.flagged_keys"), 0u);
-  EXPECT_GE(gauge(be, "detect.hot_keys"), 1);
+  for (const char* name : {"detect.reports_received", "detect.flagged_keys"}) {
+    EXPECT_EQ(be.counters.count(name), 0u) << name;
+  }
+  EXPECT_EQ(be.gauges.count("detect.hot_keys"), 0u);
 
   // Front end: subscribed pushes arrived, keys were flagged and warmed.
   obs::MetricsSnapshot fe = frontend.metrics_snapshot();
   EXPECT_GT(counter(fe, "detect.reports_received"), 0u);
+  EXPECT_EQ(fe.gauges.count("detect.hot_keys"), 1u);
   const std::uint64_t flagged_phase1 = counter(fe, "detect.flagged_keys");
   EXPECT_GT(flagged_phase1, 0u);
   EXPECT_GT(counter(fe, "detect.prefetches"), 0u);
@@ -428,7 +622,7 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   }
   EXPECT_GT(fe_hits(), hits_before);
 
-  expect_consistent(frontend.stats());
+  expect_consistent(frontend);
   frontend.stop(0.0);
 }
 
@@ -440,10 +634,7 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   constexpr std::uint64_t kItems = 512;
   constexpr std::uint64_t kCapacity = 8;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true,
-                            /*detect_interval_s=*/0.05,
-                            /*detect_min_samples=*/128);
-  mesh_fleet(fleet);
+  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
 
   FrontendConfig config =
       frontend_config(fleet, kNodes, kReplication, kItems);
@@ -500,15 +691,15 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   }
   EXPECT_GT(frontend.stats().hits, hits_before)
       << "no flagged key was served from the re-provisioned set";
-  expect_consistent(frontend.stats());
+  expect_consistent(frontend);
   frontend.stop(0.0);
 }
 
 // --- perfect provision: re-provisioning stays inside each shard's slice ---
 
-/// A perfect-oracle front end with detection over 3 meshed detecting
-/// backends (d = 2, m = 512, c = 8), as in
-/// PerfectCacheReprovisionsForFlaggedKeys.
+/// A perfect-oracle front end with detection over 3 detecting backends
+/// (d = 2, m = 512, c = 8), as in PerfectCacheReprovisionsForFlaggedKeys.
+/// The cases that write wire the mesh.
 constexpr std::uint32_t kOracleNodes = 3;
 constexpr std::uint32_t kOracleReplication = 2;
 constexpr std::uint64_t kOracleItems = 512;
@@ -516,11 +707,8 @@ constexpr std::uint64_t kOracleCapacity = 8;
 const std::vector<std::uint64_t> kOracleAttack = {100, 217, 350, 470};
 
 Fleet start_oracle_fleet() {
-  Fleet fleet = start_fleet(kOracleNodes, kOracleReplication, kOracleItems,
-                            /*detect=*/true, /*detect_interval_s=*/0.05,
-                            /*detect_min_samples=*/128);
-  mesh_fleet(fleet);
-  return fleet;
+  return start_fleet(kOracleNodes, kOracleReplication, kOracleItems,
+                     /*detect=*/true);
 }
 
 FrontendConfig oracle_config(const Fleet& fleet) {
@@ -567,12 +755,13 @@ TEST(DetectLoopback, ReprovisioningStaysInsideEachShardsSlice) {
   EXPECT_GT(counter(frontend.metrics_snapshot(), "detect.reprovisioned"), 0u);
   EXPECT_LE(cached_keys(), kOracleCapacity)
       << "re-provisioned keys were added to the cached set, not swapped in";
-  expect_consistent(frontend.stats());
+  expect_consistent(frontend);
   frontend.stop(0.0);
 }
 
 TEST(DetectLoopback, WritesReachReprovisionedKeys) {
   Fleet fleet = start_oracle_fleet();
+  mesh_fleet(fleet);
   FrontendServer frontend(oracle_config(fleet));
   ASSERT_TRUE(frontend.start());
   ASSERT_TRUE(frontend.wait_backends_up(5.0));
@@ -612,7 +801,7 @@ TEST(DetectLoopback, WritesReachReprovisionedKeys) {
       EXPECT_EQ(reply->payload, bytes) << "key " << key << " GET " << i;
     }
   }
-  expect_consistent(frontend.stats());
+  expect_consistent(frontend);
   frontend.stop(0.0);
 }
 
@@ -623,6 +812,7 @@ TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
   constexpr std::uint64_t kFleetSeed = 4242;
   constexpr std::uint32_t kMembers = 2;
   Fleet fleet = start_oracle_fleet();
+  mesh_fleet(fleet);
   std::vector<std::unique_ptr<FrontendServer>> members;
   std::vector<std::pair<std::string, std::uint16_t>> member_endpoints;
   for (std::uint32_t index = 0; index < kMembers; ++index) {
@@ -691,7 +881,7 @@ TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
     EXPECT_EQ(reply->payload, write.payload) << "GET " << i;
   }
   router.stop();
-  expect_consistent(members[0]->stats());
+  for (const auto& member : members) expect_consistent(*member);
   EXPECT_EQ(counter(members[1]->metrics_snapshot(), "frontend.fleet_redirects"),
             1u);
   for (auto& member : members) member->stop(0.0);
@@ -704,10 +894,7 @@ TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 512;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true,
-                            /*detect_interval_s=*/0.05,
-                            /*detect_min_samples=*/256);
-  mesh_fleet(fleet);
+  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
 
   FrontendConfig config =
       frontend_config(fleet, kNodes, kReplication, kItems);
@@ -731,18 +918,13 @@ TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   for (const auto& backend : fleet.backends) {
-    const obs::MetricsSnapshot be = backend->metrics_snapshot();
-    EXPECT_GT(counter(be, "detect.observed"), 0u);
-    EXPECT_EQ(counter(be, "detect.flagged_keys"), 0u)
-        << "benign uniform traffic flagged a key on node "
-        << backend->config().node_id;
-    EXPECT_EQ(gauge(be, "detect.hot_keys"), 0);
+    EXPECT_GT(counter(backend->metrics_snapshot(), "detect.observed"), 0u);
   }
   const obs::MetricsSnapshot fe = frontend.metrics_snapshot();
   EXPECT_GT(counter(fe, "detect.reports_received"), 0u);
   EXPECT_EQ(counter(fe, "detect.flagged_keys"), 0u);
   EXPECT_EQ(counter(fe, "detect.prefetches"), 0u);
-  expect_consistent(frontend.stats());
+  expect_consistent(frontend);
   frontend.stop(0.0);
 }
 

@@ -10,8 +10,10 @@
 // pin the peer links: sharded backends, a left peer that is never
 // re-dialed, a hung peer that the link deadline resets (failing a write it
 // leaves short of W) and keeps out of fan-out until it answers a ping, and
-// a slow joiner that it does not reset. The last case checks that every
-// tier's stats() reads the same counters it exports.
+// a slow joiner that it does not reset. The idle case checks that a front
+// end and meshed backends with nothing pending set no timer of their own.
+// The last case checks that every tier's stats() reads the same counters
+// it exports.
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -799,6 +801,43 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   ASSERT_EQ(again->type, MsgType::kValue);
   EXPECT_EQ(frontend.stats().forwarded, after_refetch.forwarded)
       << "a cleaned key must be served from the cache again";
+
+  frontend.stop(0.5);
+  for (auto& backend : mesh.backends) backend->stop(0.5);
+}
+
+TEST(QuorumSuite, IdleFrontendAndMeshSleep) {
+  // A loop with no timer wakes every 100 ms. A link module's 20 ms deadline
+  // sweep must add nothing to that while no request is pending.
+  Mesh mesh = start_mesh(3, 3, /*items=*/32);
+  FrontendServer frontend(uncached_frontend_config(mesh));
+  ASSERT_TRUE(frontend.start());
+  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  SyncClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    const auto ack = client.call(make_put(key, "written"), 3.0);
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
+    const auto reply = client.get(key, 3.0);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kValue);
+  }
+
+  const auto wakeups = [&] {
+    std::vector<std::uint64_t> counts{frontend.loop_totals().wakeups};
+    for (const auto& backend : mesh.backends) {
+      counts.push_back(backend->loop_totals().wakeups);
+    }
+    return counts;
+  };
+  const std::vector<std::uint64_t> before = wakeups();
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  const std::vector<std::uint64_t> after = wakeups();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_LE(after[i] - before[i], 40u)
+        << (i == 0 ? "front end" : "backend " + std::to_string(i - 1));
+  }
 
   frontend.stop(0.5);
   for (auto& backend : mesh.backends) backend->stop(0.5);
