@@ -154,9 +154,9 @@ struct WorkerResult {
 
 /// Mixed read/write knobs for one worker. With attack == "invalidate" the
 /// writers aim every PUT at the front-end cache's own working set (the
-/// rank prefix [0, c)): each write dirties a cached key, so the FE must
-/// serve the next GET for it by forwarding until a refetch cleans it —
-/// version churn turning the cache itself into attack surface.
+/// rank prefix [0, c)): each write drops a cached key's bytes, so the FE
+/// must forward the next GET for it to refill the slot — version churn
+/// turning the cache itself into attack surface.
 struct WriteMix {
   double write_frac = 0.0;
   bool attack_invalidate = false;
@@ -196,6 +196,10 @@ void run_worker(const std::string& address, std::uint16_t port,
     return;
   }
   Rng rng(seed);
+  // A real writer's bytes: none that an earlier write sent (this worker's
+  // seed and write count), padded to the stored value size.
+  const std::string write_tag = "w" + std::to_string(seed) + ".";
+  std::uint64_t writes = 0;
   double offset_s = 0.0;  // scheduled arrival, relative to start
   while (true) {
     offset_s += rng.exponential(rate);
@@ -224,9 +228,9 @@ void run_worker(const std::string& address, std::uint16_t port,
       net::Message request;
       request.type = net::MsgType::kPut;
       request.key = key;
-      // The oracle's synthesized bytes: once the FE refetches this value
-      // the dirty mark clears, so the attack cost is the refetch itself.
-      request.payload = net::make_value(key, mix.value_bytes);
+      request.payload = write_tag + std::to_string(++writes) + ":";
+      request.payload.resize(
+          std::max<std::size_t>(request.payload.size(), mix.value_bytes), 'x');
       reply = client.call(request, 1.0);
     } else {
       reply = client.get(key, 1.0);

@@ -21,8 +21,13 @@
 #    columns.
 # 7. Full mode only: smoke hot-key detection — bench/live_serving with
 #    --attack adaptive --detect must flag and re-provision keys with a
-#    finite detection latency.
-# 8. Full mode only: the end-to-end benchmark's smoke — every workload of
+#    finite detection latency and emit the batching columns, and a benign
+#    zipf run with --detect must flag and prefetch nothing.
+# 8. Full mode only: smoke the quorum write path — three meshed scp_backend
+#    processes keep acking writes with one replica hung, then killed — and
+#    bench/live_serving's invalidation-attack write mix must emit the
+#    write-path columns with no failed write.
+# 9. Full mode only: the end-to-end benchmark's smoke — every workload of
 #    bench/e2e/run.sh --smoke must start, run and exit 0, and every run must
 #    pass CI's correctness guard (scripts/check_smoke_runs.py).
 #
@@ -320,17 +325,24 @@ EOF
   echo "check.sh: fleet serving smoke OK"
 
   # Detect smoke: the adaptive hot-key attack against the perfect cache with
-  # --detect on. The run must flag keys, re-provision them, and report a
-  # finite detection latency; a benign zipf run must flag nothing.
+  # --detect on. The run must flag keys, re-provision them, report a finite
+  # detection latency and carry the batching columns; a benign zipf run
+  # with --detect on must flag and prefetch nothing.
   detect_json="$BUILD_DIR/smoke_live_detect.json"
-  rm -f "$detect_json"
+  benign_json="$BUILD_DIR/smoke_live_benign.json"
+  rm -f "$detect_json" "$benign_json"
   "$BUILD_DIR/bench/live_serving" \
-    --n 4 --d 2 --m 2048 --c 16 --x 16 --preset adversarial \
-    --cache perfect --rate 2000 --duration 2 --warmup 0.3 \
-    --attack adaptive --shift-period 0.8 --detect \
+    --n 8 --d 2 --m 4096 --c 24 --x 24 --preset adversarial \
+    --cache perfect --rate 3000 --duration 3 --warmup 0.5 \
+    --attack adaptive --shift-period 1 --detect \
     --json "$detect_json" >/dev/null
   validate_json "$detect_json" live_serving
-  python3 - "$detect_json" <<'EOF'
+  "$BUILD_DIR/bench/live_serving" \
+    --n 8 --d 2 --m 4096 --c 64 --preset zipf --theta 0.9 --cache lru \
+    --rate 3000 --duration 3 --warmup 0.5 --detect \
+    --json "$benign_json" >/dev/null
+  validate_json "$benign_json" live_serving
+  python3 - "$detect_json" "$benign_json" <<'EOF'
 import json, sys
 
 row = json.load(open(sys.argv[1]))["series"][0]
@@ -339,9 +351,22 @@ assert int(row["reprovisioned"]) > 0, \
     f"perfect cache re-provisioned nothing: {row}"
 assert float(row["det_latency_s"]) >= 0, \
     f"no detection latency measured: {row['det_latency_s']}"
+for column in ("frames_per_req", "coalesced", "batch_fill"):
+    assert column in row, f"adaptive row missing batching column {column!r}"
+# A batch that carries keys carries at least one per frame.
+assert float(row["frames_per_req"]) >= 0, row["frames_per_req"]
+assert float(row["batch_fill"]) <= 0 or float(row["batch_fill"]) >= 1.0, \
+    f"batch_fill below 1 key/frame: {row['batch_fill']}"
 print(f"detect smoke: flagged={row['flagged']} "
       f"det_latency_s={row['det_latency_s']} "
-      f"peak_gain_w={row['peak_gain_w']}")
+      f"peak_gain_w={row['peak_gain_w']} "
+      f"frames_per_req={row['frames_per_req']} "
+      f"batch_fill={row['batch_fill']}")
+
+row = json.load(open(sys.argv[2]))["series"][0]
+assert int(row["flagged"]) == 0 and int(row["prefetches"]) == 0, \
+    f"benign zipf raised a false positive: {row}"
+print("detect smoke: benign zipf flagged and prefetched nothing")
 EOF
   echo "check.sh: detect serving smoke OK"
 
@@ -476,6 +501,39 @@ finally:
             proc.kill()
 EOF
   echo "check.sh: quorum write smoke OK"
+
+  # Write mix: the invalidation attack sends a fifth of its ops as PUTs of
+  # fresh bytes to the front end's cached keys, over a d=3, W=2 mesh. Below
+  # the fleet smoke's rate: every PUT costs a replication round trip.
+  writes_json="$BUILD_DIR/smoke_live_writes.json"
+  rm -f "$writes_json"
+  "$BUILD_DIR/bench/live_serving" \
+    --n 4 --d 3 --m 4096 --c 32 --preset adversarial \
+    --rate 1200 --duration 2 --warmup 0.5 --threads 2 \
+    --write-frac 0.2 --attack invalidate --json "$writes_json" >/dev/null
+  validate_json "$writes_json" live_serving
+  python3 - "$writes_json" <<'EOF'
+import json, sys
+
+row = json.load(open(sys.argv[1]))["series"][0]
+for column in ("write_frac", "puts", "put_failures", "invalidations",
+               "replications", "rebalanced_keys", "live_gain", "failures"):
+    assert column in row, f"write-mix row missing column {column!r}"
+assert abs(float(row["write_frac"]) - 0.2) <= 1e-9, row["write_frac"]
+assert int(row["puts"]) > 0, f"write mix produced no PUTs: {row['puts']}"
+assert int(row["put_failures"]) == 0, \
+    f"quorum writes failed: {row['put_failures']}"
+assert int(row["invalidations"]) > 0, \
+    f"the attack dropped no cached bytes: {row['invalidations']}"
+assert int(row["replications"]) > 0, \
+    f"d=3 W=2 writes must replicate over the mesh: {row['replications']}"
+assert int(row["rebalanced_keys"]) == 0, \
+    f"no membership change ran, yet rebalanced_keys={row['rebalanced_keys']}"
+print(f"write mix: puts={row['puts']} "
+      f"invalidations={row['invalidations']} "
+      f"replications={row['replications']} live_gain={row['live_gain']}")
+EOF
+  echo "check.sh: write mix smoke OK"
 
   bash bench/e2e/run.sh --smoke
   python3 scripts/check_smoke_runs.py build/e2e/runs/*.txt

@@ -93,8 +93,10 @@ bool FrontendServer::start() {
     const std::size_t member_capacity = slice_capacity(
         config_.cache_capacity, config_.fleet_size, config_.fleet_index);
     const std::size_t slice = slice_capacity(member_capacity, n_shards, k);
-    shard->oracle_end =
-        std::min<std::uint64_t>(config_.cache_capacity, config_.items);
+    if (config_.cache_policy == "perfect") {
+      shard->oracle_end =
+          std::min<std::uint64_t>(config_.cache_capacity, config_.items);
+    }
     if (config_.detect) {
       shard->hot_agg = std::make_unique<detect::HotKeyAggregator>(
           detect::HotKeyAggregator::Options{
@@ -155,7 +157,6 @@ bool FrontendServer::start() {
     s->forward_rtt_us = &r.timer("frontend.forward_rtt_us");
     s->attempts_hist = &r.timer("frontend.attempts");
     s->values_entries = &r.gauge("frontend.values_entries");
-    s->dirty_keys = &r.gauge("frontend.dirty_keys");
     s->pin_count = &r.gauge("frontend.pins");
     s->node_rtt_us.resize(config_.nodes);
     for (std::uint32_t node = 0; node < config_.nodes; ++node) {
@@ -164,6 +165,13 @@ bool FrontendServer::start() {
     }
     s->loop->set_metrics(&r);
     shards_.push_back(std::move(shard));
+  }
+  // The oracle's slots start full, with the bytes every backend preloads.
+  // After the loop above: has_slot() reads shards_.size().
+  for (auto& shard : shards_) {
+    for (std::uint64_t key = 0; key < shard->oracle_end; ++key) {
+      admit(*shard, key, make_value(key, config_.value_bytes));
+    }
   }
 
   if (!pool_.listen(config_.address, config_.port)) return false;
@@ -471,13 +479,6 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       if (request.op == MsgType::kGet &&
           (it == shard.inflight.end() || it->second.fills)) {
         admit(shard, request.key, reply.payload);
-        // A dirty perfect-oracle key becomes cacheable again once the
-        // authoritative value matches what the oracle synthesizes.
-        if (!shard.dirty.empty() && shard.dirty.count(request.key) != 0 &&
-            reply.payload == make_value(request.key, config_.value_bytes)) {
-          shard.dirty.erase(request.key);
-          shard.dirty_keys->set(static_cast<std::int64_t>(shard.dirty.size()));
-        }
       }
       complete_request(shard, request, node);
       send_reply(*shard.loop, request.client, reply);
@@ -487,9 +488,9 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       return;
     }
     case MsgType::kMiss: {
-      // The fetch produced no value: release the cache slot the lookup
+      // The fetch produced no value: release the policy slot the lookup
       // admitted, or it sits value-less forever, evicting real entries and
-      // turning future hits into forwards.
+      // turning future hits into forwards. An oracle slot stays empty.
       if (request.op == MsgType::kGet) {
         drop_cached(shard, request.key);
       }
@@ -575,13 +576,17 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
   }
   const auto& hot = shard.hot_agg->hot();
 
-  // A cooled re-provisioned key gives its slot back: the oracle prefix
-  // grows past the shard's next own key (the aggregator's exit hysteresis
-  // decides when a key has cooled).
+  // A cooled re-provisioned key gives its slot back, bytes and all: the
+  // oracle prefix grows past the shard's next own key, which its next GET
+  // fills (the aggregator's exit hysteresis decides when a key has cooled).
   const std::uint64_t oracle_limit =
       std::min<std::uint64_t>(config_.cache_capacity, config_.items);
-  const std::size_t cooled = std::erase_if(
-      shard.hot_extra, [&](std::uint64_t key) { return hot.count(key) == 0; });
+  const std::size_t cooled =
+      std::erase_if(shard.hot_extra, [&](std::uint64_t key) {
+        if (hot.count(key) != 0) return false;
+        drop_cached(shard, key);
+        return true;
+      });
   for (std::size_t i = 0; i < cooled; ++i) {
     std::uint64_t& end = shard.oracle_end;
     while (end < oracle_limit && !holds(shard, end)) ++end;
@@ -597,32 +602,29 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
   for (const std::uint64_t key : hot) {
     if (!holds(shard, key)) continue;
     ++hot_here;
-    if (shard.cache == nullptr) {
-      // Perfect provision has no policy cache to train; mitigation instead
-      // re-provisions the cached set: the flagged key takes the slot of
-      // the shard's largest own provisioned key, and a shard with none
-      // left re-provisions nothing. "none" stays classify-only.
-      if (config_.cache_policy != "perfect" || key >= config_.items ||
-          key < shard.oracle_end || shard.hot_extra.count(key) != 0) {
-        continue;
-      }
-      std::uint64_t end = shard.oracle_end;
-      while (end > 0 && !holds(shard, end - 1)) --end;
-      if (end == 0) continue;
-      shard.oracle_end = end - 1;
-      shard.hot_extra.insert(key);
-      shard.hot_reprovisioned->inc();
-      continue;
-    }
     if (shard.values.count(key) != 0) {
       continue;  // bytes held: already serving hits
     }
     // Globally hot at the backends and absent here — the miss-flood
-    // signature. Force-admit the slot and warm its bytes with a
-    // self-initiated fetch (no client connection; the reply's send to it
-    // is a harmless no-op), unless a fetch for the key is already in
-    // flight, whose reply fills the slot anyway.
-    shard.cache->access(key);
+    // signature. Give the key a slot: a policy force-admits it; the oracle
+    // re-provisions, handing it the slot of the shard's largest own
+    // provisioned key, whose bytes leave with it. An oracle shard with no
+    // own key left, or a key >= m it may not cache, gets no slot, and
+    // "none" has none to give: it stays classify-only.
+    if (shard.cache != nullptr) {
+      shard.cache->access(key);
+    } else if (!has_slot(shard, key)) {
+      std::uint64_t end = shard.oracle_end;
+      while (end > 0 && !holds(shard, end - 1)) --end;
+      if (end == 0 || key >= config_.items) continue;
+      shard.oracle_end = --end;
+      drop_cached(shard, end);
+      shard.hot_extra.insert(key);
+      shard.hot_reprovisioned->inc();
+    }
+    // Warm its bytes with a self-initiated fetch (no client connection; the
+    // reply's send to it is a harmless no-op), unless a fetch for the key is
+    // already in flight, whose reply fills the slot anyway.
     if (!shard.inflight.try_emplace(key).second) continue;
     shard.hot_prefetches->inc();
     forward(shard, ReplyTo{}, key, /*attempts=*/0, /*start_ns=*/0);
@@ -654,25 +656,11 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
   // A key cached by a sibling shard is a miss here by design: shards never
   // share cache state (see header). owns() is always true at shards == 1.
   if (!owns(shard, key)) return false;
-  if (config_.cache_policy == "perfect") {
-    // Secure provision: the shard's keys of the declared distribution's
-    // top-c prefix below oracle_end, plus the flagged keys detection
-    // re-provisioned in place of the rest (see Shard::oracle_end).
-    const bool provisioned =
-        key < shard.oracle_end ||
-        (!shard.hot_extra.empty() && shard.hot_extra.count(key) != 0);
-    if (provisioned && shard.dirty.count(key) == 0) {
-      value = make_value(key, config_.value_bytes);
-      return true;
-    }
-    return false;
-  }
-  if (shard.cache == nullptr) return false;
-  // Bytes held means the policy holds the key: a hit. Copy them out before
-  // access(), which may evict and so erase from `values`.
+  // Bytes held means the shard holds the key's slot: a hit. Copy them out
+  // before access(), which may evict and so erase from `values`.
   if (const auto it = shard.values.find(key); it != shard.values.end()) {
     value = it->second;
-    shard.cache->access(key);  // refresh the policy's recency/frequency
+    if (shard.cache != nullptr) shard.cache->access(key);  // refresh recency
     return true;
   }
   // Probe with the non-mutating contains() before touching the cache:
@@ -681,7 +669,7 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
   // are waiting on the fetch keep the value-less slot maximally fresh —
   // under a miss-flood each attack key's slot gets refreshed by every
   // attack request and real entries are evicted instead.
-  if (!shard.cache->contains(key)) {
+  if (shard.cache != nullptr && !shard.cache->contains(key)) {
     shard.cache->access(key);  // miss: let the policy train and admit
   }
   return false;
@@ -689,45 +677,42 @@ bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
 
 void FrontendServer::admit(Shard& shard, std::uint64_t key,
                            const std::string& value) {
-  if (shard.cache == nullptr || !owns(shard, key)) return;
-  // Bytes only for a slot the policy holds: it may have declined the key,
-  // or evicted it while the fetch was out.
-  if (!shard.cache->contains(key)) return;
+  // A policy may have declined the key, or evicted it while the fetch was
+  // out; the oracle holds only its provisioned keys.
+  if (!has_slot(shard, key)) return;
   shard.values[key] = value;
   shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
 }
 
 void FrontendServer::drop_cached(Shard& shard, std::uint64_t key) {
-  if (shard.cache == nullptr) return;
-  shard.cache->invalidate(key);
+  if (shard.cache != nullptr) shard.cache->invalidate(key);
   shard.values.erase(key);
   shard.values_entries->set(static_cast<std::int64_t>(shard.values.size()));
 }
 
 void FrontendServer::invalidate_cached(Shard& shard, std::uint64_t key) {
-  if (!may_cache(key)) return;  // never cacheable, nothing to dirty
-  const bool is_perfect = config_.cache_policy == "perfect";
-  Shard& owner = *shards_[shards_.size() == 1 ? 0 : shard_of(key)];
-  const auto apply = [this, key, is_perfect](Shard& target) {
-    // A fetch already out may answer with pre-write bytes: detach it.
+  const bool drop = may_cache(key);
+  const std::size_t owner = shard_of(key);
+  const auto apply = [this, key, drop, owner](Shard& target) {
+    // A fetch already out, on any shard and for any key, may answer with
+    // pre-write bytes: detach it, so a GET that parks on it fetches again.
     if (const auto it = target.inflight.find(key);
         it != target.inflight.end()) {
       it->second.fills = false;
     }
-    if (is_perfect) {
-      if (!target.dirty.insert(key).second) return;  // already dirty
-      target.dirty_keys->set(static_cast<std::int64_t>(target.dirty.size()));
-    } else {
+    if (drop && target.index == owner) {
       drop_cached(target, key);
+      target.invalidations->inc();
     }
-    target.invalidations->inc();
   };
-  if (&owner == &shard) {
-    apply(shard);
-  } else {
-    // The cache slice lives on another reactor; its loop thread applies it.
-    Shard* target = &owner;
-    owner.loop->post([apply, target] { apply(*target); });
+  for (const auto& other : shards_) {
+    Shard* target = other.get();
+    if (target == &shard) {
+      apply(shard);
+    } else {
+      // Another reactor's state: its loop thread applies it.
+      target->loop->post([apply, target] { apply(*target); });
+    }
   }
 }
 

@@ -31,12 +31,17 @@
 // pins keys and tracks loads from its own forwards). shards == 1 is
 // byte-identical to the unsharded server.
 //
-// Cache state: a policy shard holds bytes for exactly the keys its policy
-// holds (the policy's eviction listener erases a dropped key's bytes). An
-// oracle shard serves its own keys of the rank prefix [0, c); with
-// config.detect a key flagged hot at the backends takes the place of the
-// shard's largest own prefix key until it cools. Either way a shard never
-// holds more than its slice.
+// Cache state: one rule for every cache kind — a hit is a key whose bytes
+// the shard holds in Shard::values, and a fetch fills a key's bytes only
+// while the shard holds its slot. A policy shard's slots are the keys its
+// policy holds (the policy's eviction listener erases a dropped key's
+// bytes). An oracle shard's slots are its own keys of the rank prefix
+// [0, c), filled at start with the bytes every backend preloads; with
+// config.detect a key flagged hot at the backends takes the slot of the
+// shard's largest own prefix key until it cools. A write drops the key's
+// bytes (a policy drops the slot too, the oracle keeps it), and the next
+// fetch refills the slot with whatever the backend returns. Either way a
+// shard never holds more than its slice.
 //
 // Forward path: a GET miss for a key that already has a forward in flight
 // parks on that forward (single-flight coalescing, counted as
@@ -101,7 +106,7 @@ struct FrontendConfig {
   std::string cache_policy = "perfect";
   std::size_t cache_capacity = 0;  ///< total entries across shards (c)
   std::uint64_t items = 0;         ///< key space size m (perfect cache bound)
-  std::uint32_t value_bytes = 64;  ///< perfect-cache value synthesis
+  std::uint32_t value_bytes = 64;  ///< the oracle's start-up fill
 
   RetryPolicy retry;
   std::uint64_t seed = 1;  ///< routing tie-breaks
@@ -128,8 +133,9 @@ struct FrontendConfig {
   /// miss-flood signature: force-admit it into the policy tier and warm its
   /// bytes with a self-initiated fetch, so the attack's own keys become
   /// cache hits and the backend gain excursion collapses. The perfect
-  /// oracle re-provisions the key within the shard's slice instead (see
-  /// the file comment). Exported as detect.* metrics.
+  /// oracle instead gives the key the slot of one of its provisioned keys
+  /// (see the file comment) and warms it the same way. Exported as
+  /// detect.* metrics.
   bool detect = false;
   /// Aggregator classification knobs (see detect::HotKeyAggregator), the
   /// tier's only ones: backends report what they served, front ends decide.
@@ -213,7 +219,7 @@ class FrontendServer {
   struct Inflight {
     std::vector<Waiter> waiters;
     /// False once a write to the key reached this shard after the fetch was
-    /// sent: its reply neither fills the slot nor clears a dirty mark.
+    /// sent: its reply fills no slot.
     bool fills = true;
   };
 
@@ -224,16 +230,11 @@ class FrontendServer {
     std::size_t index = 0;
     Reactor* loop = nullptr;
     std::unique_ptr<FrontEndCache> cache;  // null for perfect/none/empty slice
-    /// Bytes of keys `cache` holds and of no other: its eviction listener
-    /// erases a dropped key's bytes, so values never outgrows the shard's
-    /// slice. A slot whose fetch is still out has no bytes yet.
+    /// The shard's cache hits: bytes of keys whose slot it holds and of no
+    /// other (has_slot; a policy's eviction listener erases a dropped key's
+    /// bytes), so values never outgrows the shard's slice. A slot whose
+    /// fetch is still out, or whose bytes a write dropped, has none.
     std::unordered_map<std::uint64_t, std::string> values;
-    /// Perfect-oracle keys invalidated by a write: served as misses until a
-    /// backend refetch returns the oracle's synthesized value again. (The
-    /// oracle can't hold arbitrary bytes, so a key written with foreign
-    /// bytes, or deleted, stays dirty and is served by forwarding — still
-    /// correct, just uncached.) Bounded by the keys the oracle may serve.
-    std::unordered_set<std::uint64_t> dirty;
     Rng rng{1};
 
     std::unique_ptr<Upstream> upstream;  ///< one link per backend node
@@ -253,10 +254,11 @@ class FrontendServer {
     /// sees every backend's reports without cross-shard traffic; it only
     /// acts on keys whose cache slice it holds.
     std::unique_ptr<detect::HotKeyAggregator> hot_agg;
-    /// Perfect policy only: the oracle serves this shard's own keys below
-    /// oracle_end (min(c, m) at start) plus hot_extra. Each key entering
-    /// hot_extra moves oracle_end down past one own key and each cooled one
-    /// moves it back up, so the shard serves at most its slice of [0, c).
+    /// Perfect policy only (0 otherwise): the oracle's slots are this
+    /// shard's own keys below oracle_end (min(c, m) at start) plus
+    /// hot_extra. Each key entering hot_extra moves oracle_end down past one
+    /// own key and each cooled one moves it back up, so the shard serves at
+    /// most its slice of [0, c).
     std::uint64_t oracle_end = 0;
     std::unordered_set<std::uint64_t> hot_extra;
 
@@ -278,7 +280,8 @@ class FrontendServer {
     Upstream::Counters sends;
     obs::Counter* puts = nullptr;
     obs::Counter* deletes = nullptr;
-    /// Cache entries dropped/dirtied because a write touched their key.
+    /// Writes that reached the owner shard of a key it may cache; each
+    /// drops the key's bytes.
     obs::Counter* invalidations = nullptr;
     // config.detect only.
     obs::Counter* hot_reports = nullptr;
@@ -291,7 +294,6 @@ class FrontendServer {
     obs::Timer* forward_rtt_us = nullptr;
     obs::Timer* attempts_hist = nullptr;
     obs::Gauge* values_entries = nullptr;  ///< values.size()
-    obs::Gauge* dirty_keys = nullptr;
     obs::Gauge* pin_count = nullptr;  ///< frontend.pins: pins.size()
     std::vector<obs::Timer*> node_rtt_us;  // per-backend forward RTT
   };
@@ -310,10 +312,16 @@ class FrontendServer {
   bool holds(const Shard& shard, std::uint64_t key) const noexcept {
     return owns(shard, key) && fleet_owns(key);
   }
+  /// The one slot test: `shard`'s policy holds `key` or its oracle has it.
+  bool has_slot(const Shard& shard, std::uint64_t key) const {
+    if (shard.cache != nullptr) return shard.cache->contains(key);
+    return holds(shard, key) &&
+           (key < shard.oracle_end || shard.hot_extra.count(key) != 0);
+  }
   /// True when the member owning `key` may cache it, now or later: any key
   /// under a policy cache; under the perfect oracle a key below min(c, m),
   /// or with detection any key below m (it may be re-provisioned). A write
-  /// to such a key must reach its owner, which invalidates the slot.
+  /// to such a key must reach its owner, which drops the key's bytes.
   bool may_cache(std::uint64_t key) const noexcept;
   /// True when a GET for a non-owned key must bounce to its owner instead
   /// of being forwarded here: the owner may cache the key and, under the
@@ -328,10 +336,13 @@ class FrontendServer {
   void handle_hot_report(Shard& shard, Message&& message);
 
   bool cache_lookup(Shard& shard, std::uint64_t key, std::string& value);
+  /// Stores `value` as `key`'s bytes when the shard holds its slot.
   void admit(Shard& shard, std::uint64_t key, const std::string& value);
+  /// Drops `key`'s bytes; a policy drops the slot too, the oracle keeps it.
   void drop_cached(Shard& shard, std::uint64_t key);
-  /// Write-path invalidation: drops/dirties `key`'s cache slot on whichever
-  /// shard owns it (posted cross-shard when that isn't `shard`).
+  /// Write path: detaches `key`'s in-flight fetch on every shard and, when
+  /// the key may be cached, drops its bytes on the shard that owns it
+  /// (posted to the other shards' loops).
   void invalidate_cached(Shard& shard, std::uint64_t key);
   void complete_request(Shard& shard, const Forward& request,
                         std::uint32_t node);

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
                    "fleet members");
   flags.add_uint64("items", &items, "key space size m (perfect cache bound)");
   flags.add_uint64("value-bytes", &value_bytes,
-                   "value size for perfect-cache synthesis");
+                   "value size the perfect cache fills at start");
   flags.add_uint64("max-retries", &max_retries,
                    "retries after the first attempt");
   flags.add_double("retry-backoff", &config.retry.backoff_base_s,

@@ -215,8 +215,8 @@ class FrameReader {
 
 /// Deterministic value for a key: the decimal key id padded with filler to
 /// `value_bytes`. Backends preload it and the perfect front-end cache
-/// synthesizes it, so every tier agrees on a key's bytes without any shared
-/// state.
+/// fills at start with it, so every tier agrees on a key's bytes without any
+/// shared state until a write replaces them.
 std::string make_value(std::uint64_t key, std::uint32_t value_bytes);
 
 }  // namespace scp::net

@@ -5,16 +5,19 @@
 //     pre-fix, every request for an in-flight key kept its empty slot
 //     maximally fresh, evicting real entries (exactly what a miss-flood
 //     exploits).
-//   * a deleted perfect-oracle key stays deleted: it stays dirty and every
-//     GET forwards, so the oracle never serves its old bytes again.
-//   * a write detaches the fetch already in flight for its key: that
-//     fetch's pre-write bytes fill no slot, and a GET parked on it after
-//     the write is fetched again.
+//   * a deleted perfect-oracle key stays deleted: the delete drops the
+//     slot's bytes, a relayed MISS leaves the slot empty and every GET
+//     forwards, so the oracle never serves its old bytes again.
+//   * a write detaches the fetch already in flight for its key, on every
+//     shard and for every key, cacheable or not: that fetch's pre-write
+//     bytes fill no slot, and a GET parked on it after the write is
+//     fetched again.
 //   * the values side-map holds only the bytes of keys the policy holds
 //     (its eviction listener erases the rest), so it never outgrows c.
 //   * perfect-oracle re-provisioning swaps keys within each shard's slice
-//     of [0, c), so the shards together never serve more than c keys, and
-//     a write reaches a re-provisioned key, in a fleet too: a member that
+//     of [0, c), so the shards together never serve more than c keys; a
+//     re-provisioned slot is warmed by one fetch, like a policy's; and a
+//     write reaches a re-provisioned key, in a fleet too: a member that
 //     does not own it bounces the write to the owner.
 //   * the detection pipeline end to end, with no replica mesh: backends
 //     sketch their served GETs and push kHotKeyReports to subscribed front
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "cluster/partitioner.h"
+#include "common/hash.h"
 #include "net/backend_server.h"
 #include "net/fleet.h"
 #include "net/frontend_server.h"
@@ -286,14 +290,14 @@ TEST(DetectLoopback, DeletedOracleKeyStaysDeleted) {
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, MsgType::kWriteReply);
 
-  // The delete dirtied the oracle slot, and a relayed MISS leaves it dirty:
-  // the oracle would otherwise serve the deleted key's bytes again.
+  // The delete dropped the oracle slot's bytes, and a relayed MISS leaves
+  // the slot empty: the oracle would otherwise serve the deleted key's bytes
+  // again.
   for (int i = 0; i < 5; ++i) {
     reply = client.get(key, 2.0);
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->type, MsgType::kMiss) << "GET " << i;
   }
-  EXPECT_EQ(gauge(frontend.metrics_snapshot(), "frontend.dirty_keys"), 1);
 
   expect_consistent(frontend);
   const ServerStats stats = frontend.stats();
@@ -417,10 +421,14 @@ class LaggingStore {
 };
 
 /// PUT v1; a GET that is forwarded and held; PUT v2, acked while the held
-/// GET is out; then 3 GETs. The held GET may answer v1 (it came first), but
-/// its bytes must not fill the slot, and the GET that parks on it after
-/// v2's ack must be fetched again.
-void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
+/// GET is out; then 3 GETs, on the held GET's shard. The held GET may answer
+/// v1 (it came first), but its bytes must not fill the slot, and the GET
+/// that parks on it after v2's ack must be fetched again. With c = 8 and
+/// m = 64 on `shards` front-end shards; at 2 shards `key` must be owned by
+/// shard 1, so every GET is a miss on shard 0.
+void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache,
+                                                    std::uint64_t key,
+                                                    std::uint32_t shards) {
   LaggingStore store(std::chrono::milliseconds(200));
   ASSERT_TRUE(store.start());
   FrontendConfig config;
@@ -430,17 +438,25 @@ void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
   config.cache_policy = cache;
   config.cache_capacity = 8;
   config.items = 64;
+  config.shards = shards;
+  // The fallback acceptor deals connections round-robin: at 2 shards
+  // `client` and `other` land on shard 0 and `spacer` on shard 1.
+  config.force_fallback_accept = shards > 1;
+  ASSERT_TRUE(shards == 1 || mix64(key) % shards == 1);
   FrontendServer frontend(config);
   ASSERT_TRUE(frontend.start());
   ASSERT_TRUE(frontend.wait_backends_up(5.0));
 
-  constexpr std::uint64_t kKey = 3;  // < c: oracle-cached
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
+  SyncClient spacer;
+  ASSERT_TRUE(spacer.connect("127.0.0.1", frontend.port()));
+  SyncClient other;
+  ASSERT_TRUE(other.connect("127.0.0.1", frontend.port()));
   const auto put = [&](const std::string& bytes) {
     Message write;
     write.type = MsgType::kPut;
-    write.key = kKey;
+    write.key = key;
     write.payload = bytes;
     const auto reply = client.call(write, 2.0);
     ASSERT_TRUE(reply.has_value());
@@ -449,12 +465,7 @@ void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
   put("v1");
   std::optional<Message> held;
   {
-    std::jthread reader([&] {
-      SyncClient other;
-      if (other.connect("127.0.0.1", frontend.port())) {
-        held = other.get(kKey, 2.0);
-      }
-    });
+    std::jthread reader([&] { held = other.get(key, 2.0); });
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(2);
     while (store.gets() == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -463,7 +474,7 @@ void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
     ASSERT_EQ(store.gets(), 1u) << "the first GET was never forwarded";
     put("v2");
     for (int i = 0; i < 3; ++i) {
-      const auto reply = client.get(kKey, 2.0);
+      const auto reply = client.get(key, 2.0);
       ASSERT_TRUE(reply.has_value());
       ASSERT_EQ(reply->type, MsgType::kValue);
       EXPECT_EQ(reply->payload, "v2") << cache << " GET " << i;
@@ -476,11 +487,27 @@ void expect_no_get_after_a_write_sees_its_old_bytes(const std::string& cache) {
 }
 
 TEST(DetectLoopback, WriteDetachesTheInFlightFetchUnderLru) {
-  expect_no_get_after_a_write_sees_its_old_bytes("lru");
+  expect_no_get_after_a_write_sees_its_old_bytes("lru", 3, 1);
 }
 
 TEST(DetectLoopback, WriteDetachesTheInFlightFetchUnderTheOracle) {
-  expect_no_get_after_a_write_sees_its_old_bytes("perfect");
+  expect_no_get_after_a_write_sees_its_old_bytes("perfect", 3, 1);
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchWithNoCache) {
+  expect_no_get_after_a_write_sees_its_old_bytes("none", 3, 1);
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchOfAnUncachedOracleKey) {
+  expect_no_get_after_a_write_sees_its_old_bytes("perfect", 40, 1);  // >= c
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchOnEveryShardUnderLru) {
+  expect_no_get_after_a_write_sees_its_old_bytes("lru", 2, 2);
+}
+
+TEST(DetectLoopback, WriteDetachesTheInFlightFetchOnEveryShardUnderTheOracle) {
+  expect_no_get_after_a_write_sees_its_old_bytes("perfect", 2, 2);
 }
 
 // --- regression: the values side-map holds only what the policy holds ------
@@ -674,8 +701,11 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   const obs::MetricsSnapshot fe = frontend.metrics_snapshot();
   EXPECT_GT(counter(fe, "detect.flagged_keys"), 0u);
   EXPECT_GT(counter(fe, "detect.reprovisioned"), 0u);
-  // No tier to warm: re-provision synthesizes locally, no prefetches.
-  EXPECT_EQ(counter(fe, "detect.prefetches"), 0u);
+  // Each re-provisioned slot is warmed by at most one fetch, as a policy's
+  // slot is.
+  EXPECT_GT(counter(fe, "detect.prefetches"), 0u);
+  EXPECT_LE(counter(fe, "detect.prefetches"),
+            counter(fe, "detect.reprovisioned"));
 
   // The flagged keys now hit the re-provisioned cache instead of
   // forwarding; prefix keys displaced by them simply forward (the cached
@@ -807,8 +837,8 @@ TEST(DetectLoopback, WritesReachReprovisionedKeys) {
 
 TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
   // Two oracle members split c = 8. Member 0 re-provisions hot keys >= c
-  // that it owns, so a write to one must reach member 0, which dirties the
-  // slot: member 1 bounces it there instead of forwarding it itself.
+  // that it owns, so a write to one must reach member 0, which drops the
+  // slot's bytes: member 1 bounces it there instead of forwarding it itself.
   constexpr std::uint64_t kFleetSeed = 4242;
   constexpr std::uint32_t kMembers = 2;
   Fleet fleet = start_oracle_fleet();

@@ -749,9 +749,9 @@ TEST(ReplyMatching, PutAndGetRacedThroughTheRouterGetTheirOwnReplies) {
 }
 
 TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
-  // The FE serves cached reads from the perfect oracle; a PUT through the
-  // FE must stop the oracle from synthesizing the stale value until the
-  // backend confirms the refetched bytes.
+  // The FE serves every key from the perfect oracle. A PUT through the FE
+  // of bytes the oracle never held drops the key's cached bytes; the next
+  // GET refetches the written bytes, and the cache serves them from then on.
   constexpr std::uint64_t kItems = 32;
   Mesh mesh = start_mesh(3, 3, kItems);
 
@@ -771,36 +771,31 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
 
   // Cached read first: served by the oracle without touching a backend.
-  const std::uint64_t key = 3;
-  const auto cached = client.get(key, 2.0);
+  const auto cached = client.get(3, 2.0);
   ASSERT_TRUE(cached.has_value());
   ASSERT_EQ(cached->type, MsgType::kValue);
-  EXPECT_EQ(cached->payload, make_value(key, fe_config.value_bytes));
+  EXPECT_EQ(cached->payload, make_value(3, fe_config.value_bytes));
+  EXPECT_EQ(frontend.stats().forwarded, 0u);
 
-  // Write through the FE: the quorum commits on the backends and the FE
-  // marks the key dirty so the oracle stops answering for it.
-  const auto ack =
-      client.call(make_put(key, make_value(key, fe_config.value_bytes)), 3.0);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
-  EXPECT_GE(frontend.stats().invalidations, 1u);
-
-  // The next GET is forwarded (dirty), returns the backend's copy, and the
-  // matching bytes re-clean the cache.
-  const auto refetched = client.get(key, 3.0);
-  ASSERT_TRUE(refetched.has_value());
-  ASSERT_EQ(refetched->type, MsgType::kValue);
-  EXPECT_EQ(refetched->payload, make_value(key, fe_config.value_bytes));
-
-  const ServerStats after_refetch = frontend.stats();
-  EXPECT_GE(after_refetch.forwarded, 1u);
-
-  // Cache serves again: no new forward for the same key.
-  const auto again = client.get(key, 2.0);
-  ASSERT_TRUE(again.has_value());
-  ASSERT_EQ(again->type, MsgType::kValue);
-  EXPECT_EQ(frontend.stats().forwarded, after_refetch.forwarded)
-      << "a cleaned key must be served from the cache again";
+  for (std::uint64_t key = 0; key < kItems; ++key) {
+    const std::string written = "written to key " + std::to_string(key);
+    const auto ack = client.call(make_put(key, written), 3.0);
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
+    // The first GET refetches the written bytes; every later one is a hit.
+    for (int i = 0; i < 3; ++i) {
+      const std::uint64_t hits_before = frontend.stats().hits;
+      const auto reply = client.get(key, 3.0);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, MsgType::kValue);
+      EXPECT_EQ(reply->payload, written) << "key " << key << " GET " << i;
+      EXPECT_EQ(frontend.stats().hits, hits_before + (i == 0 ? 0 : 1))
+          << "key " << key << " GET " << i;
+    }
+  }
+  const ServerStats stats = frontend.stats();
+  EXPECT_EQ(stats.invalidations, kItems);
+  EXPECT_EQ(stats.forwarded, 2 * kItems);  // each PUT and its one refetch
 
   frontend.stop(0.5);
   for (auto& backend : mesh.backends) backend->stop(0.5);
