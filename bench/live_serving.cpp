@@ -1,13 +1,13 @@
 // Live serving tier under open-loop load — the paper's rate-simulator
 // claims measured on a real TCP request path.
 //
-// Spawns a full loopback cluster in-process (n scp_backend instances plus
-// one scp_frontend, each on its own reactor thread), then replays a query
-// distribution against it from open-loop client threads: arrivals are
-// scheduled by a Poisson process at the configured aggregate rate and
-// latency is measured from the *scheduled* send time, so a slow server
-// cannot hide queueing delay by slowing the clients down (no coordinated
-// omission).
+// Stands a full loopback tier up in-process through net::LocalTier (n
+// backends plus one front end, each on its own reactor thread), then
+// replays a query distribution against it from open-loop client threads:
+// arrivals are scheduled by a Poisson process at the configured aggregate
+// rate and latency is measured from the *scheduled* send time, so a slow
+// server cannot hide queueing delay by slowing the clients down (no
+// coordinated omission).
 //
 // The headline check: the live normalized max load — max over backends of
 // GETs served, divided by the even split completed/n — is compared against
@@ -47,9 +47,7 @@
 #include "common/rng.h"
 #include "common/sampling.h"
 #include "common/table.h"
-#include "net/backend_server.h"
-#include "net/frontend_server.h"
-#include "net/router_server.h"
+#include "net/local_tier.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 #include "sim/rate_sim.h"
@@ -93,10 +91,10 @@ struct LiveFlags {
   std::string json;
 };
 
-/// The live front end routes misses pinned; the rate simulator models that
-/// balls-into-bins placement as least-loaded.
-constexpr const char* kLiveSelector = "pinned";
-constexpr const char* kSimSelector = "least-loaded";
+/// The one pin rule: the live front end routes its misses through it and
+/// the rate simulator predicts with it. The simulator places each key once,
+/// so its prediction equals least-loaded's, draw for draw.
+constexpr const char* kSelector = "pinned";
 
 /// Predicted attack gain (Definition 1) for this distribution against the
 /// exact partition the live cluster runs: same partitioner kind and seed.
@@ -106,7 +104,7 @@ double predict_gain(const LiveFlags& flags, const QueryDistribution& dist,
       flags.partitioner, static_cast<std::uint32_t>(flags.n),
       static_cast<std::uint32_t>(flags.d), partition_seed));
   PerfectCache cache(flags.c, dist);
-  auto selector = make_selector(kSimSelector);
+  auto selector = make_selector(kSelector);
   RateSimConfig config;
   config.query_rate = flags.rate;
   config.seed = sim_seed;
@@ -180,14 +178,15 @@ struct AdaptiveAttack {
 
 /// One open-loop client: Poisson arrivals at `rate` qps, latency measured
 /// from the scheduled arrival. Samples scheduled before `measure_from` are
-/// sent (they warm caches and pins) but not recorded. Every completed GET
-/// also bumps `live_completed` (warmup included) — the denominator feed for
-/// the detect timeline's windowed gain.
+/// sent (they warm caches and pins) but not recorded; one scheduled later
+/// is held until `window_open`, so the servers' window counts it. Every
+/// completed GET also bumps `live_completed` (warmup included) — the
+/// denominator feed for the detect timeline's windowed gain.
 void run_worker(const std::string& address, std::uint16_t port,
                 const AliasSampler& sampler, double rate, Clock::time_point start,
                 Clock::time_point measure_from, Clock::time_point end,
-                std::uint64_t seed, const WriteMix& mix,
-                const AdaptiveAttack& attack,
+                const std::atomic<bool>& window_open, std::uint64_t seed,
+                const WriteMix& mix, const AdaptiveAttack& attack,
                 std::atomic<std::uint64_t>& live_completed,
                 WorkerResult& result) {
   net::SyncClient client;
@@ -208,6 +207,7 @@ void run_worker(const std::string& address, std::uint16_t port,
                     std::chrono::duration<double>(offset_s));
     if (scheduled >= end) break;
     std::this_thread::sleep_until(scheduled);
+    if (scheduled >= measure_from) window_open.wait(false);
 
     const bool is_write =
         mix.write_frac > 0.0 && rng.bernoulli(mix.write_frac);
@@ -266,24 +266,57 @@ void run_worker(const std::string& address, std::uint16_t port,
   }
 }
 
-/// Scrapes one server's metrics over the wire (kMetricsRequest), the same
-/// path scp_stats uses. Empty snapshot when the server is unreachable or
-/// answers with anything but kMetricsReply.
-obs::MetricsSnapshot scrape_metrics(std::uint16_t port) {
-  obs::MetricsSnapshot snap;
-  net::SyncClient client;
-  if (!client.connect("127.0.0.1", port, 2.0)) return snap;
-  net::Message request;
-  request.type = net::MsgType::kMetricsRequest;
-  const auto reply = client.call(request, 2.0);
-  if (reply.has_value() && reply->type == net::MsgType::kMetricsReply) {
-    snap = std::move(reply->metrics);
+/// Every server's metrics snapshot, read in-process: the backends by NodeId,
+/// the members by fleet index, and the router (empty without one).
+struct TierMetrics {
+  std::vector<obs::MetricsSnapshot> backends;
+  std::vector<obs::MetricsSnapshot> members;
+  obs::MetricsSnapshot router;
+};
+
+TierMetrics snapshot_tier(const net::LocalTier& tier) {
+  TierMetrics metrics;
+  for (const auto& backend : tier.backends) {
+    metrics.backends.push_back(backend->metrics_snapshot());
   }
-  return snap;
+  for (const auto& member : tier.frontends) {
+    metrics.members.push_back(member->metrics_snapshot());
+  }
+  if (tier.router != nullptr) metrics.router = tier.router->metrics_snapshot();
+  return metrics;
 }
 
-/// p99 of a named server-side timer, or 0 when the timer is absent or empty
-/// (a failed scrape, or no samples).
+/// `end` with each counter less its value in `start`: what the measured
+/// window added. Gauges and timers stay as in `end` (a histogram cannot be
+/// subtracted), so the timers include the warm-up.
+obs::MetricsSnapshot since(const obs::MetricsSnapshot& start,
+                           obs::MetricsSnapshot end) {
+  for (auto& [name, value] : end.counters) {
+    const auto it = start.counters.find(name);
+    if (it != start.counters.end()) value -= it->second;
+  }
+  return end;
+}
+
+TierMetrics since(const TierMetrics& start, TierMetrics end) {
+  for (std::size_t i = 0; i < end.backends.size(); ++i) {
+    end.backends[i] = since(start.backends[i], std::move(end.backends[i]));
+  }
+  for (std::size_t i = 0; i < end.members.size(); ++i) {
+    end.members[i] = since(start.members[i], std::move(end.members[i]));
+  }
+  end.router = since(start.router, std::move(end.router));
+  return end;
+}
+
+/// A named counter, or 0 when the snapshot has none.
+std::uint64_t counter(const obs::MetricsSnapshot& snap,
+                      const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it != snap.counters.end() ? it->second : 0;
+}
+
+/// p99 of a named server-side timer, or 0 when the timer is absent or empty.
 std::uint64_t timer_p99(const obs::MetricsSnapshot& snap,
                         const std::string& name) {
   const auto it = snap.timers.find(name);
@@ -292,7 +325,7 @@ std::uint64_t timer_p99(const obs::MetricsSnapshot& snap,
              : 0;
 }
 
-/// "r0|r1|…": per-shard front-end request counts from the scraped
+/// "r0|r1|…": per-shard front-end request counts from the
 /// "frontend.shardK.requests" series ("frontend.requests" when unsharded),
 /// so a table row shows how evenly the kernel spread connections.
 std::string shard_requests_cell(const obs::MetricsSnapshot& fe_metrics,
@@ -302,24 +335,22 @@ std::string shard_requests_cell(const obs::MetricsSnapshot& fe_metrics,
     const std::string name =
         fe_shards == 1 ? "frontend.requests"
                        : "frontend.shard" + std::to_string(k) + ".requests";
-    const auto it = fe_metrics.counters.find(name);
     if (!cell.empty()) cell += "|";
-    cell += std::to_string(it != fe_metrics.counters.end() ? it->second : 0);
+    cell += std::to_string(counter(fe_metrics, name));
   }
   return cell;
 }
 
-/// "a|b|c": one named counter per fleet member, in fleet index order, from
-/// the per-member scrapes — the row-level view of how key ownership spread
-/// client load (fe_requests) and where the cache slots live (fe_hits).
+/// "a|b|c": one named counter per fleet member, in fleet index order — the
+/// row-level view of how key ownership spread client load (fe_requests) and
+/// where the cache slots live (fe_hits).
 std::string fleet_counter_cell(
     const std::vector<obs::MetricsSnapshot>& member_metrics,
     const std::string& name) {
   std::string cell;
   for (const obs::MetricsSnapshot& snap : member_metrics) {
-    const auto it = snap.counters.find(name);
     if (!cell.empty()) cell += "|";
-    cell += std::to_string(it != snap.counters.end() ? it->second : 0);
+    cell += std::to_string(counter(snap, name));
   }
   return cell;
 }
@@ -399,116 +430,46 @@ std::vector<PhaseStats> analyze_timeline(
   return phases;
 }
 
-/// One full measurement at `fe_shards` front-end shards: spawn the loopback
-/// cluster, drive the open-loop load, scrape, and append a row to `table`.
-/// Returns false when the cluster fails to come up.
+/// One full measurement at `fe_shards` front-end shards: stand the loopback
+/// tier up, drive the open-loop load, read every server's metrics, and
+/// append a row to `table`. Returns false when the tier fails to come up.
 bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
               const QueryDistribution& dist, double predicted,
               std::uint64_t partition_seed, TextTable& table) {
-  // --- loopback cluster ---------------------------------------------------
-  std::vector<std::unique_ptr<net::BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  for (std::uint32_t node = 0; node < flags.n; ++node) {
-    net::BackendConfig config;
-    config.node_id = node;
-    config.nodes = static_cast<std::uint32_t>(flags.n);
-    config.replication = static_cast<std::uint32_t>(flags.d);
-    config.partitioner = flags.partitioner;
-    config.partition_seed = partition_seed;
-    config.items = flags.m;
-    config.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
-    config.write_quorum = static_cast<std::uint32_t>(flags.write_quorum);
-    config.read_quorum = static_cast<std::uint32_t>(flags.read_quorum);
-    config.detect = flags.detect;
-    config.detect_interval_s = flags.detect_interval_ms / 1000.0;
-    auto backend = std::make_unique<net::BackendServer>(config);
-    if (!backend->start()) {
-      std::fprintf(stderr, "live_serving: backend %u failed to start\n", node);
-      return false;
-    }
-    endpoints.emplace_back("127.0.0.1", backend->port());
-    backends.push_back(std::move(backend));
-  }
-  // Writes need the replica mesh (quorum fan-out between backends). Ports
-  // are kernel-assigned, so the mesh is wired after every node is up.
-  // Read-only runs skip it to stay byte-identical to earlier revisions.
-  if (flags.write_frac > 0.0) {
-    for (auto& backend : backends) backend->set_peers(endpoints);
-    for (auto& backend : backends) {
-      if (!backend->wait_peers_up(5.0)) {
-        std::fprintf(stderr, "live_serving: replica mesh never came up\n");
-        return false;
-      }
-    }
-  }
-
-  // One FrontendServer per fleet member (fleet == 1 is the classic single
-  // front end). Every member gets the same aggregate c and the shared fleet
-  // seed; FrontendServer slices its own fleet_index share out internally,
-  // so the tier-wide cache footprint sums to exactly c.
+  // --- loopback tier ------------------------------------------------------
+  net::BackendConfig backend;
+  backend.nodes = static_cast<std::uint32_t>(flags.n);
+  backend.replication = static_cast<std::uint32_t>(flags.d);
+  backend.partitioner = flags.partitioner;
+  backend.partition_seed = partition_seed;
+  backend.items = flags.m;
+  backend.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
+  backend.write_quorum = static_cast<std::uint32_t>(flags.write_quorum);
+  backend.read_quorum = static_cast<std::uint32_t>(flags.read_quorum);
+  backend.detect = flags.detect;
+  backend.detect_interval_s = flags.detect_interval_ms / 1000.0;
+  // A fleet (fe_fleet > 1) shares one aggregate c, sliced per member, behind
+  // the edge router; clients talk only to it. A single front end is served
+  // directly, with no router hop.
   const std::uint64_t fleet = flags.fe_fleet == 0 ? 1 : flags.fe_fleet;
-  const std::uint64_t fleet_seed = derive_seed(flags.seed, 5);
-  std::vector<std::unique_ptr<net::FrontendServer>> frontends;
-  std::vector<std::pair<std::string, std::uint16_t>> fe_endpoints;
-  for (std::uint32_t member = 0; member < fleet; ++member) {
-    net::FrontendConfig fe_config;
-    fe_config.nodes = static_cast<std::uint32_t>(flags.n);
-    fe_config.replication = static_cast<std::uint32_t>(flags.d);
-    fe_config.partitioner = flags.partitioner;
-    fe_config.partition_seed = partition_seed;
-    fe_config.backends = endpoints;
-    fe_config.cache_policy = flags.cache;
-    fe_config.cache_capacity = flags.c;
-    fe_config.items = flags.m;
-    fe_config.value_bytes = static_cast<std::uint32_t>(flags.value_bytes);
-    // Member 0 keeps the single-frontend seed so --fe-fleet 1 reproduces
-    // the classic run decision-for-decision.
-    fe_config.seed = member == 0
-                         ? derive_seed(flags.seed, 3)
-                         : derive_seed(derive_seed(flags.seed, 3), 200 + member);
-    fe_config.shards = static_cast<std::uint32_t>(fe_shards);
-    fe_config.fleet_size = static_cast<std::uint32_t>(fleet);
-    fe_config.fleet_index = member;
-    fe_config.fleet_seed = fleet_seed;
-    fe_config.detect = flags.detect;
-    fe_config.detect_hot_fraction = flags.detect_threshold;
-    fe_config.detect_min_samples = flags.detect_min_samples;
-    auto frontend = std::make_unique<net::FrontendServer>(fe_config);
-    if (!frontend->start()) {
-      std::fprintf(stderr, "live_serving: frontend %u failed to start\n",
-                   member);
-      return false;
-    }
-    fe_endpoints.emplace_back("127.0.0.1", frontend->port());
-    frontends.push_back(std::move(frontend));
+  net::FrontendConfig frontend;
+  frontend.cache_policy = flags.cache;
+  frontend.cache_capacity = flags.c;
+  frontend.seed = derive_seed(flags.seed, 3);
+  frontend.shards = static_cast<std::uint32_t>(fe_shards);
+  frontend.fleet_size = static_cast<std::uint32_t>(fleet);
+  frontend.fleet_seed = derive_seed(flags.seed, 5);
+  frontend.detect = flags.detect;
+  frontend.detect_hot_fraction = flags.detect_threshold;
+  frontend.detect_min_samples = flags.detect_min_samples;
+  // Writes need the replica mesh (quorum fan-out between backends);
+  // read-only runs skip it.
+  net::LocalTier tier(backend, /*mesh=*/flags.write_frac > 0.0, frontend);
+  if (!tier.start()) {
+    std::fprintf(stderr, "live_serving: the tier failed to come up\n");
+    return false;
   }
-  for (const auto& frontend : frontends) {
-    if (!frontend->wait_backends_up(5.0)) {
-      std::fprintf(stderr, "live_serving: backends never came up\n");
-      return false;
-    }
-  }
-
-  // A fleet gets the edge router in front; clients talk only to it. The
-  // single-frontend path stays direct (no router hop) so --fe-fleet 1
-  // measures exactly what earlier revisions did.
-  std::unique_ptr<net::RouterServer> router;
-  if (fleet > 1) {
-    net::RouterConfig router_config;
-    router_config.frontends = fe_endpoints;
-    router_config.fleet_seed = fleet_seed;
-    router = std::make_unique<net::RouterServer>(router_config);
-    if (!router->start()) {
-      std::fprintf(stderr, "live_serving: router failed to start\n");
-      return false;
-    }
-    if (!router->wait_frontends_up(5.0)) {
-      std::fprintf(stderr, "live_serving: fleet never came up\n");
-      return false;
-    }
-  }
-  const std::uint16_t serve_port =
-      fleet > 1 ? router->port() : frontends[0]->port();
+  const std::uint16_t serve_port = tier.port();
 
   // --- open-loop load -----------------------------------------------------
   const AliasSampler sampler = dist.make_sampler();
@@ -521,27 +482,19 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
       measure_from + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(flags.duration));
 
-  // Backend GETs served during warmup are excluded from the gain the same
+  // Server counters bumped during warmup are excluded from the row the same
   // way warmup samples are excluded from latency: snapshot and subtract.
+  // The window opens once the snapshot is taken; the workers hold measured
+  // requests until then, so no measured request lands in the warmup.
   std::vector<WorkerResult> results(flags.threads);
   std::vector<std::thread> workers;
-  std::vector<std::uint64_t> warmup_requests(flags.n, 0);
-  std::uint64_t warmup_fe_syscalls = 0;
-  std::uint64_t warmup_fe_attempts = 0;
-  std::uint64_t warmup_batch_frames = 0;
-  std::uint64_t warmup_batch_keys = 0;
+  TierMetrics warm;
+  std::atomic<bool> window_open{false};
   std::thread snapshotter([&] {
     std::this_thread::sleep_until(measure_from);
-    for (std::uint32_t node = 0; node < flags.n; ++node) {
-      warmup_requests[node] = backends[node]->stats().requests;
-    }
-    for (const auto& frontend : frontends) {
-      warmup_fe_syscalls += frontend->loop_totals().syscalls;
-      warmup_fe_attempts += frontend->stats().attempts;
-      const auto [frames, keys] = frontend->batch_totals();
-      warmup_batch_frames += frames;
-      warmup_batch_keys += keys;
-    }
+    warm = snapshot_tier(tier);
+    window_open.store(true);
+    window_open.notify_all();
   });
   WriteMix mix;
   mix.write_frac = flags.write_frac;
@@ -565,24 +518,19 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   const bool want_timeline = flags.detect || adaptive.enabled;
   if (want_timeline) {
     timeline_sampler = std::thread([&] {
-      const auto fe_counter = [](const obs::MetricsSnapshot& snap,
-                                 const char* name) -> std::uint64_t {
-        const auto it = snap.counters.find(name);
-        return it != snap.counters.end() ? it->second : 0;
-      };
       while (sampling.load(std::memory_order_relaxed)) {
         DetectSample sample;
         sample.t = std::chrono::duration<double>(Clock::now() - start).count();
         sample.be_requests.resize(flags.n);
         for (std::uint32_t node = 0; node < flags.n; ++node) {
-          sample.be_requests[node] = backends[node]->stats().requests;
+          sample.be_requests[node] = tier.backends[node]->stats().requests;
         }
         sample.completed = live_completed.load(std::memory_order_relaxed);
-        for (const auto& frontend : frontends) {
-          const obs::MetricsSnapshot snap = frontend->metrics_snapshot();
-          sample.flagged += fe_counter(snap, "detect.flagged_keys");
-          sample.prefetches += fe_counter(snap, "detect.prefetches");
-          sample.reprovisioned += fe_counter(snap, "detect.reprovisioned");
+        for (const auto& member : tier.frontends) {
+          const obs::MetricsSnapshot snap = member->metrics_snapshot();
+          sample.flagged += counter(snap, "detect.flagged_keys");
+          sample.prefetches += counter(snap, "detect.prefetches");
+          sample.reprovisioned += counter(snap, "detect.reprovisioned");
         }
         timeline.push_back(std::move(sample));
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -592,7 +540,7 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   for (std::uint64_t t = 0; t < flags.threads; ++t) {
     workers.emplace_back(run_worker, "127.0.0.1", serve_port,
                          std::cref(sampler), per_thread_rate, start,
-                         measure_from, end,
+                         measure_from, end, std::cref(window_open),
                          derive_seed(flags.seed, 100 + t), std::cref(mix),
                          std::cref(adaptive), std::ref(live_completed),
                          std::ref(results[t]));
@@ -601,25 +549,35 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   snapshotter.join();
   sampling.store(false, std::memory_order_relaxed);
   if (timeline_sampler.joinable()) timeline_sampler.join();
-  // Read before the metrics scrape below: scraping goes over the wire and
-  // would bill its own recv/send syscalls to the serving path.
-  std::uint64_t fe_syscalls_total = 0;
-  std::uint64_t fe_attempts_total = 0;
-  std::uint64_t batch_frames_total = 0;
-  std::uint64_t batch_keys_total = 0;
-  for (const auto& frontend : frontends) {
-    fe_syscalls_total += frontend->loop_totals().syscalls;
-    fe_attempts_total += frontend->stats().attempts;
-    const auto [frames, keys] = frontend->batch_totals();
-    batch_frames_total += frames;
-    batch_keys_total += keys;
-  }
-  const std::uint64_t fe_syscalls = fe_syscalls_total - warmup_fe_syscalls;
-  const std::uint64_t fe_attempts = fe_attempts_total - warmup_fe_attempts;
-  const std::uint64_t batch_frames = batch_frames_total - warmup_batch_frames;
-  const std::uint64_t batch_keys = batch_keys_total - warmup_batch_keys;
 
   // --- collect ------------------------------------------------------------
+  // Every counter below is the measured window's: the warmup snapshot is
+  // subtracted server by server. Server timers cover warmup traffic too,
+  // which only biases them *upward* relative to the measured window — fine
+  // for the client-vs-server consistency check below.
+  const TierMetrics window = since(warm, snapshot_tier(tier));
+  tier.stop();
+  obs::MetricsSnapshot fe_metrics;
+  for (const obs::MetricsSnapshot& snap : window.members) {
+    fe_metrics.merge(snap);
+  }
+  obs::MetricsSnapshot be_metrics;
+  for (const obs::MetricsSnapshot& snap : window.backends) {
+    be_metrics.merge(snap);
+  }
+  const auto fe_counter = [&fe_metrics](const char* name) {
+    return counter(fe_metrics, name);
+  };
+  const std::uint64_t fe_syscalls = fe_counter("loop.syscalls");
+  const std::uint64_t batch_frames = fe_counter("frontend.batch_frames");
+  const std::uint64_t batch_keys = fe_counter("frontend.batch_keys");
+  const std::uint64_t coalesced = fe_counter("frontend.coalesced");
+  const std::uint64_t invalidations = fe_counter("frontend.invalidations");
+  const std::uint64_t be_replications =
+      counter(be_metrics, "backend.replications");
+  const std::uint64_t be_rebalanced =
+      counter(be_metrics, "backend.rebalanced_keys");
+
   std::uint64_t completed = 0;
   std::uint64_t failures = 0;
   std::uint64_t puts = 0;
@@ -638,57 +596,17 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   TextTable backend_table({"node", "requests", "hits", "redirects", "share"});
   std::uint64_t max_backend = 0;
   for (std::uint32_t node = 0; node < flags.n; ++node) {
-    const net::ServerStats stats = backends[node]->stats();
-    const std::uint64_t measured = stats.requests - warmup_requests[node];
+    const obs::MetricsSnapshot& snap = window.backends[node];
+    const std::uint64_t measured = counter(snap, "backend.requests");
     max_backend = std::max(max_backend, measured);
-    backend_table.add_row({static_cast<std::int64_t>(node),
-                           static_cast<std::int64_t>(measured),
-                           static_cast<std::int64_t>(stats.hits),
-                           static_cast<std::int64_t>(stats.redirects),
-                           completed > 0 ? static_cast<double>(measured) /
-                                               static_cast<double>(completed)
-                                         : 0.0});
+    backend_table.add_row(
+        {static_cast<std::int64_t>(node), static_cast<std::int64_t>(measured),
+         static_cast<std::int64_t>(counter(snap, "backend.hits")),
+         static_cast<std::int64_t>(counter(snap, "backend.redirects")),
+         completed > 0 ? static_cast<double>(measured) /
+                             static_cast<double>(completed)
+                       : 0.0});
   }
-
-  // --- server-side scrape (over the wire, cluster still live) -------------
-  // The same kMetricsRequest path scp_stats uses: front-end histograms from
-  // the front end's client port, back-end service times merged across every
-  // node. Server histograms cover warmup traffic too (histograms can't be
-  // snapshot-subtracted the way counters are), which only biases them
-  // *upward* relative to the measured window — fine for the client-vs-server
-  // consistency check below.
-  net::ServerStats fe_stats;
-  std::vector<obs::MetricsSnapshot> fe_member_metrics;
-  obs::MetricsSnapshot fe_metrics;
-  for (const auto& frontend : frontends) {
-    const net::ServerStats member_stats = frontend->stats();
-    fe_stats.requests += member_stats.requests;
-    fe_stats.hits += member_stats.hits;
-    fe_stats.misses += member_stats.misses;
-    fe_stats.forwarded += member_stats.forwarded;
-    fe_stats.coalesced += member_stats.coalesced;
-    fe_stats.attempts += member_stats.attempts;
-    fe_stats.retries += member_stats.retries;
-    fe_stats.failures += member_stats.failures;
-    fe_stats.puts += member_stats.puts;
-    fe_stats.deletes += member_stats.deletes;
-    fe_stats.invalidations += member_stats.invalidations;
-    fe_member_metrics.push_back(scrape_metrics(frontend->port()));
-    fe_metrics.merge(fe_member_metrics.back());
-  }
-  obs::MetricsSnapshot be_metrics;
-  for (const auto& backend : backends) {
-    be_metrics.merge(scrape_metrics(backend->port()));
-  }
-  const auto be_counter = [&be_metrics](const char* name) {
-    const auto it = be_metrics.counters.find(name);
-    return it != be_metrics.counters.end() ? it->second : 0;
-  };
-  const std::uint64_t be_replications = be_counter("backend.replications");
-  const std::uint64_t be_rebalanced = be_counter("backend.rebalanced_keys");
-  if (router != nullptr) router->stop(1.0);
-  for (auto& frontend : frontends) frontend->stop(1.0);
-  for (auto& backend : backends) backend->stop(1.0);
 
   const double ideal =
       static_cast<double>(completed) / static_cast<double>(flags.n);
@@ -711,7 +629,8 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   // — so frames = (plain attempts) + (batch frames). batch_fill is how full
   // those batch frames ran; coalescing shrinks attempts itself (parked
   // waiters never reach the wire).
-  const std::uint64_t fe_be_frames = fe_attempts - batch_keys + batch_frames;
+  const std::uint64_t fe_be_frames =
+      fe_counter("frontend.attempts_total") - batch_keys + batch_frames;
   const double frames_per_req =
       completed > 0
           ? static_cast<double>(fe_be_frames) / static_cast<double>(completed)
@@ -724,11 +643,11 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   // rate, throughput is server-bound and the latency columns include queue
   // wait — flag the row instead of letting it read as capacity.
   const bool rate_bound = throughput < 0.95 * flags.rate;
+  const std::uint64_t fe_requests = fe_counter("frontend.requests");
   const double hit_ratio =
-      fe_stats.requests > 0
-          ? static_cast<double>(fe_stats.hits) /
-                static_cast<double>(fe_stats.requests)
-          : 0.0;
+      fe_requests > 0 ? static_cast<double>(fe_counter("frontend.hits")) /
+                            static_cast<double>(fe_requests)
+                      : 0.0;
 
   std::printf("[fe_fleet=%llu fe_shards=%llu] per-backend load (measured "
               "window):\n%s\n",
@@ -745,8 +664,7 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
               flags.rate > 0 ? 100.0 * throughput / flags.rate : 0.0,
               rate_bound ? " RATE-BOUND" : "", rps_per_core,
               syscalls_per_req, frames_per_req,
-              static_cast<unsigned long long>(fe_stats.coalesced),
-              batch_fill);
+              static_cast<unsigned long long>(coalesced), batch_fill);
   if (flags.write_frac > 0.0) {
     std::printf("[fe_fleet=%llu fe_shards=%llu] write mix%s: puts=%llu "
                 "put_failures=%llu fe_invalidations=%llu "
@@ -756,23 +674,24 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
                 mix.attack_invalidate ? " (attack=invalidate)" : "",
                 static_cast<unsigned long long>(puts),
                 static_cast<unsigned long long>(put_failures),
-                static_cast<unsigned long long>(fe_stats.invalidations),
+                static_cast<unsigned long long>(invalidations),
                 static_cast<unsigned long long>(be_replications));
   }
   if (fleet > 1) {
-    const net::ServerStats router_stats = router->stats();
+    const auto router_counter = [&window](const char* name) {
+      return static_cast<unsigned long long>(counter(window.router, name));
+    };
     std::printf("[fe_fleet=%llu] router: requests=%llu forwarded=%llu "
                 "redirects=%llu failures=%llu | per-FE requests: %s | "
                 "per-FE hits: %s\n\n",
                 static_cast<unsigned long long>(fleet),
-                static_cast<unsigned long long>(router_stats.requests),
-                static_cast<unsigned long long>(router_stats.forwarded),
-                static_cast<unsigned long long>(router_stats.redirects),
-                static_cast<unsigned long long>(router_stats.failures),
-                fleet_counter_cell(fe_member_metrics, "frontend.requests")
+                router_counter("router.requests"),
+                router_counter("router.forwarded"),
+                router_counter("router.redirects_followed"),
+                router_counter("router.failures"),
+                fleet_counter_cell(window.members, "frontend.requests")
                     .c_str(),
-                fleet_counter_cell(fe_member_metrics, "frontend.hits")
-                    .c_str());
+                fleet_counter_cell(window.members, "frontend.hits").c_str());
   }
 
   // --- detect timeline ----------------------------------------------------
@@ -785,10 +704,6 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   bool det_scored = false;
   double peak_gain_w = 0.0;
   double recover_s = 0.0;
-  const auto fe_counter = [&fe_metrics](const char* name) -> std::uint64_t {
-    const auto it = fe_metrics.counters.find(name);
-    return it != fe_metrics.counters.end() ? it->second : 0;
-  };
   if (want_timeline && timeline.size() >= 2) {
     const double horizon = timeline.back().t;
     const double period = adaptive.enabled ? adaptive.shift_period_s
@@ -832,8 +747,8 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   //                free: includes the wait behind earlier requests.
   //   service    — actual send -> reply: what the cluster itself cost
   //                (network + FE handling + any forward).
-  // The gap between them is pure client-side queue wait. Server side,
-  // scraped live over the wire:
+  // The gap between them is pure client-side queue wait. Server side, read
+  // from each server's metrics while the tier ran:
   //   frontend.request_us  — FE kGet receipt -> reply written (hits+misses)
   //   frontend.forward_rtt_us — FE wire send -> backend reply (misses only)
   //   backend.service_us   — BE kGet receipt -> reply written
@@ -868,8 +783,7 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
   decomp.add_row({std::string("backend service"),
                   static_cast<std::int64_t>(svc_p99),
                   timer_count(be_metrics, "backend.service_us")});
-  std::printf("latency decomposition (server side scraped live; includes "
-              "warmup):\n%s\n",
+  std::printf("latency decomposition (server side includes warmup):\n%s\n",
               decomp.render().c_str());
 
   table.add_row({flags.preset,
@@ -879,7 +793,7 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
                  static_cast<std::int64_t>(fleet),
                  static_cast<std::int64_t>(completed), throughput,
                  rps_per_core, syscalls_per_req, frames_per_req,
-                 static_cast<std::int64_t>(fe_stats.coalesced), batch_fill,
+                 static_cast<std::int64_t>(coalesced), batch_fill,
                  static_cast<std::int64_t>(rate_bound ? 1 : 0), hit_ratio,
                  static_cast<std::int64_t>(failures),
                  static_cast<std::int64_t>(max_backend), ideal, live_gain,
@@ -894,11 +808,11 @@ bool run_once(const LiveFlags& flags, std::uint64_t fe_shards, std::uint64_t x,
                  static_cast<std::int64_t>(rtt_p99),
                  static_cast<std::int64_t>(svc_p99),
                  shard_requests_cell(fe_metrics, fe_shards),
-                 fleet_counter_cell(fe_member_metrics, "frontend.requests"),
-                 fleet_counter_cell(fe_member_metrics, "frontend.hits"),
+                 fleet_counter_cell(window.members, "frontend.requests"),
+                 fleet_counter_cell(window.members, "frontend.hits"),
                  flags.write_frac, static_cast<std::int64_t>(puts),
                  static_cast<std::int64_t>(put_failures),
-                 static_cast<std::int64_t>(fe_stats.invalidations),
+                 static_cast<std::int64_t>(invalidations),
                  static_cast<std::int64_t>(be_replications),
                  static_cast<std::int64_t>(be_rebalanced),
                  static_cast<std::int64_t>(flags.detect ? 1 : 0),
@@ -1042,7 +956,7 @@ int main(int argc, char** argv) {
   common.seed = flags.seed;
   common.threads = flags.threads;
   common.partitioner = flags.partitioner;
-  common.selector = kLiveSelector;
+  common.selector = kSelector;
   common.csv = flags.csv;
   common.json = flags.json;
 
@@ -1078,7 +992,7 @@ int main(int argc, char** argv) {
                   : "",
               flags.rate, flags.duration,
               static_cast<unsigned long long>(flags.threads),
-              flags.cache.c_str(), kLiveSelector);
+              flags.cache.c_str(), kSelector);
   std::printf("rate-sim prediction (same partition seed): gain=%.4f\n\n",
               predicted);
 

@@ -6,11 +6,18 @@
 # 2. Run the ctest suite (the PR gate: must stay green). QUICK=1 skips the
 #    suites labeled "slow" (ctest -LE slow) for a fast inner loop; the
 #    default runs everything.
-# 3. Smoke-run one figure bench with --json and validate the record, so a
-#    bench/JSON regression cannot slip past a green unit-test run.
+# 3. Smoke-run one figure bench and the failure ablation with --json and
+#    validate each record (bench name, params, wall_ms > 0, a non-empty
+#    series), so a bench/JSON regression cannot slip past a green unit-test
+#    run.
 # 4. Full mode only: smoke the live serving tier — scp_backend answers a
-#    kernel-assigned --port 0 and drains cleanly on SIGTERM, and
-#    bench/live_serving drives a real loopback cluster and emits valid JSON.
+#    kernel-assigned --port 0 and drains cleanly on SIGTERM; a 4-shard
+#    scp_frontend over 3 scp_backend processes answers GETs with their ids
+#    and exports well-formed Prometheus text whose shard series sum to the
+#    aggregate; scp_router in front of a 3-member scp_frontend fleet hides
+#    every fleet redirect and exports its dispatch spread; every process
+#    drains on SIGTERM. bench/live_serving drives the in-process tier and
+#    emits valid JSON whose latency decomposition nests.
 # 5. Full mode only: smoke the sharded reactors — scp_backend --shards 4
 #    must serve GETs on every shard and its /metrics aggregate must equal
 #    the sum of the per-shard series, and bench/live_serving --fe-shards 4
@@ -18,7 +25,7 @@
 # 6. Full mode only: smoke the distributed front end — bench/live_serving
 #    --fe-fleet 3 (3 FrontendServers behind the edge router) must complete
 #    with zero failures and emit the fe_fleet / fe_requests / fe_hits
-#    columns.
+#    columns, one cell per member.
 # 7. Full mode only: smoke hot-key detection — bench/live_serving with
 #    --attack adaptive --detect must flag and re-provision keys with a
 #    finite detection latency and emit the batching columns, and a benign
@@ -78,14 +85,21 @@ if [[ "$QUICK" == "1" ]]; then
 fi
 ctest "${ctest_args[@]}"
 
+# The standard bench record: {bench, params, wall_ms > 0, series: [rows]}.
 validate_json() {
-  local path="$1" bench="$2"
-  for field in "\"bench\":\"$bench\"" '"params"' '"wall_ms"' '"series"'; do
-    if ! grep -q -- "$field" "$path"; then
-      echo "check.sh: smoke JSON missing $field ($path)" >&2
-      return 1
-    fi
-  done
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+
+path, bench = sys.argv[1], sys.argv[2]
+record = json.load(open(path))
+for field in ("bench", "params", "wall_ms", "series"):
+    assert field in record, f"{path}: missing field {field!r}"
+assert record["bench"] == bench, f"{path}: bench is {record['bench']!r}"
+assert isinstance(record["wall_ms"], (int, float)) and record["wall_ms"] > 0, \
+    f"{path}: wall_ms missing or not positive"
+assert isinstance(record["series"], list) and record["series"], \
+    f"{path}: series missing or empty"
+EOF
 }
 
 smoke_json="$BUILD_DIR/smoke_fig5a.json"
@@ -94,6 +108,12 @@ rm -f "$smoke_json"
   --nodes 100 --items 5000 --rate 10000 --runs 2 --grid-points 2 \
   --cache-list 50,100 --json "$smoke_json" >/dev/null
 validate_json "$smoke_json" fig5a_best_gain
+failures_json="$BUILD_DIR/smoke_ablation_failures.json"
+rm -f "$failures_json"
+"$BUILD_DIR/bench/ablation_failures" \
+  --runs 2 --frac-list 0,0.1 --recovery-list 0.5 \
+  --json "$failures_json" >/dev/null
+validate_json "$failures_json" ablation_failures
 
 if [[ "$QUICK" != "1" ]]; then
   # Live serving smoke 1: scp_backend binds a kernel-assigned port, prints
@@ -140,8 +160,144 @@ print(urllib.request.urlopen(
     exit 1
   fi
 
-  # Live serving smoke 2: the open-loop load generator against a real
-  # loopback cluster (1 frontend + n backends), emitting the standard JSON.
+  # Process probes: a 4-shard scp_frontend over 3 scp_backend processes,
+  # then scp_router in front of a 3-member scp_frontend fleet. Each tier is
+  # probed on the wire and on its metrics endpoint, then drained with
+  # SIGTERM. The python block owns the process lifecycle, so a failure
+  # mid-probe cannot leak listeners.
+  PYTHONPATH=scripts python3 - "$BUILD_DIR/src/net" <<'EOF'
+import json, re, signal, socket, subprocess, sys, urllib.request
+import scp_wire
+
+bin_dir = sys.argv[1]
+procs = []
+
+def spawn(binary, *args):
+    """Starts `binary --port 0 args`; returns the ports it prints."""
+    proc = subprocess.Popen([f"{bin_dir}/{binary}", "--port", "0", *args],
+                            stdout=subprocess.PIPE, text=True)
+    procs.append(proc)
+    want = {"PORT", "METRICS_PORT"} if "--metrics-port" in args else {"PORT"}
+    ports = {}
+    while not want <= ports.keys():
+        line = proc.stdout.readline()
+        assert line, f"{binary} exited before printing {want}"
+        name, _, value = line.strip().partition(" ")
+        if name in want:
+            ports[name] = int(value)
+    return ports
+
+def drain():
+    for proc in procs:
+        proc.send_signal(signal.SIGTERM)
+    for proc in procs:
+        assert proc.wait(timeout=10) == 0, \
+            f"{proc.args[0]}: unclean SIGTERM exit {proc.returncode}"
+    procs.clear()
+
+def backends(*extra):
+    return ",".join(
+        str(spawn("scp_backend", "--node", str(node), "--nodes", "3",
+                  "--replication", "2", "--partition-seed", "1",
+                  "--items", "4096", *extra)["PORT"])
+        for node in range(3))
+
+def get(sock, key):
+    reply = scp_wire.call(sock, scp_wire.get(key, request_id=key))
+    assert reply.id == key, (key, reply.id)
+    return reply
+
+try:
+    # A 4-shard front end: GETs echo their ids, and the exposition format
+    # and per-shard sums hold on a live scrape.
+    fe = spawn("scp_frontend", "--nodes", "3", "--replication", "2",
+               "--partition-seed", "1", "--items", "4096",
+               "--cache-capacity", "64",
+               "--backends", backends("--metrics-port", "0"),
+               "--shards", "4", "--metrics-port", "0")
+    with socket.create_connection(("127.0.0.1", fe["PORT"]), timeout=5) as s:
+        assert get(s, 7).type == scp_wire.VALUE
+        assert get(s, 1 << 20).type == scp_wire.MISS
+    base = f"http://127.0.0.1:{fe['METRICS_PORT']}"
+    text = urllib.request.urlopen(base + "/metrics", timeout=5).read().decode()
+    assert text.endswith("\n"), "exposition must end with a newline"
+    sample = re.compile(
+        r'^scp_[a-zA-Z0-9_:]+(\{quantile="[0-9.]+"\})? -?[0-9.eE+-]+$')
+    typed = set()
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            name, kind = line.split()[2:4]
+            assert kind in ("counter", "gauge", "summary"), line
+            typed.add(name)
+        elif not line.startswith("#"):
+            assert sample.match(line), f"malformed sample line: {line}"
+    families = ["scp_frontend_requests", "scp_frontend_hits",
+                "scp_frontend_backends_up", "scp_frontend_request_us"]
+    families += [f"scp_frontend_shard{k}_{series}"
+                 for k in range(4) for series in ("requests", "request_us")]
+    for family in families:
+        assert family in typed, f"missing TYPE for {family}"
+    assert re.search(r"^scp_frontend_requests 2$", text, re.M), \
+        "the probe sent 2 GETs; the scrape must reflect them"
+    doc = json.load(urllib.request.urlopen(base + "/metrics.json", timeout=5))
+    assert doc["counters"]["frontend.requests"] == 2, doc["counters"]
+    shard_requests = [doc["counters"][f"frontend.shard{k}.requests"]
+                      for k in range(4)]
+    assert sum(shard_requests) == 2, shard_requests
+    shard_counts = [doc["timers"][f"frontend.shard{k}.request_us"]["count"]
+                    for k in range(4)]
+    aggregate = doc["timers"]["frontend.request_us"]["count"]
+    assert aggregate == sum(shard_counts) == 2, (aggregate, shard_counts)
+    drain()
+    print(f"process probe: 4-shard front end ok ({len(typed)} families)")
+
+    # A 3-member fleet behind the router (endpoint order = fleet index).
+    backend_ports = backends()
+    members = [spawn("scp_frontend", "--nodes", "3", "--replication", "2",
+                     "--partition-seed", "1", "--items", "4096",
+                     "--cache-capacity", "66", "--backends", backend_ports,
+                     "--fleet", "3", "--fleet-index", str(member),
+                     "--fleet-seed", "42")["PORT"]
+               for member in range(3)]
+    router = spawn("scp_router", "--frontends", ",".join(map(str, members)),
+                   "--fleet-seed", "42", "--metrics-port", "0")
+    # Through the router every key answers kValue (a key beyond --items
+    # kMiss), though the cache is split 3 ways: no redirect reaches a
+    # client.
+    with socket.create_connection(("127.0.0.1", router["PORT"]),
+                                  timeout=5) as s:
+        for key in range(64):
+            assert get(s, key).type == scp_wire.VALUE, key
+        assert get(s, 1 << 20).type == scp_wire.MISS
+    # Straight at member 0, a key another member owns answers kRedirect:
+    # single-copy ownership observed on the wire.
+    with socket.create_connection(("127.0.0.1", members[0]), timeout=5) as s:
+        kinds = [get(s, key).type for key in range(64)]
+    redirects = kinds.count(scp_wire.REDIRECT)
+    values = kinds.count(scp_wire.VALUE)
+    assert redirects > 0 and values > 0, (redirects, values)
+    doc = json.load(urllib.request.urlopen(
+        f"http://127.0.0.1:{router['METRICS_PORT']}/metrics.json", timeout=5))
+    c, g = doc["counters"], doc["gauges"]
+    assert g["router.frontends_up"] == 3 and g["router.fleet_size"] == 3, g
+    assert c["router.requests"] == 65 and c["router.failures"] == 0, c
+    # Every member is up, so each GET went straight to its owner.
+    assert c["router.redirects_followed"] == 0, c
+    spread = [c[f"router.dispatches.fe{k}"] for k in range(3)]
+    assert sum(spread) == c["router.attempts_total"], (spread, c)
+    drain()
+    print(f"process probe: fleet ok (member 0 owns {values} of 64 keys, "
+          f"router dispatch spread {spread})")
+finally:
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+EOF
+
+  # Live serving smoke 2: the open-loop load generator against the
+  # in-process loopback tier (1 front end + n backends), emitting the
+  # standard JSON.
   live_json="$BUILD_DIR/smoke_live_serving.json"
   rm -f "$live_json"
   "$BUILD_DIR/bench/live_serving" \
@@ -161,6 +317,38 @@ import json, sys
 
 row = json.load(open(sys.argv[1]))["series"][0]
 assert int(row["failures"]) == 0, row["failures"]
+EOF
+  # A longer adversarial run: the syscall and batching columns, and the
+  # latency decomposition, whose server-side p99 nests inside the client's.
+  adversarial_json="$BUILD_DIR/smoke_live_adversarial.json"
+  rm -f "$adversarial_json"
+  "$BUILD_DIR/bench/live_serving" \
+    --n 3 --d 2 --m 4096 --c 4 --preset adversarial \
+    --rate 2000 --duration 2 --warmup 0.5 --threads 2 \
+    --json "$adversarial_json" >/dev/null
+  validate_json "$adversarial_json" live_serving
+  python3 - "$adversarial_json" <<'EOF'
+import json, sys
+
+row = json.load(open(sys.argv[1]))["series"][0]
+for column in ("throughput_qps", "live_gain", "p99_us", "cli_svc_p99_us",
+               "fe_p99_us", "rtt_p99_us", "svc_p99_us", "fe_shards",
+               "shard_requests", "rps_per_core", "syscalls_per_req",
+               "frames_per_req", "coalesced", "batch_fill", "rate_bound"):
+    assert column in row, f"row missing column {column!r}"
+assert int(row["fe_shards"]) == 1, row["fe_shards"]
+assert float(row["rps_per_core"]) > 0 and float(row["syscalls_per_req"]) > 0, \
+    (row["rps_per_core"], row["syscalls_per_req"])
+assert float(row["frames_per_req"]) >= 0 and int(row["coalesced"]) >= 0, \
+    (row["frames_per_req"], row["coalesced"])
+# batch_fill is keys per kBatchGet frame, 0 when no batch frame was sent.
+assert float(row["batch_fill"]) == 0.0 or float(row["batch_fill"]) >= 1.0, \
+    row["batch_fill"]
+cli, fe = float(row["cli_svc_p99_us"]), float(row["fe_p99_us"])
+assert 0 < fe <= cli, f"decomposition broken: fe_p99={fe} cli_svc_p99={cli}"
+assert cli / fe <= 100, f"server/client p99 differ by >100x: {fe} vs {cli}"
+print(f"live smoke: live_gain={row['live_gain']} cli_svc_p99_us={cli} "
+      f"fe_p99_us={fe}")
 EOF
   echo "check.sh: live serving smoke OK"
 
@@ -210,9 +398,7 @@ record = {
                    for b in raw.get("benchmarks", [])) / 1e6,
     "series": series + batch_series,
 }
-# Compact separators: the same "key":value shape JsonWriter emits, which
-# is what validate_json greps for.
-json.dump(record, open(sys.argv[2], "w"), separators=(",", ":"))
+json.dump(record, open(sys.argv[2], "w"))
 print("BENCH_net.json:", *(f"{e['name']}="
       f"{e['syscalls_per_frame']:.2f}syscalls/frame" for e in series),
       *(f"batch{e['batch']}={e['ns_per_key']:.0f}ns/key"
@@ -291,6 +477,25 @@ EOF
       exit 1
     fi
   done
+  # A longer flat run: every shard's request count is in the row, and
+  # together they cover every completed GET.
+  flat_json="$BUILD_DIR/smoke_live_sharded_flat.json"
+  rm -f "$flat_json"
+  "$BUILD_DIR/bench/live_serving" \
+    --n 3 --d 2 --m 4096 --c 64 --preset flat \
+    --rate 2000 --duration 2 --warmup 0.5 --threads 4 \
+    --fe-shards 4 --json "$flat_json" >/dev/null
+  validate_json "$flat_json" live_serving
+  python3 - "$flat_json" <<'EOF'
+import json, sys
+
+row = json.load(open(sys.argv[1]))["series"][0]
+assert int(row["fe_shards"]) == 4, row["fe_shards"]
+per_shard = str(row["shard_requests"]).split("|")
+assert len(per_shard) == 4, f"shard_requests must list 4 shards: {per_shard}"
+assert sum(int(r) for r in per_shard) >= int(row["completed"]), \
+    (per_shard, row["completed"])
+EOF
   echo "check.sh: sharded serving smoke OK"
 
   # Fleet smoke: a 3-member front-end fleet behind the edge router. The row
@@ -320,6 +525,34 @@ assert sum(int(r) for r in per_fe) >= int(row["completed"]), \
 assert int(row["failures"]) == 0, \
     f"fleet run must complete without failures, got {row['failures']}"
 print(f"fleet smoke: per-FE requests {per_fe}, "
+      f"live_gain={row['live_gain']}")
+EOF
+  # The adversary against a larger fleet: every member gets requests, and
+  # fe_hits has one cell per member.
+  fleet_adv_json="$BUILD_DIR/smoke_live_fleet_adversarial.json"
+  rm -f "$fleet_adv_json"
+  "$BUILD_DIR/bench/live_serving" \
+    --n 8 --d 2 --m 4096 --c 40 --preset adversarial \
+    --rate 2000 --duration 2 --warmup 0.5 --threads 2 \
+    --fe-fleet 3 --json "$fleet_adv_json" >/dev/null
+  validate_json "$fleet_adv_json" live_serving
+  python3 - "$fleet_adv_json" <<'EOF'
+import json, sys
+
+row = json.load(open(sys.argv[1]))["series"][0]
+for column in ("fe_fleet", "fe_requests", "fe_hits", "live_gain", "failures",
+               "completed"):
+    assert column in row, f"row missing column {column!r}"
+assert int(row["fe_fleet"]) == 3, row["fe_fleet"]
+assert int(row["failures"]) == 0, \
+    f"fleet run must complete cleanly, failures={row['failures']}"
+per_fe = str(row["fe_requests"]).split("|")
+assert len(per_fe) == 3, f"fe_requests must list 3 members: {per_fe}"
+assert sum(int(r) for r in per_fe) >= int(row["completed"]), \
+    (per_fe, row["completed"])
+assert min(int(r) for r in per_fe) > 0, f"a member got no requests: {per_fe}"
+assert len(str(row["fe_hits"]).split("|")) == 3, row["fe_hits"]
+print(f"fleet smoke: adversarial per-FE requests {per_fe}, "
       f"live_gain={row['live_gain']}")
 EOF
   echo "check.sh: fleet serving smoke OK"

@@ -1,8 +1,8 @@
 """Frame packing and reply parsing for the SCP wire protocol (src/net/wire.h).
 
-The smoke probes in scripts/check.sh and .github/workflows/ci.yml import this
-module (run them with PYTHONPATH=scripts from the repository root), so a
-change to the frame format is made here once.
+The smoke probes in scripts/check.sh import this module (run them with
+PYTHONPATH=scripts from the repository root), so a change to the frame
+format is made here once.
 
 A frame is [u32 payload length][u8 type][u32 request id][fields], all big
 endian. A reply carries the id of the request it answers.

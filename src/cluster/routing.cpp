@@ -33,12 +33,16 @@ std::size_t PinnedLeastLoadedSelector::select(KeyId key,
                                               std::span<const NodeId> group,
                                               std::span<const double> node_loads,
                                               Rng& rng) {
-  const auto it = pins_.find(key);
-  if (it != pins_.end()) {
-    return it->second;
+  SCP_DCHECK(!group.empty());
+  const auto [it, fresh] = pins_.try_emplace(key);
+  if (!fresh) {
+    const auto pinned = std::find(group.begin(), group.end(), it->second);
+    if (pinned != group.end()) {
+      return static_cast<std::size_t>(pinned - group.begin());
+    }
   }
-  const std::size_t pick = first_choice_.select(key, group, node_loads, rng);
-  pins_.emplace(key, static_cast<std::uint32_t>(pick));
+  const std::size_t pick = least_loaded_pick(group, node_loads, rng);
+  it->second = group[pick];
   return pick;
 }
 

@@ -105,7 +105,12 @@ class LeastLoadedSelector final : public ReplicaSelector {
 /// This realizes the paper's system-model property 4 ("costly to shift
 /// results" — the key → serving-node mapping is stable on the timescale of
 /// an attack) at the per-request level, and is the event-simulator
-/// counterpart of the rate simulator's balls-into-bins placement.
+/// counterpart of the rate simulator's balls-into-bins placement. The front
+/// end routes its misses through it too.
+///
+/// A pin names a node, not an index: callers may pass only the group's live
+/// members. When the pinned node is not in the group given, the key is
+/// re-picked with the same least-loaded draw and re-pinned to the new node.
 class PinnedLeastLoadedSelector final : public ReplicaSelector {
  public:
   std::size_t select(KeyId key, std::span<const NodeId> group,
@@ -113,9 +118,13 @@ class PinnedLeastLoadedSelector final : public ReplicaSelector {
   std::string name() const override { return "pinned"; }
   void reset() override { pins_.clear(); }
 
+  /// Forgets `key`'s pin; its next select() picks afresh.
+  void unpin(KeyId key) { pins_.erase(key); }
+  /// Keys pinned right now.
+  std::size_t pin_count() const noexcept { return pins_.size(); }
+
  private:
-  LeastLoadedSelector first_choice_;
-  std::unordered_map<KeyId, std::uint32_t> pins_;  // key → index in group
+  std::unordered_map<KeyId, NodeId> pins_;
 };
 
 /// Factory: kind ∈ {"random", "round-robin", "least-loaded", "pinned"}.

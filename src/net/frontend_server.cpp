@@ -496,9 +496,9 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       }
       // An absent key keeps no pin: a flood of distinct absent keys would
       // otherwise grow the table without bound.
-      if (shard.pins.erase(request.key) != 0) {
-        shard.pin_count->set(static_cast<std::int64_t>(shard.pins.size()));
-      }
+      shard.selector.unpin(request.key);
+      shard.pin_count->set(
+          static_cast<std::int64_t>(shard.selector.pin_count()));
       complete_request(shard, request, node);
       send_reply(*shard.loop, request.client, reply);
       if (request.op == MsgType::kGet) {
@@ -725,14 +725,9 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   if (shard.candidates.empty()) return kNoBackend;
   // Pinned: a key keeps the live replica it was first sent to, chosen as
   // the least-loaded candidate at that moment (the paper's model).
-  auto it = shard.pins.find(key);
-  if (it != shard.pins.end() && shard.upstream->up(it->second)) {
-    return it->second;
-  }
   const std::size_t pick =
-      least_loaded_pick(shard.candidates, shard.loads, shard.rng);
-  shard.pins[key] = shard.candidates[pick];
-  shard.pin_count->set(static_cast<std::int64_t>(shard.pins.size()));
+      shard.selector.select(key, shard.candidates, shard.loads, shard.rng);
+  shard.pin_count->set(static_cast<std::int64_t>(shard.selector.pin_count()));
   return shard.candidates[pick];
 }
 

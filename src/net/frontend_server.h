@@ -243,9 +243,10 @@ class FrontendServer {
     /// retries and failover move the lead, never the waiters).
     std::unordered_map<std::uint64_t, Inflight> inflight;
     std::vector<double> loads;  ///< keys sent per backend (routing)
-    /// key -> backend it was first sent to; a key that settles kMiss drops
-    /// its pin, so pins stay bounded by the keys the backends hold.
-    std::unordered_map<std::uint64_t, std::uint32_t> pins;
+    /// Pins each forwarded key to the live replica it was first sent to; a
+    /// key that settles kMiss is unpinned, so pins stay bounded by the keys
+    /// the backends hold.
+    PinnedLeastLoadedSelector selector;
     std::vector<NodeId> group;       // replica-group scratch
     std::vector<NodeId> candidates;  // live-members scratch
 
@@ -294,7 +295,7 @@ class FrontendServer {
     obs::Timer* forward_rtt_us = nullptr;
     obs::Timer* attempts_hist = nullptr;
     obs::Gauge* values_entries = nullptr;  ///< values.size()
-    obs::Gauge* pin_count = nullptr;  ///< frontend.pins: pins.size()
+    obs::Gauge* pin_count = nullptr;  ///< frontend.pins: the selector's pins
     std::vector<obs::Timer*> node_rtt_us;  // per-backend forward RTT
   };
 

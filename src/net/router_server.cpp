@@ -20,7 +20,6 @@ bool RouterServer::start() {
     SCP_LOG_ERROR << "scp_router: no fleet members configured";
     return false;
   }
-  if (config_.max_hops == 0) config_.max_hops = 1;
 
   Reactor::Callbacks callbacks;
   callbacks.on_message = [this](ConnId conn, Message&& message) {
@@ -207,7 +206,7 @@ void RouterServer::handle_member(Forward&& request, Message&& reply) {
     // the request fails now rather than bouncing off the members still up.
     const std::uint32_t owner = reply.node;
     if (owner < upstream_.size() && upstream_.up(owner) &&
-        hops < config_.max_hops &&
+        hops < kMaxHops &&
         dispatch_to(owner, request.client, request.key, hops,
                     request.start_ns, request.op, request.payload)) {
       redirects_->inc();
@@ -241,7 +240,7 @@ void RouterServer::dispatch(ReplyTo client, std::uint64_t key,
   const std::uint32_t member = fleet_route(
       fleet_candidates(key, config_.fleet_seed, upstream_.size()),
       [this](std::uint32_t m) { return upstream_.up(m); });
-  if (hops >= config_.max_hops || member == kNoFleetMember ||
+  if (hops >= kMaxHops || member == kNoFleetMember ||
       !dispatch_to(member, client, key, hops, start_ns, op, payload)) {
     fail_request(client, key);
   }

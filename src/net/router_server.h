@@ -51,9 +51,6 @@ struct RouterConfig {
   /// Not read: routing depends only on the key, the fleet seed and link
   /// state. Kept because bench/e2e/layers.cpp still sets it.
   std::uint64_t seed = 1;
-  /// Dispatch budget per request: the initial send plus redirect follows
-  /// and dead-member re-dispatches.
-  std::uint32_t max_hops = 3;
   /// Per-request deadline: a member that owes a reply past it and has
   /// answered nothing for as long has its connection reset.
   double timeout_s = 0.500;
@@ -63,6 +60,10 @@ struct RouterConfig {
 
 class RouterServer {
  public:
+  /// Dispatch budget per request: the initial send plus redirect follows
+  /// and dead-member re-dispatches.
+  static constexpr std::uint32_t kMaxHops = 3;
+
   explicit RouterServer(RouterConfig config);
   ~RouterServer();
 

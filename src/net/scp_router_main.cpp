@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
 
   RouterConfig config;
   std::uint64_t port = 0;
-  std::uint64_t max_hops = config.max_hops;
   std::string frontends_list;
   double drain_s = 1.0;
   std::int64_t metrics_port = -1;
@@ -41,9 +40,6 @@ int main(int argc, char** argv) {
                    "index order (must match each member's --fleet-index)");
   flags.add_uint64("fleet-seed", &config.fleet_seed,
                    "fleet hash seed (must match every member)");
-  flags.add_uint64("max-hops", &max_hops,
-                   "dispatch budget per request (initial send + redirect "
-                   "follows + dead-member re-dispatches)");
   flags.add_double("timeout", &config.timeout_s,
                    "per-request deadline before a member connection reset");
   flags.add_double("drain", &drain_s, "shutdown drain budget (seconds)");
@@ -52,7 +48,6 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 2;
 
   config.port = static_cast<std::uint16_t>(port);
-  config.max_hops = static_cast<std::uint32_t>(max_hops == 0 ? 1 : max_hops);
   config.metrics_port = static_cast<std::int32_t>(metrics_port);
   // Entry i is fleet member i, so an empty slot is an error too.
   auto frontends = parse_endpoints(frontends_list);

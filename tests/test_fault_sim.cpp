@@ -324,6 +324,33 @@ TEST(FaultEventSim, FaultedRunsDeterministicAcrossPaths) {
   }
 }
 
+// The pinned selector is handed only a key's live replicas: a key pinned
+// before the crash to the node that crashed is re-pinned to a survivor.
+TEST(FaultEventSim, PinnedRoutingRepinsAroundACrash) {
+  const auto d = QueryDistribution::uniform(400);
+  const auto partitioner = make_partitioner("hash", 4, 2, 6);
+  const PlacementIndex index(*partitioner, 400);
+  EventSimScratch scratch;
+  FaultSchedule schedule(4);
+  schedule.add_crash(1, 0.3);
+  auto run = [&](bool fast) {
+    Cluster cluster(make_partitioner("hash", 4, 2, 6), 1e6);
+    PerfectCache cache(0, d);
+    auto selector = make_selector("pinned");
+    EventSimConfig config = event_config_with(4000.0, 1.0, 5);
+    config.faults = &schedule;
+    return fast ? simulate_events(cluster, cache, d, *selector, config,
+                                  &index, &scratch)
+                : simulate_events(cluster, cache, d, *selector, config);
+  };
+  const EventSimResult legacy = run(false);
+  const EventSimResult fast = run(true);
+  EXPECT_EQ(legacy.min_alive_nodes, 3u);
+  EXPECT_EQ(legacy.unserved, 0u) << "d = 2 leaves every key a survivor";
+  EXPECT_EQ(legacy.total_queries, legacy.backend_arrivals);
+  EXPECT_EQ(fast.node_arrivals, legacy.node_arrivals);
+}
+
 // --- scenario / sweep plumbing -------------------------------------------
 
 TEST(FaultScenario, GainSweepWithFaultsThreadCountInvariant) {

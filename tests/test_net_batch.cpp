@@ -5,8 +5,9 @@
 // kBatchGet in one reply frame, and a client's kBatchGet of cold keys must
 // leave the front end as kBatchGet frames with every key answered by its
 // own bytes, and a key every backend answers kMiss for must leave no
-// routing pin behind. Backend-silence windows are made deterministic with a
-// scripted FakeBackend that replies only when told.
+// routing pin behind. Real tiers are stood up by net::LocalTier;
+// backend-silence windows are made deterministic with a scripted
+// FakeBackend that replies only when told, behind a front end built by hand.
 // Labeled slow — each case spins up servers on real sockets.
 #include <poll.h>
 #include <sys/socket.h>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -22,29 +22,14 @@
 #include <vector>
 
 #include "cluster/partitioner.h"
-#include "net/backend_server.h"
-#include "net/frontend_server.h"
+#include "loopback_tier.h"
+#include "net/local_tier.h"
 #include "net/socket.h"
 #include "net/sync_client.h"
 #include "net/wire.h"
 
 namespace scp::net {
 namespace {
-
-constexpr std::uint64_t kPartitionSeed = 77;
-
-/// Deadline-polls `predicate` every millisecond. False on timeout.
-bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return predicate();
-}
 
 /// A scripted stand-in for scp_backend: accepts the front end's connection,
 /// decodes every frame, records GET keys and their request ids in
@@ -216,10 +201,10 @@ TEST(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
 
   // Every client's GET has reached the front end (coalesced ones never show
   // up at the backend, so the FE request counter is the arrival signal)...
-  ASSERT_TRUE(poll_until(
-      5.0, [&frontend] { return frontend.stats().requests >= kClients; }));
+  ASSERT_TRUE(eventually(
+      [&frontend] { return frontend.stats().requests >= kClients; }));
   // ...and the single forward is on the wire before the reply is released.
-  ASSERT_TRUE(poll_until(5.0, [&fakes] {
+  ASSERT_TRUE(eventually([&fakes] {
     return !fakes[0]->keys().empty() || !fakes[1]->keys().empty();
   }));
   const std::string value = make_value(kKey, 64);
@@ -289,7 +274,7 @@ TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   }
 
   ASSERT_TRUE(
-      poll_until(5.0, [&fakes] { return fakes[0]->keys().size() >= kKeys; }));
+      eventually([&fakes] { return fakes[0]->keys().size() >= kKeys; }));
   // Answer in wire order — the first-arrived key gets the value, the second
   // a miss, the third a redirect to node 1.
   const std::vector<std::uint64_t> order = fakes[0]->keys();
@@ -306,7 +291,7 @@ TEST(BatchServing, MixedBatchReplySettlesEachForward) {
   ASSERT_TRUE(fakes[0]->reply(batch));
 
   // The redirected key re-forwards to fake 1; answer it there.
-  ASSERT_TRUE(poll_until(5.0, [&fakes, &order] {
+  ASSERT_TRUE(eventually([&fakes, &order] {
     const auto keys1 = fakes[1]->keys();
     return keys1.size() == 1 && keys1[0] == order[2];
   }));
@@ -348,12 +333,7 @@ TEST(BatchServing, BackendAnswersWholeBatchInOneReply) {
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
-  BackendConfig config;
-  config.node_id = 0;
-  config.nodes = kNodes;
-  config.replication = kReplication;
-  config.partition_seed = kPartitionSeed;
-  config.items = kItems;
+  const BackendConfig config = backend_template(kNodes, kReplication, kItems);
   BackendServer server(config);
   ASSERT_TRUE(server.start());
 
@@ -404,29 +384,11 @@ TEST(BatchServing, ClientBatchForwardsAsBatchFrames) {
   constexpr std::uint64_t kItems = 64;
   constexpr std::size_t kKeys = 16;
 
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config;
-    config.node_id = node;
-    config.nodes = kNodes;
-    config.replication = kReplication;
-    config.partition_seed = kPartitionSeed;
-    config.items = kItems;
-    backends.push_back(std::make_unique<BackendServer>(config));
-    ASSERT_TRUE(backends.back()->start());
-    endpoints.emplace_back("127.0.0.1", backends.back()->port());
-  }
-
-  FrontendConfig config;
-  config.nodes = kNodes;
-  config.replication = kReplication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = endpoints;
-  config.cache_policy = "none";  // every GET forwards
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  // No cache: every GET forwards.
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("none", 0));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   std::vector<std::uint64_t> keys;
   for (std::size_t i = 0; i < kKeys; ++i) keys.push_back(i * 3 + 1);
@@ -449,8 +411,6 @@ TEST(BatchServing, ClientBatchForwardsAsBatchFrames) {
   EXPECT_EQ(stats.failures, 0u);
   EXPECT_EQ(stats.requests,
             stats.hits + stats.forwarded + stats.coalesced + stats.failures);
-  frontend.stop(1.0);
-  for (auto& backend : backends) backend->stop(1.0);
 }
 
 // A key no backend holds keeps no pin. The front end pins each forwarded
@@ -464,29 +424,11 @@ TEST(BatchServing, AbsentKeysLeaveNoPins) {
   constexpr std::uint64_t kAbsentKeys = 4096;
   constexpr std::uint64_t kBatch = 256;
 
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config;
-    config.node_id = node;
-    config.nodes = kNodes;
-    config.replication = kReplication;
-    config.partition_seed = kPartitionSeed;
-    config.items = kItems;
-    backends.push_back(std::make_unique<BackendServer>(config));
-    ASSERT_TRUE(backends.back()->start());
-    endpoints.emplace_back("127.0.0.1", backends.back()->port());
-  }
-  FrontendConfig config;
-  config.nodes = kNodes;
-  config.replication = kReplication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = endpoints;
-  config.cache_policy = "none";  // every GET forwards
-  config.items = kItems;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  // No cache: every GET forwards.
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("none", 0));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   const auto pins = [&]() -> std::optional<std::int64_t> {
     const obs::MetricsSnapshot snap = frontend.metrics_snapshot();
     const auto it = snap.gauges.find("frontend.pins");
@@ -515,9 +457,6 @@ TEST(BatchServing, AbsentKeysLeaveNoPins) {
   ASSERT_TRUE(present.has_value());
   EXPECT_EQ(present->type, MsgType::kValue);
   EXPECT_EQ(pins(), std::optional<std::int64_t>(1));
-
-  frontend.stop(1.0);
-  for (auto& backend : backends) backend->stop(1.0);
 }
 
 }  // namespace

@@ -26,7 +26,9 @@
 //     adaptive shift of the attacked key set is re-detected and
 //     re-mitigated.
 //
-// Every case checks the front end's request ledger on its scrape:
+// Tiers are stood up by net::LocalTier; the write-detach cases put a
+// one-node stand-in store behind a front end built by hand. Every case
+// checks the front end's request ledger on its scrape:
 // requests == hits + forwarded + coalesced + failures + fleet_redirects.
 #include <poll.h>
 #include <sys/socket.h>
@@ -36,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -46,10 +47,9 @@
 
 #include "cluster/partitioner.h"
 #include "common/hash.h"
-#include "net/backend_server.h"
+#include "loopback_tier.h"
 #include "net/fleet.h"
-#include "net/frontend_server.h"
-#include "net/router_server.h"
+#include "net/local_tier.h"
 #include "net/socket.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
@@ -57,57 +57,22 @@
 namespace scp::net {
 namespace {
 
-constexpr std::uint64_t kPartitionSeed = 77;
-
-BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
-                             std::uint32_t replication, std::uint64_t items) {
-  BackendConfig config;
-  config.node_id = node_id;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.items = items;
+/// Backends that sketch their GETs and push a hot-key report every 50 ms.
+BackendConfig detect_template(std::uint32_t nodes, std::uint32_t replication,
+                              std::uint64_t items) {
+  BackendConfig config = backend_template(nodes, replication, items);
+  config.detect = true;
+  config.detect_interval_s = 0.05;
   return config;
 }
 
-struct Fleet {
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-};
-
-Fleet start_fleet(std::uint32_t nodes, std::uint32_t replication,
-                  std::uint64_t items, bool detect = false,
-                  double detect_interval_s = 0.05) {
-  Fleet fleet;
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    BackendConfig config = backend_config(node, nodes, replication, items);
-    config.detect = detect;
-    config.detect_interval_s = detect_interval_s;
-    auto backend = std::make_unique<BackendServer>(config);
-    EXPECT_TRUE(backend->start());
-    fleet.endpoints.emplace_back("127.0.0.1", backend->port());
-    fleet.backends.push_back(std::move(backend));
-  }
-  return fleet;
-}
-
-/// Wires the replica mesh, which writes need (detection does not).
-void mesh_fleet(Fleet& fleet) {
-  for (auto& backend : fleet.backends) backend->set_peers(fleet.endpoints);
-  for (auto& backend : fleet.backends) {
-    ASSERT_TRUE(backend->wait_peers_up(5.0));
-  }
-}
-
-FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
-                               std::uint32_t replication,
-                               std::uint64_t items) {
-  FrontendConfig config;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = fleet.endpoints;
-  config.items = items;
+/// A front end under `cache_policy` that merges the backends' reports and
+/// flags a key once 128 reported GETs are in.
+FrontendConfig detect_frontend(const std::string& cache_policy,
+                               std::size_t cache_capacity) {
+  FrontendConfig config = frontend_template(cache_policy, cache_capacity);
+  config.detect = true;
+  config.detect_min_samples = 128;
   return config;
 }
 
@@ -125,16 +90,16 @@ std::int64_t gauge(const obs::MetricsSnapshot& snap, const std::string& name) {
 /// Sends GETs for `keys` straight to their replicas for `seconds`: hot at
 /// the backends, never seen by the front end — the miss-flood signature
 /// the front-end mitigation keys on.
-void hammer_backends(const Fleet& fleet, std::uint32_t replication,
+void hammer_backends(const LocalTier& tier, std::uint32_t replication,
                      const std::vector<std::uint64_t>& keys, double seconds) {
-  const auto nodes = static_cast<std::uint32_t>(fleet.backends.size());
+  const auto nodes = static_cast<std::uint32_t>(tier.backends.size());
   auto partitioner =
       make_partitioner("hash", nodes, replication, kPartitionSeed);
   std::vector<NodeId> group(replication);
   std::vector<SyncClient> to_backend(nodes);
   for (std::uint32_t node = 0; node < nodes; ++node) {
-    ASSERT_TRUE(to_backend[node].connect("127.0.0.1",
-                                         fleet.backends[node]->port()));
+    ASSERT_TRUE(
+        to_backend[node].connect("127.0.0.1", tier.endpoints[node].second));
   }
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -174,10 +139,23 @@ TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 64;
 
-  // Node 1 exists only long enough to claim a real port, then dies: its
-  // keys can never be fetched, so their admitted slots stay value-less.
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  fleet.backends[1]->stop(0.0);
+  FrontendConfig config = frontend_template("lru", 2);
+  // Keep the dead key's request retrying (slot value-less) for the whole
+  // sequence instead of failing fast.
+  config.retry.max_retries = 20;
+  config.retry.backoff_base_s = 0.3;
+  config.retry.backoff_cap_s = 0.3;
+  config.retry.timeout_s = 10.0;
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
+  // Node 1 dies once the tier is up: its keys can never be fetched again,
+  // so their admitted slots stay value-less.
+  tier.backends[1]->stop(0.0);
+  ASSERT_TRUE(eventually([&frontend] {
+    return gauge(frontend.metrics_snapshot(), "frontend.backends_up") == 1;
+  }));
 
   auto partitioner =
       make_partitioner("hash", kNodes, kReplication, kPartitionSeed);
@@ -197,21 +175,6 @@ TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   ASSERT_LT(dead, kItems);
   const std::uint64_t a = live[0], b = live[1], d = live[2];
 
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "lru";
-  config.cache_capacity = 2;
-  // Keep the dead key's request retrying (slot value-less) for the whole
-  // sequence instead of failing fast.
-  config.retry.max_retries = 20;
-  config.retry.backoff_base_s = 0.3;
-  config.retry.backoff_cap_s = 0.3;
-  config.retry.timeout_s = 10.0;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  // wait_backends_up counts every node and node 1 is dead by design: wait
-  // for node 0 by retrying the first fetch until its connection is up.
-
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
   SyncClient impatient;
@@ -223,15 +186,7 @@ TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   // recency alone ([dead, b]). GET d evicts the LRU head: fixed → dead goes
   // ([b, d]); pre-fix → b goes. The final GET b is a cache hit only with
   // the fix.
-  std::optional<Message> reply;
-  const auto warm_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < warm_deadline) {
-    reply = client.get(a, /*timeout_s=*/2.0);
-    if (reply.has_value()) break;
-    ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  std::optional<Message> reply = client.get(a, /*timeout_s=*/2.0);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, MsgType::kValue);
 
@@ -255,8 +210,7 @@ TEST(DetectLoopback, LookupDoesNotRefreshValuelessSlots) {
   EXPECT_EQ(reply->payload, make_value(b, 64));
   EXPECT_EQ(frontend.stats().hits, hits_before + 1)
       << "value-less slot refresh evicted a resident entry";
-
-  frontend.stop(0.0);
+  tier.stop(0.0);
 }
 
 // --- regression: a deleted oracle key stays deleted -----------------------
@@ -267,14 +221,10 @@ TEST(DetectLoopback, DeletedOracleKeyStaysDeleted) {
   constexpr std::uint64_t kItems = 64;
   constexpr std::size_t kCapacity = 8;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "perfect";
-  config.cache_capacity = kCapacity;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("perfect", kCapacity));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -303,7 +253,6 @@ TEST(DetectLoopback, DeletedOracleKeyStaysDeleted) {
   const ServerStats stats = frontend.stats();
   EXPECT_EQ(stats.hits, 1u);       // the GET before the DELETE
   EXPECT_EQ(stats.forwarded, 6u);  // the DELETE and every GET after it
-  frontend.stop(0.0);
 }
 
 // --- regression: a write detaches the key's in-flight fetch ---------------
@@ -518,14 +467,10 @@ TEST(DetectLoopback, ValuesSideMapStaysBounded) {
   constexpr std::uint64_t kItems = 256;
   constexpr std::size_t kCapacity = 16;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "lru";
-  config.cache_capacity = kCapacity;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("lru", kCapacity));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   // Every GET is a new key: once the LRU is full each one evicts a key,
   // whose bytes must leave with it.
@@ -542,7 +487,6 @@ TEST(DetectLoopback, ValuesSideMapStaysBounded) {
         << "after key " << key;
   }
   EXPECT_EQ(entries(), static_cast<std::int64_t>(kCapacity));
-  frontend.stop(0.0);
 }
 
 // --- detection + mitigation, adaptive adversary ---------------------------
@@ -552,17 +496,10 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 512;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
-
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "lru";
-  config.cache_capacity = 24;
-  config.detect = true;
-  config.detect_min_samples = 128;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(detect_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, detect_frontend("lru", 24));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   auto partitioner =
       make_partitioner("hash", kNodes, kReplication, kPartitionSeed);
@@ -574,8 +511,8 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   // the FE keeps its cache provably cold until mitigation warms it.)
   std::vector<SyncClient> to_backend(kNodes);
   for (std::uint32_t node = 0; node < kNodes; ++node) {
-    ASSERT_TRUE(to_backend[node].connect("127.0.0.1",
-                                         fleet.backends[node]->port()));
+    ASSERT_TRUE(
+        to_backend[node].connect("127.0.0.1", tier.endpoints[node].second));
   }
   const auto hammer = [&](const std::vector<std::uint64_t>& keys,
                           double seconds) {
@@ -602,7 +539,7 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
 
   // Backends: every node sketched its slice and pushed it to the front
   // end. Only the front end merges reports and flags keys.
-  const obs::MetricsSnapshot be = fleet.backends[0]->metrics_snapshot();
+  const obs::MetricsSnapshot be = tier.backends[0]->metrics_snapshot();
   EXPECT_GT(counter(be, "detect.observed"), 0u);
   EXPECT_GT(counter(be, "detect.reports_sent"), 0u);
   for (const char* name : {"detect.reports_received", "detect.flagged_keys"}) {
@@ -650,7 +587,6 @@ TEST(DetectLoopback, DetectsMissFloodMitigatesAndTracksShift) {
   EXPECT_GT(fe_hits(), hits_before);
 
   expect_consistent(frontend);
-  frontend.stop(0.0);
 }
 
 // --- perfect provision: flagged keys re-provision the cached set ----------
@@ -661,17 +597,10 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   constexpr std::uint64_t kItems = 512;
   constexpr std::uint64_t kCapacity = 8;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
-
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "perfect";
-  config.cache_capacity = kCapacity;
-  config.detect = true;
-  config.detect_min_samples = 128;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(detect_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, detect_frontend("perfect", kCapacity));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   // Attack keys far outside the provisioned oracle prefix [0, 8): a static
   // perfect provision forwards every one of these, forever.
@@ -680,8 +609,8 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   std::vector<NodeId> group(kReplication);
   std::vector<SyncClient> to_backend(kNodes);
   for (std::uint32_t node = 0; node < kNodes; ++node) {
-    ASSERT_TRUE(to_backend[node].connect("127.0.0.1",
-                                         fleet.backends[node]->port()));
+    ASSERT_TRUE(
+        to_backend[node].connect("127.0.0.1", tier.endpoints[node].second));
   }
   const std::vector<std::uint64_t> attack = {100, 217, 350, 470};
   const auto deadline =
@@ -722,7 +651,6 @@ TEST(DetectLoopback, PerfectCacheReprovisionsForFlaggedKeys) {
   EXPECT_GT(frontend.stats().hits, hits_before)
       << "no flagged key was served from the re-provisioned set";
   expect_consistent(frontend);
-  frontend.stop(0.0);
 }
 
 // --- perfect provision: re-provisioning stays inside each shard's slice ---
@@ -736,31 +664,19 @@ constexpr std::uint64_t kOracleItems = 512;
 constexpr std::uint64_t kOracleCapacity = 8;
 const std::vector<std::uint64_t> kOracleAttack = {100, 217, 350, 470};
 
-Fleet start_oracle_fleet() {
-  return start_fleet(kOracleNodes, kOracleReplication, kOracleItems,
-                     /*detect=*/true);
-}
-
-FrontendConfig oracle_config(const Fleet& fleet) {
-  FrontendConfig config = frontend_config(fleet, kOracleNodes,
-                                          kOracleReplication, kOracleItems);
-  config.cache_policy = "perfect";
-  config.cache_capacity = kOracleCapacity;
-  config.detect = true;
-  config.detect_min_samples = 128;
-  return config;
+BackendConfig oracle_backends() {
+  return detect_template(kOracleNodes, kOracleReplication, kOracleItems);
 }
 
 TEST(DetectLoopback, ReprovisioningStaysInsideEachShardsSlice) {
-  Fleet fleet = start_oracle_fleet();
-  FrontendConfig config = oracle_config(fleet);
+  FrontendConfig config = detect_frontend("perfect", kOracleCapacity);
   config.shards = 2;
   // The fallback acceptor round-robins connections: client i lands on
   // shard i, so each client sees exactly one shard's cache.
   config.force_fallback_accept = true;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(oracle_backends(), /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   std::vector<SyncClient> clients(2);
   for (SyncClient& client : clients) {
     ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -780,21 +696,19 @@ TEST(DetectLoopback, ReprovisioningStaysInsideEachShardsSlice) {
   };
   EXPECT_EQ(cached_keys(), kOracleCapacity);
 
-  hammer_backends(fleet, kOracleReplication, kOracleAttack, 0.6);
+  hammer_backends(tier, kOracleReplication, kOracleAttack, 0.6);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_GT(counter(frontend.metrics_snapshot(), "detect.reprovisioned"), 0u);
   EXPECT_LE(cached_keys(), kOracleCapacity)
       << "re-provisioned keys were added to the cached set, not swapped in";
   expect_consistent(frontend);
-  frontend.stop(0.0);
 }
 
 TEST(DetectLoopback, WritesReachReprovisionedKeys) {
-  Fleet fleet = start_oracle_fleet();
-  mesh_fleet(fleet);
-  FrontendServer frontend(oracle_config(fleet));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(oracle_backends(), /*mesh=*/true,
+                 detect_frontend("perfect", kOracleCapacity));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
   const auto put = [&](std::uint64_t key, const std::string& bytes) {
@@ -808,7 +722,7 @@ TEST(DetectLoopback, WritesReachReprovisionedKeys) {
   };
 
   put(217, "written before it was flagged");
-  hammer_backends(fleet, kOracleReplication, kOracleAttack, 0.6);
+  hammer_backends(tier, kOracleReplication, kOracleAttack, 0.6);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_GT(counter(frontend.metrics_snapshot(), "detect.reprovisioned"), 0u);
   // An unwritten attack key is now served from the cache.
@@ -832,7 +746,6 @@ TEST(DetectLoopback, WritesReachReprovisionedKeys) {
     }
   }
   expect_consistent(frontend);
-  frontend.stop(0.0);
 }
 
 TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
@@ -841,25 +754,17 @@ TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
   // slot's bytes: member 1 bounces it there instead of forwarding it itself.
   constexpr std::uint64_t kFleetSeed = 4242;
   constexpr std::uint32_t kMembers = 2;
-  Fleet fleet = start_oracle_fleet();
-  mesh_fleet(fleet);
-  std::vector<std::unique_ptr<FrontendServer>> members;
-  std::vector<std::pair<std::string, std::uint16_t>> member_endpoints;
-  for (std::uint32_t index = 0; index < kMembers; ++index) {
-    FrontendConfig config = oracle_config(fleet);
-    config.fleet_size = kMembers;
-    config.fleet_index = index;
-    config.fleet_seed = kFleetSeed;
-    members.push_back(std::make_unique<FrontendServer>(config));
-    ASSERT_TRUE(members.back()->start());
-    ASSERT_TRUE(members.back()->wait_backends_up(5.0));
-    member_endpoints.emplace_back("127.0.0.1", members.back()->port());
-  }
+  FrontendConfig fleet = detect_frontend("perfect", kOracleCapacity);
+  fleet.fleet_size = kMembers;
+  fleet.fleet_seed = kFleetSeed;
+  LocalTier tier(oracle_backends(), /*mesh=*/true, fleet);
+  ASSERT_TRUE(tier.start());
+  const auto& members = tier.frontends;
   std::vector<std::uint64_t> attack;
   for (std::uint64_t key = 100; attack.size() < kOracleAttack.size(); ++key) {
     if (fleet_owner(key, kFleetSeed, kMembers) == 0) attack.push_back(key);
   }
-  hammer_backends(fleet, kOracleReplication, attack, 0.6);
+  hammer_backends(tier, kOracleReplication, attack, 0.6);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   ASSERT_GT(counter(members[0]->metrics_snapshot(), "detect.reprovisioned"),
             0u);
@@ -892,15 +797,9 @@ TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
       << "member 1 took a write for a key member 0 may cache";
   EXPECT_EQ(reply->node, 0u);
 
-  // Through a router the write reaches member 0, whose GETs then see it.
-  RouterConfig router_config;
-  router_config.frontends = member_endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  // Through the router the write reaches member 0, whose GETs then see it.
   SyncClient via_router;
-  ASSERT_TRUE(via_router.connect("127.0.0.1", router.port()));
+  ASSERT_TRUE(via_router.connect("127.0.0.1", tier.port()));
   reply = via_router.call(write, 2.0);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, MsgType::kWriteReply) << reply->payload;
@@ -910,11 +809,10 @@ TEST(DetectLoopback, FleetWriteReachesTheMemberThatMayCacheItsKey) {
     ASSERT_EQ(reply->type, MsgType::kValue);
     EXPECT_EQ(reply->payload, write.payload) << "GET " << i;
   }
-  router.stop();
+  tier.router->stop();
   for (const auto& member : members) expect_consistent(*member);
   EXPECT_EQ(counter(members[1]->metrics_snapshot(), "frontend.fleet_redirects"),
             1u);
-  for (auto& member : members) member->stop(0.0);
 }
 
 // --- benign traffic: zero false positives ---------------------------------
@@ -924,17 +822,12 @@ TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   constexpr std::uint32_t kReplication = 1;
   constexpr std::uint64_t kItems = 512;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems, /*detect=*/true);
-
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems);
-  config.cache_policy = "lru";
-  config.cache_capacity = 24;
-  config.detect = true;
+  FrontendConfig config = detect_frontend("lru", 24);
   config.detect_min_samples = 256;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(detect_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -947,7 +840,7 @@ TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  for (const auto& backend : fleet.backends) {
+  for (const auto& backend : tier.backends) {
     EXPECT_GT(counter(backend->metrics_snapshot(), "detect.observed"), 0u);
   }
   const obs::MetricsSnapshot fe = frontend.metrics_snapshot();
@@ -955,7 +848,6 @@ TEST(DetectLoopback, BenignUniformTrafficFlagsNothing) {
   EXPECT_EQ(counter(fe, "detect.flagged_keys"), 0u);
   EXPECT_EQ(counter(fe, "detect.prefetches"), 0u);
   expect_consistent(frontend);
-  frontend.stop(0.0);
 }
 
 }  // namespace

@@ -3,14 +3,15 @@
 // non-owners), the router's owner-first rule, and the edge router end to
 // end (clients never see a fleet REDIRECT, nor a member that dies or
 // stalls, and a stalled member stays out of routing until it answers a
-// ping). Labeled slow + net + fleet — the serving cases spin up real TCP
-// fleets.
+// ping). The serving cases stand their fleets up with net::LocalTier; a
+// case builds a member or a router by hand only to restart a member on its
+// port or to put a silent stand-in in member 0's place. Labeled slow + net
+// + fleet — the serving cases spin up real TCP fleets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,17 +22,15 @@
 #include "cache/partition.h"
 #include "common/hash.h"
 #include "fake_peer.h"
-#include "net/backend_server.h"
+#include "loopback_tier.h"
 #include "net/fleet.h"
-#include "net/frontend_server.h"
-#include "net/router_server.h"
+#include "net/local_tier.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
 namespace scp::net {
 namespace {
 
-constexpr std::uint64_t kPartitionSeed = 77;
 constexpr std::uint64_t kFleetSeed = 4242;
 
 // ---------------------------------------------------------------------------
@@ -159,69 +158,14 @@ TEST(FleetRouterUnit, RoutesAroundDownMembers) {
 // ---------------------------------------------------------------------------
 // Serving tier: the cache partition law across a real fleet.
 
-struct Backends {
-  std::vector<std::unique_ptr<BackendServer>> servers;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-};
-
-Backends start_backends(std::uint32_t nodes, std::uint32_t replication,
-                        std::uint64_t items) {
-  Backends backends;
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    BackendConfig config;
-    config.node_id = node;
-    config.nodes = nodes;
-    config.replication = replication;
-    config.partition_seed = kPartitionSeed;
-    config.items = items;
-    auto backend = std::make_unique<BackendServer>(config);
-    EXPECT_TRUE(backend->start());
-    backends.endpoints.emplace_back("127.0.0.1", backend->port());
-    backends.servers.push_back(std::move(backend));
-  }
-  return backends;
-}
-
-FrontendConfig member_config(const Backends& backends, std::uint32_t nodes,
-                             std::uint32_t replication, std::uint64_t items,
-                             std::size_t cache_capacity, std::uint32_t fleet,
-                             std::uint32_t fleet_index) {
-  FrontendConfig config;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = backends.endpoints;
-  config.cache_policy = "perfect";
-  config.cache_capacity = cache_capacity;
-  config.items = items;
+/// A `fleet`-member front end under `policy`, splitting `cache_capacity`
+/// by the fleet hash.
+FrontendConfig fleet_template(const std::string& policy,
+                              std::size_t cache_capacity, std::uint32_t fleet) {
+  FrontendConfig config = frontend_template(policy, cache_capacity);
   config.fleet_size = fleet;
-  config.fleet_index = fleet_index;
   config.fleet_seed = kFleetSeed;
-  config.seed = 1 + fleet_index;
   return config;
-}
-
-struct FeFleet {
-  std::vector<std::unique_ptr<FrontendServer>> members;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-};
-
-FeFleet start_fe_fleet(const Backends& backends, std::uint32_t nodes,
-                       std::uint32_t replication, std::uint64_t items,
-                       std::size_t cache_capacity, std::uint32_t fleet,
-                       const std::string& policy = "perfect") {
-  FeFleet fe;
-  for (std::uint32_t member = 0; member < fleet; ++member) {
-    FrontendConfig config = member_config(backends, nodes, replication, items,
-                                          cache_capacity, fleet, member);
-    config.cache_policy = policy;
-    auto frontend = std::make_unique<FrontendServer>(config);
-    EXPECT_TRUE(frontend->start());
-    EXPECT_TRUE(frontend->wait_backends_up(5.0));
-    fe.endpoints.emplace_back("127.0.0.1", frontend->port());
-    fe.members.push_back(std::move(frontend));
-  }
-  return fe;
 }
 
 TEST(FleetPartition, AggregateFootprintIsExactlyCSingleCopy) {
@@ -235,13 +179,14 @@ TEST(FleetPartition, AggregateFootprintIsExactlyCSingleCopy) {
   constexpr std::size_t kCache = 24;
   constexpr std::uint32_t kFleet = 3;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems, kCache,
-                              kFleet);
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("perfect", kCache, kFleet));
+  ASSERT_TRUE(tier.start());
 
   for (std::uint32_t member = 0; member < kFleet; ++member) {
     SyncClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", fe.endpoints[member].second, 3.0));
+    ASSERT_TRUE(
+        client.connect("127.0.0.1", tier.frontends[member]->port(), 3.0));
     for (std::uint64_t key = 0; key < kItems; ++key) {
       const std::uint32_t owner = fleet_owner(key, kFleetSeed, kFleet);
       const auto reply = client.get(key, 5.0);
@@ -264,9 +209,10 @@ TEST(FleetPartition, AggregateFootprintIsExactlyCSingleCopy) {
   std::uint64_t total_hits = 0;
   std::uint64_t total_fleet_redirects = 0;
   for (std::uint32_t member = 0; member < kFleet; ++member) {
-    const ServerStats stats = fe.members[member]->stats();
+    const ServerStats stats = tier.frontends[member]->stats();
     EXPECT_EQ(stats.requests, kItems);
-    const obs::MetricsSnapshot snap = fe.members[member]->metrics_snapshot();
+    const obs::MetricsSnapshot snap =
+        tier.frontends[member]->metrics_snapshot();
     const std::uint64_t fleet_redirects =
         snap.counters.at("frontend.fleet_redirects");
     EXPECT_EQ(stats.requests, stats.hits + stats.forwarded + stats.coalesced +
@@ -283,9 +229,6 @@ TEST(FleetPartition, AggregateFootprintIsExactlyCSingleCopy) {
   EXPECT_EQ(total_hits, kCache)
       << "aggregate cache footprint must be exactly c, single copy";
   EXPECT_EQ(total_fleet_redirects, (kFleet - 1) * kCache);
-
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetPartition, PolicyCacheNonOwnerRedirectsInsteadOfCaching) {
@@ -298,9 +241,9 @@ TEST(FleetPartition, PolicyCacheNonOwnerRedirectsInsteadOfCaching) {
   constexpr std::size_t kCache = 32;
   constexpr std::uint32_t kFleet = 2;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems, kCache,
-                              kFleet, "lru");
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("lru", kCache, kFleet));
+  ASSERT_TRUE(tier.start());
 
   // A key owned by member 1, queried repeatedly at member 0.
   std::uint64_t foreign = kItems;
@@ -313,7 +256,7 @@ TEST(FleetPartition, PolicyCacheNonOwnerRedirectsInsteadOfCaching) {
   ASSERT_LT(foreign, kItems);
 
   SyncClient non_owner;
-  ASSERT_TRUE(non_owner.connect("127.0.0.1", fe.endpoints[0].second, 3.0));
+  ASSERT_TRUE(non_owner.connect("127.0.0.1", tier.frontends[0]->port(), 3.0));
   for (int round = 0; round < 3; ++round) {
     const auto reply = non_owner.get(foreign, 5.0);
     ASSERT_TRUE(reply.has_value());
@@ -322,22 +265,19 @@ TEST(FleetPartition, PolicyCacheNonOwnerRedirectsInsteadOfCaching) {
         << "never warm a duplicate copy";
     EXPECT_EQ(reply->node, 1u);
   }
-  EXPECT_EQ(fe.members[0]->stats().hits, 0u);
+  EXPECT_EQ(tier.frontends[0]->stats().hits, 0u);
 
   // The owner serves and warms it: second access is a local hit.
   SyncClient owner;
-  ASSERT_TRUE(owner.connect("127.0.0.1", fe.endpoints[1].second, 3.0));
+  ASSERT_TRUE(owner.connect("127.0.0.1", tier.frontends[1]->port(), 3.0));
   for (int round = 0; round < 2; ++round) {
     const auto reply = owner.get(foreign, 5.0);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, MsgType::kValue);
     EXPECT_EQ(reply->payload, make_value(foreign, 64));
   }
-  EXPECT_EQ(fe.members[1]->stats().hits, 1u)
+  EXPECT_EQ(tier.frontends[1]->stats().hits, 1u)
       << "owner warms on miss, hits on repeat";
-
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetPartition, SingleMemberFleetMatchesPlainFrontendByteForByte) {
@@ -349,24 +289,20 @@ TEST(FleetPartition, SingleMemberFleetMatchesPlainFrontendByteForByte) {
   constexpr std::uint64_t kItems = 128;
   constexpr std::size_t kCache = 16;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-
-  FrontendConfig plain_config = member_config(backends, kNodes, kReplication,
-                                              kItems, kCache, /*fleet=*/1,
-                                              /*fleet_index=*/0);
-  plain_config.fleet_size = 1;  // explicit: the classic configuration
-  FrontendConfig fleet_config = plain_config;
-  fleet_config.fleet_size = 1;
-  fleet_config.fleet_seed = kFleetSeed;
+  // The classic configuration, and a one-member fleet under a fleet seed.
+  const FrontendConfig plain_config = frontend_template("perfect", kCache);
+  const FrontendConfig fleet_config =
+      fleet_template("perfect", kCache, /*fleet=*/1);
 
   std::vector<Message> plain_replies;
   std::vector<Message> fleet_replies;
   ServerStats plain_stats;
   ServerStats fleet_stats;
   for (int which = 0; which < 2; ++which) {
-    FrontendServer frontend(which == 0 ? plain_config : fleet_config);
-    ASSERT_TRUE(frontend.start());
-    ASSERT_TRUE(frontend.wait_backends_up(5.0));
+    LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                   /*mesh=*/false, which == 0 ? plain_config : fleet_config);
+    ASSERT_TRUE(tier.start());
+    FrontendServer& frontend = *tier.frontends[0];
     SyncClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", frontend.port(), 3.0));
     std::vector<Message>& replies =
@@ -384,7 +320,6 @@ TEST(FleetPartition, SingleMemberFleetMatchesPlainFrontendByteForByte) {
       }
     }
     (which == 0 ? plain_stats : fleet_stats) = frontend.stats();
-    frontend.stop();
   }
 
   ASSERT_EQ(plain_replies.size(), fleet_replies.size());
@@ -401,8 +336,6 @@ TEST(FleetPartition, SingleMemberFleetMatchesPlainFrontendByteForByte) {
   EXPECT_EQ(plain_stats.retries, fleet_stats.retries);
   EXPECT_EQ(plain_stats.failures, fleet_stats.failures);
   EXPECT_EQ(plain_stats.attempts, fleet_stats.attempts);
-
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -420,16 +353,10 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   constexpr std::uint32_t kFleet = 3;
   constexpr int kSweeps = 3;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems, kCache,
-                              kFleet);
-
-  RouterConfig router_config;
-  router_config.frontends = fe.endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("perfect", kCache, kFleet));
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
@@ -456,9 +383,10 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   // and keeps its fleet-mode invariant.
   std::uint64_t member_requests_total = 0;
   for (std::uint32_t member = 0; member < kFleet; ++member) {
-    const ServerStats stats = fe.members[member]->stats();
+    const ServerStats stats = tier.frontends[member]->stats();
     EXPECT_GT(stats.requests, 0u) << "member " << member << " starved";
-    const obs::MetricsSnapshot snap = fe.members[member]->metrics_snapshot();
+    const obs::MetricsSnapshot snap =
+        tier.frontends[member]->metrics_snapshot();
     EXPECT_EQ(snap.counters.at("frontend.fleet_redirects"), 0u)
         << "member " << member;
     EXPECT_EQ(stats.requests,
@@ -471,10 +399,6 @@ TEST(FleetRouterE2E, ClientsNeverSeeRedirectsAndLoadSpreads) {
   // Every dispatch got a member reply, and each reply timed its round trip.
   EXPECT_EQ(router.metrics_snapshot().timers.at("router.fe_rtt_us").count(),
             router_stats.attempts);
-
-  router.stop();
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetRouterE2E, RouterMetricsExposeDispatchSpread) {
@@ -485,16 +409,10 @@ TEST(FleetRouterE2E, RouterMetricsExposeDispatchSpread) {
   constexpr std::uint64_t kItems = 48;
   constexpr std::uint32_t kFleet = 2;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
-                              /*cache=*/0, kFleet, "none");
-
-  RouterConfig router_config;
-  router_config.frontends = fe.endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("none", 0, kFleet));
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
@@ -517,27 +435,10 @@ TEST(FleetRouterE2E, RouterMetricsExposeDispatchSpread) {
         snap.counters.at("router.dispatches.fe" + std::to_string(member));
   }
   EXPECT_EQ(dispatches, snap.counters.at("router.attempts_total"));
-
-  router.stop();
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 // ---------------------------------------------------------------------------
 // Edge router under member failure.
-
-/// Deadline-polls `predicate` every millisecond. False on timeout.
-bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return predicate();
-}
 
 std::int64_t router_gauge(const RouterServer& router, const std::string& name) {
   return router.metrics_snapshot().gauges.at(name);
@@ -559,16 +460,10 @@ TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
   constexpr std::uint32_t kFleet = 2;
   constexpr int kClients = 3;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
-                              /*cache=*/0, kFleet, "none");
-
-  RouterConfig router_config;
-  router_config.frontends = fe.endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("none", 0, kFleet));
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> answered{0};
@@ -594,29 +489,25 @@ TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
     });
   }
 
-  ASSERT_TRUE(poll_until(5.0, [&] { return answered.load() >= 200; }));
-  const std::uint16_t member0_port = fe.endpoints[0].second;
-  fe.members[0]->stop(0.0);
-  EXPECT_TRUE(poll_until(5.0, [&] {
+  ASSERT_TRUE(eventually([&] { return answered.load() >= 200; }));
+  FrontendConfig restarted = tier.member_config(0);
+  restarted.port = tier.frontends[0]->port();
+  tier.frontends[0]->stop(0.0);
+  EXPECT_TRUE(eventually([&] {
     return router_gauge(router, "router.frontends_up") == 1;
   }));
   const std::uint64_t before_down = answered.load();
-  EXPECT_TRUE(
-      poll_until(5.0, [&] { return answered.load() >= before_down + 200; }))
+  EXPECT_TRUE(eventually([&] { return answered.load() >= before_down + 200; }))
       << "traffic must keep flowing through the surviving member";
 
-  FrontendConfig restarted = member_config(backends, kNodes, kReplication,
-                                           kItems, /*cache=*/0, kFleet, 0);
-  restarted.cache_policy = "none";
-  restarted.port = member0_port;
-  fe.members[0] = std::make_unique<FrontendServer>(restarted);
-  ASSERT_TRUE(fe.members[0]->start());
-  ASSERT_TRUE(fe.members[0]->wait_backends_up(5.0));
+  tier.frontends[0] = std::make_unique<FrontendServer>(restarted);
+  ASSERT_TRUE(tier.frontends[0]->start());
+  ASSERT_TRUE(tier.frontends[0]->wait_backends_up(5.0));
   EXPECT_TRUE(router.wait_frontends_up(5.0));
   EXPECT_EQ(router_gauge(router, "router.frontends_up"), 2);
   const std::uint64_t fe0_before =
       router_counter(router, "router.dispatches.fe0");
-  EXPECT_TRUE(poll_until(5.0, [&] {
+  EXPECT_TRUE(eventually([&] {
     return router_counter(router, "router.dispatches.fe0") > fe0_before;
   })) << "dispatches must reach the restarted member";
 
@@ -624,10 +515,41 @@ TEST(FleetRouterFailure, MemberStoppedMidTrafficIsRoutedAroundAndRejoins) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(wrong.load(), 0u) << "every GET must be answered kValue";
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
+}
 
-  router.stop();
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
+/// A 2-member fleet over 2 backends (d = 2, m = 64) whose member 0 is a
+/// stand-in that accepts and never replies, behind a router with a
+/// `timeout_s` deadline. Member 1 (no cache) and the router are built by
+/// hand: the launcher starts only real members.
+struct SilentFleet {
+  static constexpr std::uint64_t kItems = 64;
+  LocalTier backends{backend_template(2, 2, kItems), /*mesh=*/false};
+  FakePeer silent;
+  std::unique_ptr<FrontendServer> member;
+  std::unique_ptr<RouterServer> router;
+};
+
+void start_silent_fleet(SilentFleet& fleet, double timeout_s) {
+  ASSERT_TRUE(fleet.backends.start());
+  ASSERT_TRUE(fleet.silent.start());
+  FrontendConfig member = fleet_template("none", 0, /*fleet=*/2);
+  member.nodes = 2;
+  member.replication = 2;
+  member.partition_seed = kPartitionSeed;
+  member.backends = fleet.backends.endpoints;
+  member.fleet_index = 1;
+  fleet.member = std::make_unique<FrontendServer>(member);
+  ASSERT_TRUE(fleet.member->start());
+  ASSERT_TRUE(fleet.member->wait_backends_up(5.0));
+
+  RouterConfig router_config;
+  router_config.frontends = {{"127.0.0.1", fleet.silent.port()},
+                             {"127.0.0.1", fleet.member->port()}};
+  router_config.fleet_seed = kFleetSeed;
+  router_config.timeout_s = timeout_s;
+  fleet.router = std::make_unique<RouterServer>(router_config);
+  ASSERT_TRUE(fleet.router->start());
+  ASSERT_TRUE(fleet.router->wait_frontends_up(5.0));
 }
 
 TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
@@ -635,29 +557,11 @@ TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
   // outlives the router's deadline, the sweep resets the link, and the GET
   // is re-dispatched to member 1, the key's alternate, which answers
   // kValue.
-  constexpr std::uint32_t kNodes = 2;
-  constexpr std::uint32_t kReplication = 2;
-  constexpr std::uint64_t kItems = 64;
-  constexpr std::uint32_t kFleet = 2;
-
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FakePeer silent;
-  ASSERT_TRUE(silent.start());
-  FrontendConfig member = member_config(backends, kNodes, kReplication,
-                                        kItems, /*cache=*/0, kFleet, 1);
-  member.cache_policy = "none";
-  FrontendServer frontend(member);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
-
-  RouterConfig router_config;
-  router_config.frontends = {{"127.0.0.1", silent.port()},
-                             {"127.0.0.1", frontend.port()}};
-  router_config.fleet_seed = kFleetSeed;
-  router_config.timeout_s = 0.2;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  constexpr std::uint64_t kItems = SilentFleet::kItems;
+  SilentFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(start_silent_fleet(fleet, /*timeout_s=*/0.2));
+  FakePeer& silent = fleet.silent;
+  RouterServer& router = *fleet.router;
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
@@ -673,15 +577,10 @@ TEST(FleetRouterFailure, SilentMemberTimesOutAndItsGetIsServedElsewhere) {
 
   // The reset link is counted and re-dialed. Only the GET that reached the
   // silent member waited out the deadline: it is the one re-dispatch.
-  EXPECT_TRUE(poll_until(5.0, [&] { return silent.accepts().size() >= 2; }));
+  EXPECT_TRUE(eventually([&] { return silent.accepts().size() >= 2; }));
   EXPECT_GE(router_counter(router, "router.link_resets"), 1u);
   EXPECT_EQ(router_counter(router, "router.retries"), 1u);
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
-
-  router.stop();
-  frontend.stop();
-  silent.stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetRouterFailure, SilentMemberStaysOutOfRoutingUntilItAnswers) {
@@ -689,31 +588,13 @@ TEST(FleetRouterFailure, SilentMemberStaysOutOfRoutingUntilItAnswers) {
   // the deadline; its link is then reset and re-dialed, but stays down
   // until member 0 answers a ping, so no other GET waits on it. The probes
   // are the link module's own: they count no attempt and no dispatch.
-  constexpr std::uint32_t kNodes = 2;
-  constexpr std::uint32_t kReplication = 2;
-  constexpr std::uint64_t kItems = 64;
-  constexpr std::uint32_t kFleet = 2;
+  constexpr std::uint64_t kItems = SilentFleet::kItems;
   constexpr double kTimeoutS = 0.2;
   constexpr double kRunS = 1.5;
-
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FakePeer silent;
-  ASSERT_TRUE(silent.start());
-  FrontendConfig member = member_config(backends, kNodes, kReplication,
-                                        kItems, /*cache=*/0, kFleet, 1);
-  member.cache_policy = "none";
-  FrontendServer frontend(member);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
-
-  RouterConfig router_config;
-  router_config.frontends = {{"127.0.0.1", silent.port()},
-                             {"127.0.0.1", frontend.port()}};
-  router_config.fleet_seed = kFleetSeed;
-  router_config.timeout_s = kTimeoutS;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  SilentFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(start_silent_fleet(fleet, kTimeoutS));
+  FakePeer& silent = fleet.silent;
+  RouterServer& router = *fleet.router;
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", router.port(), 3.0));
@@ -741,11 +622,6 @@ TEST(FleetRouterFailure, SilentMemberStaysOutOfRoutingUntilItAnswers) {
             router_counter(router, "router.dispatches.fe0") +
                 router_counter(router, "router.dispatches.fe1"));
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
-
-  router.stop();
-  frontend.stop();
-  silent.stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetRouterFailure, RestartedMemberGetsOnlyItsOwnKeys) {
@@ -774,16 +650,10 @@ TEST(FleetRouterFailure, RestartedMemberGetsOnlyItsOwnKeys) {
   }
   ASSERT_GE(cycle.size(), 64u);
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
-                              /*cache=*/0, kFleet, "none");
-
-  RouterConfig router_config;
-  router_config.frontends = fe.endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("none", 0, kFleet));
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> answered{0};
@@ -810,22 +680,18 @@ TEST(FleetRouterFailure, RestartedMemberGetsOnlyItsOwnKeys) {
     });
   }
 
-  ASSERT_TRUE(poll_until(60.0, [&] {
-    return answered.load() >= kGetsBeforeRestart;
-  }));
-  const std::uint16_t member0_port = fe.endpoints[0].second;
-  fe.members[0]->stop(0.0);
-  ASSERT_TRUE(poll_until(5.0, [&] {
+  ASSERT_TRUE(eventually(
+      [&] { return answered.load() >= kGetsBeforeRestart; }, 60.0));
+  FrontendConfig restarted = tier.member_config(0);
+  restarted.port = tier.frontends[0]->port();
+  tier.frontends[0]->stop(0.0);
+  ASSERT_TRUE(eventually([&] {
     return router_gauge(router, "router.frontends_up") == 1;
   }));
-  FrontendConfig restarted = member_config(backends, kNodes, kReplication,
-                                           kItems, /*cache=*/0, kFleet, 0);
-  restarted.cache_policy = "none";
-  restarted.port = member0_port;
-  fe.members[0] = std::make_unique<FrontendServer>(restarted);
-  ASSERT_TRUE(fe.members[0]->start());
-  ASSERT_TRUE(fe.members[0]->wait_backends_up(5.0));
-  ASSERT_TRUE(poll_until(5.0, [&] {
+  tier.frontends[0] = std::make_unique<FrontendServer>(restarted);
+  ASSERT_TRUE(tier.frontends[0]->start());
+  ASSERT_TRUE(tier.frontends[0]->wait_backends_up(5.0));
+  ASSERT_TRUE(eventually([&] {
     return router_gauge(router, "router.frontends_up") == 2;
   }));
 
@@ -849,10 +715,6 @@ TEST(FleetRouterFailure, RestartedMemberGetsOnlyItsOwnKeys) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(wrong.load(), 0u) << "every GET must be answered kValue";
   EXPECT_EQ(router_counter(router, "router.failures"), 0u);
-
-  router.stop();
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 TEST(FleetRouterFailure, RedirectToDownOwnerFailsAtOnce) {
@@ -865,16 +727,10 @@ TEST(FleetRouterFailure, RedirectToDownOwnerFailsAtOnce) {
   constexpr std::uint64_t kItems = 64;
   constexpr std::uint32_t kFleet = 2;
 
-  Backends backends = start_backends(kNodes, kReplication, kItems);
-  FeFleet fe = start_fe_fleet(backends, kNodes, kReplication, kItems,
-                              /*cache=*/32, kFleet, "lru");
-
-  RouterConfig router_config;
-  router_config.frontends = fe.endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, fleet_template("lru", 32, kFleet));
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   std::uint64_t key = kItems;
   for (std::uint64_t k = 0; k < kItems; ++k) {
@@ -884,8 +740,8 @@ TEST(FleetRouterFailure, RedirectToDownOwnerFailsAtOnce) {
     }
   }
   ASSERT_LT(key, kItems);
-  fe.members[0]->stop(0.0);
-  ASSERT_TRUE(poll_until(5.0, [&] {
+  tier.frontends[0]->stop(0.0);
+  ASSERT_TRUE(eventually([&] {
     return router_gauge(router, "router.frontends_up") == 1;
   }));
 
@@ -902,10 +758,6 @@ TEST(FleetRouterFailure, RedirectToDownOwnerFailsAtOnce) {
       << "one dispatch to the alternate, and no redirect followed";
   EXPECT_EQ(router_counter(router, "router.redirects_followed"), 0u);
   EXPECT_EQ(router_counter(router, "router.failures"), 1u);
-
-  router.stop();
-  for (auto& member : fe.members) member->stop();
-  for (auto& backend : backends.servers) backend->stop();
 }
 
 }  // namespace

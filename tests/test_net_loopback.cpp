@@ -1,7 +1,9 @@
 // Loopback integration tests for the live serving tier: real TCP servers on
-// kernel-assigned ports, driven by the blocking SyncClient, plus the bare
-// FrameLoop reactor echoing raw frame streams. The silent-backend cases pin
-// the front end's liveness rule: a backend reset for silence gets no
+// kernel-assigned ports, stood up by net::LocalTier and driven by the
+// blocking SyncClient, plus the bare FrameLoop reactor echoing raw frame
+// streams. A case builds a server by hand only to restart one on its port
+// or to put a stand-in in a backend's place: the silent-backend cases pin
+// the front end's liveness rule, that a backend reset for silence gets no
 // forward until it answers a ping. Labeled slow — each case spins up
 // servers and sleeps on real sockets.
 #include <gtest/gtest.h>
@@ -19,9 +21,9 @@
 
 #include "cluster/partitioner.h"
 #include "fake_peer.h"
-#include "net/backend_server.h"
+#include "loopback_tier.h"
 #include "net/frame_loop.h"
-#include "net/frontend_server.h"
+#include "net/local_tier.h"
 #include "net/socket.h"
 #include "net/sync_client.h"
 #include "net/wire.h"
@@ -30,71 +32,11 @@
 namespace scp::net {
 namespace {
 
-constexpr std::uint64_t kPartitionSeed = 77;
-
-BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
-                             std::uint32_t replication, std::uint64_t items) {
-  BackendConfig config;
-  config.node_id = node_id;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.items = items;
-  return config;
-}
-
-/// A running backend fleet + the endpoint list a frontend needs.
-struct Fleet {
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-};
-
-Fleet start_fleet(std::uint32_t nodes, std::uint32_t replication,
-                  std::uint64_t items) {
-  Fleet fleet;
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    auto backend = std::make_unique<BackendServer>(
-        backend_config(node, nodes, replication, items));
-    EXPECT_TRUE(backend->start());
-    EXPECT_NE(backend->port(), 0) << "port 0 must become kernel-assigned";
-    fleet.endpoints.emplace_back("127.0.0.1", backend->port());
-    fleet.backends.push_back(std::move(backend));
-  }
-  return fleet;
-}
-
-FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
-                               std::uint32_t replication, std::uint64_t items,
-                               std::size_t cache_capacity) {
-  FrontendConfig config;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = fleet.endpoints;
-  config.cache_policy = "perfect";
-  config.cache_capacity = cache_capacity;
-  config.items = items;
-  return config;
-}
-
-/// Polls `pred` every 10 ms until it holds or `timeout_s` passes.
-bool eventually(const std::function<bool()>& pred, double timeout_s = 5.0) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(timeout_s));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return pred();
-}
-
 TEST(BackendLoopback, ServesOwnedKeysAndRedirectsOthers) {
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
-  BackendServer server(backend_config(0, kNodes, kReplication, kItems));
+  BackendServer server(backend_template(kNodes, kReplication, kItems));
   ASSERT_TRUE(server.start());
 
   auto partitioner =
@@ -161,7 +103,7 @@ TEST(BackendLoopback, KeysGaugeFollowsWrites) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 2;  // d = n: node 0 owns every key
   constexpr std::uint64_t kItems = 32;
-  BackendServer server(backend_config(0, kNodes, kReplication, kItems));
+  BackendServer server(backend_template(kNodes, kReplication, kItems));
   ASSERT_TRUE(server.start());
 
   SyncClient client;
@@ -205,7 +147,8 @@ TEST(BackendPreload, StoresExactlyTheOwnedKeys) {
   for (const std::uint64_t items :
        {std::uint64_t{5'000}, std::uint64_t{100'000}}) {
     for (const NodeId node : {NodeId{0}, NodeId{5}}) {
-      BackendConfig config = backend_config(node, kNodes, kReplication, items);
+      BackendConfig config = backend_template(kNodes, kReplication, items);
+      config.node_id = node;
       config.value_bytes = kValueBytes;
       BackendServer server(config);
       ASSERT_TRUE(server.start());
@@ -235,11 +178,14 @@ TEST(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
   constexpr std::uint64_t kItems = 128;
   constexpr std::size_t kCache = 16;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(
-      frontend_config(fleet, kNodes, kReplication, kItems, kCache));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("perfect", kCache));
+  ASSERT_TRUE(tier.start());
+  for (const auto& backend : tier.backends) {
+    EXPECT_NE(backend->port(), 0) << "port 0 must become kernel-assigned";
+  }
+  FrontendServer& frontend = *tier.frontends[0];
+  EXPECT_NE(frontend.port(), 0) << "port 0 must become kernel-assigned";
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -273,13 +219,10 @@ TEST(FrontendLoopback, ServesHitsLocallyAndForwardsMisses) {
 
   // Backend request counters account for every wire send.
   std::uint64_t backend_requests = 0;
-  for (const auto& backend : fleet.backends) {
+  for (const auto& backend : tier.backends) {
     backend_requests += backend->stats().requests;
   }
   EXPECT_EQ(backend_requests, stats.attempts);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, FailsOverWhenAReplicaDies) {
@@ -287,16 +230,15 @@ TEST(FrontendLoopback, FailsOverWhenAReplicaDies) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/0);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/0);
   config.retry.timeout_s = 0.2;  // keep the dead-replica detour quick
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   // Kill node 0; every key still resolves through the surviving replica.
-  fleet.backends[0]->stop(0.0);
+  tier.backends[0]->stop(0.0);
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -317,9 +259,6 @@ TEST(FrontendLoopback, FailsOverWhenAReplicaDies) {
   EXPECT_GT(through_survivor, 0u)
       << "partition should give node 0 some keys for the test to mean much";
   EXPECT_EQ(frontend.stats().failures, 0u);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
@@ -327,16 +266,15 @@ TEST(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 16;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/4);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/4);
   config.retry.max_retries = 1;
   config.retry.timeout_s = 0.2;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
-  for (auto& backend : fleet.backends) backend->stop(0.0);
+  for (auto& backend : tier.backends) backend->stop(0.0);
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -349,8 +287,6 @@ TEST(FrontendLoopback, ReportsErrorWhenEveryReplicaIsDead) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, MsgType::kError);
   EXPECT_GE(frontend.stats().failures, 1u);
-
-  frontend.stop();
 }
 
 TEST(FrontendLoopback, AdmitEvictsInSyncWithTier) {
@@ -364,13 +300,11 @@ TEST(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   constexpr std::uint64_t kItems = 8;
   constexpr std::size_t kCache = 4;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, kCache);
-  config.cache_policy = "lru";  // deterministic eviction order
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  // LRU: deterministic eviction order.
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("lru", kCache));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -403,9 +337,6 @@ TEST(FrontendLoopback, AdmitEvictsInSyncWithTier) {
   EXPECT_EQ(stats.misses, 6u);
   EXPECT_EQ(stats.requests, stats.hits + stats.forwarded + stats.coalesced +
                                 stats.failures);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, StartRejectsAnUnknownCachePolicy) {
@@ -434,13 +365,12 @@ TEST(FrontendLoopback, CounterInvariantsUnderFailover) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/0);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/0);
   config.retry.timeout_s = 0.2;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -449,7 +379,7 @@ TEST(FrontendLoopback, CounterInvariantsUnderFailover) {
     ASSERT_TRUE(reply.has_value());
   }
   // Kill a replica mid-workload and keep querying: some keys detour.
-  fleet.backends[0]->stop(0.0);
+  tier.backends[0]->stop(0.0);
   for (std::uint64_t key = 16; key < kItems; ++key) {
     const auto reply = client.get(key, 3.0);
     ASSERT_TRUE(reply.has_value()) << "key " << key;
@@ -479,7 +409,6 @@ TEST(FrontendLoopback, CounterInvariantsUnderFailover) {
                                     stop_started)
           .count();
   EXPECT_LT(stop_s, 4.0) << "stop() must not burn the full drain budget";
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
@@ -488,31 +417,32 @@ TEST(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
   // fails over, not one per waiter — and settle with exactly one coalesced
   // ledger entry each, no double-counted RTT samples.
   //
-  // Deterministic setup: the whole cluster is down when the GETs arrive, so
-  // the lead parks on the no-live-replica backoff timer and every later GET
-  // for the key parks as a waiter. The backends then come back on their old
-  // ports; the lead's next retry forwards once and the reply fans out.
+  // Deterministic setup: the whole cluster is down, and the front end knows
+  // it, when the GETs arrive, so the lead parks on the no-live-replica
+  // backoff timer and every later GET for the key parks as a waiter. The
+  // backends then come back on their old ports; the lead's next retry
+  // forwards once and the reply fans out.
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 32;
   constexpr std::uint64_t kKey = 5;
   constexpr std::size_t kClients = 4;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  std::vector<std::uint16_t> ports;
-  for (const auto& backend : fleet.backends) ports.push_back(backend->port());
-  for (auto& backend : fleet.backends) backend->stop(0.0);
-
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/0);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/0);
   // The lead must keep retrying across the reconnect window (backoff cap
   // 1 s) without exhausting its attempt budget.
   config.retry.max_retries = 30;
   config.retry.backoff_base_s = 0.050;
   config.retry.backoff_cap_s = 0.200;
   config.retry.timeout_s = 8.0;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
+  for (auto& backend : tier.backends) backend->stop(0.0);
+  ASSERT_TRUE(eventually([&frontend] {
+    return frontend.metrics_snapshot().gauges.at("frontend.backends_up") == 0;
+  }));
 
   std::atomic<std::uint64_t> values{0};
   std::vector<std::thread> clients;
@@ -530,21 +460,13 @@ TEST(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
   }
   // Wait until all four GETs are inside the front end (one lead in backoff,
   // three parked waiters) before reviving the cluster.
-  const auto arrived = [&frontend] {
-    return frontend.stats().requests >= kClients;
-  };
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!arrived() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(arrived());
+  ASSERT_TRUE(eventually(
+      [&frontend] { return frontend.stats().requests >= kClients; }));
   for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig restarted =
-        backend_config(node, kNodes, kReplication, kItems);
-    restarted.port = ports[node];
-    fleet.backends[node] = std::make_unique<BackendServer>(restarted);
-    ASSERT_TRUE(fleet.backends[node]->start());
+    BackendConfig restarted = tier.backends[node]->config();
+    restarted.port = tier.endpoints[node].second;
+    tier.backends[node] = std::make_unique<BackendServer>(restarted);
+    ASSERT_TRUE(tier.backends[node]->start());
   }
   for (auto& thread : clients) thread.join();
   EXPECT_EQ(values.load(), kClients) << "every parked client must get the "
@@ -567,9 +489,6 @@ TEST(FrontendLoopback, CoalescedWaitersFailOverWithTheLead) {
   EXPECT_EQ(snap.timers.at("frontend.attempts").count(), 1u);
   EXPECT_EQ(snap.timers.at("frontend.request_us").count(), stats.requests);
   EXPECT_EQ(snap.gauges.at("frontend.pending_requests"), 0);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, ReconnectAfterFlappingBackend) {
@@ -580,29 +499,26 @@ TEST(FrontendLoopback, ReconnectAfterFlappingBackend) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 32;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  const std::uint16_t flapping_port = fleet.backends[0]->port();
-  FrontendConfig config =
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/0);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/0);
   config.retry.timeout_s = 0.2;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
 
   for (int flap = 0; flap < 3; ++flap) {
-    fleet.backends[0]->stop(0.0);
+    tier.backends[0]->stop(0.0);
     // Give the front end a moment to notice the close and begin its backoff
     // (a failed connect attempt must not wedge the reconnect loop).
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-    BackendConfig restarted =
-        backend_config(0, kNodes, kReplication, kItems);
-    restarted.port = flapping_port;
-    fleet.backends[0] = std::make_unique<BackendServer>(restarted);
-    ASSERT_TRUE(fleet.backends[0]->start()) << "flap " << flap;
+    BackendConfig restarted = tier.backends[0]->config();
+    restarted.port = tier.endpoints[0].second;
+    tier.backends[0] = std::make_unique<BackendServer>(restarted);
+    ASSERT_TRUE(tier.backends[0]->start()) << "flap " << flap;
     ASSERT_TRUE(frontend.wait_backends_up(10.0))
         << "flap " << flap
         << ": reconnect backoff must reset after a successful connect";
@@ -620,9 +536,6 @@ TEST(FrontendLoopback, ReconnectAfterFlappingBackend) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(frontend.backend_conn_entries(), kNodes);
   EXPECT_EQ(frontend.stats().failures, 0u);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 /// A d = n = 2 tier whose node 0 is silent and node 1 a real backend, in
@@ -642,14 +555,16 @@ struct SilentTier {
 
 void start_silent_tier(SilentTier& tier) {
   ASSERT_TRUE(tier.silent.start());
-  tier.live = std::make_unique<BackendServer>(
-      backend_config(1, 2, 2, kSilentTierItems));
+  BackendConfig live = backend_template(2, 2, kSilentTierItems);
+  live.node_id = 1;
+  tier.live = std::make_unique<BackendServer>(live);
   ASSERT_TRUE(tier.live->start());
-  Fleet endpoints;
-  endpoints.endpoints = {{"127.0.0.1", tier.silent.port()},
-                         {"127.0.0.1", tier.live->port()}};
-  FrontendConfig config =
-      frontend_config(endpoints, 2, 2, kSilentTierItems, /*cache=*/0);
+  FrontendConfig config = frontend_template("perfect", /*cache=*/0);
+  config.nodes = 2;
+  config.replication = 2;
+  config.partition_seed = kPartitionSeed;
+  config.backends = {{"127.0.0.1", tier.silent.port()},
+                     {"127.0.0.1", tier.live->port()}};
   config.retry.timeout_s = kSilentTierTimeoutS;
   tier.frontend = std::make_unique<FrontendServer>(config);
   ASSERT_TRUE(tier.frontend->start());
@@ -711,7 +626,7 @@ TEST(FrontendLoopback, SilentBackendRejoinsOnceABackendAnswersOnItsPort) {
   // probe: the link comes up, and fresh keys are forwarded to it again.
   const std::uint16_t port = tier.silent.port();
   tier.silent.stop();
-  BackendConfig config = backend_config(0, 2, 2, kSilentTierItems);
+  BackendConfig config = backend_template(2, 2, kSilentTierItems);
   config.port = port;
   BackendServer revived(config);
   ASSERT_TRUE(revived.start());
@@ -763,11 +678,10 @@ TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
   constexpr std::uint64_t kItems = 64;
   constexpr std::size_t kCache = 8;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(
-      frontend_config(fleet, kNodes, kReplication, kItems, kCache));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("perfect", kCache));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -815,18 +729,14 @@ TEST(FrontendLoopback, ServesMetricsSnapshotOverTheWire) {
 
   // Backends answer the same protocol message.
   SyncClient backend_client;
-  ASSERT_TRUE(
-      backend_client.connect("127.0.0.1", fleet.backends[0]->port()));
+  ASSERT_TRUE(backend_client.connect("127.0.0.1", tier.endpoints[0].second));
   const auto be_reply = backend_client.call(request, 2.0);
   ASSERT_TRUE(be_reply.has_value());
   ASSERT_EQ(be_reply->type, MsgType::kMetricsReply);
   EXPECT_EQ(be_reply->metrics.counters.at("backend.requests"),
-            fleet.backends[0]->stats().requests);
+            tier.backends[0]->stats().requests);
   EXPECT_EQ(be_reply->metrics.timers.at("backend.service_us").count(),
-            fleet.backends[0]->stats().requests);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
+            tier.backends[0]->stats().requests);
 }
 
 // A frame of an unknown type is a protocol error: the reactor drops the
@@ -837,11 +747,10 @@ TEST(FrontendLoopback, ExportsProtocolErrorsAndAccepts) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 16;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/4));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("perfect", /*cache=*/4));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   // Length 5, then type 0x7f (unassigned) and request id 0.
   const std::uint8_t bad_frame[] = {0, 0, 0, 5, 0x7f, 0, 0, 0, 0};
@@ -869,9 +778,6 @@ TEST(FrontendLoopback, ExportsProtocolErrorsAndAccepts) {
   EXPECT_GE(counters.at("loop.accepted"), 2u);
   EXPECT_EQ(counters.at("loop.protocol_errors"),
             frontend.loop_totals().protocol_errors);
-
-  frontend.stop();
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
@@ -879,11 +785,10 @@ TEST(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 256;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(
-      frontend_config(fleet, kNodes, kReplication, kItems, /*cache=*/0));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, frontend_template("perfect", /*cache=*/0));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -894,7 +799,6 @@ TEST(FrontendLoopback, GracefulStopAnswersInFlightRequests) {
   }
   frontend.stop(2.0);
   EXPECT_FALSE(frontend.running());
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 /// Makes `loop` an echo server: every decoded message is sent straight back.

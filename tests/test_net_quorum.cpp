@@ -1,6 +1,8 @@
 // Loopback tests for the quorum-replicated write path: real TCP backends
-// wired into a replica mesh on kernel-assigned ports, driven by the
-// blocking SyncClient. Proves the acceptance property over real sockets:
+// wired into a replica mesh on kernel-assigned ports by net::LocalTier,
+// driven by the blocking SyncClient. A case builds a backend by hand only
+// to restart or add one, or to give it stand-in peers. Proves the
+// acceptance property over real sockets:
 // with R+W>N (N=3, R=W=2) a write acked by any coordinator is readable
 // through any coordinator with one replica crashed, and read-repair
 // converges a restarted replica. The ReplyMatching cases race a PUT and a
@@ -29,61 +31,30 @@
 
 #include "cluster/partitioner.h"
 #include "fake_peer.h"
-#include "net/backend_server.h"
-#include "net/frontend_server.h"
-#include "net/router_server.h"
+#include "loopback_tier.h"
+#include "net/local_tier.h"
 #include "net/socket.h"
 #include "net/sync_client.h"
 
 namespace scp::net {
 namespace {
 
-constexpr std::uint64_t kPartitionSeed = 77;
-
-BackendConfig quorum_config(std::uint32_t node_id, std::uint32_t nodes,
-                            std::uint32_t replication, std::uint64_t items) {
-  BackendConfig config;
-  config.node_id = node_id;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.items = items;
+/// Backends with W = R = 2 and a 2 s peer link deadline.
+BackendConfig quorum_template(std::uint32_t nodes, std::uint32_t replication,
+                              std::uint64_t items) {
+  BackendConfig config = backend_template(nodes, replication, items);
   config.write_quorum = 2;
   config.read_quorum = 2;
   config.op_timeout_s = 2.0;
   return config;
 }
 
-/// A meshed backend fleet: every node started on port 0, then every node
-/// handed the full endpoint list — exactly how the bench wires a cluster.
-struct Mesh {
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-
-  void rewire() {
-    for (auto& backend : backends) {
-      if (backend != nullptr && backend->running()) {
-        backend->set_peers(endpoints);
-      }
-    }
-  }
-};
-
-Mesh start_mesh(std::uint32_t nodes, std::uint32_t replication,
-                std::uint64_t items) {
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    auto backend = std::make_unique<BackendServer>(
-        quorum_config(node, nodes, replication, items));
-    EXPECT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) {
-    EXPECT_TRUE(backend->wait_peers_up(5.0));
-  }
-  return mesh;
+/// A ring-partitioned meshed tier, whose membership kJoin/kLeave change.
+BackendConfig ring_template(std::uint32_t nodes, std::uint32_t replication,
+                            std::uint64_t items) {
+  BackendConfig config = quorum_template(nodes, replication, items);
+  config.partitioner = "ring";
+  return config;
 }
 
 Message make_put(std::uint64_t key, std::string value) {
@@ -101,22 +72,11 @@ Message make_req(MsgType type, std::uint64_t key) {
   return request;
 }
 
-/// Polls a replica's storage until `pred` holds or the deadline passes.
-template <typename Pred>
-bool eventually(const Pred& pred, double timeout_s = 5.0) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return pred();
-}
-
 TEST(QuorumSuite, WriteThroughOneCoordinatorReadsThroughEveryOther) {
   // N=3, d=3: every node replicates every key, so every node coordinates
   // for every key and every storage engine must converge.
-  Mesh mesh = start_mesh(3, 3, /*items=*/0);
+  LocalTier mesh(quorum_template(3, 3, /*items=*/0), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   SyncClient writer;
   ASSERT_TRUE(writer.connect("127.0.0.1", mesh.backends[0]->port()));
@@ -144,12 +104,11 @@ TEST(QuorumSuite, WriteThroughOneCoordinatorReadsThroughEveryOther) {
              !entry->tombstone && entry->version == ack->version;
     })) << "replica " << node;
   }
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, DeleteTombstonesAcrossTheQuorum) {
-  Mesh mesh = start_mesh(3, 3, /*items=*/0);
+  LocalTier mesh(quorum_template(3, 3, /*items=*/0), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", mesh.backends[1]->port()));
@@ -168,12 +127,11 @@ TEST(QuorumSuite, DeleteTombstonesAcrossTheQuorum) {
   const auto reply = reader.call(make_req(MsgType::kQuorumGet, 9), 2.0);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, MsgType::kMiss);
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, QuorumSurvivesOneReplicaCrash) {
-  Mesh mesh = start_mesh(3, 3, /*items=*/0);
+  LocalTier mesh(quorum_template(3, 3, /*items=*/0), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   // Write while all three are up, then crash one replica.
   SyncClient writer;
@@ -199,16 +157,14 @@ TEST(QuorumSuite, QuorumSurvivesOneReplicaCrash) {
   const auto ack2 = writer.call(make_put(12, "post-crash"), 3.0);
   ASSERT_TRUE(ack2.has_value());
   ASSERT_EQ(ack2->type, MsgType::kWriteReply) << ack2->payload;
-
-  for (auto& backend : mesh.backends) {
-    if (backend != nullptr) backend->stop(0.5);
-  }
 }
 
 TEST(QuorumSuite, ReadRepairConvergesARestartedReplica) {
-  Mesh mesh = start_mesh(3, 3, /*items=*/0);
+  LocalTier mesh(quorum_template(3, 3, /*items=*/0), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   // Crash replica 2, then commit a write it never sees.
+  const BackendConfig node2 = mesh.backends[2]->config();
   mesh.backends[2]->stop(0.0);
   mesh.backends[2].reset();
 
@@ -219,11 +175,10 @@ TEST(QuorumSuite, ReadRepairConvergesARestartedReplica) {
   ASSERT_EQ(ack->type, MsgType::kWriteReply) << ack->payload;
 
   // Restart node 2 empty on a fresh port and re-wire the whole mesh.
-  mesh.backends[2] =
-      std::make_unique<BackendServer>(quorum_config(2, 3, 3, 0));
+  mesh.backends[2] = std::make_unique<BackendServer>(node2);
   ASSERT_TRUE(mesh.backends[2]->start());
   mesh.endpoints[2] = {"127.0.0.1", mesh.backends[2]->port()};
-  mesh.rewire();
+  for (auto& backend : mesh.backends) backend->set_peers(mesh.endpoints);
   for (auto& backend : mesh.backends) {
     ASSERT_TRUE(backend->wait_peers_up(5.0));
   }
@@ -243,8 +198,6 @@ TEST(QuorumSuite, ReadRepairConvergesARestartedReplica) {
     return entry.has_value() && entry->value == "repaired value" &&
            entry->version == ack->version;
   })) << "read-repair never converged the restarted replica";
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
@@ -254,23 +207,14 @@ TEST(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
 
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config = quorum_config(node, kNodes, kReplication, kItems);
-    config.partitioner = "ring";
-    auto backend = std::make_unique<BackendServer>(config);
-    ASSERT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+  LocalTier mesh(ring_template(kNodes, kReplication, kItems), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   // The joiner's own ring must equal the others' post-join ring: same seed,
   // nodes 0..3. It holds nothing until handoff streams arrive.
   BackendConfig joiner_config =
-      quorum_config(kNodes, kNodes + 1, kReplication, /*items=*/0);
-  joiner_config.partitioner = "ring";
+      ring_template(kNodes + 1, kReplication, /*items=*/0);
+  joiner_config.node_id = kNodes;
   auto joiner = std::make_unique<BackendServer>(joiner_config);
   ASSERT_TRUE(joiner->start());
   const std::string joiner_endpoint =
@@ -308,9 +252,7 @@ TEST(QuorumSuite, JoinRebalancesKeysOntoTheNewNode) {
       return joiner->storage_entry(key).has_value();
     })) << "key " << key << " never streamed to the joiner";
   }
-
   joiner->stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
@@ -321,17 +263,8 @@ TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
   constexpr std::uint32_t kReplication = 2;
   constexpr std::uint64_t kItems = 64;
 
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config = quorum_config(node, kNodes, kReplication, kItems);
-    config.partitioner = "ring";
-    auto backend = std::make_unique<BackendServer>(config);
-    ASSERT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+  LocalTier mesh(ring_template(kNodes, kReplication, kItems), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   // Old and new rings, for deriving which (key, target) pairs must move.
   ConsistentHashRing old_ring(kNodes, kReplication, 64, kPartitionSeed);
@@ -369,8 +302,6 @@ TEST(QuorumSuite, LeaveStreamsDepartingKeysToSurvivors) {
     }
   }
   EXPECT_GT(checked, 0u) << "leave moved nothing; enlarge the key set";
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 std::uint64_t counter(const obs::MetricsSnapshot& snap,
@@ -384,17 +315,10 @@ TEST(QuorumSuite, ShardedMeshWritesThroughEveryShardAndReadsThroughEveryNode) {
   // on whichever shard accepted its connection and must reach W from there.
   constexpr std::uint32_t kNodes = 3;
   constexpr std::uint64_t kWrites = 40;
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config = quorum_config(node, kNodes, kNodes, /*items=*/0);
-    config.shards = 2;
-    auto backend = std::make_unique<BackendServer>(config);
-    ASSERT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+  BackendConfig config = quorum_template(kNodes, kNodes, /*items=*/0);
+  config.shards = 2;
+  LocalTier mesh(config, /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   const auto value_of = [](std::uint64_t key) {
     return "sharded value " + std::to_string(key);
@@ -420,8 +344,6 @@ TEST(QuorumSuite, ShardedMeshWritesThroughEveryShardAndReadsThroughEveryNode) {
       EXPECT_EQ(reply->payload, value_of(key));
     }
   }
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, LeftPeerIsNeverRedialed) {
@@ -429,17 +351,8 @@ TEST(QuorumSuite, LeftPeerIsNeverRedialed) {
   // again: its accept count stays put for 10x the first reconnect delay.
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kLeaver = 3;
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config = quorum_config(node, kNodes, 2, /*items=*/64);
-    config.partitioner = "ring";
-    auto backend = std::make_unique<BackendServer>(config);
-    ASSERT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+  LocalTier mesh(ring_template(kNodes, 2, /*items=*/64), /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   Message leave;
   leave.type = MsgType::kLeave;
@@ -457,8 +370,6 @@ TEST(QuorumSuite, LeftPeerIsNeverRedialed) {
   const std::uint64_t before = accepted();
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_EQ(accepted(), before) << "a member re-dialed the node that left";
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
@@ -478,7 +389,8 @@ TEST(QuorumSuite, HungPeerIsResetAndRedialedWhileWritesReachW) {
   std::vector<std::pair<std::string, std::uint16_t>> endpoints;
   for (std::uint32_t node = 0; node < 2; ++node) {
     ASSERT_TRUE(hung[node].start());
-    BackendConfig config = quorum_config(node, 3, 3, /*items=*/0);
+    BackendConfig config = quorum_template(3, 3, /*items=*/0);
+    config.node_id = node;
     config.op_timeout_s = kOpTimeoutS;
     backends.push_back(std::make_unique<BackendServer>(config));
     ASSERT_TRUE(backends.back()->start());
@@ -538,7 +450,7 @@ TEST(QuorumSuite, WriteShortOfWFailsOnceItsHungPeersAreReset) {
     ASSERT_TRUE(peer.start());
     peers.emplace_back("127.0.0.1", peer.port());
   }
-  BackendConfig config = quorum_config(0, 3, 3, /*items=*/0);
+  BackendConfig config = quorum_template(3, 3, /*items=*/0);
   config.op_timeout_s = kOpTimeoutS;
   BackendServer backend(config);
   ASSERT_TRUE(backend.start());
@@ -578,18 +490,10 @@ TEST(QuorumSuite, SlowJoinerGetsItsWholeHandoffOnOneConnection) {
   FakePeer joiner(std::chrono::milliseconds(2));
   ASSERT_TRUE(joiner.start());
 
-  Mesh mesh;
-  for (std::uint32_t node = 0; node < kNodes; ++node) {
-    BackendConfig config = quorum_config(node, kNodes, kReplication, kItems);
-    config.partitioner = "ring";
-    config.op_timeout_s = kOpTimeoutS;
-    auto backend = std::make_unique<BackendServer>(config);
-    ASSERT_TRUE(backend->start());
-    mesh.endpoints.emplace_back("127.0.0.1", backend->port());
-    mesh.backends.push_back(std::move(backend));
-  }
-  mesh.rewire();
-  for (auto& backend : mesh.backends) ASSERT_TRUE(backend->wait_peers_up(5.0));
+  BackendConfig config = ring_template(kNodes, kReplication, kItems);
+  config.op_timeout_s = kOpTimeoutS;
+  LocalTier mesh(config, /*mesh=*/true);
+  ASSERT_TRUE(mesh.start());
 
   ConsistentHashRing ring(kNodes + 1, kReplication, 64, kPartitionSeed);
   std::vector<KeyId> moved;
@@ -627,9 +531,6 @@ TEST(QuorumSuite, SlowJoinerGetsItsWholeHandoffOnOneConnection) {
       << "a moved key never reached the joiner";
   EXPECT_EQ(joiner.accepts().size(), kNodes)
       << "a member reset its link to a joiner that was still answering";
-
-  for (auto& backend : mesh.backends) backend->stop(0.5);
-  joiner.stop();
 }
 
 /// A bare client connection: send() puts a frame on the wire without
@@ -706,46 +607,25 @@ int raced_rounds_answered_correctly(std::uint16_t port) {
 }
 
 /// The write-path cluster the races run against: 3 meshed backends with
-/// n = d = 3, W = 2, and a front end without a cache, so every GET and
-/// PUT is forwarded over the same front-end → backend connection.
-FrontendConfig uncached_frontend_config(const Mesh& mesh) {
-  FrontendConfig config;
-  config.nodes = 3;
-  config.replication = 3;
-  config.partition_seed = kPartitionSeed;
-  config.backends = mesh.endpoints;
-  config.cache_policy = "none";
-  return config;
+/// n = d = 3, W = 2, and `fleet` front ends without a cache, so every GET
+/// and PUT is forwarded over the same front-end → backend connection.
+/// A fleet of 2 gets the router in front, which sends both of a round's
+/// requests to the key's owner.
+int raced_rounds_through_a_tier(std::uint32_t fleet) {
+  FrontendConfig uncached = frontend_template("none", 0);
+  uncached.fleet_size = fleet;
+  LocalTier tier(quorum_template(3, 3, /*items=*/kRaceRounds), /*mesh=*/true,
+                 uncached);
+  if (!tier.start()) return -1;
+  return raced_rounds_answered_correctly(tier.port());
 }
 
 TEST(ReplyMatching, PutAndGetRacedThroughTheFrontendGetTheirOwnReplies) {
-  Mesh mesh = start_mesh(3, 3, /*items=*/kRaceRounds);
-  FrontendServer frontend(uncached_frontend_config(mesh));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
-
-  EXPECT_EQ(raced_rounds_answered_correctly(frontend.port()), kRaceRounds);
-
-  frontend.stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
+  EXPECT_EQ(raced_rounds_through_a_tier(1), kRaceRounds);
 }
 
 TEST(ReplyMatching, PutAndGetRacedThroughTheRouterGetTheirOwnReplies) {
-  Mesh mesh = start_mesh(3, 3, /*items=*/kRaceRounds);
-  FrontendServer frontend(uncached_frontend_config(mesh));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
-  RouterConfig router_config;
-  router_config.frontends = {{"127.0.0.1", frontend.port()}};
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
-
-  EXPECT_EQ(raced_rounds_answered_correctly(router.port()), kRaceRounds);
-
-  router.stop(0.5);
-  frontend.stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
+  EXPECT_EQ(raced_rounds_through_a_tier(2), kRaceRounds);
 }
 
 TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
@@ -753,19 +633,11 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   // of bytes the oracle never held drops the key's cached bytes; the next
   // GET refetches the written bytes, and the cache serves them from then on.
   constexpr std::uint64_t kItems = 32;
-  Mesh mesh = start_mesh(3, 3, kItems);
-
-  FrontendConfig fe_config;
-  fe_config.nodes = 3;
-  fe_config.replication = 3;
-  fe_config.partition_seed = kPartitionSeed;
-  fe_config.backends = mesh.endpoints;
-  fe_config.cache_policy = "perfect";
-  fe_config.cache_capacity = kItems;  // every key cached
-  fe_config.items = kItems;
-  FrontendServer frontend(fe_config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  // Every key cached.
+  LocalTier tier(quorum_template(3, 3, kItems), /*mesh=*/true,
+                 frontend_template("perfect", kItems));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
@@ -774,7 +646,7 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   const auto cached = client.get(3, 2.0);
   ASSERT_TRUE(cached.has_value());
   ASSERT_EQ(cached->type, MsgType::kValue);
-  EXPECT_EQ(cached->payload, make_value(3, fe_config.value_bytes));
+  EXPECT_EQ(cached->payload, make_value(3, 64));
   EXPECT_EQ(frontend.stats().forwarded, 0u);
 
   for (std::uint64_t key = 0; key < kItems; ++key) {
@@ -796,18 +668,15 @@ TEST(QuorumSuite, FrontendWriteInvalidatesItsCacheAndRefetches) {
   const ServerStats stats = frontend.stats();
   EXPECT_EQ(stats.invalidations, kItems);
   EXPECT_EQ(stats.forwarded, 2 * kItems);  // each PUT and its one refetch
-
-  frontend.stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 TEST(QuorumSuite, IdleFrontendAndMeshSleep) {
   // A loop with no timer wakes every 100 ms. A link module's 20 ms deadline
   // sweep must add nothing to that while no request is pending.
-  Mesh mesh = start_mesh(3, 3, /*items=*/32);
-  FrontendServer frontend(uncached_frontend_config(mesh));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(quorum_template(3, 3, /*items=*/32), /*mesh=*/true,
+                 frontend_template("none", 0));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port()));
   for (std::uint64_t key = 0; key < 8; ++key) {
@@ -821,7 +690,7 @@ TEST(QuorumSuite, IdleFrontendAndMeshSleep) {
 
   const auto wakeups = [&] {
     std::vector<std::uint64_t> counts{frontend.loop_totals().wakeups};
-    for (const auto& backend : mesh.backends) {
+    for (const auto& backend : tier.backends) {
       counts.push_back(backend->loop_totals().wakeups);
     }
     return counts;
@@ -833,9 +702,6 @@ TEST(QuorumSuite, IdleFrontendAndMeshSleep) {
     EXPECT_LE(after[i] - before[i], 40u)
         << (i == 0 ? "front end" : "backend " + std::to_string(i - 1));
   }
-
-  frontend.stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 // stats() and the metrics registry are one store read two ways; this pins
@@ -843,35 +709,12 @@ TEST(QuorumSuite, IdleFrontendAndMeshSleep) {
 // through a router and a 2-member fleet to a meshed pair of backends.
 TEST(QuorumSuite, StatsAgreeWithTheRegistryOnBackendsAndRouter) {
   constexpr std::uint64_t kItems = 32;
-  constexpr std::uint32_t kFleet = 2;
-  constexpr std::uint64_t kFleetSeed = 4242;
-  Mesh mesh = start_mesh(2, 2, kItems);
-
-  std::vector<std::unique_ptr<FrontendServer>> members;
-  std::vector<std::pair<std::string, std::uint16_t>> member_endpoints;
-  for (std::uint32_t member = 0; member < kFleet; ++member) {
-    FrontendConfig config;
-    config.nodes = 2;
-    config.replication = 2;
-    config.partition_seed = kPartitionSeed;
-    config.backends = mesh.endpoints;
-    config.cache_policy = "perfect";
-    config.cache_capacity = 8;
-    config.items = kItems;
-    config.fleet_size = kFleet;
-    config.fleet_index = member;
-    config.fleet_seed = kFleetSeed;
-    members.push_back(std::make_unique<FrontendServer>(config));
-    ASSERT_TRUE(members.back()->start());
-    ASSERT_TRUE(members.back()->wait_backends_up(5.0));
-    member_endpoints.emplace_back("127.0.0.1", members.back()->port());
-  }
-  RouterConfig router_config;
-  router_config.frontends = member_endpoints;
-  router_config.fleet_seed = kFleetSeed;
-  RouterServer router(router_config);
-  ASSERT_TRUE(router.start());
-  ASSERT_TRUE(router.wait_frontends_up(5.0));
+  FrontendConfig fleet = frontend_template("perfect", 8);
+  fleet.fleet_size = 2;
+  fleet.fleet_seed = 4242;
+  LocalTier tier(quorum_template(2, 2, kItems), /*mesh=*/true, fleet);
+  ASSERT_TRUE(tier.start());
+  RouterServer& router = *tier.router;
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", router.port()));
@@ -903,8 +746,8 @@ TEST(QuorumSuite, StatsAgreeWithTheRegistryOnBackendsAndRouter) {
   EXPECT_EQ(router_stats.forwarded, router_stats.requests);
 
   ServerStats fleet_total;
-  for (std::size_t node = 0; node < mesh.backends.size(); ++node) {
-    const BackendServer& backend = *mesh.backends[node];
+  for (std::size_t node = 0; node < tier.backends.size(); ++node) {
+    const BackendServer& backend = *tier.backends[node];
     const ServerStats stats = backend.stats();
     const obs::MetricsSnapshot snap = backend.metrics_snapshot();
     const auto& bc = snap.counters;
@@ -927,10 +770,6 @@ TEST(QuorumSuite, StatsAgreeWithTheRegistryOnBackendsAndRouter) {
   EXPECT_EQ(fleet_total.puts, 1u);
   EXPECT_EQ(fleet_total.deletes, 1u);
   EXPECT_GE(fleet_total.replications, 2u);  // W = 2 of d = 2, per write
-
-  router.stop(0.5);
-  for (auto& member : members) member->stop(0.5);
-  for (auto& backend : mesh.backends) backend->stop(0.5);
 }
 
 }  // namespace

@@ -1,73 +1,31 @@
-// Loopback tests for the multi-reactor (sharded) serving tier: SO_REUSEPORT
-// accept sharding, the single-acceptor fallback, per-shard metrics merging,
-// cache partitioning, and graceful drain across shards. Labeled slow — each
-// case spins up real TCP servers and many blocking clients.
+// Loopback tests for the multi-reactor (sharded) serving tier, stood up by
+// net::LocalTier: SO_REUSEPORT accept sharding, the single-acceptor
+// fallback, per-shard metrics merging, cache partitioning, and graceful
+// drain across shards. Labeled slow — each case spins up real TCP servers
+// and many blocking clients.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/hash.h"
-#include "net/backend_server.h"
-#include "net/frontend_server.h"
+#include "loopback_tier.h"
+#include "net/local_tier.h"
 #include "net/sync_client.h"
 #include "obs/metrics.h"
 
 namespace scp::net {
 namespace {
 
-constexpr std::uint64_t kPartitionSeed = 77;
-
-BackendConfig backend_config(std::uint32_t node_id, std::uint32_t nodes,
-                             std::uint32_t replication, std::uint64_t items) {
-  BackendConfig config;
-  config.node_id = node_id;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.items = items;
-  return config;
-}
-
-struct Fleet {
-  std::vector<std::unique_ptr<BackendServer>> backends;
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-};
-
-Fleet start_fleet(std::uint32_t nodes, std::uint32_t replication,
-                  std::uint64_t items) {
-  Fleet fleet;
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    auto backend = std::make_unique<BackendServer>(
-        backend_config(node, nodes, replication, items));
-    EXPECT_TRUE(backend->start());
-    fleet.endpoints.emplace_back("127.0.0.1", backend->port());
-    fleet.backends.push_back(std::move(backend));
-  }
-  return fleet;
-}
-
-FrontendConfig frontend_config(const Fleet& fleet, std::uint32_t nodes,
-                               std::uint32_t replication, std::uint64_t items,
-                               std::size_t cache_capacity,
-                               std::uint32_t shards) {
-  FrontendConfig config;
-  config.nodes = nodes;
-  config.replication = replication;
-  config.partition_seed = kPartitionSeed;
-  config.backends = fleet.endpoints;
-  config.cache_policy = "perfect";
-  config.cache_capacity = cache_capacity;
-  config.items = items;
+/// A front end of `shards` shards caching the oracle's `cache_capacity`
+/// keys.
+FrontendConfig sharded_frontend(std::size_t cache_capacity,
+                                std::uint32_t shards) {
+  FrontendConfig config = frontend_template("perfect", cache_capacity);
   config.shards = shards;
   return config;
-}
-
-void stop_fleet(Fleet& fleet) {
-  for (auto& backend : fleet.backends) backend->stop();
 }
 
 TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
@@ -85,11 +43,10 @@ TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kOpsPerThread = 150;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(frontend_config(fleet, kNodes, kReplication, kItems,
-                                          kCache, kShards));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, sharded_frontend(kCache, kShards));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   const std::uint16_t port = frontend.port();
 
   std::atomic<std::uint64_t> gets{0};
@@ -145,13 +102,10 @@ TEST(ShardedFrontend, StressManyClientsCounterConsistency) {
 
   // Backend request counters account for every forward attempt.
   std::uint64_t backend_requests = 0;
-  for (const auto& backend : fleet.backends) {
+  for (const auto& backend : tier.backends) {
     backend_requests += backend->stats().requests;
   }
   EXPECT_EQ(backend_requests, stats.attempts);
-
-  frontend.stop();
-  stop_fleet(fleet);
 }
 
 TEST(ShardedFrontend, PerShardMetricsSumToAggregate) {
@@ -162,15 +116,14 @@ TEST(ShardedFrontend, PerShardMetricsSumToAggregate) {
   constexpr std::uint64_t kItems = 128;
   constexpr std::uint32_t kShards = 4;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config = frontend_config(fleet, kNodes, kReplication, kItems,
-                                          /*cache=*/32, kShards);
+  FrontendConfig config = sharded_frontend(/*cache=*/32, kShards);
   // Deterministic shard spread: the fallback acceptor round-robins
   // connections, so 4 clients land on 4 distinct shards.
   config.force_fallback_accept = true;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   constexpr std::size_t kClients = 4;
   std::vector<std::thread> threads;
@@ -210,9 +163,6 @@ TEST(ShardedFrontend, PerShardMetricsSumToAggregate) {
       << "aggregate histogram count must equal the sum of shard counts";
   EXPECT_EQ(shards_with_traffic, kShards)
       << "round-robin fallback accept must spread 4 clients over 4 shards";
-
-  frontend.stop();
-  stop_fleet(fleet);
 }
 
 TEST(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
@@ -226,13 +176,12 @@ TEST(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
   constexpr std::size_t kCache = 64;
   constexpr std::uint32_t kShards = 4;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendConfig config = frontend_config(fleet, kNodes, kReplication, kItems,
-                                          kCache, kShards);
+  FrontendConfig config = sharded_frontend(kCache, kShards);
   config.force_fallback_accept = true;
-  FrontendServer frontend(config);
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, config);
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;  // first accepted connection -> shard 0
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port(), 3.0));
@@ -253,9 +202,6 @@ TEST(ShardedFrontend, FallbackAcceptPartitionsCacheByKeyHash) {
       << "shard 0 must hit exactly the cached keys it owns";
   EXPECT_EQ(stats.requests, stats.hits + stats.forwarded + stats.coalesced +
                                 stats.failures);
-
-  frontend.stop();
-  stop_fleet(fleet);
 }
 
 TEST(ShardedFrontend, GracefulStopDrainsAllShards) {
@@ -267,11 +213,10 @@ TEST(ShardedFrontend, GracefulStopDrainsAllShards) {
   constexpr std::uint64_t kItems = 64;
   constexpr std::uint32_t kShards = 4;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(frontend_config(fleet, kNodes, kReplication, kItems,
-                                          /*cache=*/0, kShards));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, sharded_frontend(/*cache=*/0, kShards));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
   const std::uint16_t port = frontend.port();
 
   // Load on several connections so multiple shards have live conns to drain.
@@ -298,7 +243,6 @@ TEST(ShardedFrontend, GracefulStopDrainsAllShards) {
     EXPECT_FALSE(late.connect("127.0.0.1", port, 0.5))
         << "probe " << probe << ": a shard is still accepting after stop()";
   }
-  stop_fleet(fleet);
 }
 
 TEST(ShardedBackend, ServesAcrossShardsAndMergesMetrics) {
@@ -311,7 +255,7 @@ TEST(ShardedBackend, ServesAcrossShardsAndMergesMetrics) {
   constexpr std::uint64_t kItems = 96;
   constexpr std::uint32_t kShards = 4;
 
-  BackendConfig config = backend_config(0, kNodes, kReplication, kItems);
+  BackendConfig config = backend_template(kNodes, kReplication, kItems);
   config.shards = kShards;
   config.force_fallback_accept = true;  // deterministic shard spread
   BackendServer server(config);
@@ -369,11 +313,10 @@ TEST(ShardedFrontend, SingleShardMatchesUnshardedCounters) {
   constexpr std::uint64_t kItems = 128;
   constexpr std::size_t kCache = 16;
 
-  Fleet fleet = start_fleet(kNodes, kReplication, kItems);
-  FrontendServer frontend(frontend_config(fleet, kNodes, kReplication, kItems,
-                                          kCache, /*shards=*/1));
-  ASSERT_TRUE(frontend.start());
-  ASSERT_TRUE(frontend.wait_backends_up(5.0));
+  LocalTier tier(backend_template(kNodes, kReplication, kItems),
+                 /*mesh=*/false, sharded_frontend(kCache, /*shards=*/1));
+  ASSERT_TRUE(tier.start());
+  FrontendServer& frontend = *tier.frontends[0];
 
   SyncClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", frontend.port(), 3.0));
@@ -398,9 +341,6 @@ TEST(ShardedFrontend, SingleShardMatchesUnshardedCounters) {
   for (const auto& [name, histogram] : snap.timers) {
     EXPECT_EQ(name.find(".shard"), std::string::npos) << name;
   }
-
-  frontend.stop();
-  stop_fleet(fleet);
 }
 
 }  // namespace

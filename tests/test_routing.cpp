@@ -139,6 +139,42 @@ TEST(PinnedLeastLoadedSelector, ResetForgetsPins) {
   EXPECT_EQ(selector.select(1, kGroup, make_loads(0, 9, 3), rng), 0u);
 }
 
+// A caller may pass only the live members of a key's group. When the pinned
+// node is not among them, the key is re-picked over the members given and
+// pinned to the new node.
+TEST(PinnedLeastLoadedSelector, RepicksWhenThePinnedNodeLeavesTheGroup) {
+  PinnedLeastLoadedSelector selector;
+  Rng rng(11);
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(5, 9, 1), rng), 2u);  // 9
+  const std::array<NodeId, 2> without_9 = {4, 7};
+  EXPECT_EQ(selector.select(1, without_9, make_loads(5, 9, 1), rng), 0u);
+  // Re-pinned to node 4, which keeps the key once node 9 is back.
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(5, 9, 1), rng), 0u);
+  EXPECT_EQ(selector.pin_count(), 1u);
+}
+
+TEST(PinnedLeastLoadedSelector, KeepsThePinnedNodeWhenAnotherLeaves) {
+  PinnedLeastLoadedSelector selector;
+  Rng rng(12);
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(5, 1, 3), rng), 1u);  // 7
+  const std::array<NodeId, 2> without_4 = {7, 9};
+  EXPECT_EQ(selector.select(1, without_4, make_loads(0, 9, 0), rng), 0u);
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(0, 9, 0), rng), 1u);
+}
+
+TEST(PinnedLeastLoadedSelector, UnpinForgetsOneKey) {
+  PinnedLeastLoadedSelector selector;
+  Rng rng(13);
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(5, 1, 3), rng), 1u);
+  EXPECT_EQ(selector.select(2, kGroup, make_loads(5, 1, 3), rng), 1u);
+  EXPECT_EQ(selector.pin_count(), 2u);
+  selector.unpin(1);
+  selector.unpin(3);  // never pinned: no effect
+  EXPECT_EQ(selector.pin_count(), 1u);
+  EXPECT_EQ(selector.select(1, kGroup, make_loads(0, 9, 3), rng), 0u);
+  EXPECT_EQ(selector.select(2, kGroup, make_loads(0, 9, 3), rng), 1u);
+}
+
 TEST(PinnedLeastLoadedSelector, DoesNotSplitEvenly) {
   PinnedLeastLoadedSelector selector;
   EXPECT_FALSE(selector.splits_evenly());
